@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .errors import MalformedPayload, StringTooLong
 from .fbnet import FBInstance, FBNetwork, PortKind, PortSpec
 from .transport import Endpoint, GroupAddress, Proto, Transport, ip_to_int
-from .values import Bool, DataValue, Str, Variant
+from .values import FALSE, TRUE, DataValue, Str, Variant
 from .wire import decode, encode
 
 DEFAULT_GROUP = "239.192.0.2"
@@ -46,22 +46,22 @@ def make_publisher(id: str, transport: Transport, device_id: str, address: int,
     def behavior(ctx, event, inputs, state: PubState):
         if event == "INIT":
             if not inputs["QI"].raw:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             gaddr, gport = parse_id(inputs["ID"].raw)
             group = GroupAddress(ip_to_int(gaddr), gport)
-            return replace(state, inited=True, group=group), [("INITO", {"QO": Bool(True)})]
+            return replace(state, inited=True, group=group), [("INITO", {"QO": TRUE})]
         if event == "REQ":
             if not state.inited:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             try:
                 payload = encode([inputs[f"SD_{i + 1}"] for i in range(sd_count)])
             except StringTooLong:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             pkt = transport.make_packet(
                 Proto.UDP, Endpoint(device_id, address, src_port), state.group,
                 payload, device_id)
             transport.send(pkt)
-            return replace(state, sent=state.sent + 1), [("CNF", {"QO": Bool(True)})]
+            return replace(state, sent=state.sent + 1), [("CNF", {"QO": TRUE})]
         return state, []
 
     ports = [
@@ -76,8 +76,10 @@ def make_publisher(id: str, transport: Transport, device_id: str, address: int,
     return FBInstance(id, ports, behavior, state=PubState())
 
 
-@dataclass(frozen=True)
+@dataclass
 class SubState:
+    """Mutable: the receive path counts in place, once per packet."""
+
     inited: bool = False
     accepted: int = 0
     malformed: int = 0
@@ -86,6 +88,7 @@ class SubState:
 def make_subscriber(id: str, network: FBNetwork, transport: Transport,
                     device_id: str, rd_count: int = 1) -> FBInstance:
     """Joins the group on INIT; IND fires exactly once per accepted packet."""
+    rd_names = tuple(f"RD_{i + 1}" for i in range(rd_count))
 
     def handler(view):
         network.set_data_in(id, "RX", Str(view.payload))
@@ -94,13 +97,14 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
     def behavior(ctx, event, inputs, state: SubState):
         if event == "INIT":
             if not inputs["QI"].raw:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             gaddr, gport = parse_id(inputs["ID"].raw)
             device = transport.devices[device_id]
             member = Endpoint(device_id, device.address, gport)
             transport.join_group(ip_to_int(gaddr), member)
             transport.bind(device_id, gport, handler)
-            return replace(state, inited=True), [("INITO", {"QO": Bool(True)})]
+            state.inited = True
+            return state, [("INITO", {"QO": TRUE})]
         if event == "RCV":
             try:
                 values = decode(inputs["RX"].raw)
@@ -108,10 +112,12 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
                 values = None
             if values is None or len(values) != rd_count or any(
                     v.variant is not Variant.BOOL for v in values):
-                return replace(state, malformed=state.malformed + 1), [(None, {"QO": Bool(False)})]
-            assigns: dict[str, DataValue] = {f"RD_{i + 1}": v for i, v in enumerate(values)}
-            assigns["QO"] = Bool(True)
-            return replace(state, accepted=state.accepted + 1), [("IND", assigns)]
+                state.malformed += 1
+                return state, [(None, {"QO": FALSE})]
+            assigns: dict[str, DataValue] = dict(zip(rd_names, values))
+            assigns["QO"] = TRUE
+            state.accepted += 1
+            return state, [("IND", assigns)]
         return state, []
 
     ports = [
@@ -119,12 +125,12 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
         PortSpec("RCV", PortKind.EVENT_IN, associated_data=("RX",)),
         PortSpec("INITO", PortKind.EVENT_OUT, associated_data=("QO",)),
         PortSpec("IND", PortKind.EVENT_OUT,
-                 associated_data=tuple(f"RD_{i + 1}" for i in range(rd_count)) + ("QO",)),
+                 associated_data=rd_names + ("QO",)),
         PortSpec("QI", PortKind.DATA_IN, Variant.BOOL),
         PortSpec("ID", PortKind.DATA_IN, Variant.STRING),
         PortSpec("RX", PortKind.DATA_IN, Variant.STRING),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
-    ] + [PortSpec(f"RD_{i + 1}", PortKind.DATA_OUT, Variant.BOOL) for i in range(rd_count)]
+    ] + [PortSpec(name, PortKind.DATA_OUT, Variant.BOOL) for name in rd_names]
     return FBInstance(id, ports, behavior, state=SubState())
 
 
@@ -151,12 +157,12 @@ def make_server(id: str, network: FBNetwork, transport: Transport,
     def behavior(ctx, event, inputs, state: ServerState):
         if event == "INIT":
             if not inputs["QI"].raw:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             transport.bind(device_id, listen_port, handler)
-            return replace(state, inited=True), [("INITO", {"QO": Bool(True)})]
+            return replace(state, inited=True), [("INITO", {"QO": TRUE})]
         if event == "RCV":
             return replace(state, received=state.received + 1), [
-                ("IND", {"RD_1": Str(inputs["RX"].raw), "QO": Bool(True)})]
+                ("IND", {"RD_1": Str(inputs["RX"].raw), "QO": TRUE})]
         return state, []
 
     ports = [
@@ -211,13 +217,13 @@ def make_client(id: str, network: FBNetwork, transport: Transport,
                 return state, []
             transport.send(transport.make_packet(Proto.TCP_ACK, me, state.remote, b"", device_id))
             attempts = state.attempts[:-1] + (replace(state.attempts[-1], established=ctx.now),)
-            return replace(state, connected=True, attempts=attempts), [("INITO", {"QO": Bool(True)})]
+            return replace(state, connected=True, attempts=attempts), [("INITO", {"QO": TRUE})]
         if event == "REQ":
             if not state.connected:
-                return state, [(None, {"QO": Bool(False)})]
+                return state, [(None, {"QO": FALSE})]
             payload = encode([inputs["SD_1"]])
             transport.send(transport.make_packet(Proto.TCP_DATA, me, state.remote, payload, device_id))
-            return state, [("CNF", {"QO": Bool(True)})]
+            return state, [("CNF", {"QO": TRUE})]
         return state, []
 
     ports = [

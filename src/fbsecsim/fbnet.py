@@ -119,9 +119,6 @@ class Trace:
             else:
                 yield f"t={t} {kind} {inst}.{port} [{value.render()}]"
 
-    def dispatches_of(self, inst: str) -> list[int]:
-        return [t for kind, t, i, _p, _v in self.entries if kind == "dispatch" and i == inst]
-
 
 class FBInstance:
     """A typed function-block instance with an opaque behavior."""
@@ -147,6 +144,9 @@ class FBInstance:
                 for d in p.associated_data:
                     if d not in self.by_kind[want]:
                         raise UnknownPortError(f"{id}.{p.name}: WITH references missing {d}")
+        # name -> variant of each data port, for checks on the hot path
+        self.din_variants = {n: p.data_variant for n, p in self.by_kind[PortKind.DATA_IN].items()}
+        self.dout_variants = {n: p.data_variant for n, p in self.by_kind[PortKind.DATA_OUT].items()}
 
     def port(self, name: str, kind: PortKind) -> PortSpec:
         try:
@@ -159,6 +159,36 @@ class FBInstance:
 class Diagnostic:
     code: str
     detail: str
+
+
+class _Plan:
+    """What one (instance, event) dispatch needs, resolved from the wiring.
+
+    `names` and `latches` list every data-in and its latch key; `sampled` pairs
+    the latch key of each WITH input that has a writer with the writer's
+    data-out key; `fanout` maps every declared event output to its
+    destinations.
+    """
+
+    __slots__ = ("inst", "names", "latches", "sampled", "dout_variants", "fanout")
+
+    def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
+        inst_id = inst.id
+        self.inst = inst
+        self.names = tuple(inst.din_variants)
+        self.latches = tuple((inst_id, name) for name in self.names)
+        self.sampled = tuple(((inst_id, d), net.data_src[(inst_id, d)])
+                             for d in port.associated_data if (inst_id, d) in net.data_src)
+        self.dout_variants = inst.dout_variants
+        self.fanout = {ev: tuple(net.event_conns.get((inst_id, ev), ()))
+                       for ev in inst.by_kind[PortKind.EVENT_OUT]}
+
+
+def _latch_error(inst: str, port: str, variant: Variant | None, kind: PortKind) -> Exception:
+    """Why a latch write was refused: no such port, or the wrong variant."""
+    if variant is None:
+        return UnknownPortError(f"{inst}.{port} ({kind.value})")
+    return VariantMismatchError(f"{inst}.{port} expects {variant.value}")
 
 
 def _parse_ref(ref: str) -> tuple[str, str]:
@@ -189,6 +219,9 @@ class FBNetwork:
         self.host_down: Callable[[], bool] | None = None
         self.on_dispatch: Callable[[str, str, int], None] | None = None
         self.on_emit: Callable[[str, str, DataValue | None, int], None] | None = None
+        # (instance, event) -> _Plan, resolved on first dispatch; add and
+        # connect change the wiring a plan was resolved from, so they drop it
+        self._plans: dict[tuple[str, str], _Plan] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -196,6 +229,7 @@ class FBNetwork:
         if instance.id in self.instances:
             raise DuplicateIdError(instance.id)
         self.instances[instance.id] = instance
+        self._plans.clear()
         for p in instance.ports:
             if p.kind is PortKind.DATA_IN:
                 self._din[(instance.id, p.name)] = zero(p.data_variant)
@@ -232,6 +266,7 @@ class FBNetwork:
             self.data_src[(d_inst, d_port)] = (s_inst, s_port)
         else:
             raise KindMismatchError(f"{src} -> {dst}")
+        self._plans.clear()
         return self
 
     def validate(self) -> list[Diagnostic]:
@@ -263,16 +298,16 @@ class FBNetwork:
     # -- latch access ------------------------------------------------------
 
     def set_data_in(self, inst: str, port: str, value: DataValue) -> None:
-        p = self.instances[inst].port(port, PortKind.DATA_IN)
-        if p.data_variant is not value.variant:
-            raise VariantMismatchError(f"{inst}.{port} expects {p.data_variant.value}")
+        variant = self.instances[inst].din_variants.get(port)
+        if variant is not value.variant:
+            raise _latch_error(inst, port, variant, PortKind.DATA_IN)
         self._din[(inst, port)] = value
 
     def set_data_out(self, inst: str, port: str, value: DataValue) -> None:
         """Service-side latch update (SIFBs surface service state this way)."""
-        p = self.instances[inst].port(port, PortKind.DATA_OUT)
-        if p.data_variant is not value.variant:
-            raise VariantMismatchError(f"{inst}.{port} expects {p.data_variant.value}")
+        variant = self.instances[inst].dout_variants.get(port)
+        if variant is not value.variant:
+            raise _latch_error(inst, port, variant, PortKind.DATA_OUT)
         self._dout[(inst, port)] = value
 
     def data_out(self, inst: str, port: str) -> DataValue:
@@ -298,45 +333,43 @@ class FBNetwork:
         if inst_id in self.suspended:
             self.suppressed += 1
             return []
-        inst = self.instances.get(inst_id)
-        if inst is None:
-            raise UnknownPortError(f"{inst_id}.{event}")
-        port = inst.port(event, PortKind.EVENT_IN)
+        plan = self._plans.get((inst_id, event))
+        if plan is None:
+            plan = self._plan(inst_id, event)
+        inst = plan.inst
         now = self.scheduler.now
         self.trace.dispatch(now, inst_id, event)
         if self.on_dispatch is not None:
             self.on_dispatch(inst_id, event, now)
 
         # Sample associated data-ins into a staging copy; commit only on success.
-        staged: dict[tuple[str, str], DataValue] = {}
-        for d in port.associated_data:
-            src = self.data_src.get((inst_id, d))
-            if src is not None:
-                staged[(inst_id, d)] = self._dout[src]
-        inputs = {p.name: self._din[(inst_id, p.name)] for p in inst.by_kind[PortKind.DATA_IN].values()}
-        for (i, d), v in staged.items():
-            inputs[d] = v
+        din = self._din
+        dout = self._dout
+        inputs = dict(zip(plan.names, map(din.__getitem__, plan.latches)))
+        staged = [(key, dout[src]) for key, src in plan.sampled] if plan.sampled else ()
+        for (_inst, name), value in staged:
+            inputs[name] = value
 
         new_state, emissions = inst.behavior(Ctx(now, self.services), event, inputs, inst.state)
 
-        douts = inst.by_kind[PortKind.DATA_OUT]
-        eouts = inst.by_kind[PortKind.EVENT_OUT]
+        fanout = plan.fanout
+        dout_variants = plan.dout_variants
         for ev, assigns in emissions:
-            if ev is not None and ev not in eouts:
+            if ev is not None and ev not in fanout:
                 raise BehaviorFault(f"{inst_id} emitted undeclared event {ev}")
             for name, value in assigns.items():
-                spec = douts.get(name)
-                if spec is None:
+                variant = dout_variants.get(name)
+                if variant is None:
                     raise BehaviorFault(f"{inst_id} assigned undeclared data output {name}")
-                if spec.data_variant is not value.variant:
-                    raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {spec.data_variant.value} port")
+                if variant is not value.variant:
+                    raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {variant.value} port")
 
         # Commit: sampled inputs, state, then every data latch before any event.
-        self._din.update(staged)
+        din.update(staged)
         inst.state = new_state
         for ev, assigns in emissions:
             for name, value in assigns.items():
-                self._dout[(inst_id, name)] = value
+                dout[(inst_id, name)] = value
                 self.trace.emit(now, inst_id, name, value)
                 if self.on_emit is not None:
                     self.on_emit(inst_id, name, value, now)
@@ -346,9 +379,16 @@ class FBNetwork:
             self.trace.emit(now, inst_id, ev)
             if self.on_emit is not None:
                 self.on_emit(inst_id, ev, None, now)
-            for d_inst, d_port in self.event_conns.get((inst_id, ev), ()):
+            for d_inst, d_port in fanout[ev]:
                 self.post(d_inst, d_port)
         return emissions
+
+    def _plan(self, inst_id: str, event: str) -> _Plan:
+        inst = self.instances.get(inst_id)
+        if inst is None:
+            raise UnknownPortError(f"{inst_id}.{event}")
+        plan = self._plans[(inst_id, event)] = _Plan(self, inst, inst.port(event, PortKind.EVENT_IN))
+        return plan
 
 
 def run(network: FBNetwork, until: int) -> Trace:

@@ -22,7 +22,7 @@ from enum import Enum
 
 from .errors import RuleSyntaxError
 from .fbnet import CompositeFB, FBInstance, PortKind, PortSpec
-from .transport import Proto, PacketView, ip_to_int
+from .transport import Proto, PacketView, int_to_ip, ip_to_int
 from .values import Bool, Int, Str, Variant
 
 log = logging.getLogger(__name__)
@@ -260,10 +260,8 @@ class Verdict:
     rule_id: str | None
     inspected: bool
 
-    PASS = None  # filled in below
 
-
-Verdict.PASS = Verdict(False, None, True)
+_PASS = Verdict(False, None, True)
 _UNINSPECTED = Verdict(False, None, False)
 
 
@@ -335,7 +333,7 @@ class IdpsEngine:
 
     def inspect(self, view: PacketView, now: int) -> Verdict:
         if not self.running:
-            return Verdict.PASS
+            return _PASS
         self.presented += 1
         times = self._inspected_times
         low = now - WINDOW_US
@@ -353,10 +351,9 @@ class IdpsEngine:
                 if rule.action is Action.BLOCK and self.mode is EngineMode.IPS:
                     return Verdict(True, rule.id, True)
                 return Verdict(False, rule.id, True)
-        return Verdict.PASS
+        return _PASS
 
     def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:
-        from .transport import int_to_ip
         self.alerts.append(Alert(
             now, rule.id, view.proto.value,
             f"{int_to_ip(view.src_address)}:{view.src_port}",

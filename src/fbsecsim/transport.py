@@ -37,7 +37,7 @@ def ip_to_int(dotted: str) -> int:
 
 
 def int_to_ip(value: int) -> str:
-    return ".".join(str((value >> s) & 0xFF) for s in (24, 16, 8, 0))
+    return f"{value >> 24 & 0xFF}.{value >> 16 & 0xFF}.{value >> 8 & 0xFF}.{value & 0xFF}"
 
 
 class Proto(Enum):
@@ -47,9 +47,6 @@ class Proto(Enum):
     TCP_ACK = "tcp_ack"
     TCP_DATA = "tcp_data"
     ICMP_ECHO = "icmp_echo"
-
-
-TCP_PROTOS = {Proto.TCP_SYN, Proto.TCP_SYNACK, Proto.TCP_ACK, Proto.TCP_DATA}
 
 
 class Endpoint(NamedTuple):
@@ -98,13 +95,6 @@ class IngestResult(Enum):
     INGESTED = "ingested"
     DROPPED_CAPACITY = "dropped_capacity"
     DROPPED_UNRESPONSIVE = "dropped_unresponsive"
-
-
-class HandshakeResult(Enum):
-    SYN_ACCEPTED = "syn_accepted"
-    SYN_REFUSED = "syn_refused"
-    CONNECTION_ESTABLISHED = "connection_established"
-    STRAY_ACK = "stray_ack"
 
 
 class DeviceState(Enum):
@@ -336,6 +326,7 @@ class Transport:
         now = self.scheduler.now
         if device.ingest(now) is not IngestResult.INGESTED:
             return
+        view = None
         engine = device.engine
         if engine is not None and engine.running:
             view = packet.view()
@@ -346,9 +337,11 @@ class Transport:
                 return
         if self.on_delivered is not None:
             self.on_delivered(packet, now)
-        self._route(device, packet, ep, now)
+        self._route(device, packet, ep, now, view)
 
-    def _route(self, device: DeviceModel, packet: Packet, ep: Endpoint, now: int) -> None:
+    def _route(self, device: DeviceModel, packet: Packet, ep: Endpoint, now: int,
+               view: PacketView | None) -> None:
+        """Final fate of a packet past the engine; `view` is the engine's, if any."""
         proto = packet.proto
         if proto is Proto.ICMP_ECHO:
             device.icmp_received += 1        # device-level load only
@@ -380,4 +373,4 @@ class Transport:
         if handler is None:
             device.unbound += 1
             return
-        handler(packet.view())
+        handler(view if view is not None else packet.view())

@@ -1,17 +1,22 @@
 """Publisher/subscriber and client/server service blocks."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.csifb import make_client, make_publisher, make_server, make_subscriber
+from fbsecsim.errors import MalformedPayload
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
 from fbsecsim.transport import (
     DeviceModel,
     Endpoint,
     GroupAddress,
+    PacketView,
     Proto,
     Transport,
     ip_to_int,
 )
-from fbsecsim.values import Bool, Str
+from fbsecsim.values import Bool, Str, Variant
+from fbsecsim.wire import decode
 
 US = 1_000_000
 GROUP = "239.192.0.2:61499"
@@ -130,6 +135,39 @@ class TestSubscriber:
         h.net2.dispatch("SUB", "INIT")
         self.deliver(h, b"\x41\x40")  # two values, one RD port
         assert h.net2.instances["SUB"].state.malformed == 1
+
+
+def decodes_to_one_bool(payload: bytes) -> bool:
+    try:
+        values = decode(payload)
+    except MalformedPayload:
+        return False
+    return len(values) == 1 and values[0].variant is Variant.BOOL
+
+
+# Well-formed encodings of every variant and arity, and arbitrary bytes.
+payloads = st.one_of(
+    st.sampled_from([b"\x40", b"\x41", b"\x41\x40", b"\x43" + bytes(8), b"\x50\x00\x00", b""]),
+    st.binary(max_size=12),
+)
+
+
+class TestSubscriberProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(payloads, max_size=25))
+    def test_every_delivery_accepted_or_malformed(self, batch):
+        h = Harness().with_subscriber()
+        h.net2.dispatch("SUB", "INIT")
+        handler = h.tr.sockets[("plc2", 61499)]
+        state = h.net2.instances["SUB"].state
+        inds = 0
+        for payload in batch:
+            accepted = state.accepted
+            handler(PacketView(Proto.UDP, 1234, 40001, ip_to_int("239.192.0.2"), 61499, payload))
+            fired = sum(1 for e in h.net2.trace.entries if e[0] == "emit" and e[3] == "IND")
+            assert state.accepted - accepted == fired - inds == decodes_to_one_bool(payload)
+            inds = fired
+        assert state.accepted + state.malformed == len(batch)
 
 
 class TestClientServer:

@@ -375,3 +375,105 @@ class TestComposite:
         net, _ = fresh_net()
         with pytest.raises(BindingError):
             comp.instantiate(net, "C1")
+
+
+class TestPlanCache:
+    """Dispatch resolves a plan per (instance, event) once; wiring changes drop it."""
+
+    def sink(self, id, hits):
+        return FBInstance(id, [PortSpec("EI", PortKind.EVENT_IN)],
+                          lambda ctx, ev, i, s: (hits.append(id) or s, []))
+
+    def test_connect_after_first_dispatch_changes_fanout(self):
+        net, sched = fresh_net()
+        hits = []
+        net.add(make_block("A")).add(self.sink("Sink", hits))
+        net.dispatch("A", "EI")
+        sched.run_until(0)
+        assert hits == []
+        net.connect("A.EO", "Sink.EI")
+        net.dispatch("A", "EI")
+        sched.run_until(0)
+        assert hits == ["Sink"]
+
+    def test_data_connect_after_first_dispatch_changes_sample(self):
+        net, _ = fresh_net()
+        net.add(make_block("SRC")).add(make_block("B"))
+        net.dispatch("B", "EI")
+        assert net.data_out("B", "DO") == Bool(False)
+        net.connect("SRC.DO", "B.DI")
+        net.set_data_out("SRC", "DO", Bool(True))
+        net.dispatch("B", "EI")
+        assert net.data_in("B", "DI") == Bool(True)
+        assert net.data_out("B", "DO") == Bool(True)
+
+    def test_add_after_first_dispatch_is_reachable(self):
+        net, sched = fresh_net()
+        hits = []
+        net.add(make_block("A"))
+        net.dispatch("A", "EI")
+        net.add(self.sink("Late", hits))
+        net.dispatch("Late", "EI")
+        assert hits == ["Late"]
+        net.connect("A.EO", "Late.EI")
+        net.dispatch("A", "EI")
+        sched.run_until(0)
+        assert hits == ["Late", "Late"]
+
+    def test_unknown_event_not_cached(self):
+        net, _ = fresh_net()
+        net.add(make_block("A"))
+        for _ in range(2):
+            with pytest.raises(UnknownPortError):
+                net.dispatch("A", "NOPE")
+            with pytest.raises(UnknownPortError):
+                net.dispatch("Ghost", "EI")
+
+    @pytest.mark.parametrize("second", [
+        [("GHOST", {})],
+        [("EO", {"NOPE": Bool(True)})],
+        [("EO", {"DO": Int(1)})],
+    ])
+    def test_fault_on_cached_plan_rolls_back(self, second):
+        net, _ = fresh_net()
+
+        def flaky(ctx, event, inputs, state):
+            if state == 0:
+                return 1, [("EO", {"DO": inputs["DI"]})]
+            return state + 1, second
+
+        inst = FBInstance("X", [
+            PortSpec("EI", PortKind.EVENT_IN, associated_data=("DI",)),
+            PortSpec("DI", PortKind.DATA_IN, Variant.BOOL),
+            PortSpec("EO", PortKind.EVENT_OUT, associated_data=("DO",)),
+            PortSpec("DO", PortKind.DATA_OUT, Variant.BOOL),
+        ], flaky, state=0)
+        net.add(inst).add(make_block("SRC"))
+        net.connect("SRC.DO", "X.DI")
+        net.dispatch("X", "EI")
+        net.set_data_out("SRC", "DO", Bool(True))
+        with pytest.raises(BehaviorFault):
+            net.dispatch("X", "EI")
+        assert inst.state == 1
+        assert net.data_in("X", "DI") == Bool(False)
+        assert net.data_out("X", "DO") == Bool(False)
+
+    def test_latch_setters_check_port_and_variant(self):
+        net, _ = fresh_net()
+        net.add(make_block("A"))
+        net.dispatch("A", "EI")
+        for setter in (net.set_data_in, net.set_data_out):
+            with pytest.raises(UnknownPortError):
+                setter("A", "NOPE", Bool(True))
+            with pytest.raises(UnknownPortError):
+                setter("A", "EI", Bool(True))
+        with pytest.raises(UnknownPortError):
+            net.set_data_in("A", "DO", Bool(True))
+        with pytest.raises(UnknownPortError):
+            net.set_data_out("A", "DI", Bool(True))
+        with pytest.raises(VariantMismatchError):
+            net.set_data_in("A", "DI", Int(1))
+        with pytest.raises(VariantMismatchError):
+            net.set_data_out("A", "DO", Int(1))
+        assert net.data_in("A", "DI") == Bool(False)
+        assert net.data_out("A", "DO") == Bool(False)

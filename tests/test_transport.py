@@ -37,6 +37,20 @@ class TestAddressing:
         for a in ("0.0.0.0", "192.168.1.1", "255.255.255.255", "239.192.0.2"):
             assert int_to_ip(ip_to_int(a)) == a
 
+    @pytest.mark.parametrize("dotted,value", [
+        ("0.0.0.0", 0),
+        ("255.255.255.255", 0xFFFFFFFF),
+        ("10.0.0.66", 0x0A000042),
+    ])
+    def test_pinned_values(self, dotted, value):
+        assert ip_to_int(dotted) == value
+        assert int_to_ip(value) == dotted
+
+    def test_render(self):
+        assert Endpoint("attacker1", ip_to_int("10.0.0.66"), 40000).render() == "10.0.0.66:40000"
+        assert Endpoint("x", 0, 0).render() == "0.0.0.0:0"
+        assert GroupAddress(0xFFFFFFFF, 61499).render() == "255.255.255.255:61499"
+
     def test_bad_address(self):
         with pytest.raises(ValueError):
             ip_to_int("192.168.1")
