@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ScheduleOverflow
-from .fbnet import LANE_NET, Scheduler
+from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
     DeviceModel,
     DeviceState,
@@ -26,8 +25,6 @@ from .transport import (
     Transport,
 )
 
-US = 1_000_000
-
 
 class AttackKind(Enum):
     SPOOF_PUBLISH = "spoof_publish"
@@ -35,8 +32,6 @@ class AttackKind(Enum):
     SYN_FLOOD = "syn_flood"
     ICMP_FLOOD = "icmp_flood"
 
-
-FLOOD_KINDS = {AttackKind.UDP_FLOOD, AttackKind.SYN_FLOOD, AttackKind.ICMP_FLOOD}
 
 _FLOOD_PROTO = {
     AttackKind.UDP_FLOOD: Proto.UDP,
@@ -58,24 +53,6 @@ class AttackSpec:
     stop: int = 0
     send_times: tuple[int, ...] = ()         # SPOOF_PUBLISH: exactly these
     attacker_count: int = 1
-
-    def validate(self, event_budget: int) -> None:
-        if self.kind in FLOOD_KINDS:
-            if self.rate <= 0:
-                raise ValueError(f"{self.name}: flood rate must be positive")
-            if self.start >= self.stop:
-                raise ValueError(f"{self.name}: start must precede stop")
-            if self.attacker_count < 1:
-                raise ValueError(f"{self.name}: attacker_count must be >= 1")
-            if self.rate % self.attacker_count:
-                raise ValueError(f"{self.name}: rate must divide evenly across attackers")
-            if self.rate * (self.stop - self.start) // US > event_budget:
-                raise ScheduleOverflow(
-                    f"{self.name}: {self.rate}/s over {(self.stop - self.start) / US:.3f}s "
-                    f"exceeds the event budget of {event_budget}")
-        elif self.kind is AttackKind.SPOOF_PUBLISH:
-            if not self.send_times:
-                raise ValueError(f"{self.name}: spoof needs at least one send time")
 
 
 def craft_spoofed_publish(transport: Transport, attacker_id: str,

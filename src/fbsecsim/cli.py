@@ -12,6 +12,7 @@ import sys
 
 from .config import parse_scenario_file
 from .errors import ConfigError, RuleSyntaxError, SimError
+from .fbnet import US
 from .idps import parse_rules
 from .metrics import EXIT_CONFIG, write_csv
 from .scenario import run_scenario, run_sweep, write_outputs
@@ -72,7 +73,7 @@ def _cmd_rules_check(args) -> int:
     for rule in rules:
         clauses = [rule.action.value, rule.proto_name]
         if rule.rate:
-            clauses.append(f"rate {rule.rate.threshold}/{rule.rate.window_us // 1_000_000}s")
+            clauses.append(f"rate {rule.rate.threshold}/{rule.rate.window_us // US}s")
         if rule.srcallow:
             clauses.append("srcallow")
         if rule.payload_sub is not None:

@@ -1,20 +1,28 @@
 """Scenario configuration: line-oriented `section.key = value` text with
 repeated `[attacks]` blocks.
 
-Unknown keys are errors, the seed is mandatory (runs must be reproducible,
-never wall-clock seeded), and referenced files must exist at parse time.
+The keys are the fields of the config dataclasses below: `idps.*`,
+`plant.*`, `heartbeat.*` and `tcp_probe.*` name the fields of their
+section, `device.<id>.*` those of `DeviceConfig`, keys inside an
+`[attacks]` block those of `AttackConfig`, and `_ALIASES` maps the flat
+`run.*`, `net.*` and `safemode.policy` keys onto `ScenarioConfig`.  Each
+value is coerced by its field's type.
+
+Unknown keys are errors and the seed is mandatory (runs must be
+reproducible, never wall-clock seeded).  `validate` is the one check of a
+config, parsed or built in code; every error names its key path.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .attacks import AttackKind
-from .errors import ConfigError
+from .errors import ConfigError, RuleSyntaxError
+from .fbnet import US
+from .idps import parse_rules
 from .transport import ip_to_int
-
-US = 1_000_000
 
 
 @dataclass
@@ -102,17 +110,9 @@ class ScenarioConfig:
 
     def with_attack_rate(self, name: str, rate: int) -> "ScenarioConfig":
         """Same scenario with one flood's rate substituted (for sweeps)."""
-        found = False
-        attacks = []
-        for a in self.attacks:
-            if a.name == name:
-                attacks.append(replace(a, rate=rate))
-                found = True
-            else:
-                attacks.append(a)
-        if not found:
-            raise ConfigError("attacks", f"no attack named {name!r}")
-        return replace(self, attacks=attacks)
+        old = self.attack(name)
+        return replace(self, attacks=[replace(a, rate=rate) if a is old else a
+                                      for a in self.attacks])
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
@@ -146,206 +146,170 @@ def _parse_floats(value: str, path: str) -> tuple[float, ...]:
     return tuple(_parse_float(p.strip(), path) for p in value.split(","))
 
 
-def _check_address(value: str, path: str) -> str:
+def _parse_hex(value: str, path: str) -> bytes:
     try:
-        ip_to_int(value)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from None
-    return value
+        return bytes.fromhex(value.removeprefix("0x"))
+    except ValueError:
+        raise ConfigError(path, f"bad hex {value!r}") from None
 
+
+def _parse_kind(value: str, path: str) -> AttackKind:
+    try:
+        return AttackKind(value)
+    except ValueError:
+        raise ConfigError(path, f"unknown kind {value!r}") from None
+
+
+# One coercion per field type, keyed by the annotation as written; a field
+# of any other type is not a key.
+_COERCE = {
+    "bool": _parse_bool,
+    "int": _parse_int,
+    "float": _parse_float,
+    "str": lambda value, path: value,
+    "tuple[float, ...]": _parse_floats,
+    "bytes": _parse_hex,
+    "AttackKind": _parse_kind,
+}
+
+_ALIASES = {
+    "run.seed": "seed",
+    "run.duration_s": "duration_s",
+    "run.event_budget": "event_budget",
+    "net.latency_us": "latency_us",
+    "net.group": "group",
+    "safemode.policy": "safemode",
+}
+_FLAT_SECTIONS = {key.partition(".")[0] for key in _ALIASES}
+
+# Section name -> its config class, for the dataclass-valued fields.
+_SECTIONS = {f.name: f.default_factory for f in fields(ScenarioConfig)
+             if is_dataclass(f.default_factory)}
+
+# Key table: config class -> {field name: coercion}.
+_KEYS = {
+    cls: {f.name: _COERCE[f.type] for f in fields(cls) if f.type in _COERCE}
+    for cls in (ScenarioConfig, DeviceConfig, AttackConfig, *_SECTIONS.values())
+}
 
 _DEFAULT_ADDRESSES = {"plc1": "192.168.1.1", "plc2": "192.168.1.2"}
 
 
-def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioConfig:
-    seed: int | None = None
-    cfg = ScenarioConfig(seed=0)
-    cfg.devices = {pid: DeviceConfig(address=addr) for pid, addr in _DEFAULT_ADDRESSES.items()}
-    current_attack: AttackConfig | None = None
-    attack_index = -1
+def _target(cfg: ScenarioConfig, key: str) -> tuple[object, str]:
+    """The config object and field name a top-level key sets."""
+    if key in _ALIASES:
+        return cfg, _ALIASES[key]
+    section, _, rest = key.partition(".")
+    if section in _SECTIONS:
+        return getattr(cfg, section), rest
+    if section == "device":
+        dev_id, _, attr = rest.partition(".")
+        if dev_id not in cfg.devices:
+            raise ConfigError(key, f"unknown device {dev_id!r} (plc1 and plc2 exist)")
+        return cfg.devices[dev_id], attr
+    if section in _FLAT_SECTIONS:
+        raise ConfigError(key, "unknown key")
+    raise ConfigError(key, "unknown section")
 
-    def attack_path(key: str) -> str:
-        return f"attacks[{attack_index}].{key}"
+
+def _assign(obj: object, name: str, value: str, path: str) -> None:
+    coerce = _KEYS[type(obj)].get(name)
+    if coerce is None:
+        raise ConfigError(path, "unknown key")
+    setattr(obj, name, coerce(value, path))
+
+
+def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioConfig:
+    cfg = ScenarioConfig(seed=None)
+    cfg.devices = {pid: DeviceConfig(address=addr) for pid, addr in _DEFAULT_ADDRESSES.items()}
+    in_attack = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[attacks]":
-            current_attack = AttackConfig(name="", kind=AttackKind.UDP_FLOOD)
-            cfg.attacks.append(current_attack)
-            attack_index += 1
+            cfg.attacks.append(AttackConfig(name="", kind=AttackKind.UDP_FLOOD))
+            in_attack = True
             continue
         if line.startswith("["):
             raise ConfigError(f"line {lineno}", f"unknown block {line!r}")
         key, sep, value = (p.strip() for p in line.partition("="))
         if not sep or not key:
             raise ConfigError(f"line {lineno}", "expected 'key = value'")
-
-        if current_attack is not None and "." not in key:
-            a = current_attack
-            if key == "name":
-                a.name = value
-            elif key == "kind":
-                try:
-                    a.kind = AttackKind(value)
-                except ValueError:
-                    raise ConfigError(attack_path("kind"), f"unknown kind {value!r}") from None
-            elif key == "target":
-                a.target = value
-            elif key == "rate":
-                a.rate = _parse_int(value, attack_path("rate"))
-            elif key == "start_s":
-                a.start_s = _parse_float(value, attack_path("start_s"))
-            elif key == "stop_s":
-                a.stop_s = _parse_float(value, attack_path("stop_s"))
-            elif key == "at_s":
-                a.at_s = _parse_floats(value, attack_path("at_s"))
-            elif key == "payload":
-                try:
-                    a.payload = bytes.fromhex(value.removeprefix("0x"))
-                except ValueError:
-                    raise ConfigError(attack_path("payload"), f"bad hex {value!r}") from None
-            elif key == "claimed_src":
-                a.claimed_src = value
-            elif key == "attacker":
-                a.attacker = value
-            elif key == "attacker_address":
-                a.attacker_address = _check_address(value, attack_path("attacker_address"))
-            elif key == "attacker_count":
-                a.attacker_count = _parse_int(value, attack_path("attacker_count"))
-            else:
-                raise ConfigError(attack_path(key), "unknown key")
-            continue
-
-        section, _, rest = key.partition(".")
-        if section == "run":
-            if rest == "seed":
-                seed = _parse_int(value, key)
-            elif rest == "duration_s":
-                cfg.duration_s = _parse_float(value, key)
-            elif rest == "event_budget":
-                cfg.event_budget = _parse_int(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "net":
-            if rest == "latency_us":
-                cfg.latency_us = _parse_int(value, key)
-            elif rest == "group":
-                cfg.group = value
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "device":
-            dev_id, _, attr = rest.partition(".")
-            if dev_id not in cfg.devices:
-                raise ConfigError(key, f"unknown device {dev_id!r} (plc1 and plc2 exist)")
-            dev = cfg.devices[dev_id]
-            if attr == "address":
-                dev.address = _check_address(value, key)
-            elif attr == "capacity":
-                dev.capacity = _parse_int(value, key)
-            elif attr == "critical_rate":
-                dev.critical_rate = _parse_int(value, key)
-            elif attr == "halfopen_capacity":
-                dev.halfopen_capacity = _parse_int(value, key)
-            elif attr == "halfopen_timeout_s":
-                dev.halfopen_timeout_s = _parse_float(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "idps":
-            if rest == "enabled":
-                cfg.idps.enabled = _parse_bool(value, key)
-            elif rest == "mode":
-                if value not in ("off", "ids", "ips"):
-                    raise ConfigError(key, f"mode must be off|ids|ips, got {value!r}")
-                cfg.idps.mode = value
-            elif rest == "ruleset":
-                cfg.idps.ruleset = os.path.normpath(os.path.join(base_dir, value))
-            elif rest == "inspection_capacity":
-                cfg.idps.inspection_capacity = _parse_int(value, key)
-            elif rest == "poll_period_ms":
-                cfg.idps.poll_period_ms = _parse_int(value, key)
-            elif rest == "hold_window_s":
-                cfg.idps.hold_window_s = _parse_float(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "safemode":
-            if rest == "policy":
-                if value not in ("gate_and_hold", "log_only", "shutdown"):
-                    raise ConfigError(key, f"unknown policy {value!r}")
-                cfg.safemode = value
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "plant":
-            if rest == "enabled":
-                cfg.plant.enabled = _parse_bool(value, key)
-            elif rest == "tick_ms":
-                cfg.plant.tick_ms = _parse_int(value, key)
-            elif rest == "rate_per_tick":
-                cfg.plant.rate_per_tick = _parse_float(value, key)
-            elif rest == "box_period_s":
-                cfg.plant.box_period_s = _parse_float(value, key)
-            elif rest == "first_box_s":
-                cfg.plant.first_box_s = _parse_float(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "heartbeat":
-            if rest == "enabled":
-                cfg.heartbeat.enabled = _parse_bool(value, key)
-            elif rest == "period_ms":
-                cfg.heartbeat.period_ms = _parse_int(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
-        elif section == "tcp_probe":
-            if rest == "enabled":
-                cfg.tcp_probe.enabled = _parse_bool(value, key)
-            elif rest == "server_port":
-                cfg.tcp_probe.server_port = _parse_int(value, key)
-            elif rest == "client_address":
-                cfg.tcp_probe.client_address = _check_address(value, key)
-            elif rest == "connect_at_s":
-                cfg.tcp_probe.connect_at_s = _parse_floats(value, key)
-            else:
-                raise ConfigError(key, "unknown key")
+        if in_attack and "." not in key:
+            _assign(cfg.attacks[-1], key, value, f"attacks[{len(cfg.attacks) - 1}].{key}")
         else:
-            raise ConfigError(key, "unknown section")
+            _assign(*_target(cfg, key), value, key)
 
-    if seed is None:
-        raise ConfigError("seed", "run.seed is mandatory: runs must be reproducible")
-    cfg.seed = seed
-    _validate(cfg)
+    if cfg.idps.ruleset:
+        cfg.idps.ruleset = os.path.normpath(os.path.join(base_dir, cfg.idps.ruleset))
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.duration_s <= 0:
-        raise ConfigError("run.duration_s", "must be positive")
-    if cfg.latency_us <= 0:
-        raise ConfigError("net.latency_us", "must be positive")
+def _check_address(value: str, path: str) -> None:
+    try:
+        ip_to_int(value)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+
+
+def _check_endpoint(value: str, path: str, port_required: bool) -> None:
+    """`a.b.c.d:port`; the port may be left empty unless it is required."""
+    addr, sep, port = value.rpartition(":")
+    if not sep:
+        raise ConfigError(path, f"expected address:port, got {value!r}")
+    _check_address(addr, path)
+    if port or port_required:
+        _parse_int(port, path)
+
+
+def _check_positive(obj: object, section: str, *names: str) -> None:
+    for name in names:
+        if getattr(obj, name) <= 0:
+            raise ConfigError(f"{section}.{name}", "must be positive")
+
+
+def validate(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError, with its key path, at the first value a run would
+    reject.  Run on every parsed file and at the start of every run."""
+    if cfg.seed is None:
+        raise ConfigError("seed", "run.seed is mandatory: runs must be reproducible")
+    _check_positive(cfg, "run", "duration_s", "event_budget")
+    _check_positive(cfg, "net", "latency_us")
+    _check_endpoint(cfg.group, "net.group", port_required=True)
+    if cfg.safemode not in ("gate_and_hold", "log_only", "shutdown"):
+        raise ConfigError("safemode.policy", f"unknown policy {cfg.safemode!r}")
     for dev_id, dev in cfg.devices.items():
-        for attr in ("capacity", "critical_rate", "halfopen_capacity"):
-            if getattr(dev, attr) <= 0:
-                raise ConfigError(f"device.{dev_id}.{attr}", "must be positive")
-        if dev.halfopen_timeout_s <= 0:
-            raise ConfigError(f"device.{dev_id}.halfopen_timeout_s", "must be positive")
-    if cfg.idps.enabled:
-        if cfg.idps.mode != "off" and not cfg.idps.ruleset:
+        _check_address(dev.address, f"device.{dev_id}.address")
+        _check_positive(dev, f"device.{dev_id}", "capacity", "critical_rate",
+                        "halfopen_capacity", "halfopen_timeout_s")
+    idps = cfg.idps
+    if idps.mode not in ("off", "ids", "ips"):
+        raise ConfigError("idps.mode", f"mode must be off|ids|ips, got {idps.mode!r}")
+    if idps.enabled:
+        if idps.mode != "off" and not idps.ruleset:
             raise ConfigError("idps.ruleset", "required when the engine is enabled")
-        if cfg.idps.ruleset and not os.path.exists(cfg.idps.ruleset):
-            raise ConfigError("idps.ruleset", f"file not found: {cfg.idps.ruleset}")
-        if cfg.idps.inspection_capacity <= 0:
-            raise ConfigError("idps.inspection_capacity", "must be positive")
-        if cfg.idps.poll_period_ms <= 0:
-            raise ConfigError("idps.poll_period_ms", "must be positive")
-        if cfg.idps.hold_window_s <= 0:
-            raise ConfigError("idps.hold_window_s", "must be positive")
+        if idps.ruleset and not os.path.isfile(idps.ruleset):
+            raise ConfigError("idps.ruleset", f"file not found: {idps.ruleset}")
+        if idps.mode != "off":
+            try:
+                with open(idps.ruleset, "r", encoding="utf-8") as f:
+                    parse_rules(f.read())
+            except (RuleSyntaxError, OSError, UnicodeDecodeError) as e:
+                raise ConfigError("idps.ruleset", str(e)) from None
+        _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms", "hold_window_s")
     if cfg.plant.enabled:
-        if cfg.plant.tick_ms <= 0:
-            raise ConfigError("plant.tick_ms", "must be positive")
+        _check_positive(cfg.plant, "plant", "tick_ms", "box_period_s")
         if not 0 < cfg.plant.rate_per_tick <= 1:
             raise ConfigError("plant.rate_per_tick", "must be in (0, 1]")
-        if cfg.plant.box_period_s <= 0:
-            raise ConfigError("plant.box_period_s", "must be positive")
+    if cfg.heartbeat.enabled:
+        _check_positive(cfg.heartbeat, "heartbeat", "period_ms")
+    _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
+    if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):
+        raise ConfigError("tcp_probe.connect_at_s", "must not be negative")
+
     seen: set[str] = set()
     for i, a in enumerate(cfg.attacks):
         path = f"attacks[{i}]"
@@ -354,18 +318,37 @@ def _validate(cfg: ScenarioConfig) -> None:
         if a.name in seen:
             raise ConfigError(f"{path}.name", f"duplicate attack name {a.name!r}")
         seen.add(a.name)
+        if a.target != "group":
+            dev_id, _, port = a.target.partition(":")
+            if dev_id not in cfg.devices:
+                raise ConfigError(f"{path}.target", f"unknown target device {dev_id!r}")
+            if not port:
+                raise ConfigError(f"{path}.target", "target needs device:port")
+            _parse_int(port, f"{path}.target")
+        if a.claimed_src not in ("", "plc1"):
+            _check_endpoint(a.claimed_src, f"{path}.claimed_src", port_required=False)
+        if a.attacker_address:
+            _check_address(a.attacker_address, f"{path}.attacker_address")
         if a.kind is AttackKind.SPOOF_PUBLISH:
             if not a.at_s:
                 raise ConfigError(f"{path}.at_s", "spoof needs send times")
-        else:
-            if a.rate <= 0:
-                raise ConfigError(f"{path}.rate", "flood rate must be positive")
-            if a.start_s >= a.stop_s:
-                raise ConfigError(f"{path}.start_s", "start must precede stop")
-            if a.attacker_count < 1:
-                raise ConfigError(f"{path}.attacker_count", "must be >= 1")
-            if a.rate % a.attacker_count:
-                raise ConfigError(f"{path}.rate", "must divide evenly across attackers")
+            if min(a.at_s) < 0:
+                raise ConfigError(f"{path}.at_s", "must not be negative")
+            continue
+        if a.rate <= 0:
+            raise ConfigError(f"{path}.rate", "flood rate must be positive")
+        if a.start_s < 0:
+            raise ConfigError(f"{path}.start_s", "must not be negative")
+        if a.start_s >= a.stop_s:
+            raise ConfigError(f"{path}.start_s", "start must precede stop")
+        if a.attacker_count < 1:
+            raise ConfigError(f"{path}.attacker_count", "must be >= 1")
+        if a.rate % a.attacker_count:
+            raise ConfigError(f"{path}.rate", "must divide evenly across attackers")
+        span_us = round(a.stop_s * US) - round(a.start_s * US)
+        if a.rate * span_us // US > cfg.event_budget:
+            raise ConfigError(f"{path}.rate", f"{a.rate}/s over {span_us / US:.3f}s "
+                                              f"exceeds the event budget of {cfg.event_budget}")
 
 
 def parse_scenario_file(path: str) -> ScenarioConfig:

@@ -60,7 +60,3 @@ class ConfigError(SimError):
         super().__init__(f"{path}: {reason}")
         self.path = path
         self.reason = reason
-
-
-class ScheduleOverflow(SimError):
-    """An attack would expand into more events than the configured budget."""

@@ -31,6 +31,8 @@ from .values import DataValue, Variant, zero
 Emission = tuple[str | None, dict[str, DataValue]]
 Behavior = Callable[["Ctx", str, dict[str, DataValue], Any], tuple[Any, list[Emission]]]
 
+US = 1_000_000  # virtual microseconds per second
+
 LANE_FB = 0
 LANE_NET = 1
 

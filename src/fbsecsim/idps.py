@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RuleSyntaxError
-from .fbnet import CompositeFB, FBInstance, PortKind, PortSpec
+from .fbnet import US, CompositeFB, FBInstance, PortKind, PortSpec
 from .transport import Proto, PacketView, int_to_ip, ip_to_int
 from .values import Bool, Int, Str, Variant
 
 log = logging.getLogger(__name__)
-
-WINDOW_US = 1_000_000
 
 
 class Action(Enum):
@@ -198,7 +196,7 @@ def parse_rules(text: str) -> list[Rule]:
                     raise RuleSyntaxError(lineno, f"bad rate {rest[i + 1]!r}") from None
                 if n < 1 or w <= 0:
                     raise RuleSyntaxError(lineno, "rate needs N >= 1 and W > 0")
-                rate = RateClause(n, w * WINDOW_US)
+                rate = RateClause(n, w * US)
                 i += 2
             elif word == "srcallow":
                 if i + 1 >= len(rest):
@@ -336,7 +334,7 @@ class IdpsEngine:
             return _PASS
         self.presented += 1
         times = self._inspected_times
-        low = now - WINDOW_US
+        low = now - US
         while times and times[0] <= low:
             times.popleft()
         if len(times) >= self.inspection_capacity:

@@ -18,8 +18,6 @@ from .idps import Action, EngineMode, IdpsEngine, Rule
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Transport
 
-US = 1_000_000
-
 EXIT_CLEAN = 0
 EXIT_CONFIG = 2
 EXIT_HAZARD = 10

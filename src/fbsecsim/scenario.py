@@ -22,18 +22,17 @@ import os
 from dataclasses import dataclass
 
 from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, schedule_spoof
-from .config import AttackConfig, ScenarioConfig
+from .config import AttackConfig, ScenarioConfig, validate
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError
-from .fbnet import FBNetwork, Scheduler, Trace, make_e_switch
+from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
 from .idps import IdpsEngine, make_idps_cfb, parse_rules
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
 from .transport import DeviceModel, DeviceState, Endpoint, GroupAddress, Transport, ip_to_int
 from .values import Bool, Int, Str, TRUE
 
-US = 1_000_000
 PUB_SRC_PORT = 40001
 CLIENT_PORT = 53000
 PLC_IDS = ["plc1", "plc2"]
@@ -57,17 +56,12 @@ def _parse_group(group: str) -> GroupAddress:
     return GroupAddress(ip_to_int(addr), int(port))
 
 
-def _resolve_target(raw: str, transport: Transport, group: GroupAddress,
-                    path: str) -> Endpoint | GroupAddress:
+def _resolve_target(raw: str, transport: Transport,
+                    group: GroupAddress) -> Endpoint | GroupAddress:
     if raw == "group":
         return group
     dev_id, _, port = raw.partition(":")
-    if dev_id not in transport.devices:
-        raise ConfigError(path, f"unknown target device {dev_id!r}")
-    if not port:
-        raise ConfigError(path, "target needs device:port")
-    dev = transport.devices[dev_id]
-    return Endpoint(dev_id, dev.address, int(port))
+    return Endpoint(dev_id, transport.devices[dev_id].address, int(port))
 
 
 def _resolve_claimed(raw: str, transport: Transport,
@@ -88,6 +82,7 @@ def target_device_id(attack: AttackConfig) -> str:
 
 
 def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
+    validate(cfg)
     scheduler = Scheduler(max_events=cfg.event_budget)
     trace = Trace(enabled=record_trace)
     duration = cfg.duration_us
@@ -250,7 +245,7 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     for i, a in enumerate(cfg.attacks):
         attacker_id = a.attacker or f"attacker{i + 1}"
         attacker_addr = ip_to_int(a.attacker_address) if a.attacker_address else ip_to_int(f"10.0.0.{66 + i}")
-        target = _resolve_target(a.target, transport, group, f"attacks[{i}].target")
+        target = _resolve_target(a.target, transport, group)
         spec = AttackSpec(
             name=a.name, kind=a.kind, attacker_id=attacker_id, target=target,
             claimed_src=_resolve_claimed(a.claimed_src, transport, attacker_id, attacker_addr),
@@ -258,7 +253,6 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
             start=round(a.start_s * US), stop=round(a.stop_s * US),
             send_times=tuple(round(t * US) for t in a.at_s),
             attacker_count=a.attacker_count)
-        spec.validate(cfg.event_budget)
         if spec.kind is AttackKind.SPOOF_PUBLISH:
             dev = attacker_device(transport, attacker_id, attacker_addr)
             recorder.attacker_ids.add(dev.device_id)
@@ -320,10 +314,13 @@ def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int]):
     if sorted(rates) != list(rates) or len(set(rates)) != len(rates):
         raise ConfigError("rates", "rates must be strictly increasing")
     target = target_device_id(cfg.attack(attack_name))
+    configs = [cfg.with_attack_rate(attack_name, rate) for rate in rates]
+    for c in configs:  # reject a bad rate before the first run, not after
+        validate(c)
     rows = []
     results = []
-    for rate in rates:
-        result = run_scenario(cfg.with_attack_rate(attack_name, rate), record_trace=False)
+    for rate, c in zip(rates, configs):
+        result = run_scenario(c, record_trace=False)
         rows.append(sweep_row(rate, result.report, target))
         results.append(result)
     return rows, results

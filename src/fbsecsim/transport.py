@@ -16,9 +16,9 @@ from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .fbnet import LANE_NET, Scheduler
+from .fbnet import LANE_NET, US, Scheduler
 
-WINDOW_US = 1_000_000
+WINDOW_US = US
 BUCKET_US = 1_000
 _N_BUCKETS = WINDOW_US // BUCKET_US
 

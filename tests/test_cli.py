@@ -63,6 +63,12 @@ class TestValidate:
         scen = write(tmp_path, "bad.scenario", "run.seed = 1\nrun.wat = 2\n")
         assert main(["validate", scen]) == 2
 
+    def test_budget_overflow_is_a_config_error(self, tmp_path, capsys):
+        scen = write(tmp_path, "big.scenario", MINI_COLLAPSE + "run.event_budget = 1000\n")
+        assert main(["validate", scen]) == 2
+        assert "attacks[0].rate" in capsys.readouterr().err
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+
 
 class TestRules:
     def test_check_ok(self, tmp_path, capsys):
@@ -124,3 +130,10 @@ stop_s = 2
     def test_unknown_attack_name(self, tmp_path):
         scen = write(tmp_path, "s.scenario", self.MINI_SWEEP)
         assert main(["sweep", scen, "--attack", "ghost", "--rates", "10"]) == 2
+
+    def test_zero_rate_is_a_config_error(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.scenario", self.MINI_SWEEP)
+        out = str(tmp_path / "o")
+        assert main(["sweep", scen, "--attack", "f", "--rates", "0,100", "--out", out]) == 2
+        assert "attacks[0].rate" in capsys.readouterr().err
+        assert not os.path.exists(out)

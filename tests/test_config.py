@@ -1,13 +1,35 @@
 """Scenario file parsing and validation diagnostics."""
 
-import pytest
+import dataclasses
+import glob
+import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fbsecsim import config
 from fbsecsim.attacks import AttackKind
-from fbsecsim.config import parse_scenario_file, parse_scenario_text
-from fbsecsim.data import list_scenarios, scenario_path
+from fbsecsim.config import (
+    AttackConfig,
+    DeviceConfig,
+    HeartbeatConfig,
+    IdpsConfig,
+    PlantConfig,
+    ScenarioConfig,
+    TcpProbeConfig,
+    parse_scenario_file,
+    parse_scenario_text,
+    validate,
+)
+from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
+from fbsecsim.scenario import run_scenario
 
 MINIMAL = "run.seed = 1\n"
+BENCH_SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "scenarios")
+FLOOD = "[attacks]\nname = f\nkind = udp_flood\ntarget = plc2:61499\n"
+SPOOF = "[attacks]\nname = s\nkind = spoof_publish\npayload = 41\n"
 
 
 class TestParsing:
@@ -20,6 +42,10 @@ class TestParsing:
     def test_every_shipped_scenario_parses(self):
         for name in list_scenarios():
             parse_scenario_file(scenario_path(name))
+        bench = sorted(glob.glob(os.path.join(BENCH_SCENARIOS, "*.scenario")))
+        assert bench, "the benchmark's scenarios are missing"
+        for path in bench:
+            parse_scenario_file(path)
 
     def test_minimal_defaults(self):
         cfg = parse_scenario_text(MINIMAL)
@@ -114,6 +140,69 @@ class TestErrors:
         with pytest.raises(ConfigError):
             cfg.with_attack_rate("ghost", 1)
 
+    def test_budget_overflow_path(self):
+        text = (MINIMAL + "run.event_budget = 10000000\n" + FLOOD
+                + "rate = 1000000\nstart_s = 0\nstop_s = 100\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario_text(text)
+        assert exc.value.path == "attacks[0].rate"
+        assert "event budget of 10000000" in exc.value.reason
+
+    def test_rate_must_split_evenly(self):
+        text = MINIMAL + FLOOD + "rate = 1000\nattacker_count = 3\nstart_s = 0\nstop_s = 1\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario_text(text)
+        assert exc.value.path == "attacks[0].rate"
+
+
+class TestRejectedBeforeRun:
+    """Inputs the run used to reject only after it had started, each with the
+    key path validation now names."""
+
+    @pytest.mark.parametrize("text,path", [
+        (MINIMAL + "net.group = nope:1\n", "net.group"),
+        (MINIMAL + "net.group = 239.192.0.2\n", "net.group"),
+        (MINIMAL + FLOOD.replace("plc2:61499", "plc2:abc") + "rate = 10\nstop_s = 1\n",
+         "attacks[0].target"),
+        (MINIMAL + SPOOF + "at_s = 5\nclaimed_src = 1.2.3:5\n", "attacks[0].claimed_src"),
+        (MINIMAL + "idps.enabled = true\nidps.ruleset =\n", "idps.ruleset"),
+        (MINIMAL + "idps.enabled = true\nidps.ruleset = "
+         + os.path.dirname(rules_path("flood")) + "\n", "idps.ruleset"),
+        (MINIMAL + FLOOD + "rate = 0\nstop_s = 1\n", "attacks[0].rate"),
+        (MINIMAL + FLOOD + "rate = 1000000\nstop_s = 60\n", "attacks[0].rate"),
+        (MINIMAL + "heartbeat.enabled = true\nheartbeat.period_ms = 0\n",
+         "heartbeat.period_ms"),
+        (MINIMAL + SPOOF + "at_s = -1\n", "attacks[0].at_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstart_s = -1\nstop_s = 1\n", "attacks[0].start_s"),
+        (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = -2\n",
+         "tcp_probe.connect_at_s"),
+        (MINIMAL + "run.event_budget = 0\n", "run.event_budget"),
+    ])
+    def test_error_path(self, text, path):
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario_text(text)
+        assert exc.value.path == path
+
+    def test_bad_ruleset_syntax(self, tmp_path):
+        (tmp_path / "bad.rules").write_text("block any\n")
+        text = MINIMAL + "idps.enabled = true\nidps.ruleset = bad.rules\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario_text(text, base_dir=str(tmp_path))
+        assert exc.value.path == "idps.ruleset" and "line 1" in exc.value.reason
+
+    def test_sweep_rate_zero(self):
+        cfg = parse_scenario_file(scenario_path("sweep"))
+        with pytest.raises(ConfigError) as exc:
+            validate(cfg.with_attack_rate("flood", 0))
+        assert exc.value.path == "attacks[0].rate"
+
+    def test_run_validates_a_config_built_in_code(self):
+        cfg = parse_scenario_text(MINIMAL)
+        cfg = dataclasses.replace(cfg, heartbeat=HeartbeatConfig(enabled=True, period_ms=0))
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(cfg, record_trace=False)
+        assert exc.value.path == "heartbeat.period_ms"
+
 
 class TestTcpProbe:
     def test_probe_fields(self):
@@ -122,3 +211,108 @@ class TestTcpProbe:
         cfg = parse_scenario_text(text)
         assert cfg.tcp_probe.enabled
         assert cfg.tcp_probe.connect_at_s == (4.5, 9.5)
+
+
+# Valid values for every config field, keyed by class and field name: the
+# property below renders them as scenario text and parses them back.
+_ips = st.tuples(*[st.integers(0, 255)] * 4).map(lambda q: ".".join(map(str, q)))
+_pos_int = st.integers(1, 10**9)
+_pos_float = st.floats(1e-3, 1e6)
+_times = st.lists(st.floats(0, 1e3), min_size=1, max_size=4).map(tuple)
+_word = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+FIELD_VALUES = {
+    ScenarioConfig: {
+        "seed": st.integers(0, 2**32), "duration_s": _pos_float,
+        "event_budget": st.integers(10**6, 10**9),  # above any flood drawn below
+        "latency_us": _pos_int, "group": _ips.map(lambda ip: ip + ":61499"),
+        "safemode": st.sampled_from(["gate_and_hold", "log_only", "shutdown"]),
+    },
+    DeviceConfig: {
+        "address": _ips, "capacity": _pos_int, "critical_rate": _pos_int,
+        "halfopen_capacity": _pos_int, "halfopen_timeout_s": _pos_float,
+    },
+    IdpsConfig: {
+        "enabled": st.booleans(), "mode": st.sampled_from(["off", "ids", "ips"]),
+        "ruleset": st.sampled_from(["flood", "spoof", "combined"]).map(rules_path),
+        "inspection_capacity": _pos_int, "poll_period_ms": _pos_int,
+        "hold_window_s": _pos_float,
+    },
+    PlantConfig: {
+        "enabled": st.booleans(), "tick_ms": _pos_int, "rate_per_tick": st.floats(1e-3, 1),
+        "box_period_s": _pos_float, "first_box_s": st.floats(0, 1e3),
+    },
+    HeartbeatConfig: {"enabled": st.booleans(), "period_ms": _pos_int},
+    TcpProbeConfig: {
+        "enabled": st.booleans(), "server_port": st.integers(0, 65535),
+        "client_address": _ips, "connect_at_s": _times,
+    },
+    AttackConfig: {
+        "name": _word, "kind": st.sampled_from(AttackKind),
+        "target": st.sampled_from(["group", "plc1:61499", "plc2:0"]),
+        "rate": st.integers(1, 1000), "start_s": st.floats(0, 100),
+        "stop_s": st.floats(1e-3, 100), "at_s": _times, "payload": st.binary(max_size=8),
+        "claimed_src": st.sampled_from(["", "plc1"]) | _ips.map(lambda ip: ip + ":40001"),
+        "attacker": _word, "attacker_address": _ips, "attacker_count": st.integers(1, 8),
+    },
+}
+
+
+def _scalar_fields(cls):
+    """Fields that are set by a key, not containers or sections."""
+    return [f.name for f in dataclasses.fields(cls)
+            if f.name not in ("devices", "attacks") and f.name not in config._SECTIONS]
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, AttackKind):
+        return value.value
+    return str(value)
+
+
+def _keys(cls):
+    """The scenario-text key of every field of one config class."""
+    if cls is ScenarioConfig:
+        return {name: key for key, name in config._ALIASES.items()}
+    if cls is DeviceConfig:
+        return {name: f"device.plc2.{name}" for name in _scalar_fields(cls)}
+    if cls is AttackConfig:
+        return {name: name for name in _scalar_fields(cls)}
+    section = next(s for s, c in config._SECTIONS.items() if c is cls)
+    return {name: f"{section}.{name}" for name in _scalar_fields(cls)}
+
+
+class TestKeyTable:
+    def test_every_field_is_a_key(self):
+        for cls, values in FIELD_VALUES.items():
+            assert set(values) == set(_scalar_fields(cls)) == set(_keys(cls)), cls.__name__
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rendered_values_parse_back(self, data):
+        drawn = {cls: {name: data.draw(strategy, label=f"{cls.__name__}.{name}")
+                       for name, strategy in values.items()}
+                 for cls, values in FIELD_VALUES.items()}
+        atk = drawn[AttackConfig]
+        # A flood's rate splits evenly and its stop follows its start.
+        atk["rate"] *= atk["attacker_count"]
+        atk["stop_s"] += atk["start_s"]
+        lines = []
+        for cls, values in drawn.items():
+            keys = _keys(cls)
+            block = [f"{keys[name]} = {_render(v)}" for name, v in values.items()]
+            lines += ["[attacks]", *block] if cls is AttackConfig else block
+        cfg = parse_scenario_text("\n".join(lines) + "\n")
+        got = {ScenarioConfig: cfg, DeviceConfig: cfg.devices["plc2"], IdpsConfig: cfg.idps,
+               PlantConfig: cfg.plant, HeartbeatConfig: cfg.heartbeat,
+               TcpProbeConfig: cfg.tcp_probe, AttackConfig: cfg.attacks[0]}
+        for cls, values in drawn.items():
+            for name, value in values.items():
+                assert getattr(got[cls], name) == value, f"{cls.__name__}.{name}"
