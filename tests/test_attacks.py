@@ -13,6 +13,8 @@ from fbsecsim.attacks import (
     flood_times,
     schedule_flood,
 )
+from fbsecsim.config import AttackConfig, ScenarioConfig, validate
+from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import US, Scheduler
 from fbsecsim.transport import (
     DeviceModel,
@@ -62,6 +64,15 @@ class TestExactness:
         s = spec(rate=100, stop=US, count=4)
         firsts = [flood_times(s, j)[0] for j in range(4)]
         assert len(set(firsts)) == 4
+
+
+class TestValidation:
+    def test_spoof_needs_times(self):
+        cfg = ScenarioConfig(seed=1, attacks=[
+            AttackConfig(name="s", kind=AttackKind.SPOOF_PUBLISH)])
+        with pytest.raises(ConfigError) as exc:
+            validate(cfg)
+        assert exc.value.path == "attacks[0].at_s"
 
 
 class TestCrafting:
