@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
@@ -32,6 +33,10 @@ class AttackKind(Enum):
     SYN_FLOOD = "syn_flood"
     ICMP_FLOOD = "icmp_flood"
 
+
+# Device id of the SYN flood's spoofed sources; never a registered device, so
+# the SYN-ACKs sent to them are undeliverable.
+GHOST_ID = "ghost"
 
 _FLOOD_PROTO = {
     AttackKind.UDP_FLOOD: Proto.UDP,
@@ -68,12 +73,18 @@ def flood_count(spec: AttackSpec) -> int:
     return per_rate * (spec.stop - spec.start) // US
 
 
-def flood_times(spec: AttackSpec, attacker_index: int) -> list[int]:
-    """Send instants for one attacker; aggregate interleaves to the full rate."""
+def iter_flood_times(spec: AttackSpec, attacker_index: int) -> Iterator[int]:
+    """Send instants of one attacker, each computed when it is taken; the
+    aggregate interleaves to the full rate."""
     per_rate = spec.rate // spec.attacker_count
-    phase = attacker_index * US // spec.rate
-    n = flood_count(spec)
-    return [spec.start + phase + (i * US) // per_rate for i in range(n)]
+    first = spec.start + attacker_index * US // spec.rate
+    for i in range(flood_count(spec)):
+        yield first + i * US // per_rate
+
+
+def flood_times(spec: AttackSpec, attacker_index: int) -> list[int]:
+    """Every send instant of one attacker, as a list."""
+    return list(iter_flood_times(spec, attacker_index))
 
 
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
@@ -94,7 +105,12 @@ def schedule_spoof(spec: AttackSpec, transport: Transport, scheduler: Scheduler)
 
 
 class _FloodPump:
-    """One attacker's packet stream, self-rescheduling at delivery times."""
+    """One attacker's packet stream, self-rescheduling at delivery times.
+
+    Only the next packet is armed, its send instant taken from
+    `iter_flood_times` when it is, so a flood holds the same memory however
+    many packets it sends.
+    """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
                  transport: Transport, scheduler: Scheduler):
@@ -104,8 +120,10 @@ class _FloodPump:
         self.transport = transport
         self.scheduler = scheduler
         self.proto = _FLOOD_PROTO[spec.kind]
-        self.times = flood_times(spec, attacker_index)
+        self.count = flood_count(spec)
+        self.times = iter_flood_times(spec, attacker_index)
         self.i = 0
+        self.send_time = 0
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         if isinstance(spec.target, Endpoint):
             self.target_device = transport.devices.get(spec.target.device_id)
@@ -113,35 +131,35 @@ class _FloodPump:
             self.target_device = None
 
     def start(self) -> None:
-        if self.times:
+        if self.count:
             self._arm(0)
 
     def _arm(self, i: int) -> None:
         self.i = i
-        self.scheduler.at(self.times[i] + self.transport.latency_us, self._pump,
+        self.send_time = next(self.times)
+        self.scheduler.at(self.send_time + self.transport.latency_us, self._pump,
                           lane=LANE_NET, key=(self.origin, i))
 
     def _pump(self) -> None:
         spec = self.spec
         dev = self.target_device
         if dev is not None and dev.state is DeviceState.UNRESPONSIVE:
-            dev.bulk_unresponsive_drop(len(self.times) - self.i)
+            dev.bulk_unresponsive_drop(self.count - self.i)
             return
-        send_time = self.times[self.i]
         src = self.src
         if self.syn_rotate:
             # Rotate the claimed source so the SYN-ACKs vanish and no ACK
             # ever completes a handshake.
             rot = (src.address & 0xFFFF0000) | (self.i % 0xFFFE + 1)
-            src = Endpoint(f"ghost-{self.i}", rot, 1024 + self.i % 60000)
-        pkt = Packet(self.proto, src, spec.target, spec.payload, send_time,
+            src = Endpoint(GHOST_ID, rot, 1024 + self.i % 60000)
+        pkt = Packet(self.proto, src, spec.target, spec.payload, self.send_time,
                      self.origin, self.transport.next_seq())
         if isinstance(spec.target, GroupAddress):
             for member in self.transport.members(spec.target.address):
                 self.transport.deliver(pkt, member)
         else:
             self.transport.deliver(pkt, spec.target)
-        if self.i + 1 < len(self.times):
+        if self.i + 1 < self.count:
             self._arm(self.i + 1)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .attacks import AttackKind
+from .attacks import GHOST_ID, AttackKind
 from .errors import ConfigError, RuleSyntaxError
 from .fbnet import US
 from .idps import parse_rules
@@ -262,7 +262,12 @@ def _check_endpoint(value: str, path: str, port_required: bool) -> None:
         raise ConfigError(path, f"expected address:port, got {value!r}")
     _check_address(addr, path)
     if port or port_required:
-        _parse_int(port, path)
+        _check_port(_parse_int(port, path), path)
+
+
+def _check_port(port: int, path: str) -> None:
+    if not 0 <= port <= 65535:
+        raise ConfigError(path, f"port {port} is outside 0-65535")
 
 
 def _check_positive(obj: object, section: str, *names: str) -> None:
@@ -307,6 +312,7 @@ def validate(cfg: ScenarioConfig) -> None:
     if cfg.heartbeat.enabled:
         _check_positive(cfg.heartbeat, "heartbeat", "period_ms")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
+    _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
     if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):
         raise ConfigError("tcp_probe.connect_at_s", "must not be negative")
 
@@ -324,9 +330,11 @@ def validate(cfg: ScenarioConfig) -> None:
                 raise ConfigError(f"{path}.target", f"unknown target device {dev_id!r}")
             if not port:
                 raise ConfigError(f"{path}.target", "target needs device:port")
-            _parse_int(port, f"{path}.target")
+            _check_port(_parse_int(port, f"{path}.target"), f"{path}.target")
         if a.claimed_src not in ("", "plc1"):
             _check_endpoint(a.claimed_src, f"{path}.claimed_src", port_required=False)
+        if a.attacker == GHOST_ID:
+            raise ConfigError(f"{path}.attacker", f"{GHOST_ID!r} is reserved for spoofed sources")
         if a.attacker_address:
             _check_address(a.attacker_address, f"{path}.attacker_address")
         if a.kind is AttackKind.SPOOF_PUBLISH:

@@ -12,7 +12,7 @@ PacketView before they cross into the inspection engine or any CSIFB.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import OrderedDict, deque
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -47,6 +47,10 @@ class Proto(Enum):
     TCP_ACK = "tcp_ack"
     TCP_DATA = "tcp_data"
     ICMP_ECHO = "icmp_echo"
+
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and skips Enum's Python-level __hash__ on every set lookup.
+    __hash__ = object.__hash__
 
 
 class Endpoint(NamedTuple):
@@ -133,24 +137,35 @@ class SlidingWindow:
 
 
 class HalfOpenTable:
-    """Pending TCP handshakes awaiting their final ACK."""
+    """Pending TCP handshakes awaiting their final ACK.
+
+    `entries` is kept in opening order: a SYN for a key that is already live
+    refreshes its time and moves it to the end.  Since the scheduler never
+    moves `now` backwards, opening order is time order, so the expired
+    entries are always a prefix and `_evict` pops them from the front,
+    stopping at the first live one; a SYN costs the same at any capacity.
+    """
 
     def __init__(self, capacity: int, timeout_us: int):
         self.capacity = capacity
         self.timeout_us = timeout_us
-        self.entries: dict[tuple[int, int, int], int] = {}  # (src addr, src port, local port) -> opened_at
+        # (src addr, src port, local port) -> opened_at, oldest first
+        self.entries: OrderedDict[tuple[int, int, int], int] = OrderedDict()
 
     def _evict(self, now: int) -> None:
-        dead = [k for k, t in self.entries.items() if t + self.timeout_us <= now]
-        for k in dead:
-            del self.entries[k]
+        entries = self.entries
+        cutoff = now - self.timeout_us
+        while entries and next(iter(entries.values())) <= cutoff:
+            entries.popitem(last=False)
 
     def syn(self, src_addr: int, src_port: int, local_port: int, now: int) -> bool:
         """Admit a SYN if a slot is free after expiring stale entries."""
         self._evict(now)
         if len(self.entries) >= self.capacity:
             return False
-        self.entries[(src_addr, src_port, local_port)] = now
+        key = (src_addr, src_port, local_port)
+        self.entries[key] = now
+        self.entries.move_to_end(key)
         return True
 
     def ack(self, src_addr: int, src_port: int, local_port: int) -> bool:

@@ -1,5 +1,6 @@
 """Attack generators: exact counts, phase splitting, crafting."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -64,6 +65,40 @@ class TestExactness:
         s = spec(rate=100, stop=US, count=4)
         firsts = [flood_times(s, j)[0] for j in range(4)]
         assert len(set(firsts)) == 4
+
+
+class TestArmingMemory:
+    @staticmethod
+    def arm_peak(count):
+        """Peak bytes allocated while arming a flood of `count` packets."""
+        s = spec(rate=count, stop=US)
+        sched = Scheduler()
+        tr = Transport(sched)
+        tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
+        tracemalloc.start()
+        try:
+            schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_arming_does_not_grow_with_flood_length(self):
+        small = self.arm_peak(10**3)
+        big = self.arm_peak(10**6)
+        assert big < 1.5 * small + 1024, (small, big)
+
+    def test_pumped_times_match_flood_times(self):
+        s = spec(rate=300, stop=US, count=3)
+        sched = Scheduler()
+        tr = Transport(sched, latency_us=500)
+        tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
+        tr.bind("plc2", 61499, lambda v: None)
+        sent = []
+        tr.on_delivered = lambda pkt, now: sent.append((pkt.true_origin, pkt.send_time))
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+        sched.run_until(2 * US)
+        for j in range(3):
+            assert [t for o, t in sent if o == f"attacker1.{j}"] == flood_times(s, j)
 
 
 class TestValidation:

@@ -177,6 +177,16 @@ class TestRejectedBeforeRun:
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = -2\n",
          "tcp_probe.connect_at_s"),
         (MINIMAL + "run.event_budget = 0\n", "run.event_budget"),
+        (MINIMAL + FLOOD.replace("plc2:61499", "plc2:99999") + "rate = 10\nstop_s = 1\n",
+         "attacks[0].target"),
+        (MINIMAL + FLOOD.replace("plc2:61499", "plc2:-1") + "rate = 10\nstop_s = 1\n",
+         "attacks[0].target"),
+        (MINIMAL + SPOOF + "at_s = 5\nclaimed_src = 1.2.3.4:70000\n", "attacks[0].claimed_src"),
+        (MINIMAL + "net.group = 239.192.0.2:65536\n", "net.group"),
+        (MINIMAL + FLOOD + "rate = 10\nstop_s = 1\nattacker = ghost\n", "attacks[0].attacker"),
+        (MINIMAL + "tcp_probe.server_port = 70000\n", "tcp_probe.server_port"),
+        (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.server_port = -1\n",
+         "tcp_probe.server_port"),
     ])
     def test_error_path(self, text, path):
         with pytest.raises(ConfigError) as exc:
@@ -216,6 +226,8 @@ class TestTcpProbe:
 # Valid values for every config field, keyed by class and field name: the
 # property below renders them as scenario text and parses them back.
 _ips = st.tuples(*[st.integers(0, 255)] * 4).map(lambda q: ".".join(map(str, q)))
+_ports = st.integers(0, 65535)
+_ip_ports = st.tuples(_ips, _ports).map(lambda a: f"{a[0]}:{a[1]}")
 _pos_int = st.integers(1, 10**9)
 _pos_float = st.floats(1e-3, 1e6)
 _times = st.lists(st.floats(0, 1e3), min_size=1, max_size=4).map(tuple)
@@ -224,7 +236,7 @@ FIELD_VALUES = {
     ScenarioConfig: {
         "seed": st.integers(0, 2**32), "duration_s": _pos_float,
         "event_budget": st.integers(10**6, 10**9),  # above any flood drawn below
-        "latency_us": _pos_int, "group": _ips.map(lambda ip: ip + ":61499"),
+        "latency_us": _pos_int, "group": _ip_ports,
         "safemode": st.sampled_from(["gate_and_hold", "log_only", "shutdown"]),
     },
     DeviceConfig: {
@@ -243,16 +255,16 @@ FIELD_VALUES = {
     },
     HeartbeatConfig: {"enabled": st.booleans(), "period_ms": _pos_int},
     TcpProbeConfig: {
-        "enabled": st.booleans(), "server_port": st.integers(0, 65535),
+        "enabled": st.booleans(), "server_port": _ports,
         "client_address": _ips, "connect_at_s": _times,
     },
     AttackConfig: {
         "name": _word, "kind": st.sampled_from(AttackKind),
-        "target": st.sampled_from(["group", "plc1:61499", "plc2:0"]),
+        "target": st.sampled_from(["group", "plc1:61499", "plc2:0", "plc2:65535"]),
         "rate": st.integers(1, 1000), "start_s": st.floats(0, 100),
         "stop_s": st.floats(1e-3, 100), "at_s": _times, "payload": st.binary(max_size=8),
-        "claimed_src": st.sampled_from(["", "plc1"]) | _ips.map(lambda ip: ip + ":40001"),
-        "attacker": _word, "attacker_address": _ips, "attacker_count": st.integers(1, 8),
+        "claimed_src": st.sampled_from(["", "plc1"]) | _ip_ports,
+        "attacker": _word.filter(lambda w: w != "ghost"), "attacker_address": _ips, "attacker_count": st.integers(1, 8),
     },
 }
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.fbnet import Scheduler
 from fbsecsim.transport import (
@@ -227,6 +229,33 @@ class TestIngest:
         assert rho > 0.99
 
 
+class _FullScanTable:
+    """Reference half-open table: a plain dict, scanned whole on every call."""
+
+    def __init__(self, capacity, timeout_us):
+        self.capacity = capacity
+        self.timeout_us = timeout_us
+        self.entries = {}
+
+    def _evict(self, now):
+        for k in [k for k, t in self.entries.items() if t + self.timeout_us <= now]:
+            del self.entries[k]
+
+    def syn(self, src_addr, src_port, local_port, now):
+        self._evict(now)
+        if len(self.entries) >= self.capacity:
+            return False
+        self.entries[(src_addr, src_port, local_port)] = now
+        return True
+
+    def ack(self, src_addr, src_port, local_port):
+        return self.entries.pop((src_addr, src_port, local_port), None) is not None
+
+    def live(self, now):
+        self._evict(now)
+        return len(self.entries)
+
+
 class TestHalfOpen:
     def test_tipping_point_is_exact(self):
         """With the table full of live entries, acceptance probability is 0."""
@@ -247,6 +276,45 @@ class TestHalfOpen:
         assert table.syn(1, 1, 80, now=0)
         assert not table.syn(2, 1, 80, now=2 * US)
         assert table.syn(2, 1, 80, now=3 * US)  # first entry aged out
+
+    def test_resyn_pushes_expiry_back(self):
+        """A re-SYN refreshes a live entry; one opened before the refresh
+        still expires first."""
+        table = HalfOpenTable(capacity=4, timeout_us=10)
+        assert table.syn(1, 1, 80, now=0)
+        assert table.syn(2, 1, 80, now=2)
+        assert table.syn(1, 1, 80, now=5)           # refresh: expires at 15, not 10
+        assert table.live(now=10) == 2
+        assert table.live(now=12) == 1              # the entry opened at 2 is gone
+        assert dict(table.entries) == {(1, 1, 80): 5}
+        assert table.live(now=15) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 6), timeout=st.integers(1, 10),
+           ops=st.lists(st.tuples(st.sampled_from(["syn", "syn", "ack", "live"]),
+                                  st.integers(0, 4),
+                                  st.sampled_from([0, 0, 0, 1, 2, 5, 11])),
+                        max_size=60))
+    def test_matches_full_scan_model(self, capacity, timeout, ops):
+        """Front expiry agrees call for call with a table that scans every
+        entry, for any sequence with nondecreasing `now`."""
+        # Every sequence starts with SYNs at one instant and a re-SYN of a live key.
+        ops = [("syn", 0, 0), ("syn", 1, 0), ("syn", 2, 0), ("syn", 0, 1)] + ops
+        table = HalfOpenTable(capacity, timeout)
+        model = _FullScanTable(capacity, timeout)
+        now = 0
+        for op, k, dt in ops:
+            now += dt
+            key = (1000 + k, 40000 + k, 80)
+            if op == "syn":
+                assert table.syn(*key, now=now) == model.syn(*key, now=now)
+            elif op == "ack":
+                assert table.ack(*key) == model.ack(*key)
+            else:
+                assert table.live(now) == model.live(now)
+            assert dict(table.entries) == model.entries
+            times = list(table.entries.values())
+            assert times == sorted(times)
 
     def test_syn_handshake_via_transport(self):
         tr, sched = make_transport()
