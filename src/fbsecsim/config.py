@@ -193,6 +193,7 @@ _KEYS = {
 }
 
 _DEFAULT_ADDRESSES = {"plc1": "192.168.1.1", "plc2": "192.168.1.2"}
+PROBE_CLIENT_ID = "client1"  # device id of the TCP probe's client
 
 
 def _target(cfg: ScenarioConfig, key: str) -> tuple[object, str]:
@@ -335,6 +336,8 @@ def validate(cfg: ScenarioConfig) -> None:
             _check_endpoint(a.claimed_src, f"{path}.claimed_src", port_required=False)
         if a.attacker == GHOST_ID:
             raise ConfigError(f"{path}.attacker", f"{GHOST_ID!r} is reserved for spoofed sources")
+        if a.attacker in cfg.devices or a.attacker == PROBE_CLIENT_ID:
+            raise ConfigError(f"{path}.attacker", f"{a.attacker!r} names a scenario device")
         if a.attacker_address:
             _check_address(a.attacker_address, f"{path}.attacker_address")
         if a.kind is AttackKind.SPOOF_PUBLISH:

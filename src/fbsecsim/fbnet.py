@@ -53,7 +53,12 @@ class PortSpec:
 
 
 class Ctx:
-    """Per-dispatch context handed to behaviors: time plus host services."""
+    """Context handed to behaviors: time plus host services.
+
+    Each network makes one and sets `now` before every dispatch; a dispatch
+    nested in a behavior runs at the same virtual instant, so `now` is still
+    right when it returns.
+    """
 
     __slots__ = ("now", "services")
 
@@ -123,7 +128,8 @@ class Trace:
 
 
 class FBInstance:
-    """A typed function-block instance with an opaque behavior."""
+    """A typed function-block instance with an opaque behavior; `din`/`dout`
+    are its data latches (port name -> value), zeroed by `FBNetwork.add`."""
 
     def __init__(self, id: str, ports: list[PortSpec], behavior: Behavior, state: Any = None):
         self.id = id
@@ -166,21 +172,19 @@ class Diagnostic:
 class _Plan:
     """What one (instance, event) dispatch needs, resolved from the wiring.
 
-    `names` and `latches` list every data-in and its latch key; `sampled` pairs
-    the latch key of each WITH input that has a writer with the writer's
-    data-out key; `fanout` maps every declared event output to its
-    destinations.
+    `sampled` holds (data-in name, writer's data-out latches, writer's port)
+    for each WITH input that has a writer; `fanout` maps every declared event
+    output to its destinations.
     """
 
-    __slots__ = ("inst", "names", "latches", "sampled", "dout_variants", "fanout")
+    __slots__ = ("inst", "sampled", "dout_variants", "fanout")
 
     def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
         inst_id = inst.id
         self.inst = inst
-        self.names = tuple(inst.din_variants)
-        self.latches = tuple((inst_id, name) for name in self.names)
-        self.sampled = tuple(((inst_id, d), net.data_src[(inst_id, d)])
-                             for d in port.associated_data if (inst_id, d) in net.data_src)
+        self.sampled = tuple((d, net.instances[src[0]].dout, src[1])
+                             for d in port.associated_data
+                             if (src := net.data_src.get((inst_id, d))) is not None)
         self.dout_variants = inst.dout_variants
         self.fanout = {ev: tuple(net.event_conns.get((inst_id, ev), ()))
                        for ev in inst.by_kind[PortKind.EVENT_OUT]}
@@ -213,8 +217,6 @@ class FBNetwork:
         self.instances: dict[str, FBInstance] = {}
         self.event_conns: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self.data_src: dict[tuple[str, str], tuple[str, str]] = {}
-        self._din: dict[tuple[str, str], DataValue] = {}
-        self._dout: dict[tuple[str, str], DataValue] = {}
         self.suspended: set[str] = set()
         self.suppressed = 0
         # host_down, when set, halts every dispatch on this network (dead PLC)
@@ -224,6 +226,7 @@ class FBNetwork:
         # (instance, event) -> _Plan, resolved on first dispatch; add and
         # connect change the wiring a plan was resolved from, so they drop it
         self._plans: dict[tuple[str, str], _Plan] = {}
+        self._ctx = Ctx(0, self.services)
 
     # -- construction -----------------------------------------------------
 
@@ -232,11 +235,8 @@ class FBNetwork:
             raise DuplicateIdError(instance.id)
         self.instances[instance.id] = instance
         self._plans.clear()
-        for p in instance.ports:
-            if p.kind is PortKind.DATA_IN:
-                self._din[(instance.id, p.name)] = zero(p.data_variant)
-            elif p.kind is PortKind.DATA_OUT:
-                self._dout[(instance.id, p.name)] = zero(p.data_variant)
+        instance.din = {n: zero(v) for n, v in instance.din_variants.items()}
+        instance.dout = {n: zero(v) for n, v in instance.dout_variants.items()}
         return self
 
     def connect(self, src: str, dst: str) -> "FBNetwork":
@@ -300,23 +300,25 @@ class FBNetwork:
     # -- latch access ------------------------------------------------------
 
     def set_data_in(self, inst: str, port: str, value: DataValue) -> None:
-        variant = self.instances[inst].din_variants.get(port)
+        instance = self.instances[inst]
+        variant = instance.din_variants.get(port)
         if variant is not value.variant:
             raise _latch_error(inst, port, variant, PortKind.DATA_IN)
-        self._din[(inst, port)] = value
+        instance.din[port] = value
 
     def set_data_out(self, inst: str, port: str, value: DataValue) -> None:
         """Service-side latch update (SIFBs surface service state this way)."""
-        variant = self.instances[inst].dout_variants.get(port)
+        instance = self.instances[inst]
+        variant = instance.dout_variants.get(port)
         if variant is not value.variant:
             raise _latch_error(inst, port, variant, PortKind.DATA_OUT)
-        self._dout[(inst, port)] = value
+        instance.dout[port] = value
 
     def data_out(self, inst: str, port: str) -> DataValue:
-        return self._dout[(inst, port)]
+        return self.instances[inst].dout[port]
 
     def data_in(self, inst: str, port: str) -> DataValue:
-        return self._din[(inst, port)]
+        return self.instances[inst].din[port]
 
     # -- execution ---------------------------------------------------------
 
@@ -340,19 +342,20 @@ class FBNetwork:
             plan = self._plan(inst_id, event)
         inst = plan.inst
         now = self.scheduler.now
-        self.trace.dispatch(now, inst_id, event)
+        trace = self.trace if self.trace.enabled else None
+        if trace is not None:
+            trace.dispatch(now, inst_id, event)
         if self.on_dispatch is not None:
             self.on_dispatch(inst_id, event, now)
 
         # Sample associated data-ins into a staging copy; commit only on success.
-        din = self._din
-        dout = self._dout
-        inputs = dict(zip(plan.names, map(din.__getitem__, plan.latches)))
-        staged = [(key, dout[src]) for key, src in plan.sampled] if plan.sampled else ()
-        for (_inst, name), value in staged:
-            inputs[name] = value
+        staged = [(name, dout[port]) for name, dout, port in plan.sampled] if plan.sampled else ()
+        inputs = inst.din.copy()
+        inputs.update(staged)
 
-        new_state, emissions = inst.behavior(Ctx(now, self.services), event, inputs, inst.state)
+        ctx = self._ctx
+        ctx.now = now
+        new_state, emissions = inst.behavior(ctx, event, inputs, inst.state)
 
         fanout = plan.fanout
         dout_variants = plan.dout_variants
@@ -367,18 +370,21 @@ class FBNetwork:
                     raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {variant.value} port")
 
         # Commit: sampled inputs, state, then every data latch before any event.
-        din.update(staged)
+        inst.din.update(staged)
         inst.state = new_state
+        dout = inst.dout
         for ev, assigns in emissions:
             for name, value in assigns.items():
-                dout[(inst_id, name)] = value
-                self.trace.emit(now, inst_id, name, value)
+                dout[name] = value
+                if trace is not None:
+                    trace.emit(now, inst_id, name, value)
                 if self.on_emit is not None:
                     self.on_emit(inst_id, name, value, now)
         for ev, assigns in emissions:
             if ev is None:
                 continue
-            self.trace.emit(now, inst_id, ev)
+            if trace is not None:
+                trace.emit(now, inst_id, ev)
             if self.on_emit is not None:
                 self.on_emit(inst_id, ev, None, now)
             for d_inst, d_port in fanout[ev]:

@@ -241,7 +241,7 @@ def parse_rules(text: str) -> list[Rule]:
     return rules
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Alert:
     time: int
     rule_id: str
@@ -304,12 +304,14 @@ class IdpsEngine:
         self.mode = EngineMode.OFF
         self.running = False
         self.rules: list[Rule] = []
+        self._checks: list[tuple[Rule, Verdict]] = []  # each rule with its match verdict
         self.rate_counters: dict = {}
         self._inspected_times: deque[int] = deque()
         self.presented = 0
         self.inspected = 0
         self.dropped_by_engine = 0
         self.alerts: list[Alert] = []
+        self._endpoints: dict[tuple[int, int], str] = {}  # (address, port) -> "a.b.c.d:port"
         self.alert_seq = 0
         self.on_alert = None  # callable(alert_seq) or None
 
@@ -318,12 +320,16 @@ class IdpsEngine:
         self.rules = rules
         self.mode = mode
         self.running = mode is not EngineMode.OFF
+        blocking = mode is EngineMode.IPS
+        self._checks = [(rule, Verdict(blocking and rule.action is Action.BLOCK, rule.id, True))
+                        for rule in rules]
         self.rate_counters = {}
         self._inspected_times = deque()
         self.presented = 0
         self.inspected = 0
         self.dropped_by_engine = 0
         self.alerts = []
+        self._endpoints = {}
         self.alert_seq = 0
 
     def stop(self) -> None:
@@ -343,19 +349,21 @@ class IdpsEngine:
             return _UNINSPECTED
         times.append(now)
         self.inspected += 1
-        for rule in self.rules:
+        for rule, verdict in self._checks:
             if match_packet(rule, view, self.rate_counters, now):
                 self._raise_alert(rule, view, now)
-                if rule.action is Action.BLOCK and self.mode is EngineMode.IPS:
-                    return Verdict(True, rule.id, True)
-                return Verdict(False, rule.id, True)
+                return verdict
         return _PASS
 
     def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:
+        # One string per endpoint per run, shared by the alerts naming it.
+        names = self._endpoints
+        src = (view.src_address, view.src_port)
+        dst = (view.dst_address, view.dst_port)
         self.alerts.append(Alert(
-            now, rule.id, view.proto.value,
-            f"{int_to_ip(view.src_address)}:{view.src_port}",
-            f"{int_to_ip(view.dst_address)}:{view.dst_port}",
+            now, rule.id, view.proto._value_,
+            names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
+            names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),
             len(view.payload), rule.msg))
         self.alert_seq += 1
         if self.on_alert is not None:

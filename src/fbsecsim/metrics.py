@@ -46,22 +46,18 @@ class TruthOracle:
         for rule in self.rules:
             if not rule.static_match(view):
                 continue
-            if rule.rate is None:
-                self.true_matches += 1
-                if rule.action is Action.BLOCK:
-                    self.block_matches += 1
-                return True
-            key = (rule.id, view.src_address, view.src_port)
-            win = self.windows.get(key)
-            if win is None:
-                win = self.windows[key] = deque(maxlen=rule.rate.threshold + 1)
-            win.append(now)
-            if len(win) == rule.rate.threshold + 1 and win[0] > now - rule.rate.window_us:
-                self.true_matches += 1
-                if rule.action is Action.BLOCK:
-                    self.block_matches += 1
-                return True
-            return False  # matched statically; first-match semantics stop here
+            if rule.rate is not None:
+                key = (rule.id, view.src_address, view.src_port)
+                win = self.windows.get(key)
+                if win is None:
+                    win = self.windows[key] = deque(maxlen=rule.rate.threshold + 1)
+                win.append(now)
+                if len(win) <= rule.rate.threshold or win[0] <= now - rule.rate.window_us:
+                    continue  # rate not exceeded: later rules still get the packet
+            self.true_matches += 1
+            if rule.action is Action.BLOCK:
+                self.block_matches += 1
+            return True
         return False
 
 

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, schedule_spoof
-from .config import AttackConfig, ScenarioConfig, validate
+from .config import PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, validate
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError
@@ -265,12 +265,12 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     client_inst = None
     if cfg.tcp_probe.enabled:
         probe_dev = transport.add_device(DeviceModel(
-            "client1", ip_to_int(cfg.tcp_probe.client_address), seed=cfg.seed))
-        net_probe = FBNetwork(scheduler, trace, name="client1", services=services)
+            PROBE_CLIENT_ID, ip_to_int(cfg.tcp_probe.client_address), seed=cfg.seed))
+        net_probe = FBNetwork(scheduler, trace, name=PROBE_CLIENT_ID, services=services)
         net2.add(make_server("SRV", net2, transport, "plc2", cfg.tcp_probe.server_port))
         net2.set_data_in("SRV", "QI", TRUE)
         net2.post("SRV", "INIT")
-        client_inst = make_client("CLIENT", net_probe, transport, "client1",
+        client_inst = make_client("CLIENT", net_probe, transport, PROBE_CLIENT_ID,
                                   probe_dev.address, CLIENT_PORT)
         net_probe.add(client_inst)
         server_addr = cfg.devices["plc2"].address

@@ -13,7 +13,7 @@ consume the whole input.
 from __future__ import annotations
 
 from .errors import MalformedPayload, StringTooLong
-from .values import Bool, DataValue, Int, Str, Variant
+from .values import FALSE, TRUE, DataValue, Int, Str, Variant
 
 TAG_FALSE = 0x40
 TAG_TRUE = 0x41
@@ -46,10 +46,10 @@ def decode(data: bytes) -> list[DataValue]:
     while i < n:
         tag = data[i]
         if tag == TAG_FALSE:
-            values.append(Bool(False))
+            values.append(FALSE)
             i += 1
         elif tag == TAG_TRUE:
-            values.append(Bool(True))
+            values.append(TRUE)
             i += 1
         elif tag == TAG_INT:
             if i + 9 > n:

@@ -184,6 +184,9 @@ class TestRejectedBeforeRun:
         (MINIMAL + SPOOF + "at_s = 5\nclaimed_src = 1.2.3.4:70000\n", "attacks[0].claimed_src"),
         (MINIMAL + "net.group = 239.192.0.2:65536\n", "net.group"),
         (MINIMAL + FLOOD + "rate = 10\nstop_s = 1\nattacker = ghost\n", "attacks[0].attacker"),
+        (MINIMAL + FLOOD + "rate = 10\nstop_s = 1\nattacker = plc1\n", "attacks[0].attacker"),
+        (MINIMAL + FLOOD + "rate = 10\nstop_s = 1\nattacker = plc2\n", "attacks[0].attacker"),
+        (MINIMAL + SPOOF + "at_s = 5\nattacker = client1\n", "attacks[0].attacker"),
         (MINIMAL + "tcp_probe.server_port = 70000\n", "tcp_probe.server_port"),
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.server_port = -1\n",
          "tcp_probe.server_port"),

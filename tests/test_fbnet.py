@@ -188,7 +188,7 @@ class TestDispatch:
         src = make_block("SRC")
         net.add(src)
         net.connect("SRC.DO", "X.DI")
-        net._dout[("SRC", "DO")] = Bool(True)
+        net.set_data_out("SRC", "DO", Bool(True))
         with pytest.raises(BehaviorFault):
             net.dispatch("X", "EI")
         assert inst.state == 0
@@ -477,3 +477,74 @@ class TestPlanCache:
             net.set_data_out("A", "DO", Int(1))
         assert net.data_in("A", "DI") == Bool(False)
         assert net.data_out("A", "DO") == Bool(False)
+
+
+class TestLatches:
+    """Data latches live on each instance; plans and contexts are reused."""
+
+    def test_equal_port_names_keep_separate_latches(self):
+        net, _ = fresh_net()
+        net.add(make_block("A")).add(make_block("B"))
+        net.set_data_in("A", "DI", Bool(True))
+        assert net.data_in("B", "DI") == Bool(False)
+        net.dispatch("A", "EI")
+        net.dispatch("B", "EI")
+        assert net.data_out("A", "DO") == Bool(True)
+        assert net.data_out("B", "DO") == Bool(False)
+        net.set_data_out("B", "DO", Bool(True))
+        net.set_data_out("A", "DO", Bool(False))
+        assert net.data_out("B", "DO") == Bool(True)
+
+    def test_cached_plan_samples_the_newest_writer_value(self):
+        net, _ = fresh_net()
+        seen = []
+        net.add(make_block("SRC")).add(FBInstance("X", [
+            PortSpec("EI", PortKind.EVENT_IN, associated_data=("DI",)),
+            PortSpec("DI", PortKind.DATA_IN, Variant.BOOL),
+        ], lambda ctx, ev, inputs, s: (seen.append(inputs["DI"].raw) or s, [])))
+        net.connect("SRC.DO", "X.DI")
+        net.dispatch("X", "EI")                  # resolves and caches the plan
+        net.set_data_out("SRC", "DO", Bool(True))
+        net.dispatch("X", "EI")
+        net.set_data_in("SRC", "DI", Bool(False))
+        net.dispatch("SRC", "EI")                # the writer latches DO itself
+        net.dispatch("X", "EI")
+        assert seen == [False, True, False]
+        assert net.data_in("X", "DI") == Bool(False)
+
+    def test_ctx_reads_scheduler_time_on_every_dispatch(self):
+        net, sched = fresh_net()
+        seen = []
+
+        def outer(ctx, event, inputs, state):
+            before = ctx.now
+            net.dispatch("Inner", "EI")          # nested, same instant
+            seen.append(("outer", before, ctx.now, sched.now))
+            return state, []
+
+        def inner(ctx, event, inputs, state):
+            seen.append(("inner", ctx.now, ctx.now, sched.now))
+            return state, []
+
+        net.add(FBInstance("Outer", [PortSpec("EI", PortKind.EVENT_IN)], outer))
+        net.add(FBInstance("Inner", [PortSpec("EI", PortKind.EVENT_IN)], inner))
+        for t in (3, 7, 7, 12):
+            sched.at(t, lambda: net.dispatch("Outer", "EI"))
+        sched.at(9, lambda: net.dispatch("Inner", "EI"))
+        run(net, 20)
+        assert [r[3] for r in seen] == [3, 3, 7, 7, 7, 7, 9, 12, 12]
+        assert all(before == after == now for _, before, after, now in seen)
+
+    def test_disabled_trace_is_not_called(self):
+        class Untouched(Trace):
+            def dispatch(self, *args):
+                raise AssertionError("Trace.dispatch called while disabled")
+
+            emit = dispatch
+
+        net = FBNetwork(Scheduler(), Untouched(enabled=False))
+        net.add(make_block("A"))
+        net.set_data_in("A", "DI", Bool(True))
+        net.dispatch("A", "EI")
+        assert net.trace.entries == []
+        assert net.data_out("A", "DO") == Bool(True)

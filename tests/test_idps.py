@@ -1,9 +1,11 @@
 """Rule parsing, matching, engine saturation, lifecycle, alert polling."""
 
+import dataclasses
 import random
 
-
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.errors import RuleSyntaxError
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
@@ -21,7 +23,8 @@ from fbsecsim.idps import (
     parse_params,
     parse_rules,
 )
-from fbsecsim.transport import PacketView, Proto, ip_to_int
+from fbsecsim.metrics import TruthOracle
+from fbsecsim.transport import PacketView, Proto, int_to_ip, ip_to_int
 from fbsecsim.values import Int, Str
 
 US = 1_000_000
@@ -244,6 +247,98 @@ class TestEngine:
                     passed.append(t)
             outcomes[mode] = passed
         assert outcomes[EngineMode.OFF] == outcomes[EngineMode.IDS]
+
+
+def _alert_row(v, t, rule_id, msg):
+    return (t, rule_id, v.proto.value, f"{int_to_ip(v.src_address)}:{v.src_port}",
+            f"{int_to_ip(v.dst_address)}:{v.dst_port}", len(v.payload), msg)
+
+
+class TestAlertRows:
+    def test_flood_rows_match_direct_rendering(self):
+        eng = IdpsEngine()
+        eng.start(parse_rules('alert udp any any -> any any msg "x"'), EngineMode.IDS)
+        # two sources, and endpoints that share an address but not a port
+        views = [view(src="10.0.0.66", sport=40000, dport=61499),
+                 view(src="10.0.0.66", sport=40001, dport=61500),
+                 view(src="10.0.0.67", sport=40000, dport=61499)]
+        for _ in range(2):               # a restart renders the same rows again
+            eng.start(eng.rules, EngineMode.IDS)
+            expected = []
+            for t in range(30):
+                v = views[t % 3]
+                eng.inspect(v, t)
+                expected.append(_alert_row(v, t, "r1", "x"))
+            assert [dataclasses.astuple(a) for a in eng.alerts] == expected
+
+    def test_verdicts_per_rule_and_mode(self):
+        text = ('block udp any any -> any 61499 msg "b"\n'
+                'alert udp any any -> any any msg "a"\n')
+        for mode, blocked in ((EngineMode.IPS, True), (EngineMode.IDS, False)):
+            eng = IdpsEngine()
+            eng.start(parse_rules(text), mode)
+            first = eng.inspect(view(), 0)
+            assert (first.blocked, first.rule_id, first.inspected) == (blocked, "r1", True)
+            assert eng.inspect(view(), 1) is first
+            other = eng.inspect(view(dport=80), 2)
+            assert (other.blocked, other.rule_id, other.inspected) == (False, "r2", True)
+
+
+# Small pools so random packets collide with random rules and rate windows fill.
+_ADDRS = ["10.0.0.1", "10.0.0.2", "239.192.0.2"]
+_PORTS = [40000, 61499]
+_PROTOS = [Proto.UDP, Proto.TCP_SYN, Proto.ICMP_ECHO]
+
+_rule_lines = st.builds(
+    lambda action, proto, src, sport, dport, rate:
+        f"{action} {proto} {src} {sport} -> any {dport}{rate} msg \"m\"",
+    st.sampled_from(["alert", "block"]),
+    st.sampled_from(["udp", "tcp", "icmp", "any"]),
+    st.sampled_from(["any"] + _ADDRS),
+    st.sampled_from(["any"] + [str(p) for p in _PORTS]),
+    st.sampled_from(["any"] + [str(p) for p in _PORTS]),
+    st.one_of(st.just(""), st.builds(lambda n, w: f" rate {n}/{w}",
+                                     st.integers(1, 3), st.integers(1, 2))),
+)
+_packets = st.lists(st.tuples(
+    st.integers(0, 400_000),             # gap to the previous packet, us
+    st.sampled_from(_PROTOS),
+    st.sampled_from(_ADDRS),
+    st.sampled_from(_PORTS),
+    st.sampled_from(_PORTS),
+), max_size=60)
+
+
+class TestEngineAgreesWithOracle:
+    """While the engine is unsaturated, it alerts exactly when the oracle matches."""
+
+    def check(self, text, packets):
+        eng = IdpsEngine(inspection_capacity=len(packets) + 1)
+        eng.start(parse_rules(text), EngineMode.IDS)
+        oracle = TruthOracle(parse_rules(text))
+        t = 0
+        for gap, proto, src, sport, dport in packets:
+            t += gap
+            v = view(proto=proto, src=src, sport=sport, dport=dport)
+            alerted = eng.inspect(v, t).rule_id is not None
+            assert eng.dropped_by_engine == 0
+            assert alerted == oracle.observe(v, t)
+        assert oracle.true_matches == len(eng.alerts)
+
+    def test_rate_rule_not_yet_fired_falls_through(self):
+        text = ('alert udp any any -> any any rate 100/1 msg "flood"\n'
+                'alert udp any any -> any 61499 msg "port"\n')
+        self.check(text, [(1_000, Proto.UDP, "10.0.0.66", 40000, 61499)] * 50)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rule_lines, min_size=1, max_size=4), _packets)
+    def test_random_rulesets_and_packets(self, lines, packets):
+        text = "\n".join(lines)
+        try:
+            parse_rules(text)
+        except RuleSyntaxError:          # a block rule with no matchers
+            assume(False)
+        self.check(text, packets)
 
 
 class TestParams:
