@@ -107,9 +107,10 @@ def schedule_spoof(spec: AttackSpec, transport: Transport, scheduler: Scheduler)
 class _FloodPump:
     """One attacker's packet stream, self-rescheduling at delivery times.
 
-    Only the next packet is armed, its send instant taken from
-    `iter_flood_times` when it is, so a flood holds the same memory however
-    many packets it sends.
+    While the scheduler has nothing due before the next packet, the pump
+    delivers it inline (`Scheduler.run_next`); otherwise only that packet is
+    armed.  Send instants are taken from `iter_flood_times` one at a time, so
+    a flood holds the same memory however many packets it sends.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -132,35 +133,47 @@ class _FloodPump:
 
     def start(self) -> None:
         if self.count:
-            self._arm(0)
-
-    def _arm(self, i: int) -> None:
-        self.i = i
-        self.send_time = next(self.times)
-        self.scheduler.at(self.send_time + self.transport.latency_us, self._pump,
-                          lane=LANE_NET, key=(self.origin, i))
+            self.send_time = next(self.times)
+            self.scheduler.at(self.send_time + self.transport.latency_us, self._pump,
+                              lane=LANE_NET, key=(self.origin, 0))
 
     def _pump(self) -> None:
+        """Deliver packet `i`, then each following packet the scheduler lets
+        run inline (nothing else is due first); arm the next one otherwise."""
         spec = self.spec
         dev = self.target_device
-        if dev is not None and dev.state is DeviceState.UNRESPONSIVE:
-            dev.bulk_unresponsive_drop(self.count - self.i)
-            return
-        src = self.src
-        if self.syn_rotate:
-            # Rotate the claimed source so the SYN-ACKs vanish and no ACK
-            # ever completes a handshake.
-            rot = (src.address & 0xFFFF0000) | (self.i % 0xFFFE + 1)
-            src = Endpoint(GHOST_ID, rot, 1024 + self.i % 60000)
-        pkt = Packet(self.proto, src, spec.target, spec.payload, self.send_time,
-                     self.origin, self.transport.next_seq())
-        if isinstance(spec.target, GroupAddress):
-            for member in self.transport.members(spec.target.address):
-                self.transport.deliver(pkt, member)
-        else:
-            self.transport.deliver(pkt, spec.target)
-        if self.i + 1 < self.count:
-            self._arm(self.i + 1)
+        transport = self.transport
+        scheduler = self.scheduler
+        latency = transport.latency_us
+        group = spec.target.address if isinstance(spec.target, GroupAddress) else None
+        while True:
+            i = self.i
+            if dev is not None and dev.state is DeviceState.UNRESPONSIVE:
+                dev.bulk_unresponsive_drop(self.count - i)
+                return
+            src = self.src
+            if self.syn_rotate:
+                # Rotate the claimed source so the SYN-ACKs vanish and no ACK
+                # ever completes a handshake.
+                rot = (src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
+                src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
+            pkt = Packet(self.proto, src, spec.target, spec.payload, self.send_time,
+                         self.origin, transport.next_seq())
+            if group is not None:
+                for member in transport.members(group):
+                    transport.deliver(pkt, member)
+            else:
+                transport.deliver(pkt, spec.target)
+            i += 1
+            if i >= self.count:
+                return
+            self.i = i
+            self.send_time = next(self.times)
+            when = self.send_time + latency
+            key = (self.origin, i)
+            if not scheduler.run_next(when, LANE_NET, key):
+                scheduler.at(when, self._pump, lane=LANE_NET, key=key)
+                return
 
 
 def schedule_flood(spec: AttackSpec, transport: Transport, scheduler: Scheduler,

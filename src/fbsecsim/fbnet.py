@@ -76,6 +76,7 @@ class Scheduler:
         self.now = 0
         self.processed = 0
         self.max_events = max_events
+        self._until = -1  # horizon of the run_until in progress; -1 outside one
 
     def at(self, time: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
         if time < self.now:
@@ -86,18 +87,43 @@ class Scheduler:
     def after(self, delay: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
         self.at(self.now + delay, fn, lane, key)
 
+    def run_next(self, time: int, lane: int, key: Any) -> bool:
+        """Let a running entry run its successor inline instead of `at`-ing it.
+
+        True only when the successor would be the very next entry popped:
+        it sorts before the heap head (which wins a tie on (time, lane, key),
+        being queued first) and is within the horizon of the run_until in
+        progress.  `now`, `processed` and the budget then move as for a
+        popped entry.  Call it as the entry's last act; on False, `at` the
+        successor instead.
+        """
+        if time > self._until:
+            return False
+        heap = self._heap
+        if heap and heap[0] < (time, lane, key, self._seq + 1):
+            return False
+        self.now = time
+        self.processed += 1
+        if self.processed > self.max_events:
+            raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+        return True
+
     def run_until(self, until: int) -> None:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:
             raise ValueError("until precedes current virtual time")
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            entry = heapq.heappop(heap)
-            self.now = entry[0]
-            self.processed += 1
-            if self.processed > self.max_events:
-                raise EventBudgetExceeded(f"more than {self.max_events} events processed")
-            entry[4]()
+        self._until = until
+        try:
+            while heap and heap[0][0] <= until:
+                entry = heapq.heappop(heap)
+                self.now = entry[0]
+                self.processed += 1
+                if self.processed > self.max_events:
+                    raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+                entry[4]()
+        finally:
+            self._until = -1
         self.now = until
 
     def pending(self) -> int:

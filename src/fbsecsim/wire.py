@@ -38,8 +38,23 @@ def encode(values: list[DataValue]) -> bytes:
     return bytes(out)
 
 
+def try_decode(data: bytes) -> list[DataValue] | None:
+    """`decode` for callers that only need accept or reject: None on
+    malformed input, and no exception built."""
+    values = _walk(data)
+    return values if type(values) is list else None
+
+
 def decode(data: bytes) -> list[DataValue]:
     """Inverse of encode; raises MalformedPayload on anything else."""
+    values = _walk(data)
+    if type(values) is list:
+        return values
+    raise MalformedPayload(*values)
+
+
+def _walk(data: bytes) -> list[DataValue] | tuple[int, str]:
+    """The decoded values, or (offset, reason) of the first malformed byte."""
     values: list[DataValue] = []
     i = 0
     n = len(data)
@@ -53,17 +68,17 @@ def decode(data: bytes) -> list[DataValue]:
             i += 1
         elif tag == TAG_INT:
             if i + 9 > n:
-                raise MalformedPayload(i + 1, "truncated INT")
+                return i + 1, "truncated INT"
             values.append(Int(int.from_bytes(data[i + 1:i + 9], "big", signed=True)))
             i += 9
         elif tag == TAG_STRING:
             if i + 3 > n:
-                raise MalformedPayload(i + 1, "truncated STRING length")
+                return i + 1, "truncated STRING length"
             length = int.from_bytes(data[i + 1:i + 3], "big")
             if i + 3 + length > n:
-                raise MalformedPayload(i + 3, "truncated STRING body")
+                return i + 3, "truncated STRING body"
             values.append(Str(data[i + 3:i + 3 + length]))
             i += 3 + length
         else:
-            raise MalformedPayload(i, f"unknown tag 0x{tag:02x}")
+            return i, f"unknown tag 0x{tag:02x}"
     return values

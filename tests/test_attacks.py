@@ -4,6 +4,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.attacks import (
     AttackKind,
@@ -15,8 +17,8 @@ from fbsecsim.attacks import (
     schedule_flood,
 )
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
-from fbsecsim.errors import ConfigError
-from fbsecsim.fbnet import US, Scheduler
+from fbsecsim.errors import ConfigError, EventBudgetExceeded
+from fbsecsim.fbnet import LANE_FB, LANE_NET, US, Scheduler
 from fbsecsim.transport import (
     DeviceModel,
     DeviceState,
@@ -194,3 +196,112 @@ class TestFloodRuns:
         sched.run_until(2 * US)
         assert set(origins) == {"attacker1.0", "attacker1.1"}
         assert len(origins) == 100
+
+
+class _HeapOnlyScheduler(Scheduler):
+    """Reference scheduler: declines every inline run, so each flood packet
+    makes the heap round trip."""
+
+    def run_next(self, time, lane, key):
+        return False
+
+
+class _LoggingTransport(Transport):
+    """Logs every delivery with the state and counters it left its device in."""
+
+    def __init__(self, scheduler, latency_us):
+        super().__init__(scheduler, latency_us)
+        self.log = []
+
+    def deliver(self, packet, ep):
+        super().deliver(packet, ep)
+        dev = self.devices.get(ep.device_id)
+        fate = dev and (dev.state, dev.ingested, dev.dropped_capacity, dev.dropped_unresponsive)
+        self.log.append((self.scheduler.now, packet.true_origin, packet.seq, ep.device_id, fate))
+
+
+def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
+    """Run flood `s` on `sched` up to each horizon in turn, with timers (some
+    of which send a packet) keyed as given and one more timer set after each
+    horizon; return everything an observer could tell apart."""
+    tr = _LoggingTransport(sched, latency)
+    victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"),
+                                       capacity=20, critical_rate=critical_rate))
+    peer = tr.add_device(DeviceModel("plc3", ip_to_int("192.168.1.3")))
+    sender = tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
+    if group:
+        tr.join_group(s.target.address, Endpoint("plc2", victim.address, 61499))
+        tr.join_group(s.target.address, Endpoint("plc3", peer.address, 61499))
+    src = Endpoint("plc1", sender.address, 40001)
+
+    def tick(n, sends):
+        tr.log.append((sched.now, "tick", n))
+        if sends:
+            tr.send(tr.make_packet(Proto.UDP, src, s.target, b"\x41", "plc1"))
+
+    for n, (t, lane, key, sends) in enumerate(timers):
+        sched.at(t, lambda n=n, sends=sends: tick(n, sends), lane=lane, key=key)
+    schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+    try:
+        for n, until in enumerate(horizons):
+            sched.run_until(until)
+            # between horizons, something new falls due right after this one
+            sched.at(until + 1, lambda n=n: tick(-1 - n, False))
+        ending = "drained"
+    except EventBudgetExceeded:
+        ending = "budget"
+    return (tr.log, sched.processed, sched.now, ending, victim.counters(),
+            peer.counters(), tr.undeliverable)
+
+
+class TestCoalescing:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inline_packets_match_the_heap_round_trip(self, data):
+        """A flood run with inline packets is indistinguishable from one
+        where every packet goes through the heap."""
+        draw = data.draw
+        group = draw(st.booleans())
+        target = GroupAddress(ip_to_int("239.192.0.2"), 61499) if group else None
+        start = draw(st.integers(0, 2_000))
+        s = spec(kind=draw(st.sampled_from([AttackKind.UDP_FLOOD, AttackKind.ICMP_FLOOD,
+                                             AttackKind.SYN_FLOOD])),
+                 rate=draw(st.integers(2_000, 40_000)), start=start,
+                 stop=start + draw(st.integers(2_000, 15_000)),
+                 count=draw(st.integers(1, 3)), target=target)
+        latency = draw(st.sampled_from([1, 500]))
+        # (time, lane, key) of every flood packet's arrival; timers reuse
+        # them, so they fall due on the same instants and even tie on key
+        arrivals = sorted((t + latency, LANE_NET, ("attacker1" if s.attacker_count == 1
+                                                   else f"attacker1.{j}", i))
+                          for j in range(s.attacker_count)
+                          for i, t in enumerate(flood_times(s, j)))
+        slots = draw(st.lists(st.tuples(st.sampled_from(arrivals),
+                                        st.sampled_from([LANE_FB, LANE_NET]), st.booleans()),
+                              max_size=8))
+        timers = [(t, lane, key if lane == LANE_NET else "", sends)
+                  for (t, _, key), lane, sends in slots]
+        horizons = sorted(draw(st.lists(st.sampled_from([a[0] for a in arrivals]),
+                                        max_size=3))) + [s.stop + US]
+        # the victim may collapse, and the budget may trip, anywhere in the flood
+        critical_rate = draw(st.integers(21, len(arrivals) + 40))
+        budget = draw(st.one_of(st.just(10**6), st.integers(1, len(arrivals) + 20)))
+        case = (s, latency, critical_rate, group, timers, horizons)
+        got = run_flood_case(Scheduler(max_events=budget), *case)
+        assert got == run_flood_case(_HeapOnlyScheduler(max_events=budget), *case)
+
+    def test_lone_flood_is_armed_once(self):
+        class CountingScheduler(Scheduler):
+            armed = 0
+
+            def at(self, *args, **kw):
+                self.armed += 1
+                super().at(*args, **kw)
+
+        sched = CountingScheduler()
+        tr = Transport(sched, latency_us=500)
+        victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
+        schedule_flood(spec(rate=1000, stop=US), tr, sched, ip_to_int("10.0.0.66"))
+        sched.run_until(2 * US)
+        assert victim.offered == 1000
+        assert sched.armed == 1 and sched.processed == 1000

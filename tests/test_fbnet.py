@@ -1,17 +1,22 @@
 """Function-block core: construction, dispatch semantics, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.errors import (
     BehaviorFault,
     BindingError,
     DataInConnectedError,
     DuplicateIdError,
+    EventBudgetExceeded,
     KindMismatchError,
     UnknownPortError,
     VariantMismatchError,
 )
 from fbsecsim.fbnet import (
+    LANE_FB,
+    LANE_NET,
     CompositeFB,
     FBInstance,
     FBNetwork,
@@ -301,7 +306,6 @@ class TestRunFaults:
         assert 1 in times and 2 in times and 3 not in times
 
     def test_runaway_same_time_loop_hits_event_budget(self):
-        from fbsecsim.errors import EventBudgetExceeded
         sched = Scheduler(max_events=1_000)
         net = FBNetwork(sched, Trace(enabled=False))
         for name, peer in (("A", "B"), ("B", "A")):
@@ -548,3 +552,121 @@ class TestLatches:
         net.dispatch("A", "EI")
         assert net.trace.entries == []
         assert net.data_out("A", "DO") == Bool(True)
+
+
+class _SortedModel:
+    """Reference scheduler: a plain list, each pop the least pending entry
+    by (time, lane, key, seq); it never runs an entry inline."""
+
+    def __init__(self, max_events):
+        self.pending = []
+        self.seq = 0
+        self.now = 0
+        self.processed = 0
+        self.max_events = max_events
+
+    def at(self, time, fn, lane=LANE_FB, key=""):
+        assert time >= self.now
+        self.seq += 1
+        self.pending.append((time, lane, key, self.seq, fn))
+
+    def after(self, delay, fn, lane=LANE_FB, key=""):
+        self.at(self.now + delay, fn, lane, key)
+
+    def run_next(self, time, lane, key):
+        return False
+
+    def run_until(self, until):
+        while due := [e for e in self.pending if e[0] <= until]:
+            entry = min(due, key=lambda e: e[:4])
+            self.pending.remove(entry)
+            self.now = entry[0]
+            self.processed += 1
+            if self.processed > self.max_events:
+                raise EventBudgetExceeded("budget")
+            entry[4]()
+        self.now = until
+
+
+# An entry: (delay, lane, key, whether its last child asks to run inline,
+# children it schedules when it runs).  Delays and keys are drawn from tiny
+# ranges so that entries collide on time, lane and key.
+_leaf = st.tuples(st.integers(0, 3), st.sampled_from([LANE_FB, LANE_NET]),
+                  st.sampled_from(["", "a", "b"]), st.booleans(), st.just(()))
+_entry = st.recursive(
+    _leaf,
+    lambda kids: st.tuples(st.integers(0, 3), st.sampled_from([LANE_FB, LANE_NET]),
+                           st.sampled_from(["", "a", "b"]), st.booleans(),
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=12)
+_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["at", "after"]), _entry),
+    st.tuples(st.just("run"), st.integers(0, 4)),
+), max_size=25)
+
+
+def drive(sched, ops):
+    """Apply `ops` to a scheduler; return what ran, at what time, and how
+    the run ended."""
+    log = []
+
+    def schedule(entry, label, inline):
+        delay, lane, key, _, _ = entry
+        when = sched.now + delay
+        if inline and sched.run_next(when, lane, key):
+            fire(entry, label)
+        else:
+            sched.at(when, lambda: fire(entry, label), lane=lane, key=key)
+
+    def fire(entry, label):
+        log.append((sched.now, label))
+        _, _, _, tail_inline, kids = entry
+        for n, kid in enumerate(kids):
+            schedule(kid, label + (n,), tail_inline and n == len(kids) - 1)
+
+    try:
+        for n, (op, arg) in enumerate(ops):
+            if op == "run":
+                sched.run_until(sched.now + arg)
+            elif op == "after":
+                sched.after(arg[0], lambda e=arg, n=n: fire(e, (n,)), lane=arg[1], key=arg[2])
+            else:
+                schedule(arg, (n,), False)
+        sched.run_until(sched.now + 100)
+        ending = "drained"
+    except EventBudgetExceeded:
+        ending = "budget"
+    return log, sched.processed, sched.now, ending
+
+
+class TestSchedulerOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_ops, st.one_of(st.just(10**6), st.integers(1, 30)))
+    def test_entries_run_in_time_lane_key_seq_order(self, ops, budget):
+        """at/after at colliding instants, entries scheduled from callbacks
+        (some asking to run inline) and repeated horizons all run in the
+        order a sorted list gives, with the same counts and budget trip."""
+        model = _SortedModel(budget)
+        assert drive(Scheduler(max_events=budget), ops) == drive(model, ops)
+
+    def test_run_next_declines_outside_run_until(self):
+        sched = Scheduler()
+        assert not sched.run_next(0, LANE_NET, ("x", 0))
+        assert sched.processed == 0
+
+    def test_run_next_runs_only_before_the_queued_entry(self):
+        sched = Scheduler()
+        seen = []
+        sched.at(2, lambda: seen.append(sched.run_next(5, LANE_NET, ("x", 0))))  # a tie
+        sched.at(3, lambda: seen.append(sched.run_next(5, LANE_NET, ("w", 9))))
+        sched.at(5, lambda: seen.append("queued"), lane=LANE_NET, key=("x", 0))
+        sched.run_until(10)
+        assert seen == [False, True, "queued"]
+        assert sched.processed == 4
+
+    def test_run_next_declines_past_the_horizon(self):
+        sched = Scheduler()
+        seen = []
+        sched.at(2, lambda: seen.append(sched.run_next(11, LANE_FB, "")))
+        sched.run_until(10)
+        assert seen == [False] and sched.now == 10

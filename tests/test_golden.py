@@ -1,7 +1,8 @@
 """Golden outputs: every shipped scenario writes the same bytes and exit code.
 
 A run is a pure function of its scenario file, so `fbsecsim run` of each
-shipped scenario must keep writing byte-identical files.  The pins below
+shipped scenario, and `fbsecsim sweep` of the shipped sweep scenario, must
+keep writing byte-identical files.  The pins below
 are SHA-256 digests of each output file (None: the run writes no such
 file).  A change that alters any output on purpose re-pins here and says
 why.
@@ -85,6 +86,12 @@ GOLDEN = {
 }
 
 
+# `fbsecsim sweep` of the shipped sweep scenario: its attack, two rates kept
+# cheap for the suite, and the SHA-256 of sweep.csv.
+SWEEP_ARGS = ("--attack", "flood", "--rates", "10000,100000")
+SWEEP_GOLDEN = "f149b6c737322116654964b1b2f7d3134b0ec1bf8fd93fb00b7af550f2f75a4b"
+
+
 def run_digests(name: str, out_dir: str) -> tuple[int, dict[str, str | None]]:
     """Run one shipped scenario through the CLI; return its exit code and file digests."""
     code = main(["run", scenario_path(name), "--out", out_dir])
@@ -110,3 +117,12 @@ def test_outputs_match_golden(name, tmp_path, capsys):
     want_code, want_digests = GOLDEN[name]
     assert code == want_code
     assert digests == want_digests
+
+
+def test_sweep_matches_golden(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", scenario_path("sweep"), *SWEEP_ARGS, "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code == 0
+    with open(out_dir / "sweep.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_GOLDEN

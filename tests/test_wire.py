@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim.errors import MalformedPayload, StringTooLong
 from fbsecsim.values import Bool, Int, Str
-from fbsecsim.wire import decode, encode
+from fbsecsim.wire import decode, encode, try_decode
 
 
 class TestFixedVectors:
@@ -92,3 +94,39 @@ class TestProperties:
                 assert encode(vs) == blob
         assert ok + bad == 10_000
         assert bad > 0  # fuzz actually exercised the reject path
+
+
+# Arbitrary bytes, and runs of tagged values that may be cut short anywhere.
+_blobs = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.one_of(
+        st.sampled_from([b"\x40", b"\x41"]),
+        st.binary(max_size=10).map(lambda b: b"\x43" + b),
+        st.binary(max_size=6).map(lambda b: b"\x50\x00" + bytes([len(b)]) + b),
+        st.binary(max_size=4).map(lambda b: b"\x50" + b),
+    ), max_size=6).map(b"".join),
+)
+
+
+class TestTryDecode:
+    @settings(max_examples=500, deadline=None)
+    @given(_blobs)
+    def test_none_exactly_when_decode_raises(self, blob):
+        try:
+            want = decode(blob)
+        except MalformedPayload:
+            want = None
+        assert try_decode(blob) == want
+
+    def test_decode_keeps_offset_and_reason(self):
+        cases = {
+            b"\x41\x43\x00": (2, "truncated INT"),
+            b"\x50\x00": (1, "truncated STRING length"),
+            b"\x50\x00\x02a": (3, "truncated STRING body"),
+            b"\x40\x07": (1, "unknown tag 0x07"),
+        }
+        for blob, (offset, reason) in cases.items():
+            assert try_decode(blob) is None
+            with pytest.raises(MalformedPayload) as exc:
+                decode(blob)
+            assert (exc.value.offset, exc.value.reason) == (offset, reason)
