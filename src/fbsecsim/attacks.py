@@ -126,6 +126,10 @@ class _FloodPump:
         self.i = 0
         self.send_time = 0
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
+        # Views carry only the header and payload, which a non-rotating flood
+        # never changes, so one view serves every packet and receiver.
+        self.view = None if self.syn_rotate else Packet(
+            self.proto, src, spec.target, spec.payload, 0, self.origin, 0).view()
         if isinstance(spec.target, Endpoint):
             self.target_device = transport.devices.get(spec.target.device_id)
         else:
@@ -146,6 +150,7 @@ class _FloodPump:
         scheduler = self.scheduler
         latency = transport.latency_us
         group = spec.target.address if isinstance(spec.target, GroupAddress) else None
+        view = self.view
         while True:
             i = self.i
             if dev is not None and dev.state is DeviceState.UNRESPONSIVE:
@@ -161,9 +166,9 @@ class _FloodPump:
                          self.origin, transport.next_seq())
             if group is not None:
                 for member in transport.members(group):
-                    transport.deliver(pkt, member)
+                    transport.deliver(pkt, member, view)
             else:
-                transport.deliver(pkt, spec.target)
+                transport.deliver(pkt, spec.target, view)
             i += 1
             if i >= self.count:
                 return

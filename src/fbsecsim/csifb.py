@@ -91,8 +91,11 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
     rd_names = tuple(f"RD_{i + 1}" for i in range(rd_count))
 
     def handler(view):
-        # payloads are bytes already: no Str() check or copy per packet
-        network.set_data_in(id, "RX", DataValue(Variant.STRING, view.payload))
+        # payloads are bytes already: no Str() check or copy per packet; a
+        # flood sends one payload object, so RX often holds it already
+        payload = view.payload
+        if inst.din["RX"].raw is not payload:
+            network.set_data_in(id, "RX", DataValue(Variant.STRING, payload))
         network.dispatch(id, "RCV")
 
     def behavior(ctx, event, inputs, state: SubState):
@@ -129,7 +132,8 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
         PortSpec("RX", PortKind.DATA_IN, Variant.STRING),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
     ] + [PortSpec(name, PortKind.DATA_OUT, Variant.BOOL) for name in rd_names]
-    return FBInstance(id, ports, behavior, state=SubState())
+    inst = FBInstance(id, ports, behavior, state=SubState())
+    return inst
 
 
 @dataclass(frozen=True)

@@ -200,10 +200,11 @@ class _Plan:
 
     `sampled` holds (data-in name, writer's data-out latches, writer's port)
     for each WITH input that has a writer; `fanout` maps every declared event
-    output to its destinations.
+    output to one zero-argument dispatch per destination; `on_dispatch` and
+    `on_emit` are the instance's observers, or None.
     """
 
-    __slots__ = ("inst", "sampled", "dout_variants", "fanout")
+    __slots__ = ("inst", "sampled", "dout_variants", "fanout", "on_dispatch", "on_emit")
 
     def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
         inst_id = inst.id
@@ -212,8 +213,10 @@ class _Plan:
                              for d in port.associated_data
                              if (src := net.data_src.get((inst_id, d))) is not None)
         self.dout_variants = inst.dout_variants
-        self.fanout = {ev: tuple(net.event_conns.get((inst_id, ev), ()))
+        self.fanout = {ev: tuple(lambda d=d, p=p: net.dispatch(d, p)
+                                 for d, p in net.event_conns.get((inst_id, ev), ()))
                        for ev in inst.by_kind[PortKind.EVENT_OUT]}
+        self.on_dispatch, self.on_emit = net._observers.get(inst_id, (None, None))
 
 
 def _latch_error(inst: str, port: str, variant: Variant | None, kind: PortKind) -> Exception:
@@ -245,12 +248,14 @@ class FBNetwork:
         self.data_src: dict[tuple[str, str], tuple[str, str]] = {}
         self.suspended: set[str] = set()
         self.suppressed = 0
-        # host_down, when set, halts every dispatch on this network (dead PLC)
-        self.host_down: Callable[[], bool] | None = None
-        self.on_dispatch: Callable[[str, str, int], None] | None = None
-        self.on_emit: Callable[[str, str, DataValue | None, int], None] | None = None
-        # (instance, event) -> _Plan, resolved on first dispatch; add and
-        # connect change the wiring a plan was resolved from, so they drop it
+        # the device this network runs on, if any: while its `down` flag is
+        # set (a dead PLC), every dispatch is suppressed
+        self.host = None
+        # instance -> (on_dispatch, on_emit), see `observe`
+        self._observers: dict[str, tuple] = {}
+        # (instance, event) -> _Plan, resolved on first dispatch; add,
+        # connect and observe change what a plan was resolved from, so they
+        # drop it
         self._plans: dict[tuple[str, str], _Plan] = {}
         self._ctx = Ctx(0, self.services)
 
@@ -296,6 +301,16 @@ class FBNetwork:
             raise KindMismatchError(f"{src} -> {dst}")
         self._plans.clear()
         return self
+
+    def observe(self, inst: str, on_dispatch: Callable[[str, int], None] | None = None,
+                on_emit: Callable[[str, DataValue | None, int], None] | None = None) -> None:
+        """Watch one instance: on_dispatch(event, now) before its behavior
+        runs, on_emit(port, value, now) for each latched output (value None
+        for an event).  Replaces the instance's earlier observers."""
+        if inst not in self.instances:
+            raise UnknownPortError(f"{inst}: no such instance to observe")
+        self._observers[inst] = (on_dispatch, on_emit)
+        self._plans.clear()
 
     def validate(self) -> list[Diagnostic]:
         """Re-check every network invariant; empty list means well-formed."""
@@ -357,10 +372,8 @@ class FBNetwork:
 
         A BehaviorFault leaves latches and state untouched.
         """
-        if self.host_down is not None and self.host_down():
-            self.suppressed += 1
-            return []
-        if inst_id in self.suspended:
+        host = self.host
+        if (host is not None and host.down) or inst_id in self.suspended:
             self.suppressed += 1
             return []
         plan = self._plans.get((inst_id, event))
@@ -371,8 +384,8 @@ class FBNetwork:
         trace = self.trace if self.trace.enabled else None
         if trace is not None:
             trace.dispatch(now, inst_id, event)
-        if self.on_dispatch is not None:
-            self.on_dispatch(inst_id, event, now)
+        if plan.on_dispatch is not None:
+            plan.on_dispatch(event, now)
 
         # Sample associated data-ins into a staging copy; commit only on success.
         staged = [(name, dout[port]) for name, dout, port in plan.sampled] if plan.sampled else ()
@@ -399,22 +412,23 @@ class FBNetwork:
         inst.din.update(staged)
         inst.state = new_state
         dout = inst.dout
+        on_emit = plan.on_emit
         for ev, assigns in emissions:
             for name, value in assigns.items():
                 dout[name] = value
                 if trace is not None:
                     trace.emit(now, inst_id, name, value)
-                if self.on_emit is not None:
-                    self.on_emit(inst_id, name, value, now)
+                if on_emit is not None:
+                    on_emit(name, value, now)
         for ev, assigns in emissions:
             if ev is None:
                 continue
             if trace is not None:
                 trace.emit(now, inst_id, ev)
-            if self.on_emit is not None:
-                self.on_emit(inst_id, ev, None, now)
-            for d_inst, d_port in fanout[ev]:
-                self.post(d_inst, d_port)
+            if on_emit is not None:
+                on_emit(ev, None, now)
+            for fire in fanout[ev]:
+                self.scheduler.at(now, fire)
         return emissions
 
     def _plan(self, inst_id: str, event: str) -> _Plan:

@@ -25,12 +25,12 @@ from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, sc
 from .config import PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, validate
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
-from .errors import ConfigError
+from .errors import ConfigError, EventBudgetExceeded
 from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
 from .idps import IdpsEngine, make_idps_cfb, parse_rules
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
-from .transport import DeviceModel, DeviceState, Endpoint, GroupAddress, Transport, ip_to_int
+from .transport import DeviceModel, Endpoint, GroupAddress, Transport, ip_to_int
 from .values import Bool, Int, Str, TRUE
 
 PUB_SRC_PORT = 40001
@@ -106,8 +106,8 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     services = {"transport": transport}
     net1 = FBNetwork(scheduler, trace, name="plc1", services=services)
     net2 = FBNetwork(scheduler, trace, name="plc2", services=services)
-    net1.host_down = lambda: devices["plc1"].state is DeviceState.UNRESPONSIVE
-    net2.host_down = lambda: devices["plc2"].state is DeviceState.UNRESPONSIVE
+    net1.host = devices["plc1"]
+    net2.host = devices["plc2"]
 
     plant = Plant(cfg.plant.rate_per_tick) if cfg.plant.enabled else None
 
@@ -168,21 +168,19 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
 
     # -- observers ------------------------------------------------------------
     recorder.on_flag(0, False)
-    app_blocks = {"SUB", "LiftCtl", "QX_Cyl2", "IX_Box"}
-    shutdown_policy = cfg.safemode == "shutdown" and engine is not None
+    if plant is not None:
+        net2.observe("LiftCtl", on_dispatch=lambda event, now: recorder.on_liftctl_dispatch(now))
+    if engine is not None:
+        app_blocks = {"SUB", "LiftCtl", "QX_Cyl2", "IX_Box"}
+        shutdown_policy = cfg.safemode == "shutdown"
 
-    def observe_emit(inst: str, port: str, value, now: int) -> None:
-        if inst.endswith("ALERTCHECK") and port == "QO":
-            recorder.on_flag(now, bool(value.raw))
-            if shutdown_policy and value.raw:
-                net2.suspended.update(app_blocks)
+        def observe_flag(port: str, value, now: int) -> None:
+            if port == "QO":
+                recorder.on_flag(now, bool(value.raw))
+                if shutdown_policy and value.raw:
+                    net2.suspended.update(app_blocks)
 
-    def observe_dispatch(inst: str, event: str, now: int) -> None:
-        if inst == "LiftCtl":
-            recorder.on_liftctl_dispatch(now)
-
-    net2.on_emit = observe_emit
-    net2.on_dispatch = observe_dispatch
+        net2.observe(cfb_refs["A"].rsplit(".", 1)[0], on_emit=observe_flag)
 
     # -- lifecycle and periodic events ----------------------------------------
     if engine is not None:
@@ -280,7 +278,13 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
             net_probe.post("CLIENT", "INIT", delay=round(t_s * US))
 
     # -- run ---------------------------------------------------------------------
-    scheduler.run_until(duration)
+    try:
+        scheduler.run_until(duration)
+    except EventBudgetExceeded:
+        # validate bounds each flood alone; the whole run is known only now
+        raise ConfigError("run.event_budget",
+                          f"more than {cfg.event_budget} events by t={scheduler.now}us "
+                          f"of {duration}us") from None
 
     sub_stats: dict[str, int] = {}
     if plant is not None:

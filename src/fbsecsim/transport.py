@@ -187,6 +187,7 @@ class DeviceModel:
         self.capacity = capacity
         self.critical_rate = critical_rate
         self.state = DeviceState.RESPONSIVE
+        self.down = False  # state is UNRESPONSIVE; kept by _transition
         self.window = SlidingWindow()
         self.halfopen = HalfOpenTable(halfopen_capacity, halfopen_timeout_us)
         self.established: set[tuple[int, int, int]] = set()
@@ -210,6 +211,7 @@ class DeviceModel:
 
     def _transition(self, state: DeviceState, t: int) -> None:
         self.state = state
+        self.down = state is DeviceState.UNRESPONSIVE
         self.transitions.append((t, state))
 
     def _maybe_recover(self, now: int) -> None:
@@ -236,7 +238,7 @@ class DeviceModel:
             if self._rng.random() < 1.0 - self.capacity / rate:
                 self.dropped_capacity += 1
                 return IngestResult.DROPPED_CAPACITY
-        else:
+        elif self._overloaded_at is not None:
             self._maybe_recover(now)
         self.ingested += 1
         return IngestResult.INGESTED
@@ -322,18 +324,23 @@ class Transport:
         when = self.scheduler.now + self.latency_us
         key = (packet.true_origin, packet.seq)
         if isinstance(packet.dst, GroupAddress):
+            view = packet.view()  # one for every member
             for member in self.members(packet.dst.address):
-                self.scheduler.at(when, self._delivery(packet, member), lane=LANE_NET, key=key)
+                self.scheduler.at(when, self._delivery(packet, member, view), lane=LANE_NET, key=key)
         else:
             self.scheduler.at(when, self._delivery(packet, packet.dst), lane=LANE_NET, key=key)
         return True
 
-    def _delivery(self, packet: Packet, ep: Endpoint) -> Callable[[], None]:
-        return lambda: self.deliver(packet, ep)
+    def _delivery(self, packet: Packet, ep: Endpoint,
+                  view: PacketView | None = None) -> Callable[[], None]:
+        return lambda: self.deliver(packet, ep, view)
 
     # -- delivery ----------------------------------------------------------
 
-    def deliver(self, packet: Packet, ep: Endpoint) -> None:
+    def deliver(self, packet: Packet, ep: Endpoint, view: PacketView | None = None) -> None:
+        """Ingest, inspect and route one arrival at `ep`.  `view`, when given,
+        is `packet.view()` made once by the caller (a flood shares one across
+        its packets); otherwise it is made here when first needed."""
         device = self.devices.get(ep.device_id)
         if device is None:
             self.undeliverable += 1
@@ -341,10 +348,10 @@ class Transport:
         now = self.scheduler.now
         if device.ingest(now) is not IngestResult.INGESTED:
             return
-        view = None
         engine = device.engine
         if engine is not None and engine.running:
-            view = packet.view()
+            if view is None:
+                view = packet.view()
             verdict = engine.inspect(view, now)
             if self.on_presented is not None:
                 self.on_presented(device, packet, view, verdict, now)
@@ -356,7 +363,7 @@ class Transport:
 
     def _route(self, device: DeviceModel, packet: Packet, ep: Endpoint, now: int,
                view: PacketView | None) -> None:
-        """Final fate of a packet past the engine; `view` is the engine's, if any."""
+        """Final fate of a packet past the engine; `view` is its view, if made yet."""
         proto = packet.proto
         if proto is Proto.ICMP_ECHO:
             device.icmp_received += 1        # device-level load only

@@ -19,6 +19,7 @@ from fbsecsim.attacks import (
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
 from fbsecsim.errors import ConfigError, EventBudgetExceeded
 from fbsecsim.fbnet import LANE_FB, LANE_NET, US, Scheduler
+from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.transport import (
     DeviceModel,
     DeviceState,
@@ -213,8 +214,8 @@ class _LoggingTransport(Transport):
         super().__init__(scheduler, latency_us)
         self.log = []
 
-    def deliver(self, packet, ep):
-        super().deliver(packet, ep)
+    def deliver(self, packet, ep, view=None):
+        super().deliver(packet, ep, view)
         dev = self.devices.get(ep.device_id)
         fate = dev and (dev.state, dev.ingested, dev.dropped_capacity, dev.dropped_unresponsive)
         self.log.append((self.scheduler.now, packet.true_origin, packet.seq, ep.device_id, fate))
@@ -305,3 +306,76 @@ class TestCoalescing:
         sched.run_until(2 * US)
         assert victim.offered == 1000
         assert sched.armed == 1 and sched.processed == 1000
+
+
+class _ViewCheckingTransport(Transport):
+    """Checks every view a delivery hands on against the packet it was made
+    from: the one given to `deliver`, the engine's and the socket's."""
+
+    def __init__(self, scheduler, latency_us):
+        super().__init__(scheduler, latency_us)
+        self.packet = None
+        self.checked = {"deliver": 0, "engine": 0, "socket": 0}
+        self.shared = Counter()  # flood packets delivered with a view, by proto
+
+    def deliver(self, packet, ep, view=None):
+        if view is not None:
+            assert view == packet.view()
+            self.checked["deliver"] += 1
+            if packet.true_origin.startswith("attacker1"):
+                self.shared[packet.proto] += 1
+        self.packet = packet
+        super().deliver(packet, ep, view)
+
+    def check(self, where, view):
+        assert view == self.packet.view()
+        self.checked[where] += 1
+
+
+class TestSharedViews:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_view_is_its_packets_view(self, data):
+        """Floods share one view across packets and receivers, a group send
+        one across its members; each still equals its own packet's view."""
+        draw = data.draw
+        kind = draw(st.sampled_from([AttackKind.UDP_FLOOD, AttackKind.ICMP_FLOOD,
+                                     AttackKind.SYN_FLOOD]))
+        group = draw(st.booleans())
+        engine_on = draw(st.booleans())
+        sched = Scheduler()
+        tr = _ViewCheckingTransport(sched, 500)
+        victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=10**6))
+        peer = tr.add_device(DeviceModel("plc3", ip_to_int("192.168.1.3"), capacity=10**6))
+        sender = tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
+        gaddr = GroupAddress(ip_to_int("239.192.0.2"), 61499)
+        for dev in (victim, peer):
+            tr.join_group(gaddr.address, Endpoint(dev.device_id, dev.address, 61499))
+            tr.bind(dev.device_id, 61499, lambda view: tr.check("socket", view))
+        if engine_on:
+            engine = IdpsEngine(inspection_capacity=10**6)
+            engine.start(parse_rules('alert any any any -> any any msg "all"\n'), EngineMode.IDS)
+            inspect = engine.inspect
+            engine.inspect = lambda view, now: (tr.check("engine", view), inspect(view, now))[1]
+            victim.engine = engine
+        start = draw(st.integers(0, 2_000))
+        s = spec(kind=kind, rate=draw(st.integers(1_000, 20_000)), start=start,
+                 stop=start + draw(st.integers(1_000, 10_000)),
+                 count=draw(st.integers(1, 3)), target=gaddr if group else None,
+                 payload=draw(st.sampled_from([b"\x00", b"\x41", b""])))
+        src = Endpoint("plc1", sender.address, 40001)
+        for t in draw(st.lists(st.integers(0, s.stop), max_size=5)):
+            dst = gaddr if draw(st.booleans()) else Endpoint("plc2", victim.address, 61499)
+            sched.at(t, lambda dst=dst: tr.send(tr.make_packet(Proto.UDP, src, dst, b"\x41", "plc1")))
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+        sched.run_until(s.stop + US)
+
+        offered = flood_count(s) * s.attacker_count * (2 if group else 1)
+        if kind is AttackKind.SYN_FLOOD:
+            assert not tr.shared  # its header rotates: a view per packet
+        else:
+            proto = Proto.UDP if kind is AttackKind.UDP_FLOOD else Proto.ICMP_ECHO
+            assert sum(tr.shared.values()) == tr.shared[proto] == offered
+            assert tr.checked["socket"] >= (offered if kind is AttackKind.UDP_FLOOD else 0)
+        if engine_on:
+            assert tr.checked["engine"] == engine.presented == victim.ingested

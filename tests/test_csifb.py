@@ -15,7 +15,7 @@ from fbsecsim.transport import (
     Transport,
     ip_to_int,
 )
-from fbsecsim.values import Bool, Str, Variant
+from fbsecsim.values import Bool, DataValue, Str, Variant
 from fbsecsim.wire import decode
 
 US = 1_000_000
@@ -168,6 +168,31 @@ class TestSubscriberProperties:
             assert state.accepted - accepted == fired - inds == decodes_to_one_bool(payload)
             inds = fired
         assert state.accepted + state.malformed == len(batch)
+
+
+class TestRxLatch:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=30))
+    def test_latch_holds_each_payload_delivered(self, picks):
+        """Floods alternate a few payload objects; RX equals each packet's
+        payload after its delivery, whether or not the object repeats."""
+        junk, junk_copy = b"\x00\x00", bytes(bytearray(b"\x00\x00"))
+        assert junk == junk_copy and junk is not junk_copy
+        pool = [b"\x00", junk, junk_copy, b"\x41", b"\x40"]
+        h = Harness().with_subscriber()
+        h.net2.dispatch("SUB", "INIT")
+        state = h.net2.instances["SUB"].state
+        ep = Endpoint("plc2", h.plc2.address, 61499)
+        group = GroupAddress(ip_to_int("239.192.0.2"), 61499)
+        views = {}  # one view per payload object, as a flood shares one
+        for n in picks:
+            payload = pool[n]
+            pkt = h.tr.make_packet(Proto.UDP, Endpoint("attacker1", 1234, 40000), group,
+                                   payload, "attacker1")
+            h.tr.deliver(pkt, ep, views.setdefault(n, pkt.view()))
+            assert h.net2.data_in("SUB", "RX") == DataValue(Variant.STRING, payload)
+        accepted = sum(decodes_to_one_bool(pool[n]) for n in picks)
+        assert (state.accepted, state.malformed) == (accepted, len(picks) - accepted)
 
 
 class TestClientServer:

@@ -483,6 +483,68 @@ class TestPlanCache:
         assert net.data_out("A", "DO") == Bool(False)
 
 
+class TestObservers:
+    """Observers are registered per instance and ride in its plans."""
+
+    def sink(self, id, hits):
+        return FBInstance(id, [PortSpec("EI", PortKind.EVENT_IN)],
+                          lambda ctx, ev, i, s: (hits.append(id) or s, []))
+
+    def test_unobserved_instance_makes_no_observer_call(self):
+        net, sched = fresh_net()
+        calls = []
+        net.add(make_block("A")).add(make_block("B"))
+        net.observe("A", on_dispatch=lambda ev, now: calls.append(("A", ev, now)),
+                    on_emit=lambda port, value, now: calls.append(("A", port, value, now)))
+        for _ in range(3):
+            net.dispatch("B", "EI")
+        assert calls == []
+        sched.now = 7
+        net.dispatch("A", "EI")
+        assert calls == [("A", "EI", 7), ("A", "DO", Bool(False), 7), ("A", "EO", None, 7)]
+
+    def test_observer_registered_after_plan_is_cached_fires(self):
+        net, _ = fresh_net()
+        seen = []
+        net.add(make_block("A"))
+        net.dispatch("A", "EI")
+        net.observe("A", on_dispatch=lambda ev, now: seen.append(ev))
+        net.dispatch("A", "EI")
+        net.observe("A", on_emit=lambda port, value, now: seen.append(port))
+        net.dispatch("A", "EI")
+        assert seen == ["EI", "DO", "EO"]
+
+    def test_observe_unknown_instance_rejected(self):
+        net, _ = fresh_net()
+        with pytest.raises(UnknownPortError):
+            net.observe("Ghost", on_dispatch=lambda ev, now: None)
+
+    def test_fanout_runs_in_post_order(self):
+        """Wired fan-out queues exactly what posting each destination in
+        connection order would: same order, same entries, same count."""
+        runs = []
+        for wired in (True, False):
+            net, sched = fresh_net()
+            hits = []
+            net.add(make_block("A"))
+            for id in ("W", "X", "Y", "Z", "V"):
+                net.add(self.sink(id, hits))
+            if wired:
+                for id in ("Y", "X", "Z"):
+                    net.connect("A.EO", f"{id}.EI")
+            net.post("W", "EI")
+            net.dispatch("A", "EI")
+            if not wired:
+                for id in ("Y", "X", "Z"):
+                    net.post(id, "EI")
+            net.post("V", "EI")
+            pending = sched.pending()
+            sched.run_until(0)
+            runs.append((hits, pending, sched.processed))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == ["W", "Y", "X", "Z", "V"]
+
+
 class TestLatches:
     """Data latches live on each instance; plans and contexts are reused."""
 

@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of the benchmark, judged by the claim rule.
+
+    python3 tools/ab_pairs.py --parent REV --change REV --workload W \\
+        --pairs N --seed0 S [--seconds T]
+
+Both revisions are exported with `git archive` into a temporary directory;
+the script refuses to run if their `bench/` or `BENCHMARK.json` differ, so
+both sides are timed by the same harness.  Pair i runs
+`python3 bench/run.py --workload W --seed S+i [--seconds T]` in each
+export, the parent first in even pairs and the change first in odd ones.
+
+For every end-to-end metric of BENCHMARK.json it prints each side's median
+[q1, q3] and the change's wins out of n pairs (ties count for neither), and
+whether a gain may be claimed: the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the parent's
+interquartile range.  The exit status is non-zero if any run was incorrect
+(its `correct` flag false or a failed run) or did not finish.
+
+Standard library only; nothing in the repository is modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True)
+
+
+def export(rev: str, dest: str) -> None:
+    """Write the tree of `rev` into `dest`."""
+    tar_path = dest + ".tar"
+    done = git("archive", "--format=tar", "-o", tar_path, rev)
+    if done.returncode != 0:
+        raise SystemExit(f"git archive {rev} failed: {done.stderr.strip()}")
+    os.makedirs(dest)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(dest, filter="data")
+    os.remove(tar_path)
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float | None) -> dict:
+    """One benchmark invocation; returns its final JSON line."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n"
+                         f"{done.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def judge(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
+    """Per-pair wins and the claim rule for one metric."""
+    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    pq1, pmed, pq3 = quartiles(parent)
+    cq1, cmed, cq3 = quartiles(change)
+    gain = (pmed - cmed) if lower_is_better else (cmed - pmed)
+    n = len(parent)
+    return {"parent": (pmed, pq1, pq3), "change": (cmed, cq1, cq3), "wins": wins, "n": n,
+            "delta": (cmed - pmed) / pmed if pmed else 0.0,
+            "claim": 10 * wins >= 9 * n and gain > pq3 - pq1}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision timed as the parent")
+    parser.add_argument("--change", required=True, help="revision timed as the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, help="run length (default: the benchmark's)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    revs = {}
+    for side in SIDES:
+        done = git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
+        if done.returncode != 0:
+            raise SystemExit(f"unknown revision {getattr(args, side)!r}")
+        revs[side] = done.stdout.strip()
+    if git("diff", "--quiet", revs["parent"], revs["change"], "--",
+           "bench", "BENCHMARK.json").returncode != 0:
+        raise SystemExit("bench/ or BENCHMARK.json differ between the revisions; "
+                         "their timings would not be comparable")
+
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    incorrect = []
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for side in SIDES:
+            export(revs[side], trees[side])
+        with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as f:
+            declared = json.load(f)["end_to_end"]
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                out = run_bench(trees[side], args.workload, seed, args.seconds)
+                results[side].append(out)
+                if not out["correct"] or out["failed"]:
+                    incorrect.append(f"{side} seed {seed}: correct={out['correct']} "
+                                     f"failed={out['failed']}/{out['attempted']}")
+            row = "  ".join(f"{side}={results[side][-1]['metrics']['wall_s']['value']:.4f}"
+                            for side in SIDES)
+            print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): wall_s {row}",
+                  flush=True)
+
+    print(f"# {args.workload}: parent {revs['parent'][:12]} vs change {revs['change'][:12]}, "
+          f"{args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}")
+    print(f"{'metric':22s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
+          f" {'delta':>8s} {'wins':>7s}  claim")
+    for metric in declared:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        j = judge(values["parent"], values["change"], metric["better"] == "lower")
+        cells = [f"{m:.6g} [{q1:.6g}, {q3:.6g}]" for m, q1, q3 in (j["parent"], j["change"])]
+        print(f"{name:22s} {cells[0]:>34s} {cells[1]:>34s} {j['delta']:>+8.1%}"
+              f" {j['wins']:>3d}/{j['n']:<3d}  {'yes' if j['claim'] else 'no'}")
+    for line in incorrect:
+        print(f"incorrect run: {line}", file=sys.stderr)
+    return 1 if incorrect else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
