@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from .attacks import GHOST_ID, AttackKind
 from .errors import ConfigError, RuleSyntaxError
 from .fbnet import US
-from .idps import parse_rules
+from .idps import Rule, parse_rules
 from .transport import ip_to_int
 
 
@@ -277,9 +277,10 @@ def _check_positive(obj: object, section: str, *names: str) -> None:
             raise ConfigError(f"{section}.{name}", "must be positive")
 
 
-def validate(cfg: ScenarioConfig) -> None:
+def validate(cfg: ScenarioConfig) -> list[Rule]:
     """Raise ConfigError, with its key path, at the first value a run would
-    reject.  Run on every parsed file and at the start of every run."""
+    reject.  Run on every parsed file and at the start of every run.
+    Returns the parsed ruleset, or [] when no engine inspects."""
     if cfg.seed is None:
         raise ConfigError("seed", "run.seed is mandatory: runs must be reproducible")
     _check_positive(cfg, "run", "duration_s", "event_budget")
@@ -294,6 +295,7 @@ def validate(cfg: ScenarioConfig) -> None:
     idps = cfg.idps
     if idps.mode not in ("off", "ids", "ips"):
         raise ConfigError("idps.mode", f"mode must be off|ids|ips, got {idps.mode!r}")
+    rules: list[Rule] = []
     if idps.enabled:
         if idps.mode != "off" and not idps.ruleset:
             raise ConfigError("idps.ruleset", "required when the engine is enabled")
@@ -302,7 +304,7 @@ def validate(cfg: ScenarioConfig) -> None:
         if idps.mode != "off":
             try:
                 with open(idps.ruleset, "r", encoding="utf-8") as f:
-                    parse_rules(f.read())
+                    rules = parse_rules(f.read())
             except (RuleSyntaxError, OSError, UnicodeDecodeError) as e:
                 raise ConfigError("idps.ruleset", str(e)) from None
         _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms", "hold_window_s")
@@ -360,6 +362,7 @@ def validate(cfg: ScenarioConfig) -> None:
         if a.rate * span_us // US > cfg.event_budget:
             raise ConfigError(f"{path}.rate", f"{a.rate}/s over {span_us / US:.3f}s "
                                               f"exceeds the event budget of {cfg.event_budget}")
+    return rules
 
 
 def parse_scenario_file(path: str) -> ScenarioConfig:

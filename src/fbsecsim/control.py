@@ -32,11 +32,11 @@ def make_ix(id: str) -> FBInstance:
     return FBInstance(id, ports, behavior)
 
 
-def make_qx(id: str, plant: Plant, cylinder: int, gated: bool = False) -> FBInstance:
-    """Actuator adapter; when gated, commands freeze while the flag holds."""
+def make_qx(id: str, plant: Plant, cylinder: int) -> FBInstance:
+    """Actuator adapter; commands freeze while GATE (false unwired) holds."""
 
     def behavior(ctx, event, inputs, state):
-        if gated and inputs["GATE"].raw:
+        if inputs["GATE"].raw:
             return state, []
         plant.set_command(cylinder, Command(inputs["CMD"].raw), ctx.now)
         return state, []

@@ -189,12 +189,6 @@ class FBInstance:
             raise UnknownPortError(f"{self.id}.{name} ({kind.value})") from None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    detail: str
-
-
 class _Plan:
     """What one (instance, event) dispatch needs, resolved from the wiring.
 
@@ -311,32 +305,6 @@ class FBNetwork:
             raise UnknownPortError(f"{inst}: no such instance to observe")
         self._observers[inst] = (on_dispatch, on_emit)
         self._plans.clear()
-
-    def validate(self) -> list[Diagnostic]:
-        """Re-check every network invariant; empty list means well-formed."""
-        out: list[Diagnostic] = []
-        for (s_inst, s_port), dsts in self.event_conns.items():
-            if s_inst not in self.instances or s_port not in self.instances[s_inst].by_kind[PortKind.EVENT_OUT]:
-                out.append(Diagnostic("UnknownPort", f"{s_inst}.{s_port}"))
-            for d_inst, d_port in dsts:
-                if d_inst not in self.instances or d_port not in self.instances[d_inst].by_kind[PortKind.EVENT_IN]:
-                    out.append(Diagnostic("UnknownPort", f"{d_inst}.{d_port}"))
-        seen: set[tuple[str, str]] = set()
-        for (d_inst, d_port), (s_inst, s_port) in self.data_src.items():
-            if s_inst not in self.instances or s_port not in self.instances[s_inst].by_kind[PortKind.DATA_OUT]:
-                out.append(Diagnostic("UnknownPort", f"{s_inst}.{s_port}"))
-                continue
-            if d_inst not in self.instances or d_port not in self.instances[d_inst].by_kind[PortKind.DATA_IN]:
-                out.append(Diagnostic("UnknownPort", f"{d_inst}.{d_port}"))
-                continue
-            if (d_inst, d_port) in seen:
-                out.append(Diagnostic("DataInAlreadyConnected", f"{d_inst}.{d_port}"))
-            seen.add((d_inst, d_port))
-            sv = self.instances[s_inst].by_kind[PortKind.DATA_OUT][s_port].data_variant
-            dv = self.instances[d_inst].by_kind[PortKind.DATA_IN][d_port].data_variant
-            if sv is not dv:
-                out.append(Diagnostic("VariantMismatch", f"{s_inst}.{s_port} -> {d_inst}.{d_port}"))
-        return out
 
     # -- latch access ------------------------------------------------------
 

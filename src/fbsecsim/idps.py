@@ -14,7 +14,6 @@ sliding second; arrivals beyond that bypass inspection uninspected
 
 from __future__ import annotations
 
-import logging
 import shlex
 from collections import deque
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ from .errors import RuleSyntaxError
 from .fbnet import US, CompositeFB, FBInstance, PortKind, PortSpec
 from .transport import Proto, PacketView, int_to_ip, ip_to_int
 from .values import Bool, Int, Str, Variant
-
-log = logging.getLogger(__name__)
 
 
 class Action(Enum):
@@ -283,7 +280,35 @@ class RateCounter:
         return len(self.times) == self.threshold + 1 and self.times[0] > now - self.window_us
 
 
-def match_packet(rule: Rule, view: PacketView, counters: dict, now: int) -> bool:
+_SWEEP_MIN = 1024  # a rate table never sweeps below this many counters
+
+
+class RateCounters(dict):
+    """(rule id, claimed address, claimed port) -> RateCounter.
+
+    A flood that rotates its claimed source adds a counter per packet, so
+    `add` first drops every counter whose newest hit has left its window,
+    once the table has doubled since the last sweep.  That changes no
+    verdict: a counter cannot fire while a stale hit is left in it, and
+    after threshold+1 fresh hits it holds just what a new counter would.
+    """
+
+    __slots__ = ("sweep_at",)  # no instance __dict__: `get` stays as fast as a dict's
+
+    def __init__(self):
+        super().__init__()
+        self.sweep_at = _SWEEP_MIN
+
+    def add(self, key: tuple, clause: RateClause, now: int) -> RateCounter:
+        if len(self) >= self.sweep_at:
+            for k in [k for k, c in self.items() if c.times[-1] <= now - c.window_us]:
+                del self[k]
+            self.sweep_at = max(_SWEEP_MIN, 2 * len(self))
+        counter = self[key] = RateCounter(clause)
+        return counter
+
+
+def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
     """Evaluate one rule; rate counters update on every static match."""
     if not rule.static_match(view):
         return False
@@ -292,7 +317,7 @@ def match_packet(rule: Rule, view: PacketView, counters: dict, now: int) -> bool
     key = (rule.id, view.src_address, view.src_port)
     counter = counters.get(key)
     if counter is None:
-        counter = counters[key] = RateCounter(rule.rate)
+        counter = counters.add(key, rule.rate, now)
     return counter.hit(now)
 
 
@@ -305,7 +330,7 @@ class IdpsEngine:
         self.running = False
         self.rules: list[Rule] = []
         self._checks: list[tuple[Rule, Verdict]] = []  # each rule with its match verdict
-        self.rate_counters: dict = {}
+        self.rate_counters = RateCounters()
         self._inspected_times: deque[int] = deque()
         self.presented = 0
         self.inspected = 0
@@ -323,7 +348,7 @@ class IdpsEngine:
         blocking = mode is EngineMode.IPS
         self._checks = [(rule, Verdict(blocking and rule.action is Action.BLOCK, rule.id, True))
                         for rule in rules]
-        self.rate_counters = {}
+        self.rate_counters = RateCounters()
         self._inspected_times = deque()
         self.presented = 0
         self.inspected = 0
@@ -374,61 +399,22 @@ class IdpsEngine:
 
 STATUS_STOPPED = b"STOPPED"
 STATUS_RUNNING = b"RUNNING"
-STATUS_FAULT = b"FAULT"
 
 
-def parse_params(params: bytes) -> tuple[EngineMode, str]:
-    """PARAMS string: 'mode=<off|ids|ips>;rules=<path>'."""
-    mode = None
-    path = None
-    for part in params.decode(errors="replace").split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"bad PARAMS fragment {part!r}")
-        if key == "mode":
-            try:
-                mode = EngineMode(value)
-            except ValueError:
-                raise ValueError(f"unknown mode {value!r}") from None
-        elif key == "rules":
-            path = value
-        else:
-            raise ValueError(f"unknown PARAMS key {key!r}")
-    if mode is None:
-        raise ValueError("PARAMS missing mode")
-    if path is None and mode is not EngineMode.OFF:
-        raise ValueError("PARAMS missing rules path")
-    return mode, path or ""
+def make_idps_sifb(id: str, engine: IdpsEngine, rules: list[Rule],
+                   mode: EngineMode) -> FBInstance:
+    """Service-interface block that starts the engine on the parsed `rules`
+    in `mode`, and stops it.
 
-
-def make_idps_sifb(id: str, engine: IdpsEngine, read_rules=None) -> FBInstance:
-    """Service-interface block that starts/stops the engine.
-
-    `read_rules(path)` returns ruleset text; defaults to reading the file.
-    STATUS reflects the lifecycle; ALERT_SEQ is also pushed from the service
-    side on every alert so a poller can sample it between events.
+    STATUS reflects the lifecycle; the engine writes ALERT_SEQ into this
+    block's latch on every alert, so a poller can sample it between events.
     """
-    if read_rules is None:
-        def read_rules(path: str) -> str:
-            with open(path, "r", encoding="utf-8") as f:
-                return f.read()
 
     def behavior(ctx, event, inputs, state):
         status = state
         if event == "INIT":
             if status == STATUS_RUNNING:
                 return status, [(None, {"QO": Bool(False)})]  # DoubleInit ignored
-            try:
-                mode, path = parse_params(inputs["PARAMS"].raw)
-                rules = parse_rules(read_rules(path)) if mode is not EngineMode.OFF else []
-            except Exception as e:
-                # Fail open: the application keeps running uninspected.
-                log.warning("%s: engine start failed, all traffic passes: %s", id, e)
-                engine.stop()
-                return STATUS_FAULT, [(None, {"STATUS": Str(STATUS_FAULT), "QO": Bool(False)})]
             engine.start(rules, mode)
             return STATUS_RUNNING, [("INITO", {
                 "STATUS": Str(STATUS_RUNNING), "ALERT_SEQ": Int(0), "QO": Bool(True)})]
@@ -440,15 +426,20 @@ def make_idps_sifb(id: str, engine: IdpsEngine, read_rules=None) -> FBInstance:
         return status, []
 
     ports = [
-        PortSpec("INIT", PortKind.EVENT_IN, associated_data=("PARAMS",)),
+        PortSpec("INIT", PortKind.EVENT_IN),
         PortSpec("STOP", PortKind.EVENT_IN),
         PortSpec("INITO", PortKind.EVENT_OUT, associated_data=("STATUS", "QO")),
-        PortSpec("PARAMS", PortKind.DATA_IN, Variant.STRING),
         PortSpec("STATUS", PortKind.DATA_OUT, Variant.STRING),
         PortSpec("ALERT_SEQ", PortKind.DATA_OUT, Variant.INT),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
     ]
-    return FBInstance(id, ports, behavior, state=STATUS_STOPPED)
+    sifb = FBInstance(id, ports, behavior, state=STATUS_STOPPED)
+
+    def on_alert(seq: int) -> None:
+        sifb.dout["ALERT_SEQ"] = Int(seq)
+
+    engine.on_alert = on_alert
+    return sifb
 
 
 def make_alertcheck(id: str, hold_window_us: int = 2_000_000) -> FBInstance:
@@ -471,12 +462,12 @@ def make_alertcheck(id: str, hold_window_us: int = 2_000_000) -> FBInstance:
     return FBInstance(id, ports, behavior, state=(0, None))
 
 
-def make_idps_cfb(engine: IdpsEngine, hold_window_us: int = 2_000_000,
-                  read_rules=None) -> CompositeFB:
+def make_idps_cfb(engine: IdpsEngine, rules: list[Rule], mode: EngineMode,
+                  hold_window_us: int = 2_000_000) -> CompositeFB:
     """Composite of the lifecycle SIFB and the alert poller; A is the flag."""
 
     def build_interior():
-        sifb = make_idps_sifb("SIFB", engine, read_rules=read_rules)
+        sifb = make_idps_sifb("SIFB", engine, rules, mode)
         check = make_alertcheck("ALERTCHECK", hold_window_us)
         return [sifb, check], [], [("SIFB.ALERT_SEQ", "ALERTCHECK.SEQ")]
 
@@ -485,7 +476,6 @@ def make_idps_cfb(engine: IdpsEngine, hold_window_us: int = 2_000_000,
         PortSpec("STOP", PortKind.EVENT_IN),
         PortSpec("POLL", PortKind.EVENT_IN),
         PortSpec("INITO", PortKind.EVENT_OUT),
-        PortSpec("PARAMS", PortKind.DATA_IN, Variant.STRING),
         PortSpec("STATUS", PortKind.DATA_OUT, Variant.STRING),
         PortSpec("A", PortKind.DATA_OUT, Variant.BOOL),
     ]
@@ -494,7 +484,6 @@ def make_idps_cfb(engine: IdpsEngine, hold_window_us: int = 2_000_000,
         "STOP": ("SIFB", "STOP"),
         "POLL": ("ALERTCHECK", "POLL"),
         "INITO": ("SIFB", "INITO"),
-        "PARAMS": ("SIFB", "PARAMS"),
         "STATUS": ("SIFB", "STATUS"),
         "A": ("ALERTCHECK", "QO"),
     }

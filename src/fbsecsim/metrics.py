@@ -28,18 +28,32 @@ class ConservationError(SimError):
     """A packet-accounting identity failed; the run is not trustworthy."""
 
 
+_SWEEP_MIN = 1024  # the window table never sweeps below this many windows
+
+
 class TruthOracle:
     """First-match rule evaluation with unlimited inspection capacity.
 
     Windows are re-implemented here (plain deque scans) on purpose: the
     engine's undercount is checked against bookkeeping it does not share.
+    A new window first drops every window whose newest hit has left it,
+    once the table has doubled since the last sweep; a window with a stale
+    hit left in it cannot be exceeded, so no verdict changes.
     """
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
         self.windows: dict = {}
+        self.sweep_at = _SWEEP_MIN
+        self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
         self.true_matches = 0
         self.block_matches = 0
+
+    def _sweep(self, now: int) -> None:
+        window_us = self._window_us
+        for key in [k for k, w in self.windows.items() if w[-1] <= now - window_us[k[0]]]:
+            del self.windows[key]
+        self.sweep_at = max(_SWEEP_MIN, 2 * len(self.windows))
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
@@ -50,6 +64,8 @@ class TruthOracle:
                 key = (rule.id, view.src_address, view.src_port)
                 win = self.windows.get(key)
                 if win is None:
+                    if len(self.windows) >= self.sweep_at:
+                        self._sweep(now)
                     win = self.windows[key] = deque(maxlen=rule.rate.threshold + 1)
                 win.append(now)
                 if len(win) <= rule.rate.threshold or win[0] <= now - rule.rate.window_us:

@@ -27,11 +27,11 @@ from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
 from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
-from .idps import IdpsEngine, make_idps_cfb, parse_rules
+from .idps import EngineMode, IdpsEngine, make_idps_cfb
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
 from .transport import DeviceModel, Endpoint, GroupAddress, Transport, ip_to_int
-from .values import Bool, Int, Str, TRUE
+from .values import Bool, Str, TRUE
 
 PUB_SRC_PORT = 40001
 CLIENT_PORT = 53000
@@ -82,7 +82,7 @@ def target_device_id(attack: AttackConfig) -> str:
 
 
 def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
-    validate(cfg)
+    rules = validate(cfg)
     scheduler = Scheduler(max_events=cfg.event_budget)
     trace = Trace(enabled=record_trace)
     duration = cfg.duration_us
@@ -118,15 +118,11 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     if cfg.idps.enabled:
         engine = IdpsEngine(inspection_capacity=cfg.idps.inspection_capacity)
         devices["plc2"].engine = engine
-        cfb = make_idps_cfb(engine, hold_window_us=round(cfg.idps.hold_window_s * US))
+        cfb = make_idps_cfb(engine, rules, EngineMode(cfg.idps.mode),
+                            hold_window_us=round(cfg.idps.hold_window_s * US))
         cfb_refs = cfb.instantiate(net2, "IDPS")
-        sifb_id = cfb_refs["PARAMS"].rsplit(".", 1)[0]
-        engine.on_alert = lambda seq: net2.set_data_out(sifb_id, "ALERT_SEQ", Int(seq))
-        params = f"mode={cfg.idps.mode};rules={cfg.idps.ruleset}"
-        net2.set_data_in(sifb_id, "PARAMS", Str(params))
         if cfg.idps.mode != "off":
-            with open(cfg.idps.ruleset, "r", encoding="utf-8") as f:
-                recorder.attach_oracle(parse_rules(f.read()), engine)
+            recorder.attach_oracle(rules, engine)
         gate_active = cfg.safemode == "gate_and_hold"
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------
@@ -148,7 +144,7 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
         net2.add(make_subscriber("SUB", net2, transport, "plc2"))
         net2.add(make_ix("IX_Box"))
         net2.add(make_liftctl("LiftCtl"))
-        net2.add(make_qx("QX_Cyl2", plant, cylinder=2, gated=gate_active))
+        net2.add(make_qx("QX_Cyl2", plant, cylinder=2))
         net2.connect("LiftCtl.DRIVE", "QX_Cyl2.REQ").connect("LiftCtl.CMD", "QX_Cyl2.CMD")
         net2.connect("SUB.RD_1", "LiftCtl.SV")
         net2.connect("IX_Box.Q", "LiftCtl.BOXQ")
@@ -183,20 +179,21 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
         net2.observe(cfb_refs["A"].rsplit(".", 1)[0], on_emit=observe_flag)
 
     # -- lifecycle and periodic events ----------------------------------------
+    def every(period_us: int, fn) -> None:
+        """Call fn at each multiple of period_us up to the end of the run."""
+        def task():
+            fn()
+            if scheduler.now + period_us <= duration:
+                scheduler.at(scheduler.now + period_us, task)
+
+        scheduler.at(period_us, task)
+
     if engine is not None:
         net2.post(*cfb_refs["INIT"].rsplit(".", 1))
-        poll_us = cfg.idps.poll_period_ms * 1000
         poll_inst, poll_port = cfb_refs["POLL"].rsplit(".", 1)
-
-        def poll():
-            net2.dispatch(poll_inst, poll_port)
-            if scheduler.now + poll_us <= duration:
-                scheduler.at(scheduler.now + poll_us, poll)
-
-        scheduler.at(poll_us, poll)
+        every(cfg.idps.poll_period_ms * 1000, lambda: net2.dispatch(poll_inst, poll_port))
 
     if plant is not None:
-        tick_us = cfg.plant.tick_ms * 1000
         arrivals = []
         t = round(cfg.plant.first_box_s * US)
         while t < duration:
@@ -223,21 +220,11 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
             scan(net1, "IX_BoxTop", plant.sensor_box_top())
             scan(net1, "IX_Cyl1End", plant.sensor_cyl1_end())
             scan(net2, "IX_Box", plant.sensor_box())
-            if now + tick_us <= duration:
-                scheduler.at(now + tick_us, tick)
 
         plant.sample(0)
-        scheduler.at(tick_us, tick)
-
+        every(cfg.plant.tick_ms * 1000, tick)
         if cfg.heartbeat.enabled:
-            hb_us = cfg.heartbeat.period_ms * 1000
-
-            def heartbeat():
-                net1.dispatch("ThrustCtl", "HB")
-                if scheduler.now + hb_us <= duration:
-                    scheduler.at(scheduler.now + hb_us, heartbeat)
-
-            scheduler.at(hb_us, heartbeat)
+            every(cfg.heartbeat.period_ms * 1000, lambda: net1.dispatch("ThrustCtl", "HB"))
 
     # -- attacks ---------------------------------------------------------------
     for i, a in enumerate(cfg.attacks):

@@ -58,16 +58,10 @@ class Endpoint(NamedTuple):
     address: int
     port: int
 
-    def render(self) -> str:
-        return f"{int_to_ip(self.address)}:{self.port}"
-
 
 class GroupAddress(NamedTuple):
     address: int
     port: int
-
-    def render(self) -> str:
-        return f"{int_to_ip(self.address)}:{self.port}"
 
 
 class Packet(NamedTuple):

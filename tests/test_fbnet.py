@@ -106,6 +106,9 @@ class TestConstruction:
 
 
 class TestValidate:
+    """connect is the one wiring check: the application graph builds clean,
+    and each bad wire into it is refused when it is made."""
+
     def build_app_shape(self):
         """The two-controller application graph, stub behaviors."""
         net, _ = fresh_net()
@@ -121,27 +124,32 @@ class TestValidate:
         return net
 
     def test_well_formed_app_graph_is_clean(self):
-        assert self.build_app_shape().validate() == []
+        net = self.build_app_shape()
+        assert len(net.data_src) == 4
+        for (d_inst, d_port), (s_inst, s_port) in net.data_src.items():
+            dst = {p.name: p for p in net.instances[d_inst].ports}[d_port]
+            src = {p.name: p for p in net.instances[s_inst].ports}[s_port]
+            assert dst.kind is PortKind.DATA_IN and src.kind is PortKind.DATA_OUT
+            assert dst.data_variant is src.data_variant
 
     def test_dangling_connection_reported(self):
         net = self.build_app_shape()
-        del net.instances["IX_Box"]
-        codes = {d.code for d in net.validate()}
-        assert "UnknownPort" in codes
+        with pytest.raises(UnknownPortError):
+            net.connect("IX_Ghost.Q", "LiftCtl.BOXQ")
+        with pytest.raises(UnknownPortError):
+            net.connect("ThrustCtl.SEND", "Ghost.REQ")
 
     def test_variant_violation_reported(self):
         net = self.build_app_shape()
-        # force a bad wire past connect()'s checks
-        net.data_src[("LiftCtl", "SV")] = ("ThrustCtl", "CMD")
-        codes = {d.code for d in net.validate()}
-        assert "VariantMismatch" in codes
+        with pytest.raises(VariantMismatchError):
+            net.connect("ThrustCtl.CMD", "LiftCtl.SV")
+        assert net.data_src[("LiftCtl", "SV")] == ("ThrustCtl", "SV")
 
     def test_double_writer_reported(self):
         net = self.build_app_shape()
-        net.data_src[("LiftCtl", "BOXQ")] = ("IX_BoxTop", "Q")
-        # inject duplicate key situation by rebuilding dict with two aliases
-        diags = net.validate()
-        assert isinstance(diags, list)
+        with pytest.raises(DataInConnectedError):
+            net.connect("IX_BoxTop.Q", "LiftCtl.BOXQ")
+        assert net.data_src[("LiftCtl", "BOXQ")] == ("IX_Box", "Q")
 
 
 class TestESwitch:

@@ -1,31 +1,32 @@
 """Rule parsing, matching, engine saturation, lifecycle, alert polling."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fbsecsim import idps, metrics
 from fbsecsim.errors import RuleSyntaxError
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
 from fbsecsim.idps import (
     Action,
     EngineMode,
     IdpsEngine,
-    STATUS_FAULT,
+    RateCounters,
     STATUS_RUNNING,
     STATUS_STOPPED,
     make_alertcheck,
     make_idps_cfb,
     make_idps_sifb,
     match_packet,
-    parse_params,
     parse_rules,
 )
 from fbsecsim.metrics import TruthOracle
 from fbsecsim.transport import PacketView, Proto, int_to_ip, ip_to_int
-from fbsecsim.values import Int, Str
+from fbsecsim.values import Int
 
 US = 1_000_000
 
@@ -101,38 +102,38 @@ class TestParse:
 class TestMatch:
     def test_dst_port_match(self):
         r = parse_rules('alert udp any any -> any 61499 msg "x"')[0]
-        assert match_packet(r, view(), {}, 0)
-        assert not match_packet(r, view(dport=80), {}, 0)
+        assert match_packet(r, view(), RateCounters(), 0)
+        assert not match_packet(r, view(dport=80), RateCounters(), 0)
 
     def test_proto_families(self):
         r = parse_rules('alert tcp any any -> any any msg "x"')[0]
         for p in (Proto.TCP_SYN, Proto.TCP_ACK, Proto.TCP_DATA, Proto.TCP_SYNACK):
-            assert match_packet(r, view(proto=p), {}, 0)
-        assert not match_packet(r, view(proto=Proto.UDP), {}, 0)
+            assert match_packet(r, view(proto=p), RateCounters(), 0)
+        assert not match_packet(r, view(proto=Proto.UDP), RateCounters(), 0)
 
     def test_payload_substring(self):
         r = parse_rules('alert udp any any -> any any payload "41" msg "x"')[0]
-        assert match_packet(r, view(payload=b"\x41"), {}, 0)
-        assert not match_packet(r, view(payload=b"\x40"), {}, 0)
-        assert match_packet(r, view(payload=b"\x00\x41\x00"), {}, 0)
+        assert match_packet(r, view(payload=b"\x41"), RateCounters(), 0)
+        assert not match_packet(r, view(payload=b"\x40"), RateCounters(), 0)
+        assert match_packet(r, view(payload=b"\x00\x41\x00"), RateCounters(), 0)
 
     def test_srcallow_excludes_listed_sources(self):
         r = parse_rules('block udp any any -> 239.192.0.2 61499 '
                         'srcallow 192.168.1.1 msg "x"')[0]
-        assert match_packet(r, view(src="10.0.0.66"), {}, 0)
-        assert not match_packet(r, view(src="192.168.1.1"), {}, 0)
+        assert match_packet(r, view(src="10.0.0.66"), RateCounters(), 0)
+        assert not match_packet(r, view(src="192.168.1.1"), RateCounters(), 0)
 
     def test_rate_threshold_boundary(self):
         """Packets 1..100 inside the window do not match; packet 101 does."""
         r = parse_rules('alert udp any any -> any 61499 rate 100/1 msg "x"')[0]
-        counters = {}
+        counters = RateCounters()
         results = [match_packet(r, view(), counters, t * 1000) for t in range(101)]
         assert results[:100] == [False] * 100
         assert results[100] is True
 
     def test_rate_window_slides(self):
         r = parse_rules('alert udp any any -> any any rate 2/1 msg "x"')[0]
-        counters = {}
+        counters = RateCounters()
         assert not match_packet(r, view(), counters, 0)
         assert not match_packet(r, view(), counters, 100)
         assert match_packet(r, view(), counters, 200)          # 3 within 1 s
@@ -140,7 +141,7 @@ class TestMatch:
 
     def test_rate_keyed_by_claimed_source(self):
         r = parse_rules('alert udp any any -> any any rate 1/1 msg "x"')[0]
-        counters = {}
+        counters = RateCounters()
         assert not match_packet(r, view(src="10.0.0.1"), counters, 0)
         assert not match_packet(r, view(src="10.0.0.2"), counters, 1)  # separate window
         assert match_packet(r, view(src="10.0.0.1"), counters, 2)
@@ -149,7 +150,7 @@ class TestMatch:
         """Exact agreement with a naive full-history sliding window count."""
         r = parse_rules('alert udp any any -> any any rate 7/2 msg "x"')[0]
         rng = random.Random(99)
-        counters = {}
+        counters = RateCounters()
         history = []
         t = 0
         for _ in range(2000):
@@ -310,20 +311,34 @@ _packets = st.lists(st.tuples(
 
 
 class TestEngineAgreesWithOracle:
-    """While the engine is unsaturated, it alerts exactly when the oracle matches."""
+    """While the engine is unsaturated, it alerts exactly when the oracle
+    matches, whether their rate tables sweep stale windows or never do."""
 
     def check(self, text, packets):
-        eng = IdpsEngine(inspection_capacity=len(packets) + 1)
-        eng.start(parse_rules(text), EngineMode.IDS)
-        oracle = TruthOracle(parse_rules(text))
-        t = 0
-        for gap, proto, src, sport, dport in packets:
-            t += gap
-            v = view(proto=proto, src=src, sport=sport, dport=dport)
-            alerted = eng.inspect(v, t).rule_id is not None
+        with pytest.MonkeyPatch.context() as mp:
+            # sweep_at 0 with no floor: each table sweeps whenever it has
+            # doubled since its last sweep, from its first key on
+            mp.setattr(idps, "_SWEEP_MIN", 0)
+            mp.setattr(metrics, "_SWEEP_MIN", 0)
+            engines, oracles = [], []
+            for sweep_at in (0, math.inf):
+                eng = IdpsEngine(inspection_capacity=len(packets) + 1)
+                eng.start(parse_rules(text), EngineMode.IDS)
+                eng.rate_counters.sweep_at = sweep_at
+                oracle = TruthOracle(parse_rules(text))
+                oracle.sweep_at = sweep_at
+                engines.append(eng)
+                oracles.append(oracle)
+            t = 0
+            for gap, proto, src, sport, dport in packets:
+                t += gap
+                v = view(proto=proto, src=src, sport=sport, dport=dport)
+                verdicts = ([eng.inspect(v, t).rule_id is not None for eng in engines]
+                            + [oracle.observe(v, t) for oracle in oracles])
+                assert verdicts == [verdicts[0]] * 4
+        for eng, oracle in zip(engines, oracles):
             assert eng.dropped_by_engine == 0
-            assert alerted == oracle.observe(v, t)
-        assert oracle.true_matches == len(eng.alerts)
+            assert oracle.true_matches == len(eng.alerts)
 
     def test_rate_rule_not_yet_fired_falls_through(self):
         text = ('alert udp any any -> any any rate 100/1 msg "flood"\n'
@@ -341,24 +356,36 @@ class TestEngineAgreesWithOracle:
         self.check(text, packets)
 
 
-class TestParams:
-    def test_parse_params(self):
-        mode, path = parse_params(b"mode=ips;rules=/tmp/x.rules")
-        assert mode is EngineMode.IPS and path == "/tmp/x.rules"
+class TestRateTablesBounded:
+    def test_rotating_source_flood_longer_than_the_window(self):
+        """4 s of SYNs at 2000/s, each from a new claimed source, against a
+        1 s rate window: neither table ever holds more than about
+        2 x rate x window keys, where keeping every key would reach 8000."""
+        rate, window_s = 2_000, 1
+        rules = parse_rules(f'alert tcp any any -> any any rate 500/{window_s} msg "syn"')
+        eng = IdpsEngine(inspection_capacity=2 * rate)
+        eng.start(rules, EngineMode.IDS)
+        oracle = TruthOracle(rules)
+        peaks = [0, 0]
+        for i in range(4 * rate):
+            v = PacketView(Proto.TCP_SYN, ip_to_int("10.0.0.0") + i, 1024 + i % 7,
+                           ip_to_int("192.168.1.2"), 61500, b"")
+            t = i * US // rate
+            eng.inspect(v, t)
+            oracle.observe(v, t)
+            peaks = [max(peaks[0], len(eng.rate_counters)), max(peaks[1], len(oracle.windows))]
+        assert eng.inspected == 4 * rate
+        assert max(peaks) <= 2 * rate * window_s + 2
+        assert min(peaks) > rate * window_s
 
-    @pytest.mark.parametrize("raw", [b"mode=warp;rules=x", b"rules=x", b"junk", b"mode=ids;color=red"])
-    def test_bad_params(self, raw):
-        with pytest.raises(ValueError):
-            parse_params(raw)
 
-
-def sifb_net(rules_text="alert udp any any -> any any msg \"x\"", params=None):
+def sifb_net():
     sched = Scheduler()
     net = FBNetwork(sched, Trace(enabled=True))
     engine = IdpsEngine()
-    sifb = make_idps_sifb("SIFB", engine, read_rules=lambda path: rules_text)
+    rules = parse_rules('alert udp any any -> any any msg "x"')
+    sifb = make_idps_sifb("SIFB", engine, rules, EngineMode.IPS)
     net.add(sifb)
-    net.set_data_in("SIFB", "PARAMS", Str(params or b"mode=ips;rules=mem"))
     return net, sched, engine, sifb
 
 
@@ -371,14 +398,6 @@ class TestLifecycle:
         assert net.data_out("SIFB", "STATUS").raw == STATUS_RUNNING
         emitted = [e for e in net.trace.entries if e[0] == "emit" and e[3] == "INITO"]
         assert len(emitted) == 1
-
-    def test_bad_ruleset_faults_and_fails_open(self):
-        net, sched, engine, sifb = sifb_net(rules_text="complete garbage")
-        net.dispatch("SIFB", "INIT")
-        assert sifb.state == STATUS_FAULT
-        assert not engine.running
-        v = engine.inspect(view(), 0)
-        assert not v.blocked and engine.presented == 0  # everything passes
 
     def test_double_init_ignored(self):
         net, sched, engine, sifb = sifb_net()
@@ -398,6 +417,14 @@ class TestLifecycle:
         assert engine.presented == 1
         net.dispatch("SIFB", "INIT")
         assert engine.presented == 0 and engine.alerts == []  # counters reset
+
+    def test_alerts_land_in_own_alert_seq(self):
+        net, sched, engine, sifb = sifb_net()
+        net.dispatch("SIFB", "INIT")
+        assert net.data_out("SIFB", "ALERT_SEQ") == Int(0)
+        for t in range(3):
+            engine.inspect(view(), t)
+        assert net.data_out("SIFB", "ALERT_SEQ") == Int(3) == Int(engine.alert_seq)
 
     def test_stop_while_stopped_ignored(self):
         net, sched, engine, sifb = sifb_net()
@@ -443,11 +470,9 @@ class TestComposite:
         sched = Scheduler()
         net = FBNetwork(sched, Trace(enabled=False))
         engine = IdpsEngine()
-        cfb = make_idps_cfb(engine, read_rules=lambda p: 'alert udp any any -> any any msg "x"')
+        cfb = make_idps_cfb(engine, parse_rules('alert udp any any -> any any msg "x"'),
+                            EngineMode.IDS)
         refs = cfb.instantiate(net, "IDPS")
-        sifb_id = refs["PARAMS"].rsplit(".", 1)[0]
-        engine.on_alert = lambda seq: net.set_data_out(sifb_id, "ALERT_SEQ", Int(seq))
-        net.set_data_in(sifb_id, "PARAMS", Str(b"mode=ids;rules=mem"))
         net.dispatch(*refs["INIT"].rsplit(".", 1))
         assert engine.running
         engine.inspect(view(), 0)

@@ -1,6 +1,10 @@
-"""Plant motion, hazard predicate, push-off, arrivals, cycle detection."""
+"""Plant motion, hazard predicate, push-off, arrivals, cycle detection, and
+the actuator adapter that writes the plant's commands."""
 
+from fbsecsim.control import make_qx
+from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
 from fbsecsim.plant import Command, Plant, completed_cycles
+from fbsecsim.values import TRUE, Int
 
 
 def stepped(plant, ticks, tick_us=10_000, start=0):
@@ -124,3 +128,23 @@ class TestCycles:
     def test_no_cycle_without_pushoff(self):
         samples = [(t, 0, 0, False, False, False) for t in range(5)]
         assert completed_cycles(samples) == []
+
+
+class TestActuatorGate:
+    def qx_net(self):
+        plant = Plant(rate_per_tick=0.1)
+        net = FBNetwork(Scheduler(), Trace(enabled=False))
+        net.add(make_qx("QX", plant, cylinder=2))
+        net.set_data_in("QX", "CMD", Int(int(Command.EXTEND)))
+        return net, plant
+
+    def test_unwired_gate_writes_the_command(self):
+        net, plant = self.qx_net()
+        net.dispatch("QX", "REQ")
+        assert plant.cmd2 is Command.EXTEND
+
+    def test_true_gate_freezes_the_command(self):
+        net, plant = self.qx_net()
+        net.set_data_in("QX", "GATE", TRUE)
+        net.dispatch("QX", "REQ")
+        assert plant.cmd2 is Command.HOLD

@@ -1,14 +1,20 @@
 """End-to-end scenario behavior: liveness, injection, gating, availability."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from fbsecsim import idps
 from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import rules_path, scenario_path
+from fbsecsim.errors import ConfigError
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.scenario import run_scenario
+
+
+FLAG = ("IDPS.ALERTCHECK", "QO")  # the IDPS block's attack flag A
 
 
 def load(name):
@@ -47,12 +53,74 @@ class TestBaseline:
         assert "GATE_SV" not in net2.instances
         assert ("SUB", "IND") in net2.event_conns
         assert net2.event_conns[("SUB", "IND")] == [("LiftCtl", "REQ")]
+        assert ("QX_Cyl2", "GATE") not in net2.data_src
 
     def test_gate_policy_builds_switches(self):
         res = run_scenario(load("spoof_blocked"))
         net2 = res.networks["plc2"]
         assert "GATE_SV" in net2.instances and "GATE_BOX" in net2.instances
         assert net2.event_conns[("SUB", "IND")] == [("GATE_SV", "EI")]
+        # every event into LiftCtl leaves an E_SWITCH's EO0, guarded by A
+        into_liftctl = [src for src, dsts in net2.event_conns.items()
+                        for d_inst, _ in dsts if d_inst == "LiftCtl"]
+        assert len(into_liftctl) == 2
+        for inst, port in into_liftctl:
+            assert port == "EO0"
+            assert [p.name for p in net2.instances[inst].ports] == ["EI", "G", "EO0", "EO1"]
+            assert net2.data_src[(inst, "G")] == FLAG
+        assert net2.data_src[("QX_Cyl2", "GATE")] == FLAG
+
+
+class TestParsedRules:
+    """A run parses its ruleset once, in validate, and hands the rules on."""
+
+    def count_parses(self, monkeypatch, cfg):
+        calls = []
+        real = idps.parse_rules
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fbsecsim") and hasattr(mod, "parse_rules"):
+                monkeypatch.setattr(mod, "parse_rules", counting)
+        res = run_scenario(cfg, record_trace=False)
+        return len(calls), res
+
+    def test_engine_on_parses_once(self, monkeypatch):
+        n, res = self.count_parses(monkeypatch, load("spoof_blocked"))
+        assert n == 1
+        assert res.engine.rules is res.recorder.oracle.rules
+
+    def test_engine_off_parses_nothing(self, monkeypatch):
+        assert self.count_parses(monkeypatch, load("baseline"))[0] == 0
+        cfg = with_idps(load("baseline"), "off", "combined", "log_only")
+        n, res = self.count_parses(monkeypatch, cfg)
+        assert n == 0 and res.engine is not None and not res.engine.running
+
+    def test_bad_ruleset_refused_before_any_block(self, tmp_path, monkeypatch):
+        """No fail-open engine: a ruleset that does not parse stops the run."""
+        bad = tmp_path / "bad.rules"
+        bad.write_text("block any\n")
+        cfg = load("spoof_blocked")
+        cfg = dataclasses.replace(cfg, idps=dataclasses.replace(cfg.idps, ruleset=str(bad)))
+        built = []
+        monkeypatch.setattr("fbsecsim.scenario.make_idps_cfb", lambda *a, **k: built.append(a))
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(cfg, record_trace=False)
+        assert exc.value.path == "idps.ruleset" and not built
+
+
+class TestRateTables:
+    def test_bounded_after_a_syn_flood_longer_than_the_window(self):
+        """3 s of SYNs at 1000/s, each from a new claimed source, against the
+        1 s `tcp` rate rule: about 2 x rate x window keys stay, not 3000."""
+        cfg = with_idps(load("syn_flood"), "ids", "combined", "log_only")
+        res = run_scenario(cfg, record_trace=False)
+        assert res.engine.inspected >= 3 * 1000
+        assert len(res.engine.rate_counters) <= 2 * 1000 + 2
+        assert len(res.recorder.oracle.windows) <= 2 * 1000 + 2
 
 
 class TestInjection:
