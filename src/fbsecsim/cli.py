@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import parse_scenario_file
+from .config import parse_scenario_file, read_text
 from .errors import ConfigError, RuleSyntaxError, SimError
 from .fbnet import US
 from .idps import parse_rules
@@ -68,8 +68,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rules_check(args) -> int:
-    with open(args.ruleset, "r", encoding="utf-8") as f:
-        rules = parse_rules(f.read())
+    rules = parse_rules(read_text(args.ruleset))
     for rule in rules:
         clauses = [rule.action.value, rule.proto_name]
         if rule.rate:
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, RuleSyntaxError, FileNotFoundError) as e:
+    except (ConfigError, RuleSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except SimError as e:

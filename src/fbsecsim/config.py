@@ -303,9 +303,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
             raise ConfigError("idps.ruleset", f"file not found: {idps.ruleset}")
         if idps.mode != "off":
             try:
-                with open(idps.ruleset, "r", encoding="utf-8") as f:
-                    rules = parse_rules(f.read())
-            except (RuleSyntaxError, OSError, UnicodeDecodeError) as e:
+                rules = parse_rules(read_text(idps.ruleset))
+            except (RuleSyntaxError, ConfigError) as e:
                 raise ConfigError("idps.ruleset", str(e)) from None
         _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms", "hold_window_s")
     if cfg.plant.enabled:
@@ -365,7 +364,14 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
     return rules
 
 
+def read_text(path: str) -> str:
+    """The file's UTF-8 text; a ConfigError naming `path` if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(path, str(e)) from None
+
+
 def parse_scenario_file(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    return parse_scenario_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_scenario_text(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))

@@ -260,65 +260,58 @@ _PASS = Verdict(False, None, True)
 _UNINSPECTED = Verdict(False, None, False)
 
 
-class RateCounter:
-    """Sliding-window count of static matches per (rule, claimed source).
-
-    Only `count > threshold` is ever needed, so we keep the newest
-    threshold+1 timestamps: the window is exceeded exactly when the deque
-    is full and its oldest entry is still inside the window.
-    """
-
-    __slots__ = ("threshold", "window_us", "times")
-
-    def __init__(self, clause: RateClause):
-        self.threshold = clause.threshold
-        self.window_us = clause.window_us
-        self.times: deque[int] = deque(maxlen=clause.threshold + 1)
-
-    def hit(self, now: int) -> bool:
-        self.times.append(now)
-        return len(self.times) == self.threshold + 1 and self.times[0] > now - self.window_us
-
-
-_SWEEP_MIN = 1024  # a rate table never sweeps below this many counters
+_SWEEP_MIN = 1024  # a rate table never sweeps below this many windows
 
 
 class RateCounters(dict):
-    """(rule id, claimed address, claimed port) -> RateCounter.
+    """(rule id, claimed address, claimed port) -> the newest threshold+1
+    hit times, which exceed the rate exactly when all are inside the window.
 
-    A flood that rotates its claimed source adds a counter per packet, so
-    `add` first drops every counter whose newest hit has left its window,
-    once the table has doubled since the last sweep.  That changes no
-    verdict: a counter cannot fire while a stale hit is left in it, and
-    after threshold+1 fresh hits it holds just what a new counter would.
+    A key's first hit is kept as the bare timestamp, and becomes a deque on
+    the second: `parse_rules` rejects N < 1, so one hit never fires.  A
+    flood that rotates its claimed source adds a key per packet, so `add`
+    first drops every key whose newest hit has left its rule's window, once
+    the table has doubled since the last sweep.  That changes no verdict: a
+    window cannot fire while a stale hit is left in it, and after
+    threshold+1 fresh hits it holds just what a new window would.
     """
 
-    __slots__ = ("sweep_at",)  # no instance __dict__: `get` stays as fast as a dict's
+    # no instance __dict__: `get` stays as fast as a dict's
+    __slots__ = ("sweep_at", "window_us")
 
     def __init__(self):
         super().__init__()
         self.sweep_at = _SWEEP_MIN
+        self.window_us: dict[str, int] = {}  # rule id -> window length of its keys
 
-    def add(self, key: tuple, clause: RateClause, now: int) -> RateCounter:
+    def add(self, key: tuple, clause: RateClause, now: int) -> None:
+        """Store the first hit of a new key as its bare timestamp."""
         if len(self) >= self.sweep_at:
-            for k in [k for k, c in self.items() if c.times[-1] <= now - c.window_us]:
+            window_us = self.window_us
+            for k in [k for k, w in self.items()
+                      if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
                 del self[k]
             self.sweep_at = max(_SWEEP_MIN, 2 * len(self))
-        counter = self[key] = RateCounter(clause)
-        return counter
+        self.window_us[key[0]] = clause.window_us
+        self[key] = now
 
 
 def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
-    """Evaluate one rule; rate counters update on every static match."""
+    """Evaluate one rule; rate windows update on every static match."""
     if not rule.static_match(view):
         return False
-    if rule.rate is None:
+    rate = rule.rate
+    if rate is None:
         return True
     key = (rule.id, view.src_address, view.src_port)
-    counter = counters.get(key)
-    if counter is None:
-        counter = counters.add(key, rule.rate, now)
-    return counter.hit(now)
+    times = counters.get(key)
+    if times is None:
+        counters.add(key, rate, now)
+        return False  # one hit never exceeds a threshold
+    if type(times) is int:
+        times = counters[key] = deque((times,), rate.threshold + 1)
+    times.append(now)
+    return len(times) > rate.threshold and times[0] > now - rate.window_us
 
 
 class IdpsEngine:
@@ -326,19 +319,8 @@ class IdpsEngine:
 
     def __init__(self, inspection_capacity: int = 5_000):
         self.inspection_capacity = inspection_capacity
-        self.mode = EngineMode.OFF
-        self.running = False
-        self.rules: list[Rule] = []
-        self._checks: list[tuple[Rule, Verdict]] = []  # each rule with its match verdict
-        self.rate_counters = RateCounters()
-        self._inspected_times: deque[int] = deque()
-        self.presented = 0
-        self.inspected = 0
-        self.dropped_by_engine = 0
-        self.alerts: list[Alert] = []
-        self._endpoints: dict[tuple[int, int], str] = {}  # (address, port) -> "a.b.c.d:port"
-        self.alert_seq = 0
         self.on_alert = None  # callable(alert_seq) or None
+        self.start([], EngineMode.OFF)
 
     def start(self, rules: list[Rule], mode: EngineMode) -> None:
         """(Re)start with fresh counters, as a lifecycle INIT does."""
@@ -346,15 +328,17 @@ class IdpsEngine:
         self.mode = mode
         self.running = mode is not EngineMode.OFF
         blocking = mode is EngineMode.IPS
-        self._checks = [(rule, Verdict(blocking and rule.action is Action.BLOCK, rule.id, True))
-                        for rule in rules]
+        checks = [(rule, Verdict(blocking and rule.action is Action.BLOCK, rule.id, True))
+                  for rule in rules]
+        # proto -> the rules that can match it, in file order, each with its match verdict
+        self._checks = {p: [c for c in checks if p in c[0].protos] for p in Proto}
         self.rate_counters = RateCounters()
-        self._inspected_times = deque()
+        self._inspected_times: deque[int] = deque()
         self.presented = 0
         self.inspected = 0
         self.dropped_by_engine = 0
-        self.alerts = []
-        self._endpoints = {}
+        self.alerts: list[Alert] = []
+        self._endpoints: dict[tuple[int, int], str] = {}  # (address, port) -> "a.b.c.d:port"
         self.alert_seq = 0
 
     def stop(self) -> None:
@@ -374,7 +358,7 @@ class IdpsEngine:
             return _UNINSPECTED
         times.append(now)
         self.inspected += 1
-        for rule, verdict in self._checks:
+        for rule, verdict in self._checks[view.proto]:
             if match_packet(rule, view, self.rate_counters, now):
                 self._raise_alert(rule, view, now)
                 return verdict

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import SimError
 from .idps import Action, EngineMode, IdpsEngine, Rule
 from .plant import Command, Plant, completed_cycles
-from .transport import DeviceModel, DeviceState, Packet, Transport
+from .transport import DeviceModel, DeviceState, Packet, Proto, Transport
 
 EXIT_CLEAN = 0
 EXIT_CONFIG = 2
@@ -34,15 +34,18 @@ _SWEEP_MIN = 1024  # the window table never sweeps below this many windows
 class TruthOracle:
     """First-match rule evaluation with unlimited inspection capacity.
 
-    Windows are re-implemented here (plain deque scans) on purpose: the
-    engine's undercount is checked against bookkeeping it does not share.
-    A new window first drops every window whose newest hit has left it,
-    once the table has doubled since the last sweep; a window with a stale
-    hit left in it cannot be exceeded, so no verdict changes.
+    Rules are grouped by protocol and windows re-implemented here on
+    purpose: the engine's undercount is checked against bookkeeping it does
+    not share.  A key's first hit is its bare timestamp (one hit never
+    exceeds N >= 1) and becomes a deque of the newest N+1 hits on the
+    second.  A new key first drops every window whose newest hit has left
+    it, once the table has doubled since the last sweep; a window with a
+    stale hit left in it cannot be exceeded, so no verdict changes.
     """
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
+        self._by_proto = {p: [r for r in rules if p in r.protos] for p in Proto}
         self.windows: dict = {}
         self.sweep_at = _SWEEP_MIN
         self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
@@ -51,24 +54,29 @@ class TruthOracle:
 
     def _sweep(self, now: int) -> None:
         window_us = self._window_us
-        for key in [k for k, w in self.windows.items() if w[-1] <= now - window_us[k[0]]]:
+        for key in [k for k, w in self.windows.items()
+                    if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
             del self.windows[key]
         self.sweep_at = max(_SWEEP_MIN, 2 * len(self.windows))
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
-        for rule in self.rules:
+        for rule in self._by_proto[view.proto]:
             if not rule.static_match(view):
                 continue
-            if rule.rate is not None:
+            rate = rule.rate
+            if rate is not None:
                 key = (rule.id, view.src_address, view.src_port)
                 win = self.windows.get(key)
                 if win is None:
                     if len(self.windows) >= self.sweep_at:
                         self._sweep(now)
-                    win = self.windows[key] = deque(maxlen=rule.rate.threshold + 1)
+                    self.windows[key] = now
+                    continue  # a first hit: later rules still get the packet
+                if type(win) is int:
+                    win = self.windows[key] = deque((win,), rate.threshold + 1)
                 win.append(now)
-                if len(win) <= rule.rate.threshold or win[0] <= now - rule.rate.window_us:
+                if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet
             self.true_matches += 1
             if rule.action is Action.BLOCK:

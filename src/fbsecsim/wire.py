@@ -50,11 +50,13 @@ def decode(data: bytes) -> list[DataValue]:
     values = _walk(data)
     if type(values) is list:
         return values
-    raise MalformedPayload(*values)
+    offset, reason = values
+    raise MalformedPayload(offset, reason if type(reason) is str else f"unknown tag 0x{reason:02x}")
 
 
-def _walk(data: bytes) -> list[DataValue] | tuple[int, str]:
-    """The decoded values, or (offset, reason) of the first malformed byte."""
+def _walk(data: bytes) -> list[DataValue] | tuple[int, str | int]:
+    """The decoded values, or (offset, reason or unknown tag byte) of the
+    first malformed byte."""
     values: list[DataValue] = []
     i = 0
     n = len(data)
@@ -80,5 +82,5 @@ def _walk(data: bytes) -> list[DataValue] | tuple[int, str]:
             values.append(Str(data[i + 3:i + 3 + length]))
             i += 3 + length
         else:
-            return i, f"unknown tag 0x{tag:02x}"
+            return i, tag
     return values

@@ -3,6 +3,7 @@
 import csv
 import os
 
+import pytest
 
 from fbsecsim.cli import main
 from fbsecsim.data import scenario_path
@@ -96,6 +97,30 @@ class TestRules:
     def test_check_syntax_error(self, tmp_path):
         rules = write(tmp_path, "b.rules", "block any\n")
         assert main(["rules", "check", rules]) == 2
+
+
+def unreadable_inputs(tmp_path):
+    """A directory, and a file whose bytes are not UTF-8."""
+    binary = tmp_path / "latin1.txt"
+    binary.write_bytes("run.seed = 1  # \xe9t\xe9\n".encode("latin-1"))
+    return [str(tmp_path), str(binary)]
+
+
+class TestUnreadableInput:
+    """An input that cannot be read as text is a configuration error that
+    names the path, for every command that reads one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{path}", "--out", "{out}"],
+        ["validate", "{path}"],
+        ["sweep", "{path}", "--attack", "a", "--rates", "10", "--out", "{out}"],
+        ["rules", "check", "{path}"],
+    ])
+    def test_exit_two_naming_the_path(self, tmp_path, capsys, argv):
+        for path in unreadable_inputs(tmp_path):
+            args = [a.format(path=path, out=tmp_path / "o") for a in argv]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestSweep:
