@@ -133,17 +133,14 @@ class Scheduler:
 class Trace:
     """Ordered record of every dispatch and emission, exportable as text."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.entries: list[tuple] = []  # ("dispatch"|"emit", t, inst, port, value|None)
 
     def dispatch(self, t: int, inst: str, port: str) -> None:
-        if self.enabled:
-            self.entries.append(("dispatch", t, inst, port, None))
+        self.entries.append(("dispatch", t, inst, port, None))
 
     def emit(self, t: int, inst: str, port: str, value: DataValue | None = None) -> None:
-        if self.enabled:
-            self.entries.append(("emit", t, inst, port, value))
+        self.entries.append(("emit", t, inst, port, value))
 
     def lines(self):
         for kind, t, inst, port, value in self.entries:
@@ -194,11 +191,10 @@ class _Plan:
 
     `sampled` holds (data-in name, writer's data-out latches, writer's port)
     for each WITH input that has a writer; `fanout` maps every declared event
-    output to one zero-argument dispatch per destination; `on_dispatch` and
-    `on_emit` are the instance's observers, or None.
+    output to one zero-argument dispatch per destination.
     """
 
-    __slots__ = ("inst", "sampled", "dout_variants", "fanout", "on_dispatch", "on_emit")
+    __slots__ = ("inst", "sampled", "dout_variants", "fanout")
 
     def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
         inst_id = inst.id
@@ -210,7 +206,6 @@ class _Plan:
         self.fanout = {ev: tuple(lambda d=d, p=p: net.dispatch(d, p)
                                  for d, p in net.event_conns.get((inst_id, ev), ()))
                        for ev in inst.by_kind[PortKind.EVENT_OUT]}
-        self.on_dispatch, self.on_emit = net._observers.get(inst_id, (None, None))
 
 
 def _latch_error(inst: str, port: str, variant: Variant | None, kind: PortKind) -> Exception:
@@ -229,13 +224,14 @@ def _parse_ref(ref: str) -> tuple[str, str]:
 
 
 class FBNetwork:
-    """Instances plus event/data connections, with deterministic dispatch."""
+    """Instances plus event/data connections, with deterministic dispatch;
+    a `trace`, when given, records every dispatch and emission."""
 
     def __init__(self, scheduler: Scheduler, trace: Trace | None = None,
                  name: str = "net", services: dict | None = None):
         self.name = name
         self.scheduler = scheduler
-        self.trace = trace if trace is not None else Trace(enabled=False)
+        self.trace = trace
         self.services = services if services is not None else {}
         self.instances: dict[str, FBInstance] = {}
         self.event_conns: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -245,11 +241,8 @@ class FBNetwork:
         # the device this network runs on, if any: while its `down` flag is
         # set (a dead PLC), every dispatch is suppressed
         self.host = None
-        # instance -> (on_dispatch, on_emit), see `observe`
-        self._observers: dict[str, tuple] = {}
-        # (instance, event) -> _Plan, resolved on first dispatch; add,
-        # connect and observe change what a plan was resolved from, so they
-        # drop it
+        # (instance, event) -> _Plan, resolved on first dispatch; add and
+        # connect change what a plan was resolved from, so they drop it
         self._plans: dict[tuple[str, str], _Plan] = {}
         self._ctx = Ctx(0, self.services)
 
@@ -296,16 +289,6 @@ class FBNetwork:
         self._plans.clear()
         return self
 
-    def observe(self, inst: str, on_dispatch: Callable[[str, int], None] | None = None,
-                on_emit: Callable[[str, DataValue | None, int], None] | None = None) -> None:
-        """Watch one instance: on_dispatch(event, now) before its behavior
-        runs, on_emit(port, value, now) for each latched output (value None
-        for an event).  Replaces the instance's earlier observers."""
-        if inst not in self.instances:
-            raise UnknownPortError(f"{inst}: no such instance to observe")
-        self._observers[inst] = (on_dispatch, on_emit)
-        self._plans.clear()
-
     # -- latch access ------------------------------------------------------
 
     def set_data_in(self, inst: str, port: str, value: DataValue) -> None:
@@ -349,11 +332,9 @@ class FBNetwork:
             plan = self._plan(inst_id, event)
         inst = plan.inst
         now = self.scheduler.now
-        trace = self.trace if self.trace.enabled else None
+        trace = self.trace
         if trace is not None:
             trace.dispatch(now, inst_id, event)
-        if plan.on_dispatch is not None:
-            plan.on_dispatch(event, now)
 
         # Sample associated data-ins into a staging copy; commit only on success.
         staged = [(name, dout[port]) for name, dout, port in plan.sampled] if plan.sampled else ()
@@ -380,21 +361,16 @@ class FBNetwork:
         inst.din.update(staged)
         inst.state = new_state
         dout = inst.dout
-        on_emit = plan.on_emit
         for ev, assigns in emissions:
             for name, value in assigns.items():
                 dout[name] = value
                 if trace is not None:
                     trace.emit(now, inst_id, name, value)
-                if on_emit is not None:
-                    on_emit(name, value, now)
         for ev, assigns in emissions:
             if ev is None:
                 continue
             if trace is not None:
                 trace.emit(now, inst_id, ev)
-            if on_emit is not None:
-                on_emit(ev, None, now)
             for fire in fanout[ev]:
                 self.scheduler.at(now, fire)
         return emissions
@@ -407,8 +383,8 @@ class FBNetwork:
         return plan
 
 
-def run(network: FBNetwork, until: int) -> Trace:
-    """Drain the network's scheduler up to `until` and return its trace."""
+def run(network: FBNetwork, until: int) -> Trace | None:
+    """Drain the network's scheduler up to `until` and return its trace, if any."""
     network.scheduler.run_until(until)
     return network.trace
 

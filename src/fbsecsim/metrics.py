@@ -17,6 +17,8 @@ from .errors import SimError
 from .idps import Action, EngineMode, IdpsEngine, Rule
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Proto, Transport
+from .values import TRUE
+from .wire import encode
 
 EXIT_CLEAN = 0
 EXIT_CONFIG = 2
@@ -113,31 +115,24 @@ class EngineStats:
 
 
 class Recorder:
-    """Streaming observer wired into transport, engine and plant hooks."""
+    """Streaming observer of one run: the transport hooks feed it packets, the
+    run reports the attack flag and LiftCtl dispatches.  The truth oracle
+    exists whenever the engine does, on the engine's rules."""
 
-    def __init__(self, attacker_ids: set[str], plc_ids: list[str]):
-        self.attacker_ids = attacker_ids
+    def __init__(self, plc_ids: list[str], publisher_id: str,
+                 engine: IdpsEngine | None, rules: list[Rule]):
+        self.attacker_ids: set[str] = set()
         self.plc_ids = plc_ids
-        self.oracle: TruthOracle | None = None
-        self.engine: IdpsEngine | None = None
+        self.engine = engine
+        self.oracle = TruthOracle(rules) if engine is not None else None
         self.engine_stats = EngineStats()
         self.legit_sends: list[tuple[int, int]] = []       # (send time, seq) of shared-true packets
         self.legit_deliveries: list[tuple[int, int]] = []  # (delivery time, seq)
-        self.flag_timeline: list[tuple[int, bool]] = []    # attack-flag transitions
+        self.flag_timeline: list[tuple[int, bool]] = [(0, False)]  # attack-flag transitions
         self.liftctl_dispatches: list[int] = []
-        self._rule_actions: dict[str, Action] = {}
-        self._publisher_id: str | None = None
-        self._shared_payload = b"\x41"
-
-    def attach_oracle(self, rules: list[Rule], engine: IdpsEngine) -> None:
-        self.oracle = TruthOracle(rules)
-        self.engine = engine
         self._rule_actions = {r.id: r.action for r in rules}
-
-    def watch_publisher(self, device_id: str) -> None:
-        self._publisher_id = device_id
-
-    # -- hooks ---------------------------------------------------------------
+        self._publisher_id = publisher_id
+        self._shared_payload = encode([TRUE])
 
     def on_send(self, packet: Packet) -> None:
         if (packet.true_origin == self._publisher_id
@@ -146,12 +141,10 @@ class Recorder:
 
     def on_presented(self, device: DeviceModel, packet: Packet, view, verdict, now: int) -> None:
         st = self.engine_stats
-        st.presented += 1
         is_attack = packet.true_origin in self.attacker_ids
         if is_attack:
             st.attack_presented += 1
-        if self.oracle is not None:
-            self.oracle.observe(view, now)
+        self.oracle.observe(view, now)
         if verdict.blocked:
             st.blocked += 1
             if is_attack:
@@ -160,7 +153,7 @@ class Recorder:
                 st.benign_blocked += 1
         elif (verdict.inspected and verdict.rule_id is not None
               and self._rule_actions.get(verdict.rule_id) is Action.BLOCK
-              and self.engine is not None and self.engine.mode is EngineMode.IPS):
+              and self.engine.mode is EngineMode.IPS):
             # The engine evaluated a block match and still let it through.
             st.inspected_block_leak += 1
 
@@ -176,13 +169,14 @@ class Recorder:
     def on_liftctl_dispatch(self, now: int) -> None:
         self.liftctl_dispatches.append(now)
 
-    def finalize_engine(self, engine: IdpsEngine | None) -> None:
-        st = self.engine_stats
+    def finalize_engine(self) -> None:
+        engine = self.engine
         if engine is not None:
+            st = self.engine_stats
+            st.presented = engine.presented
             st.inspected = engine.inspected
             st.dropped_by_engine = engine.dropped_by_engine
             st.alerts = len(engine.alerts)
-        if self.oracle is not None:
             st.true_matches = self.oracle.true_matches
 
     def flag_true_intervals(self, end: int) -> list[tuple[int, int]]:
@@ -292,11 +286,11 @@ class RunReport:
                 raise ConservationError("engine: presented != inspected + dropped_by_engine")
 
 
-def build_report(duration: int, seed: int, transport: Transport,
-                 plc_ids: list[str], engine: IdpsEngine | None, plant: Plant | None,
+def build_report(duration: int, seed: int, transport: Transport, plant: Plant | None,
                  recorder: Recorder, subscriber_stats: dict[str, int],
                  probe_attempts: list[dict], suppressed: int) -> RunReport:
-    recorder.finalize_engine(engine)
+    recorder.finalize_engine()
+    engine = recorder.engine
     devices = {}
     transitions = {}
     final_states = {}
@@ -306,7 +300,7 @@ def build_report(duration: int, seed: int, transport: Transport,
         final_states[dev_id] = dev.state_at(duration).value
     outcome = cycle_detector(plant, recorder, transport.devices, duration) if plant else None
     exit_code = EXIT_CLEAN
-    if any(final_states.get(p) == DeviceState.UNRESPONSIVE.value for p in plc_ids):
+    if any(final_states.get(p) == DeviceState.UNRESPONSIVE.value for p in recorder.plc_ids):
         exit_code = EXIT_COLLAPSE
     if outcome is not None and outcome.hazard:
         exit_code = EXIT_HAZARD

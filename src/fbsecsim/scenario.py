@@ -12,8 +12,8 @@ Safe-mode wiring on the subscriber PLC:
                  frozen while A holds.  Requires the engine; without it the
                  wiring falls back to direct connections.
   log_only       direct connections, engine only logs.
-  shutdown       direct connections; the first A=true suspends the
-                 application blocks for the rest of the run.
+  shutdown       direct connections; the first poll that reads A true
+                 suspends the application blocks for the rest of the run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
 from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
-from .idps import EngineMode, IdpsEngine, make_idps_cfb
+from .idps import EngineMode, IdpsEngine, Rule, make_idps_cfb
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
 from .transport import DeviceModel, Endpoint, GroupAddress, Transport, ip_to_int
@@ -41,14 +41,12 @@ PLC_IDS = ["plc1", "plc2"]
 @dataclass
 class RunResult:
     report: RunReport
-    trace: Trace
+    trace: Trace | None  # None unless the run was recorded
     plant: Plant | None
     recorder: Recorder
     config: ScenarioConfig
     networks: dict[str, FBNetwork]
     engine: IdpsEngine | None
-    transport: Transport
-    client_state: object | None = None
 
 
 def _parse_group(group: str) -> GroupAddress:
@@ -82,9 +80,13 @@ def target_device_id(attack: AttackConfig) -> str:
 
 
 def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
-    rules = validate(cfg)
+    return _run(cfg, validate(cfg), record_trace)
+
+
+def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResult:
+    """Assemble and run `cfg`; `rules` is what `validate(cfg)` returned."""
     scheduler = Scheduler(max_events=cfg.event_budget)
-    trace = Trace(enabled=record_trace)
+    trace = Trace() if record_trace else None
     duration = cfg.duration_us
     group = _parse_group(cfg.group)
 
@@ -96,12 +98,6 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
             dev_id, ip_to_int(d.address), capacity=d.capacity,
             critical_rate=d.critical_rate, halfopen_capacity=d.halfopen_capacity,
             halfopen_timeout_us=round(d.halfopen_timeout_s * US), seed=cfg.seed))
-
-    recorder = Recorder(attacker_ids=set(), plc_ids=list(PLC_IDS))
-    recorder.watch_publisher("plc1")
-    transport.on_send = recorder.on_send
-    transport.on_presented = recorder.on_presented
-    transport.on_delivered = recorder.on_delivered
 
     services = {"transport": transport}
     net1 = FBNetwork(scheduler, trace, name="plc1", services=services)
@@ -121,9 +117,12 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
         cfb = make_idps_cfb(engine, rules, EngineMode(cfg.idps.mode),
                             hold_window_us=round(cfg.idps.hold_window_s * US))
         cfb_refs = cfb.instantiate(net2, "IDPS")
-        if cfg.idps.mode != "off":
-            recorder.attach_oracle(rules, engine)
         gate_active = cfg.safemode == "gate_and_hold"
+
+    recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
+    transport.on_send = recorder.on_send
+    transport.on_presented = recorder.on_presented
+    transport.on_delivered = recorder.on_delivered
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------
     if plant is not None:
@@ -143,7 +142,15 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     if plant is not None:
         net2.add(make_subscriber("SUB", net2, transport, "plc2"))
         net2.add(make_ix("IX_Box"))
-        net2.add(make_liftctl("LiftCtl"))
+        liftctl = make_liftctl("LiftCtl")
+        lift_behavior = liftctl.behavior
+
+        def timed_liftctl(ctx, event, inputs, state):
+            recorder.on_liftctl_dispatch(ctx.now)
+            return lift_behavior(ctx, event, inputs, state)
+
+        liftctl.behavior = timed_liftctl
+        net2.add(liftctl)
         net2.add(make_qx("QX_Cyl2", plant, cylinder=2))
         net2.connect("LiftCtl.DRIVE", "QX_Cyl2.REQ").connect("LiftCtl.CMD", "QX_Cyl2.CMD")
         net2.connect("SUB.RD_1", "LiftCtl.SV")
@@ -162,22 +169,6 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
         net2.set_data_in("SUB", "ID", Str(cfg.group))
         net2.post("SUB", "INIT")
 
-    # -- observers ------------------------------------------------------------
-    recorder.on_flag(0, False)
-    if plant is not None:
-        net2.observe("LiftCtl", on_dispatch=lambda event, now: recorder.on_liftctl_dispatch(now))
-    if engine is not None:
-        app_blocks = {"SUB", "LiftCtl", "QX_Cyl2", "IX_Box"}
-        shutdown_policy = cfg.safemode == "shutdown"
-
-        def observe_flag(port: str, value, now: int) -> None:
-            if port == "QO":
-                recorder.on_flag(now, bool(value.raw))
-                if shutdown_policy and value.raw:
-                    net2.suspended.update(app_blocks)
-
-        net2.observe(cfb_refs["A"].rsplit(".", 1)[0], on_emit=observe_flag)
-
     # -- lifecycle and periodic events ----------------------------------------
     def every(period_us: int, fn) -> None:
         """Call fn at each multiple of period_us up to the end of the run."""
@@ -191,7 +182,19 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
     if engine is not None:
         net2.post(*cfb_refs["INIT"].rsplit(".", 1))
         poll_inst, poll_port = cfb_refs["POLL"].rsplit(".", 1)
-        every(cfg.idps.poll_period_ms * 1000, lambda: net2.dispatch(poll_inst, poll_port))
+        flag_inst, flag_port = cfb_refs["A"].rsplit(".", 1)
+        shutdown_policy = cfg.safemode == "shutdown"
+
+        def poll():
+            # A changes only on POLL and feeds no event, so reading it here
+            # sees every change at the instant it happens.
+            net2.dispatch(poll_inst, poll_port)
+            flag = net2.data_out(flag_inst, flag_port).raw
+            recorder.on_flag(scheduler.now, flag)
+            if shutdown_policy and flag:
+                net2.suspended.update(("SUB", "LiftCtl", "QX_Cyl2", "IX_Box"))
+
+        every(cfg.idps.poll_period_ms * 1000, poll)
 
     if plant is not None:
         arrivals = []
@@ -282,17 +285,15 @@ def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
         probe_attempts = [{"started": at.started, "established": at.established}
                           for at in client_inst.state.attempts]
     suppressed = net1.suppressed + net2.suppressed
-    report = build_report(duration, cfg.seed, transport, PLC_IDS, engine, plant,
+    report = build_report(duration, cfg.seed, transport, plant,
                           recorder, sub_stats, probe_attempts, suppressed)
     return RunResult(report=report, trace=trace, plant=plant, recorder=recorder,
-                     config=cfg, networks={"plc1": net1, "plc2": net2},
-                     engine=engine, transport=transport,
-                     client_state=client_inst.state if client_inst else None)
+                     config=cfg, networks={"plc1": net1, "plc2": net2}, engine=engine)
 
 
 def write_outputs(result: RunResult, out_dir: str) -> None:
     write_report_files(result.report, result.plant, out_dir)
-    if result.trace.enabled:
+    if result.trace is not None:
         with open(os.path.join(out_dir, "trace.txt"), "w") as f:
             for line in result.trace.lines():
                 f.write(line + "\n")
@@ -306,12 +307,11 @@ def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int]):
         raise ConfigError("rates", "rates must be strictly increasing")
     target = target_device_id(cfg.attack(attack_name))
     configs = [cfg.with_attack_rate(attack_name, rate) for rate in rates]
-    for c in configs:  # reject a bad rate before the first run, not after
-        validate(c)
+    rules = [validate(c) for c in configs]  # refuse a bad rate before the first run
     rows = []
     results = []
-    for rate, c in zip(rates, configs):
-        result = run_scenario(c, record_trace=False)
+    for rate, c, r in zip(rates, configs, rules):
+        result = _run(c, r, record_trace=False)
         rows.append(sweep_row(rate, result.report, target))
         results.append(result)
     return rows, results

@@ -28,8 +28,8 @@ class Harness:
         self.tr = Transport(self.sched, latency_us=500)
         self.plc1 = self.tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
         self.plc2 = self.tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
-        self.net1 = FBNetwork(self.sched, Trace(enabled=True), services={"transport": self.tr})
-        self.net2 = FBNetwork(self.sched, Trace(enabled=True), services={"transport": self.tr})
+        self.net1 = FBNetwork(self.sched, Trace(), services={"transport": self.tr})
+        self.net2 = FBNetwork(self.sched, Trace(), services={"transport": self.tr})
         self.sent = []
         self.tr.on_send = self.sent.append
 
@@ -201,7 +201,7 @@ class TestClientServer:
         h.net2.set_data_in("SRV", "QI", Bool(True))
         h.net2.dispatch("SRV", "INIT")
         cli_dev = h.tr.add_device(DeviceModel("cli", ip_to_int("192.168.1.30")))
-        net_c = FBNetwork(h.sched, Trace(enabled=False), services={"transport": h.tr})
+        net_c = FBNetwork(h.sched, services={"transport": h.tr})
         client = make_client("CLIENT", net_c, h.tr, "cli", cli_dev.address, 53000)
         net_c.add(client)
         net_c.set_data_in("CLIENT", "ID", Str("plc2@192.168.1.2:61500"))

@@ -48,9 +48,9 @@ def make_block(id, out_variant=Variant.BOOL):
     return FBInstance(id, ports, behavior)
 
 
-def fresh_net(enabled_trace=True):
+def fresh_net():
     sched = Scheduler()
-    return FBNetwork(sched, Trace(enabled=enabled_trace)), sched
+    return FBNetwork(sched, Trace()), sched
 
 
 class TestConstruction:
@@ -315,7 +315,7 @@ class TestRunFaults:
 
     def test_runaway_same_time_loop_hits_event_budget(self):
         sched = Scheduler(max_events=1_000)
-        net = FBNetwork(sched, Trace(enabled=False))
+        net = FBNetwork(sched)
         for name, peer in (("A", "B"), ("B", "A")):
             net.add(FBInstance(name, [
                 PortSpec("EI", PortKind.EVENT_IN),
@@ -491,41 +491,10 @@ class TestPlanCache:
         assert net.data_out("A", "DO") == Bool(False)
 
 
-class TestObservers:
-    """Observers are registered per instance and ride in its plans."""
-
+class TestFanout:
     def sink(self, id, hits):
         return FBInstance(id, [PortSpec("EI", PortKind.EVENT_IN)],
                           lambda ctx, ev, i, s: (hits.append(id) or s, []))
-
-    def test_unobserved_instance_makes_no_observer_call(self):
-        net, sched = fresh_net()
-        calls = []
-        net.add(make_block("A")).add(make_block("B"))
-        net.observe("A", on_dispatch=lambda ev, now: calls.append(("A", ev, now)),
-                    on_emit=lambda port, value, now: calls.append(("A", port, value, now)))
-        for _ in range(3):
-            net.dispatch("B", "EI")
-        assert calls == []
-        sched.now = 7
-        net.dispatch("A", "EI")
-        assert calls == [("A", "EI", 7), ("A", "DO", Bool(False), 7), ("A", "EO", None, 7)]
-
-    def test_observer_registered_after_plan_is_cached_fires(self):
-        net, _ = fresh_net()
-        seen = []
-        net.add(make_block("A"))
-        net.dispatch("A", "EI")
-        net.observe("A", on_dispatch=lambda ev, now: seen.append(ev))
-        net.dispatch("A", "EI")
-        net.observe("A", on_emit=lambda port, value, now: seen.append(port))
-        net.dispatch("A", "EI")
-        assert seen == ["EI", "DO", "EO"]
-
-    def test_observe_unknown_instance_rejected(self):
-        net, _ = fresh_net()
-        with pytest.raises(UnknownPortError):
-            net.observe("Ghost", on_dispatch=lambda ev, now: None)
 
     def test_fanout_runs_in_post_order(self):
         """Wired fan-out queues exactly what posting each destination in
@@ -609,18 +578,12 @@ class TestLatches:
         assert [r[3] for r in seen] == [3, 3, 7, 7, 7, 7, 9, 12, 12]
         assert all(before == after == now for _, before, after, now in seen)
 
-    def test_disabled_trace_is_not_called(self):
-        class Untouched(Trace):
-            def dispatch(self, *args):
-                raise AssertionError("Trace.dispatch called while disabled")
-
-            emit = dispatch
-
-        net = FBNetwork(Scheduler(), Untouched(enabled=False))
+    def test_untraced_network_dispatches_and_latches(self):
+        net = FBNetwork(Scheduler())
         net.add(make_block("A"))
         net.set_data_in("A", "DI", Bool(True))
-        net.dispatch("A", "EI")
-        assert net.trace.entries == []
+        assert net.dispatch("A", "EI") == [("EO", {"DO": Bool(True)})]
+        assert net.trace is None
         assert net.data_out("A", "DO") == Bool(True)
 
 

@@ -530,7 +530,7 @@ class TestRateTableMemory:
 
 def sifb_net():
     sched = Scheduler()
-    net = FBNetwork(sched, Trace(enabled=True))
+    net = FBNetwork(sched, Trace())
     engine = IdpsEngine()
     rules = parse_rules('alert udp any any -> any any msg "x"')
     sifb = make_idps_sifb("SIFB", engine, rules, EngineMode.IPS)
@@ -596,7 +596,7 @@ class TestAlertCheck:
     def test_hold_window_timeline(self):
         """Alert observed at t=1.0s: flag true until the poll at t=3.0s."""
         sched = Scheduler()
-        net = FBNetwork(sched, Trace(enabled=False))
+        net = FBNetwork(sched)
         net.add(make_alertcheck("AC", hold_window_us=2 * US))
         times = [t * US // 10 for t in range(0, 42)]  # polls every 100 ms
         flags = self.poll_at(net, times, lambda t: 1 if t >= US else 0)
@@ -608,7 +608,7 @@ class TestAlertCheck:
 
     def test_never_alerted_stays_false(self):
         sched = Scheduler()
-        net = FBNetwork(sched, Trace(enabled=False))
+        net = FBNetwork(sched)
         net.add(make_alertcheck("AC"))
         flags = self.poll_at(net, [i * 100_000 for i in range(20)], lambda t: 0)
         assert not any(flags)
@@ -617,7 +617,7 @@ class TestAlertCheck:
 class TestComposite:
     def test_cfb_exposes_flag_from_poller(self):
         sched = Scheduler()
-        net = FBNetwork(sched, Trace(enabled=False))
+        net = FBNetwork(sched)
         engine = IdpsEngine()
         cfb = make_idps_cfb(engine, parse_rules('alert udp any any -> any any msg "x"'),
                             EngineMode.IDS)

@@ -2,7 +2,7 @@
 the actuator adapter that writes the plant's commands."""
 
 from fbsecsim.control import make_qx
-from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
+from fbsecsim.fbnet import FBNetwork, Scheduler
 from fbsecsim.plant import Command, Plant, completed_cycles
 from fbsecsim.values import TRUE, Int
 
@@ -133,7 +133,7 @@ class TestCycles:
 class TestActuatorGate:
     def qx_net(self):
         plant = Plant(rate_per_tick=0.1)
-        net = FBNetwork(Scheduler(), Trace(enabled=False))
+        net = FBNetwork(Scheduler())
         net.add(make_qx("QX", plant, cylinder=2))
         net.set_data_in("QX", "CMD", Int(int(Command.EXTEND)))
         return net, plant

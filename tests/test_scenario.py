@@ -11,7 +11,7 @@ from fbsecsim.attacks import AttackKind
 from fbsecsim.data import rules_path, scenario_path
 from fbsecsim.errors import ConfigError
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
-from fbsecsim.scenario import run_scenario
+from fbsecsim.scenario import run_scenario, run_sweep
 
 
 FLAG = ("IDPS.ALERTCHECK", "QO")  # the IDPS block's attack flag A
@@ -74,7 +74,7 @@ class TestBaseline:
 class TestParsedRules:
     """A run parses its ruleset once, in validate, and hands the rules on."""
 
-    def count_parses(self, monkeypatch, cfg):
+    def patch_parses(self, monkeypatch):
         calls = []
         real = idps.parse_rules
 
@@ -85,8 +85,28 @@ class TestParsedRules:
         for name, mod in list(sys.modules.items()):
             if name.startswith("fbsecsim") and hasattr(mod, "parse_rules"):
                 monkeypatch.setattr(mod, "parse_rules", counting)
+        return calls
+
+    def count_parses(self, monkeypatch, cfg):
+        calls = self.patch_parses(monkeypatch)
         res = run_scenario(cfg, record_trace=False)
         return len(calls), res
+
+    def test_sweep_parses_once_per_rate(self, monkeypatch):
+        cfg = load("sweep")
+        calls = self.patch_parses(monkeypatch)
+        rows, results = run_sweep(cfg, "flood", [100, 200, 300])
+        assert len(calls) == 3 and len(rows) == 3
+        for res in results:
+            assert res.engine.rules is res.recorder.oracle.rules
+
+    def test_sweep_refuses_a_bad_rate_before_the_first_run(self, monkeypatch):
+        cfg = load("sweep")
+        runs = []
+        monkeypatch.setattr("fbsecsim.scenario._run", lambda *a: runs.append(a))
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(cfg, "flood", [100, 200, cfg.event_budget])
+        assert exc.value.path == "attacks[0].rate" and runs == []
 
     def test_engine_on_parses_once(self, monkeypatch):
         n, res = self.count_parses(monkeypatch, load("spoof_blocked"))
@@ -179,6 +199,17 @@ class TestGating:
         net2 = res.networks["plc2"]
         assert "SUB" in net2.suspended and "LiftCtl" in net2.suspended
         assert res.report.suppressed_dispatches > 0
+
+    def test_shutdown_pins_flag_dispatches_and_suspension(self):
+        """The first poll that reads A true suspends the application at once:
+        the spoof lands at 5.105 s, LiftCtl last runs at 5.11 s, and nothing
+        of it runs after the flag rises at the 5.2 s poll."""
+        cfg = with_idps(load("spoof_unprotected"), "ids", "combined", "shutdown")
+        res = run_scenario(cfg, record_trace=False)
+        assert res.recorder.flag_timeline == [(0, False), (5_200_000, True), (7_200_000, False)]
+        assert res.recorder.liftctl_dispatches == [5_000_000, 5_105_000, 5_110_000]
+        assert res.report.suppressed_dispatches == 1
+        assert res.networks["plc2"].suspended == {"IX_Box", "LiftCtl", "QX_Cyl2", "SUB"}
 
 
 class TestAvailability:
