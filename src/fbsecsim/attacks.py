@@ -18,9 +18,9 @@ from typing import Iterator
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
     DeviceModel,
-    DeviceState,
     Endpoint,
     GroupAddress,
+    IngestResult,
     Packet,
     Proto,
     Transport,
@@ -67,24 +67,26 @@ def craft_spoofed_publish(transport: Transport, attacker_id: str,
     return transport.make_packet(Proto.UDP, claimed_src, group, payload, attacker_id)
 
 
+def flood_clock(spec: AttackSpec, attacker_index: int) -> tuple[int, int]:
+    """(first send instant, per-attacker rate); phase offsets interleave attackers."""
+    return spec.start + attacker_index * US // spec.rate, spec.rate // spec.attacker_count
+
+
+def send_instant(first: int, per_rate: int, i: int) -> int:
+    """Send instant of an attacker's packet `i`, from its `flood_clock`."""
+    return first + i * US // per_rate
+
+
 def flood_count(spec: AttackSpec) -> int:
     """Exact per-attacker packet count over [start, stop)."""
-    per_rate = spec.rate // spec.attacker_count
-    return per_rate * (spec.stop - spec.start) // US
+    return flood_clock(spec, 0)[1] * (spec.stop - spec.start) // US
 
 
 def iter_flood_times(spec: AttackSpec, attacker_index: int) -> Iterator[int]:
-    """Send instants of one attacker, each computed when it is taken; the
-    aggregate interleaves to the full rate."""
-    per_rate = spec.rate // spec.attacker_count
-    first = spec.start + attacker_index * US // spec.rate
+    """Send instants of one attacker, each computed when it is taken."""
+    first, per_rate = flood_clock(spec, attacker_index)
     for i in range(flood_count(spec)):
-        yield first + i * US // per_rate
-
-
-def flood_times(spec: AttackSpec, attacker_index: int) -> list[int]:
-    """Every send instant of one attacker, as a list."""
-    return list(iter_flood_times(spec, attacker_index))
+        yield send_instant(first, per_rate, i)
 
 
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
@@ -109,8 +111,11 @@ class _FloodPump:
 
     While the scheduler has nothing due before the next packet, the pump
     delivers it inline (`Scheduler.run_next`); otherwise only that packet is
-    armed.  Send instants are taken from `iter_flood_times` one at a time, so
-    a flood holds the same memory however many packets it sends.
+    armed.  Send instants are computed one at a time, so a flood holds the
+    same memory however many packets it sends.  A unicast target's device
+    ingests each arrival first; only an ingested one is built into a `Packet`
+    (taking a sequence number) for `Transport.arrive`.  Group floods and
+    targets with no device go through `Transport.deliver`.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -122,61 +127,60 @@ class _FloodPump:
         self.scheduler = scheduler
         self.proto = _FLOOD_PROTO[spec.kind]
         self.count = flood_count(spec)
-        self.times = iter_flood_times(spec, attacker_index)
+        self.first, self.per_rate = flood_clock(spec, attacker_index)
         self.i = 0
-        self.send_time = 0
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
         self.view = None if self.syn_rotate else Packet(
             self.proto, src, spec.target, spec.payload, 0, self.origin, 0).view()
-        if isinstance(spec.target, Endpoint):
-            self.target_device = transport.devices.get(spec.target.device_id)
+        if isinstance(spec.target, GroupAddress):
+            self.group, self.target_device = spec.target.address, None
         else:
-            self.target_device = None
+            self.group, self.target_device = None, transport.devices.get(spec.target.device_id)
 
     def start(self) -> None:
         if self.count:
-            self.send_time = next(self.times)
-            self.scheduler.at(self.send_time + self.transport.latency_us, self._pump,
+            self.scheduler.at(self.first + self.transport.latency_us, self._pump,
                               lane=LANE_NET, key=(self.origin, 0))
 
     def _pump(self) -> None:
         """Deliver packet `i`, then each following packet the scheduler lets
         run inline (nothing else is due first); arm the next one otherwise."""
-        spec = self.spec
-        dev = self.target_device
-        transport = self.transport
-        scheduler = self.scheduler
+        target, payload, proto, origin = self.spec.target, self.spec.payload, self.proto, self.origin
+        base_src, syn_rotate, view = self.src, self.syn_rotate, self.view
+        dev, group = self.target_device, self.group
+        transport, scheduler = self.transport, self.scheduler
         latency = transport.latency_us
-        group = spec.target.address if isinstance(spec.target, GroupAddress) else None
-        view = self.view
+        first, per_rate, count, i = self.first, self.per_rate, self.count, self.i
         while True:
-            i = self.i
-            if dev is not None and dev.state is DeviceState.UNRESPONSIVE:
-                dev.bulk_unresponsive_drop(self.count - i)
+            if dev is not None and dev.down:
+                dev.bulk_unresponsive_drop(count - i)
                 return
-            src = self.src
-            if self.syn_rotate:
-                # Rotate the claimed source so the SYN-ACKs vanish and no ACK
-                # ever completes a handshake.
-                rot = (src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
-                src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
-            pkt = Packet(self.proto, src, spec.target, spec.payload, self.send_time,
-                         self.origin, transport.next_seq())
-            if group is not None:
-                for member in transport.members(group):
-                    transport.deliver(pkt, member, view)
-            else:
-                transport.deliver(pkt, spec.target, view)
+            now = scheduler.now
+            if dev is None or dev.ingest(now) is IngestResult.INGESTED:
+                src = base_src
+                if syn_rotate:
+                    # Rotate the claimed source so the SYN-ACKs vanish and no
+                    # ACK ever completes a handshake.
+                    rot = (base_src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
+                    src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
+                # a packet arrives exactly one latency after its send instant
+                pkt = Packet(proto, src, target, payload, now - latency, origin, transport.next_seq())
+                if dev is not None:
+                    transport.arrive(dev, pkt, target, view, now)
+                elif group is None:
+                    transport.deliver(pkt, target, view)
+                else:
+                    for member in transport.members(group):
+                        transport.deliver(pkt, member, view)
             i += 1
-            if i >= self.count:
+            if i >= count:
                 return
-            self.i = i
-            self.send_time = next(self.times)
-            when = self.send_time + latency
-            key = (self.origin, i)
+            when = send_instant(first, per_rate, i) + latency
+            key = (origin, i)
             if not scheduler.run_next(when, LANE_NET, key):
+                self.i = i
                 scheduler.at(when, self._pump, lane=LANE_NET, key=key)
                 return
 

@@ -337,9 +337,11 @@ class FBNetwork:
             trace.dispatch(now, inst_id, event)
 
         # Sample associated data-ins into a staging copy; commit only on success.
-        staged = [(name, dout[port]) for name, dout, port in plan.sampled] if plan.sampled else ()
+        sampled = plan.sampled
         inputs = inst.din.copy()
-        inputs.update(staged)
+        if sampled:
+            staged = [(name, dout[port]) for name, dout, port in sampled]
+            inputs.update(staged)
 
         ctx = self._ctx
         ctx.now = now
@@ -358,7 +360,8 @@ class FBNetwork:
                     raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {variant.value} port")
 
         # Commit: sampled inputs, state, then every data latch before any event.
-        inst.din.update(staged)
+        if sampled:
+            inst.din.update(staged)
         inst.state = new_state
         dout = inst.dout
         for ev, assigns in emissions:
@@ -381,12 +384,6 @@ class FBNetwork:
             raise UnknownPortError(f"{inst_id}.{event}")
         plan = self._plans[(inst_id, event)] = _Plan(self, inst, inst.port(event, PortKind.EVENT_IN))
         return plan
-
-
-def run(network: FBNetwork, until: int) -> Trace | None:
-    """Drain the network's scheduler up to `until` and return its trace, if any."""
-    network.scheduler.run_until(until)
-    return network.trace
 
 
 # -- standard blocks -------------------------------------------------------

@@ -87,9 +87,8 @@ class Rule:
     msg: str
 
     def static_match(self, view: PacketView) -> bool:
-        """Every non-rate matcher against the claimed header and payload."""
-        if view.proto not in self.protos:
-            return False
+        """Every non-rate matcher against the claimed header and payload; the
+        caller has matched the protocol (it picks rules by `protos`)."""
         if self.src_addr is not None and not self.src_addr.matches(view.src_address):
             return False
         if self.src_port is not None and not self.src_port.matches(view.src_port):
@@ -297,7 +296,7 @@ class RateCounters(dict):
 
 
 def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
-    """Evaluate one rule; rate windows update on every static match."""
+    """Evaluate one rule of the packet's protocol; rate windows update on every static match."""
     if not rule.static_match(view):
         return False
     rate = rule.rate

@@ -332,16 +332,20 @@ class Transport:
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, packet: Packet, ep: Endpoint, view: PacketView | None = None) -> None:
-        """Ingest, inspect and route one arrival at `ep`.  `view`, when given,
-        is `packet.view()` made once by the caller (a flood shares one across
-        its packets); otherwise it is made here when first needed."""
+        """One arrival at `ep`: device lookup, `DeviceModel.ingest`, then `arrive`.
+        `view`, when given, is `packet.view()` made once by the caller (a flood
+        shares one across its packets); otherwise it is made when first needed."""
         device = self.devices.get(ep.device_id)
         if device is None:
             self.undeliverable += 1
             return
         now = self.scheduler.now
-        if device.ingest(now) is not IngestResult.INGESTED:
-            return
+        if device.ingest(now) is IngestResult.INGESTED:
+            self.arrive(device, packet, ep, view, now)
+
+    def arrive(self, device: DeviceModel, packet: Packet, ep: Endpoint,
+               view: PacketView | None, now: int) -> None:
+        """Engine tap, observers and routing of a packet `device` ingested at `now`."""
         engine = device.engine
         if engine is not None and engine.running:
             if view is None:

@@ -1,34 +1,42 @@
 """Attack generators: exact counts, phase splitting, crafting."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbsecsim import attacks
 from fbsecsim.attacks import (
+    GHOST_ID,
     AttackKind,
     AttackSpec,
     attacker_device,
     craft_spoofed_publish,
     flood_count,
-    flood_times,
+    iter_flood_times,
     schedule_flood,
+    send_instant,
 )
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
+from fbsecsim.csifb import make_subscriber
 from fbsecsim.errors import ConfigError, EventBudgetExceeded
-from fbsecsim.fbnet import LANE_FB, LANE_NET, US, Scheduler
+from fbsecsim.fbnet import LANE_FB, LANE_NET, US, FBNetwork, Scheduler, Trace
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.transport import (
     DeviceModel,
     DeviceState,
     Endpoint,
     GroupAddress,
+    Packet,
     Proto,
     Transport,
     ip_to_int,
 )
+from fbsecsim.values import Bool, Str
 
 
 def spec(kind=AttackKind.UDP_FLOOD, rate=1000, start=0, stop=US, count=1,
@@ -44,7 +52,7 @@ class TestExactness:
     def test_count_is_floor_rate_times_duration(self, rate, dur_s):
         s = spec(rate=rate, stop=dur_s * US)
         assert flood_count(s) == rate * dur_s
-        assert len(flood_times(s, 0)) == rate * dur_s
+        assert len(list(iter_flood_times(s, 0))) == rate * dur_s
 
     def test_fractional_duration_floors(self):
         s = spec(rate=2, stop=900_000)  # 0.9 s at 2/s
@@ -52,21 +60,21 @@ class TestExactness:
 
     def test_all_sends_inside_window(self):
         s = spec(rate=777, stop=2 * US)
-        times = flood_times(s, 0)
+        times = list(iter_flood_times(s, 0))
         assert times[0] >= s.start and times[-1] < s.stop
         assert times == sorted(times)
 
     def test_ddos_equivalence_per_whole_second(self):
         """k attackers at rate/k with phase offsets offer the aggregate rate."""
         s = spec(rate=1000, stop=3 * US, count=4)
-        merged = sorted(t for j in range(4) for t in flood_times(s, j))
+        merged = sorted(t for j in range(4) for t in iter_flood_times(s, j))
         assert len(merged) == 3000
         per_second = Counter(t // US for t in merged)
         assert per_second == {0: 1000, 1: 1000, 2: 1000}
 
     def test_phase_offsets_distinct(self):
         s = spec(rate=100, stop=US, count=4)
-        firsts = [flood_times(s, j)[0] for j in range(4)]
+        firsts = [next(iter_flood_times(s, j)) for j in range(4)]
         assert len(set(firsts)) == 4
 
 
@@ -101,7 +109,7 @@ class TestArmingMemory:
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
         for j in range(3):
-            assert [t for o, t in sent if o == f"attacker1.{j}"] == flood_times(s, j)
+            assert [t for o, t in sent if o == f"attacker1.{j}"] == list(iter_flood_times(s, j))
 
 
 class TestValidation:
@@ -207,18 +215,36 @@ class _HeapOnlyScheduler(Scheduler):
         return False
 
 
-class _LoggingTransport(Transport):
-    """Logs every delivery with the state and counters it left its device in."""
+class _LoggingDevice(DeviceModel):
+    """Logs every arrival's fate with the event count, state and counters it
+    left behind; a flood pump asks `ingest` before it builds any packet."""
 
-    def __init__(self, scheduler, latency_us):
+    def __init__(self, log, scheduler, *args, **kw):
+        super().__init__(*args, **kw)
+        self.log, self.scheduler = log, scheduler
+
+    def ingest(self, now):
+        fate = super().ingest(now)
+        self.log.append((now, self.scheduler.processed, self.device_id, fate, self.state,
+                         self.ingested, self.dropped_capacity, self.dropped_unresponsive))
+        return fate
+
+
+class _LoggingTransport(Transport):
+    """Logs every ingested packet as `arrive` gets it; with its devices'
+    ingest log, every arrival crosses the log whatever path it took."""
+
+    def __init__(self, scheduler, latency_us, seqs=True):
         super().__init__(scheduler, latency_us)
         self.log = []
+        self.seqs = seqs  # False: log packets without their sequence numbers
 
-    def deliver(self, packet, ep, view=None):
-        super().deliver(packet, ep, view)
-        dev = self.devices.get(ep.device_id)
-        fate = dev and (dev.state, dev.ingested, dev.dropped_capacity, dev.dropped_unresponsive)
-        self.log.append((self.scheduler.now, packet.true_origin, packet.seq, ep.device_id, fate))
+    def device(self, device_id, address, **kw):
+        return self.add_device(_LoggingDevice(self.log, self.scheduler, device_id, address, **kw))
+
+    def arrive(self, device, packet, ep, view, now):
+        self.log.append((now, ep.device_id, packet if self.seqs else packet._replace(seq=None)))
+        super().arrive(device, packet, ep, view, now)
 
 
 def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
@@ -226,10 +252,9 @@ def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
     of which send a packet) keyed as given and one more timer set after each
     horizon; return everything an observer could tell apart."""
     tr = _LoggingTransport(sched, latency)
-    victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"),
-                                       capacity=20, critical_rate=critical_rate))
-    peer = tr.add_device(DeviceModel("plc3", ip_to_int("192.168.1.3")))
-    sender = tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
+    victim = tr.device("plc2", ip_to_int("192.168.1.2"), capacity=20, critical_rate=critical_rate)
+    peer = tr.device("plc3", ip_to_int("192.168.1.3"))
+    sender = tr.device("plc1", ip_to_int("192.168.1.1"))
     if group:
         tr.join_group(s.target.address, Endpoint("plc2", victim.address, 61499))
         tr.join_group(s.target.address, Endpoint("plc3", peer.address, 61499))
@@ -276,7 +301,7 @@ class TestCoalescing:
         arrivals = sorted((t + latency, LANE_NET, ("attacker1" if s.attacker_count == 1
                                                    else f"attacker1.{j}", i))
                           for j in range(s.attacker_count)
-                          for i, t in enumerate(flood_times(s, j)))
+                          for i, t in enumerate(iter_flood_times(s, j)))
         slots = draw(st.lists(st.tuples(st.sampled_from(arrivals),
                                         st.sampled_from([LANE_FB, LANE_NET]), st.booleans()),
                               max_size=8))
@@ -309,23 +334,23 @@ class TestCoalescing:
 
 
 class _ViewCheckingTransport(Transport):
-    """Checks every view a delivery hands on against the packet it was made
-    from: the one given to `deliver`, the engine's and the socket's."""
+    """Checks every view an ingested packet carries against the packet it
+    was made from: the one given to `arrive`, the engine's and the socket's."""
 
     def __init__(self, scheduler, latency_us):
         super().__init__(scheduler, latency_us)
         self.packet = None
-        self.checked = {"deliver": 0, "engine": 0, "socket": 0}
-        self.shared = Counter()  # flood packets delivered with a view, by proto
+        self.checked = {"arrive": 0, "engine": 0, "socket": 0}
+        self.shared = Counter()  # flood packets that arrived with a view, by proto
 
-    def deliver(self, packet, ep, view=None):
+    def arrive(self, device, packet, ep, view, now):
         if view is not None:
             assert view == packet.view()
-            self.checked["deliver"] += 1
+            self.checked["arrive"] += 1
             if packet.true_origin.startswith("attacker1"):
                 self.shared[packet.proto] += 1
         self.packet = packet
-        super().deliver(packet, ep, view)
+        super().arrive(device, packet, ep, view, now)
 
     def check(self, where, view):
         assert view == self.packet.view()
@@ -370,6 +395,7 @@ class TestSharedViews:
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(s.stop + US)
 
+        # at this capacity every flood packet is ingested and arrives
         offered = flood_count(s) * s.attacker_count * (2 if group else 1)
         if kind is AttackKind.SYN_FLOOD:
             assert not tr.shared  # its header rotates: a view per packet
@@ -379,3 +405,116 @@ class TestSharedViews:
             assert tr.checked["socket"] >= (offered if kind is AttackKind.UDP_FLOOD else 0)
         if engine_on:
             assert tr.checked["engine"] == engine.presented == victim.ingested
+
+
+class _DeliverEveryPacketPump(attacks._FloodPump):
+    """Reference pump: every flood packet is built and numbered, ingested or
+    not, and goes through `Transport.deliver` on its own heap entry."""
+
+    def _pump(self):
+        spec, i, dev, tr = self.spec, self.i, self.target_device, self.transport
+        if dev is not None and dev.down:
+            dev.bulk_unresponsive_drop(self.count - i)
+            return
+        src = self.src
+        if self.syn_rotate:
+            src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (i % 0xFFFE + 1),
+                           1024 + i % 60000)
+        pkt = Packet(self.proto, src, spec.target, spec.payload,
+                     send_instant(self.first, self.per_rate, i), self.origin, tr.next_seq())
+        for ep in tr.members(self.group) if self.group is not None else [spec.target]:
+            tr.deliver(pkt, ep, self.view)
+        self.i = i = i + 1
+        if i < self.count:
+            self.scheduler.at(send_instant(self.first, self.per_rate, i) + tr.latency_us,
+                              self._pump, lane=LANE_NET, key=(self.origin, i))
+
+
+_CASE_RULES = parse_rules(
+    'block udp any any -> any 61499 payload "00" msg "junk"\n'
+    'alert udp any any -> any any rate 40/1 msg "udp rate"\n'
+    'block tcp any any -> any any rate 30/1 msg "syn rate"\n'
+    'alert icmp any any -> any any msg "ping"\n')
+
+
+def run_pump_case(s, capacity, critical_rate, engine_cfg, sends):
+    """Flood `s` against a subscriber PLC (plc2) and a group peer (plc3),
+    with legitimate publishes from plc1; return what every layer saw."""
+    sched = Scheduler()
+    tr = _LoggingTransport(sched, 500, seqs=False)
+    victim = tr.device("plc2", ip_to_int("192.168.1.2"), capacity=capacity,
+                       critical_rate=critical_rate)
+    peer = tr.device("plc3", ip_to_int("192.168.1.3"))
+    sender = tr.device("plc1", ip_to_int("192.168.1.1"))
+    engine = None
+    if engine_cfg is not None:
+        mode, inspection_capacity = engine_cfg
+        engine = victim.engine = IdpsEngine(inspection_capacity)
+        engine.start(_CASE_RULES, mode)
+    net = FBNetwork(sched, Trace(), services={"transport": tr})
+    net.host = victim
+    net.add(make_subscriber("SUB", net, tr, "plc2"))
+    net.set_data_in("SUB", "QI", Bool(True))
+    net.set_data_in("SUB", "ID", Str("239.192.0.2:61499"))
+    net.dispatch("SUB", "INIT")
+    gaddr = GroupAddress(ip_to_int("239.192.0.2"), 61499)
+    tr.join_group(gaddr.address, Endpoint("plc3", peer.address, 61499))
+    src = Endpoint("plc1", sender.address, 40001)
+    for t, to_group, payload in sends:
+        dst = gaddr if to_group else Endpoint("plc2", victim.address, 61499)
+        sched.at(t, lambda dst=dst, payload=payload:
+                 tr.send(tr.make_packet(Proto.UDP, src, dst, payload, "plc1")))
+    schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+    sched.run_until(s.stop + US)
+    sub = net.instances["SUB"].state
+    seen = (engine.presented, engine.inspected, engine.dropped_by_engine,
+            [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
+    return (tr.log, victim.counters(), victim.transitions, peer.counters(),
+            tr.undeliverable, seen, (sub.accepted, sub.malformed), net.trace.entries,
+            net.suppressed, sched.processed), tr._seq
+
+
+class TestIngestFirst:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_a_pump_that_delivers_every_packet(self, data):
+        """Deciding a flood arrival's fate before its packet is built changes
+        nothing any layer sees; only dropped packets take no sequence number."""
+        draw = data.draw
+        group = draw(st.booleans())
+        start = draw(st.integers(0, 2_000))
+        s = spec(kind=draw(st.sampled_from([AttackKind.UDP_FLOOD, AttackKind.ICMP_FLOOD,
+                                             AttackKind.SYN_FLOOD])),
+                 rate=draw(st.integers(2_000, 40_000)), start=start,
+                 stop=start + draw(st.integers(2_000, 30_000)),
+                 count=draw(st.integers(1, 3)),
+                 target=GroupAddress(ip_to_int("239.192.0.2"), 61499) if group else None,
+                 payload=draw(st.sampled_from([b"\x00", b"\x41", b""])))
+        packets = flood_count(s) * s.attacker_count
+        capacity = draw(st.integers(1, packets + 50))  # overloaded or not
+        critical_rate = draw(st.one_of(st.just(10**6),  # or collapse at some point
+                                       st.integers(capacity + 1, capacity + packets)))
+        engine_cfg = draw(st.one_of(st.none(), st.tuples(
+            st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
+        sends = draw(st.lists(st.tuples(st.integers(0, s.stop), st.booleans(),
+                                        st.sampled_from([b"\x40", b"\x41"])), max_size=6))
+        case = (s, capacity, critical_rate, engine_cfg, sends)
+        got, seqs = run_pump_case(*case)
+        with mock.patch.object(attacks, "_FloodPump", _DeliverEveryPacketPump):
+            want, reference_seqs = run_pump_case(*case)
+        assert got == want
+        assert seqs <= reference_seqs
+
+    def test_dropped_flood_packets_take_no_sequence_number(self):
+        """A 5x-capacity unicast flood numbers only the packets its target ingests."""
+        sched = Scheduler()
+        tr = Transport(sched, latency_us=500)
+        victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=1_000))
+        seqs = []
+        tr.on_delivered = lambda pkt, now: seqs.append(pkt.seq)
+        schedule_flood(spec(rate=5_000, stop=US), tr, sched, ip_to_int("10.0.0.66"))
+        sched.run_until(2 * US)
+        assert victim.offered == 5_000
+        assert 0 < victim.ingested < victim.offered and victim.dropped_capacity > 0
+        assert seqs == list(range(1, victim.ingested + 1))
+        assert tr._seq == victim.ingested

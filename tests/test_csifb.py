@@ -1,6 +1,6 @@
 """Publisher/subscriber and client/server service blocks."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbsecsim.csifb import make_client, make_publisher, make_server, make_subscriber
@@ -172,25 +172,35 @@ class TestSubscriberProperties:
 
 class TestRxLatch:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(0, 4), max_size=30))
+    @given(st.lists(st.integers(0, 6), max_size=30))
+    @example([3, 0, 3])            # valid, junk, valid
+    @example([1, 2, 1, 2])         # equal junk in distinct objects, alternating
+    @example([3, 5, 0, 5, 3, 4])   # equal valid in distinct objects, junk between
     def test_latch_holds_each_payload_delivered(self, picks):
         """Floods alternate a few payload objects; RX equals each packet's
-        payload after its delivery, whether or not the object repeats."""
+        payload after its delivery, whether or not the object repeats, and
+        the counts and RD_1 are those of decoding every packet afresh."""
         junk, junk_copy = b"\x00\x00", bytes(bytearray(b"\x00\x00"))
+        true, true_copy = b"\x41", bytes(bytearray(b"\x41"))
         assert junk == junk_copy and junk is not junk_copy
-        pool = [b"\x00", junk, junk_copy, b"\x41", b"\x40"]
+        assert true == true_copy and true is not true_copy
+        pool = [b"\x00", junk, junk_copy, true, b"\x40", true_copy, b"\x41\x40"]
         h = Harness().with_subscriber()
         h.net2.dispatch("SUB", "INIT")
         state = h.net2.instances["SUB"].state
         ep = Endpoint("plc2", h.plc2.address, 61499)
         group = GroupAddress(ip_to_int("239.192.0.2"), 61499)
         views = {}  # one view per payload object, as a flood shares one
+        rd_1 = h.net2.data_out("SUB", "RD_1")
         for n in picks:
             payload = pool[n]
             pkt = h.tr.make_packet(Proto.UDP, Endpoint("attacker1", 1234, 40000), group,
                                    payload, "attacker1")
             h.tr.deliver(pkt, ep, views.setdefault(n, pkt.view()))
             assert h.net2.data_in("SUB", "RX") == DataValue(Variant.STRING, payload)
+            if decodes_to_one_bool(payload):
+                rd_1 = decode(payload)[0]
+            assert h.net2.data_out("SUB", "RD_1") == rd_1
         accepted = sum(decodes_to_one_bool(pool[n]) for n in picks)
         assert (state.accepted, state.malformed) == (accepted, len(picks) - accepted)
 

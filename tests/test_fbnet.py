@@ -25,7 +25,6 @@ from fbsecsim.fbnet import (
     Scheduler,
     Trace,
     make_e_switch,
-    run,
 )
 from fbsecsim.values import Bool, Int, Variant
 
@@ -258,7 +257,8 @@ class TestDispatch:
 class TestRun:
     def test_empty_queue_empty_trace(self):
         net, sched = fresh_net()
-        trace = run(net, 10)
+        sched.run_until(10)
+        trace = net.trace
         assert trace.entries == []
         assert sched.now == 10
 
@@ -266,7 +266,8 @@ class TestRun:
         net, sched = fresh_net()
         net.add(make_block("A"))
         sched.at(5, lambda: net.dispatch("A", "EI"))
-        trace = run(net, 10)
+        sched.run_until(10)
+        trace = net.trace
         dispatches = [e for e in trace.entries if e[0] == "dispatch"]
         assert len(dispatches) == 1 and dispatches[0][1] == 5
 
@@ -278,14 +279,15 @@ class TestRun:
                                lambda ctx, ev, i, s, n=name: (order.append(n) or s, [])))
         sched.at(5, lambda: net.dispatch("A", "EI"))
         sched.at(5, lambda: net.dispatch("B", "EI"))
-        run(net, 10)
+        sched.run_until(10)
         assert order == ["A", "B"]
 
     def test_events_beyond_until_stay_queued(self):
         net, sched = fresh_net()
         net.add(make_block("A"))
         sched.at(15, lambda: net.dispatch("A", "EI"))
-        trace = run(net, 10)
+        sched.run_until(10)
+        trace = net.trace
         assert trace.entries == []
         assert sched.pending() == 1
 
@@ -294,7 +296,8 @@ class TestRun:
         net.add(make_block("A"))
         for t in (3, 1, 7, 7, 2):
             sched.at(t, lambda: net.dispatch("A", "EI"))
-        trace = run(net, 10)
+        sched.run_until(10)
+        trace = net.trace
         times = [e[1] for e in trace.entries]
         assert times == sorted(times)
 
@@ -309,7 +312,7 @@ class TestRunFaults:
         sched.at(2, lambda: net.dispatch("BAD", "EI"))
         sched.at(3, lambda: net.dispatch("OK", "EI"))
         with pytest.raises(BehaviorFault):
-            run(net, 10)
+            sched.run_until(10)
         times = [e[1] for e in net.trace.entries]
         assert 1 in times and 2 in times and 3 not in times
 
@@ -337,7 +340,8 @@ class TestDeterminism:
         net.set_data_in("A", "DI", Bool(True))
         for t in (5, 5, 9):
             sched.at(t, lambda: net.dispatch("SW", "EI"))
-        return list(run(net, 20).lines())
+        sched.run_until(20)
+        return list(net.trace.lines())
 
     def test_identical_runs_identical_traces(self):
         assert self.build_and_run() == self.build_and_run()
@@ -574,7 +578,7 @@ class TestLatches:
         for t in (3, 7, 7, 12):
             sched.at(t, lambda: net.dispatch("Outer", "EI"))
         sched.at(9, lambda: net.dispatch("Inner", "EI"))
-        run(net, 20)
+        sched.run_until(20)
         assert [r[3] for r in seen] == [3, 3, 7, 7, 7, 7, 9, 12, 12]
         assert all(before == after == now for _, before, after, now in seen)
 

@@ -109,9 +109,10 @@ class TestMatch:
 
     def test_proto_families(self):
         r = parse_rules('alert tcp any any -> any any msg "x"')[0]
-        for p in (Proto.TCP_SYN, Proto.TCP_ACK, Proto.TCP_DATA, Proto.TCP_SYNACK):
+        # match_packet leaves the protocol to its caller's protocol buckets
+        assert r.protos == {Proto.TCP_SYN, Proto.TCP_ACK, Proto.TCP_DATA, Proto.TCP_SYNACK}
+        for p in r.protos:
             assert match_packet(r, view(proto=p), RateCounters(), 0)
-        assert not match_packet(r, view(proto=Proto.UDP), RateCounters(), 0)
 
     def test_payload_substring(self):
         r = parse_rules('alert udp any any -> any any payload "41" msg "x"')[0]
@@ -397,7 +398,7 @@ class _FullScanOracle:
 
     def first_match(self, v, now):
         for rule in self.rules:
-            if not rule.static_match(v):
+            if v.proto not in rule.protos or not rule.static_match(v):
                 continue
             if rule.rate is not None:
                 key = (rule.id, v.src_address, v.src_port)
