@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import parse_scenario_file, read_text
+from .config import parse_scenario_file, read_text, validate
 from .errors import ConfigError, RuleSyntaxError, SimError
 from .fbnet import US
 from .idps import parse_rules
@@ -62,7 +62,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    parse_scenario_file(args.scenario)
+    validate(parse_scenario_file(args.scenario))
     print(f"{args.scenario}: ok")
     return 0
 

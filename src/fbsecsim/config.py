@@ -2,15 +2,18 @@
 repeated `[attacks]` blocks.
 
 The keys are the fields of the config dataclasses below: `idps.*`,
-`plant.*`, `heartbeat.*` and `tcp_probe.*` name the fields of their
-section, `device.<id>.*` those of `DeviceConfig`, keys inside an
-`[attacks]` block those of `AttackConfig`, and `_ALIASES` maps the flat
+`plant.*` and `tcp_probe.*` name the fields of their section,
+`device.<id>.*` those of `DeviceConfig`, keys inside an `[attacks]`
+block those of `AttackConfig`, and `_ALIASES` maps the flat
 `run.*`, `net.*` and `safemode.policy` keys onto `ScenarioConfig`.  Each
 value is coerced by its field's type.
 
-Unknown keys are errors and the seed is mandatory (runs must be
-reproducible, never wall-clock seeded).  `validate` is the one check of a
-config, parsed or built in code; every error names its key path.
+`parse_scenario_text` only parses and coerces: an unknown block,
+section or key, or a value its field's type rejects, is an error there.
+`validate` is the one check of what the values mean, for a config parsed
+or built in code; it runs once per run, in `run_scenario` and `run_sweep`,
+and `fbsecsim validate` calls it.  The seed is mandatory (runs must be
+reproducible, never wall-clock seeded).  Every error names its key path.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ class PlantConfig:
 
 
 @dataclass
-class HeartbeatConfig:
-    enabled: bool = False
-    period_ms: int = 200
-
-
-@dataclass
 class TcpProbeConfig:
     enabled: bool = False
     server_port: int = 61500
@@ -94,7 +91,6 @@ class ScenarioConfig:
     idps: IdpsConfig = field(default_factory=IdpsConfig)
     safemode: str = "gate_and_hold"
     plant: PlantConfig = field(default_factory=PlantConfig)
-    heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
     tcp_probe: TcpProbeConfig = field(default_factory=TcpProbeConfig)
     attacks: list[AttackConfig] = field(default_factory=list)
 
@@ -245,7 +241,6 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioConfig:
 
     if cfg.idps.ruleset:
         cfg.idps.ruleset = os.path.normpath(os.path.join(base_dir, cfg.idps.ruleset))
-    validate(cfg)
     return cfg
 
 
@@ -279,7 +274,7 @@ def _check_positive(obj: object, section: str, *names: str) -> None:
 
 def validate(cfg: ScenarioConfig) -> list[Rule]:
     """Raise ConfigError, with its key path, at the first value a run would
-    reject.  Run on every parsed file and at the start of every run.
+    reject.  Run once at the start of every run, and by `fbsecsim validate`.
     Returns the parsed ruleset, or [] when no engine inspects."""
     if cfg.seed is None:
         raise ConfigError("seed", "run.seed is mandatory: runs must be reproducible")
@@ -311,8 +306,6 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
         _check_positive(cfg.plant, "plant", "tick_ms", "box_period_s")
         if not 0 < cfg.plant.rate_per_tick <= 1:
             raise ConfigError("plant.rate_per_tick", "must be in (0, 1]")
-    if cfg.heartbeat.enabled:
-        _check_positive(cfg.heartbeat, "heartbeat", "period_ms")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
     _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
     if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fbnet import FBInstance, PortKind, PortSpec
 from .plant import Command, Plant
-from .values import Bool, Int, Variant
+from .values import TRUE, Int, Variant
 
 CMD_HOLD = Int(int(Command.HOLD))
 CMD_EXTEND = Int(int(Command.EXTEND))
@@ -50,24 +50,21 @@ def make_qx(id: str, plant: Plant, cylinder: int) -> FBInstance:
 
 
 def make_thrustctl(id: str) -> FBInstance:
-    """Cylinder 1 controller; state is the current shared Boolean."""
+    """Cylinder 1 controller: extend on a box at the top, retract at the end
+    of the stroke and publish the shared true."""
 
     def behavior(ctx, event, inputs, state):
-        sv = state
         if event == "BOXTOP" and inputs["BOXQ"].raw:
-            return False, [("DRIVE", {"CMD": CMD_EXTEND})]
+            return state, [("DRIVE", {"CMD": CMD_EXTEND})]
         if event == "CYLEND" and inputs["ENDQ"].raw:
             # Retract and hand the cycle over to the other controller.
-            return True, [("DRIVE", {"CMD": CMD_RETRACT}),
-                          ("SEND", {"SV": Bool(True)})]
-        if event == "HB":
-            return sv, [("SEND", {"SV": Bool(sv)})]
-        return sv, []
+            return state, [("DRIVE", {"CMD": CMD_RETRACT}),
+                           ("SEND", {"SV": TRUE})]
+        return state, []
 
     ports = [
         PortSpec("BOXTOP", PortKind.EVENT_IN, associated_data=("BOXQ",)),
         PortSpec("CYLEND", PortKind.EVENT_IN, associated_data=("ENDQ",)),
-        PortSpec("HB", PortKind.EVENT_IN),
         PortSpec("BOXQ", PortKind.DATA_IN, Variant.BOOL),
         PortSpec("ENDQ", PortKind.DATA_IN, Variant.BOOL),
         PortSpec("DRIVE", PortKind.EVENT_OUT, associated_data=("CMD",)),
@@ -75,7 +72,7 @@ def make_thrustctl(id: str) -> FBInstance:
         PortSpec("CMD", PortKind.DATA_OUT, Variant.INT),
         PortSpec("SV", PortKind.DATA_OUT, Variant.BOOL),
     ]
-    return FBInstance(id, ports, behavior, state=False)
+    return FBInstance(id, ports, behavior)
 
 
 def make_liftctl(id: str) -> FBInstance:

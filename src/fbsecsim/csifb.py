@@ -41,8 +41,8 @@ class PubState:
 
 
 def make_publisher(id: str, transport: Transport, device_id: str, address: int,
-                   src_port: int, sd_count: int = 1) -> FBInstance:
-    """One packet per REQ to the multicast group named by ID."""
+                   src_port: int) -> FBInstance:
+    """One packet per REQ, carrying SD_1, to the multicast group named by ID."""
 
     def behavior(ctx, event, inputs, state: PubState):
         if event == "INIT":
@@ -55,7 +55,7 @@ def make_publisher(id: str, transport: Transport, device_id: str, address: int,
             if not state.inited:
                 return state, [(None, {"QO": FALSE})]
             try:
-                payload = encode([inputs[f"SD_{i + 1}"] for i in range(sd_count)])
+                payload = encode([inputs["SD_1"]])
             except StringTooLong:
                 return state, [(None, {"QO": FALSE})]
             pkt = transport.make_packet(
@@ -67,13 +67,14 @@ def make_publisher(id: str, transport: Transport, device_id: str, address: int,
 
     ports = [
         PortSpec("INIT", PortKind.EVENT_IN, associated_data=("QI", "ID")),
-        PortSpec("REQ", PortKind.EVENT_IN, associated_data=tuple(f"SD_{i + 1}" for i in range(sd_count))),
+        PortSpec("REQ", PortKind.EVENT_IN, associated_data=("SD_1",)),
         PortSpec("INITO", PortKind.EVENT_OUT, associated_data=("QO",)),
         PortSpec("CNF", PortKind.EVENT_OUT, associated_data=("QO",)),
         PortSpec("QI", PortKind.DATA_IN, Variant.BOOL),
         PortSpec("ID", PortKind.DATA_IN, Variant.STRING),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
-    ] + [PortSpec(f"SD_{i + 1}", PortKind.DATA_IN, Variant.BOOL) for i in range(sd_count)]
+        PortSpec("SD_1", PortKind.DATA_IN, Variant.BOOL),
+    ]
     return FBInstance(id, ports, behavior, state=PubState())
 
 
@@ -87,9 +88,9 @@ class SubState:
 
 
 def make_subscriber(id: str, network: FBNetwork, transport: Transport,
-                    device_id: str, rd_count: int = 1) -> FBInstance:
-    """Joins the group on INIT; IND fires exactly once per accepted packet."""
-    rd_names = tuple(f"RD_{i + 1}" for i in range(rd_count))
+                    device_id: str) -> FBInstance:
+    """Joins the group on INIT; IND fires exactly once per accepted packet,
+    one whose payload decodes to a single BOOL, latched on RD_1."""
     last_raw, last_emissions = None, _MALFORMED  # RCV's last RX payload object, its emissions
 
     def handler(view):
@@ -117,9 +118,8 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             if raw is not last_raw:  # bytes never change: decode a flood's payload once
                 values = try_decode(raw)
                 last_raw, last_emissions = raw, _MALFORMED
-                if values is not None and len(values) == rd_count and all(
-                        v.variant is Variant.BOOL for v in values):
-                    last_emissions = [("IND", {**dict(zip(rd_names, values)), "QO": TRUE})]
+                if values is not None and len(values) == 1 and values[0].variant is Variant.BOOL:
+                    last_emissions = [("IND", {"RD_1": values[0], "QO": TRUE})]
             if last_emissions is _MALFORMED:
                 state.malformed += 1
             else:
@@ -131,13 +131,13 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
         PortSpec("INIT", PortKind.EVENT_IN, associated_data=("QI", "ID")),
         PortSpec("RCV", PortKind.EVENT_IN, associated_data=("RX",)),
         PortSpec("INITO", PortKind.EVENT_OUT, associated_data=("QO",)),
-        PortSpec("IND", PortKind.EVENT_OUT,
-                 associated_data=rd_names + ("QO",)),
+        PortSpec("IND", PortKind.EVENT_OUT, associated_data=("RD_1", "QO")),
         PortSpec("QI", PortKind.DATA_IN, Variant.BOOL),
         PortSpec("ID", PortKind.DATA_IN, Variant.STRING),
         PortSpec("RX", PortKind.DATA_IN, Variant.STRING),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
-    ] + [PortSpec(name, PortKind.DATA_OUT, Variant.BOOL) for name in rd_names]
+        PortSpec("RD_1", PortKind.DATA_OUT, Variant.BOOL),
+    ]
     inst = FBInstance(id, ports, behavior, state=SubState())
     return inst
 

@@ -318,7 +318,7 @@ class IdpsEngine:
 
     def __init__(self, inspection_capacity: int = 5_000):
         self.inspection_capacity = inspection_capacity
-        self.on_alert = None  # callable(alert_seq) or None
+        self.on_alert = None  # callable(alert count) or None
         self.start([], EngineMode.OFF)
 
     def start(self, rules: list[Rule], mode: EngineMode) -> None:
@@ -338,10 +338,6 @@ class IdpsEngine:
         self.dropped_by_engine = 0
         self.alerts: list[Alert] = []
         self._endpoints: dict[tuple[int, int], str] = {}  # (address, port) -> "a.b.c.d:port"
-        self.alert_seq = 0
-
-    def stop(self) -> None:
-        self.running = False
 
     def inspect(self, view: PacketView, now: int) -> Verdict:
         if not self.running:
@@ -373,9 +369,8 @@ class IdpsEngine:
             names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
             names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),
             len(view.payload), rule.msg))
-        self.alert_seq += 1
         if self.on_alert is not None:
-            self.on_alert(self.alert_seq)
+            self.on_alert(len(self.alerts))
 
 
 # -- function-block packaging ------------------------------------------------
@@ -386,31 +381,24 @@ STATUS_RUNNING = b"RUNNING"
 
 def make_idps_sifb(id: str, engine: IdpsEngine, rules: list[Rule],
                    mode: EngineMode) -> FBInstance:
-    """Service-interface block that starts the engine on the parsed `rules`
-    in `mode`, and stops it.
+    """Service-interface block whose INIT starts the engine on the parsed
+    `rules` in `mode`; a second INIT is ignored.
 
-    STATUS reflects the lifecycle; the engine writes ALERT_SEQ into this
-    block's latch on every alert, so a poller can sample it between events.
+    STATUS reads RUNNING once started; the engine writes its alert count
+    into this block's ALERT_SEQ latch on every alert, so a poller can sample
+    it between events.
     """
 
     def behavior(ctx, event, inputs, state):
-        status = state
-        if event == "INIT":
-            if status == STATUS_RUNNING:
-                return status, [(None, {"QO": Bool(False)})]  # DoubleInit ignored
-            engine.start(rules, mode)
-            return STATUS_RUNNING, [("INITO", {
-                "STATUS": Str(STATUS_RUNNING), "ALERT_SEQ": Int(0), "QO": Bool(True)})]
-        if event == "STOP":
-            if status != STATUS_RUNNING:
-                return status, [(None, {"QO": Bool(False)})]  # StopWhileStopped ignored
-            engine.stop()
-            return STATUS_STOPPED, [(None, {"STATUS": Str(STATUS_STOPPED), "QO": Bool(True)})]
-        return status, []
+        # INIT is the only event input
+        if state == STATUS_RUNNING:
+            return state, [(None, {"QO": Bool(False)})]  # DoubleInit ignored
+        engine.start(rules, mode)
+        return STATUS_RUNNING, [("INITO", {
+            "STATUS": Str(STATUS_RUNNING), "ALERT_SEQ": Int(0), "QO": Bool(True)})]
 
     ports = [
         PortSpec("INIT", PortKind.EVENT_IN),
-        PortSpec("STOP", PortKind.EVENT_IN),
         PortSpec("INITO", PortKind.EVENT_OUT, associated_data=("STATUS", "QO")),
         PortSpec("STATUS", PortKind.DATA_OUT, Variant.STRING),
         PortSpec("ALERT_SEQ", PortKind.DATA_OUT, Variant.INT),
@@ -456,7 +444,6 @@ def make_idps_cfb(engine: IdpsEngine, rules: list[Rule], mode: EngineMode,
 
     interface = [
         PortSpec("INIT", PortKind.EVENT_IN),
-        PortSpec("STOP", PortKind.EVENT_IN),
         PortSpec("POLL", PortKind.EVENT_IN),
         PortSpec("INITO", PortKind.EVENT_OUT),
         PortSpec("STATUS", PortKind.DATA_OUT, Variant.STRING),
@@ -464,7 +451,6 @@ def make_idps_cfb(engine: IdpsEngine, rules: list[Rule], mode: EngineMode,
     ]
     bindings = {
         "INIT": ("SIFB", "INIT"),
-        "STOP": ("SIFB", "STOP"),
         "POLL": ("ALERTCHECK", "POLL"),
         "INITO": ("SIFB", "INITO"),
         "STATUS": ("SIFB", "STATUS"),

@@ -89,16 +89,16 @@ class TruthOracle:
 
 @dataclass
 class EngineStats:
-    presented: int = 0
-    inspected: int = 0
-    dropped_by_engine: int = 0
-    alerts: int = 0
-    blocked: int = 0
-    true_matches: int = 0
-    attack_presented: int = 0
-    attack_blocked: int = 0
-    benign_blocked: int = 0
-    inspected_block_leak: int = 0  # inspected, block-matched, yet delivered
+    presented: int
+    inspected: int
+    dropped_by_engine: int
+    alerts: int
+    blocked: int
+    true_matches: int
+    attack_presented: int
+    attack_blocked: int
+    benign_blocked: int
+    inspected_block_leak: int  # inspected, block-matched, yet delivered
 
     @property
     def recall(self) -> float | None:
@@ -117,7 +117,9 @@ class EngineStats:
 class Recorder:
     """Streaming observer of one run: the transport hooks feed it packets, the
     run reports the attack flag and LiftCtl dispatches.  The truth oracle
-    exists whenever the engine does, on the engine's rules."""
+    exists whenever the engine does, on the engine's rules; the recorder's
+    own five counts classify the engine's verdicts by each packet's true
+    origin and the matched rule's action."""
 
     def __init__(self, plc_ids: list[str], publisher_id: str,
                  engine: IdpsEngine | None, rules: list[Rule]):
@@ -125,7 +127,11 @@ class Recorder:
         self.plc_ids = plc_ids
         self.engine = engine
         self.oracle = TruthOracle(rules) if engine is not None else None
-        self.engine_stats = EngineStats()
+        self.attack_presented = 0
+        self.blocked = 0
+        self.attack_blocked = 0
+        self.benign_blocked = 0
+        self.inspected_block_leak = 0  # inspected, block-matched, yet delivered
         self.legit_sends: list[tuple[int, int]] = []       # (send time, seq) of shared-true packets
         self.legit_deliveries: list[tuple[int, int]] = []  # (delivery time, seq)
         self.flag_timeline: list[tuple[int, bool]] = [(0, False)]  # attack-flag transitions
@@ -140,22 +146,21 @@ class Recorder:
             self.legit_sends.append((packet.send_time, packet.seq))
 
     def on_presented(self, device: DeviceModel, packet: Packet, view, verdict, now: int) -> None:
-        st = self.engine_stats
         is_attack = packet.true_origin in self.attacker_ids
         if is_attack:
-            st.attack_presented += 1
+            self.attack_presented += 1
         self.oracle.observe(view, now)
         if verdict.blocked:
-            st.blocked += 1
+            self.blocked += 1
             if is_attack:
-                st.attack_blocked += 1
+                self.attack_blocked += 1
             else:
-                st.benign_blocked += 1
+                self.benign_blocked += 1
         elif (verdict.inspected and verdict.rule_id is not None
               and self._rule_actions.get(verdict.rule_id) is Action.BLOCK
               and self.engine.mode is EngineMode.IPS):
             # The engine evaluated a block match and still let it through.
-            st.inspected_block_leak += 1
+            self.inspected_block_leak += 1
 
     def on_delivered(self, packet: Packet, now: int) -> None:
         if (packet.true_origin == self._publisher_id
@@ -168,16 +173,6 @@ class Recorder:
 
     def on_liftctl_dispatch(self, now: int) -> None:
         self.liftctl_dispatches.append(now)
-
-    def finalize_engine(self) -> None:
-        engine = self.engine
-        if engine is not None:
-            st = self.engine_stats
-            st.presented = engine.presented
-            st.inspected = engine.inspected
-            st.dropped_by_engine = engine.dropped_by_engine
-            st.alerts = len(engine.alerts)
-            st.true_matches = self.oracle.true_matches
 
     def flag_true_intervals(self, end: int) -> list[tuple[int, int]]:
         """Half-open [rise, fall) intervals of the attack flag."""
@@ -289,7 +284,6 @@ class RunReport:
 def build_report(duration: int, seed: int, transport: Transport, plant: Plant | None,
                  recorder: Recorder, subscriber_stats: dict[str, int],
                  probe_attempts: list[dict], suppressed: int) -> RunReport:
-    recorder.finalize_engine()
     engine = recorder.engine
     devices = {}
     transitions = {}
@@ -304,14 +298,23 @@ def build_report(duration: int, seed: int, transport: Transport, plant: Plant | 
         exit_code = EXIT_COLLAPSE
     if outcome is not None and outcome.hazard:
         exit_code = EXIT_HAZARD
+    stats = None
+    if engine is not None:
+        stats = EngineStats(
+            presented=engine.presented, inspected=engine.inspected,
+            dropped_by_engine=engine.dropped_by_engine, alerts=len(engine.alerts),
+            blocked=recorder.blocked, true_matches=recorder.oracle.true_matches,
+            attack_presented=recorder.attack_presented,
+            attack_blocked=recorder.attack_blocked, benign_blocked=recorder.benign_blocked,
+            inspected_block_leak=recorder.inspected_block_leak)
     report = RunReport(
         duration=duration,
         seed=seed,
         devices=devices,
         transitions=transitions,
         final_states=final_states,
-        engine=recorder.engine_stats if engine is not None else None,
-        alerts=list(engine.alerts) if engine is not None else [],
+        engine=stats,
+        alerts=engine.alerts if engine is not None else [],
         plant=outcome,
         subscriber=subscriber_stats,
         probe_attempts=probe_attempts,

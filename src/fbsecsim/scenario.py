@@ -4,7 +4,9 @@ Builds the two-PLC world from a ScenarioConfig: plant, devices, transport,
 the controller network on each PLC, the optional inspection engine packaged
 as a composite block, the chosen safe-mode wiring, attack schedules and the
 optional TCP probe pair.  Everything runs on one scheduler; a run is
-deterministic given the config (seed included).
+deterministic given the config (seed included).  `run_scenario` and
+`run_sweep` validate each config they run once, before it runs; the
+ruleset `validate` parses is the one the engine and the oracle use.
 
 Safe-mode wiring on the subscriber PLC:
   gate_and_hold  every event path into LiftCtl goes through an event switch
@@ -226,8 +228,6 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
 
         plant.sample(0)
         every(cfg.plant.tick_ms * 1000, tick)
-        if cfg.heartbeat.enabled:
-            every(cfg.heartbeat.period_ms * 1000, lambda: net1.dispatch("ThrustCtl", "HB"))
 
     # -- attacks ---------------------------------------------------------------
     for i, a in enumerate(cfg.attacks):
@@ -307,7 +307,7 @@ def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int]):
         raise ConfigError("rates", "rates must be strictly increasing")
     target = target_device_id(cfg.attack(attack_name))
     configs = [cfg.with_attack_rate(attack_name, rate) for rate in rates]
-    rules = [validate(c) for c in configs]  # refuse a bad rate before the first run
+    rules = [validate(c) for c in configs]  # refuse any bad config before the first run
     rows = []
     results = []
     for rate, c, r in zip(rates, configs, rules):

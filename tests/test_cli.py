@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from fbsecsim import config
 from fbsecsim.cli import main
 from fbsecsim.data import scenario_path
+from fbsecsim.idps import parse_rules
 
 
 def write(tmp_path, name, text):
@@ -84,6 +86,28 @@ class TestValidate:
         assert main(["sweep", scen, "--attack", "trickle", "--rates", "10,20",
                      "--out", str(tmp_path / "s")]) == 2
         assert "run.event_budget" in capsys.readouterr().err
+
+
+class TestOneRulesetParsePerRun:
+    """`validate` parses the ruleset and the run uses what it returned, so
+    each command parses it once per run it makes."""
+
+    @pytest.mark.parametrize("argv,parses", [
+        (["validate", scenario_path("spoof_blocked")], 1),
+        (["run", scenario_path("spoof_blocked"), "--out", "{out}"], 1),
+        (["sweep", scenario_path("sweep"), "--attack", "flood", "--rates", "100,200,300",
+          "--out", "{out}"], 3),
+    ])
+    def test_parse_count(self, tmp_path, monkeypatch, argv, parses):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_rules(text)
+
+        monkeypatch.setattr(config, "parse_rules", counting)
+        assert main([a.format(out=tmp_path / "o") for a in argv]) == 0
+        assert len(calls) == parses
 
 
 class TestRules:

@@ -13,7 +13,6 @@ from fbsecsim.attacks import AttackKind
 from fbsecsim.config import (
     AttackConfig,
     DeviceConfig,
-    HeartbeatConfig,
     IdpsConfig,
     PlantConfig,
     ScenarioConfig,
@@ -41,11 +40,21 @@ class TestParsing:
 
     def test_every_shipped_scenario_parses(self):
         for name in list_scenarios():
-            parse_scenario_file(scenario_path(name))
+            validate(parse_scenario_file(scenario_path(name)))
         bench = sorted(glob.glob(os.path.join(BENCH_SCENARIOS, "*.scenario")))
         assert bench, "the benchmark's scenarios are missing"
         for path in bench:
-            parse_scenario_file(path)
+            validate(parse_scenario_file(path))
+
+    def test_parsing_checks_no_meaning(self):
+        """Only `validate` checks what a value means: a missing seed, a
+        missing ruleset file and a zero flood rate all parse."""
+        cfg = parse_scenario_text("idps.enabled = true\nidps.ruleset = nowhere.rules\n"
+                                  + FLOOD + "rate = 0\n")
+        assert cfg.seed is None and cfg.attacks[0].rate == 0
+        with pytest.raises(ConfigError) as exc:
+            validate(cfg)
+        assert exc.value.path == "seed"
 
     def test_minimal_defaults(self):
         cfg = parse_scenario_text(MINIMAL)
@@ -77,13 +86,13 @@ class TestParsing:
 class TestErrors:
     def test_missing_seed(self):
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text("run.duration_s = 5\n")
+            validate(parse_scenario_text("run.duration_s = 5\n"))
         assert exc.value.path == "seed"
 
     def test_negative_rate_path(self):
         text = MINIMAL + "[attacks]\nname = f\nkind = udp_flood\nrate = -5\nstart_s = 1\nstop_s = 2\n"
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
         assert exc.value.path == "attacks[0].rate"
 
     def test_unknown_key_is_error(self):
@@ -108,23 +117,23 @@ class TestErrors:
     def test_missing_ruleset_file(self):
         text = MINIMAL + "idps.enabled = true\nidps.ruleset = nowhere.rules\n"
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text, base_dir="/tmp")
+            validate(parse_scenario_text(text, base_dir="/tmp"))
         assert exc.value.path == "idps.ruleset"
 
     def test_start_after_stop(self):
         text = MINIMAL + "[attacks]\nname = f\nkind = udp_flood\nrate = 10\nstart_s = 2\nstop_s = 1\n"
         with pytest.raises(ConfigError):
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
 
     def test_duplicate_attack_names(self):
         block = "[attacks]\nname = f\nkind = udp_flood\nrate = 10\nstart_s = 1\nstop_s = 2\n"
         with pytest.raises(ConfigError):
-            parse_scenario_text(MINIMAL + block + block)
+            validate(parse_scenario_text(MINIMAL + block + block))
 
     def test_spoof_needs_times(self):
         text = MINIMAL + "[attacks]\nname = s\nkind = spoof_publish\n"
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
         assert exc.value.path == "attacks[0].at_s"
 
     def test_bad_boolean(self):
@@ -133,7 +142,7 @@ class TestErrors:
 
     def test_zero_duration(self):
         with pytest.raises(ConfigError):
-            parse_scenario_text("run.seed = 1\nrun.duration_s = 0\n")
+            validate(parse_scenario_text("run.seed = 1\nrun.duration_s = 0\n"))
 
     def test_unknown_attack_lookup(self):
         cfg = parse_scenario_text(MINIMAL)
@@ -144,14 +153,14 @@ class TestErrors:
         text = (MINIMAL + "run.event_budget = 10000000\n" + FLOOD
                 + "rate = 1000000\nstart_s = 0\nstop_s = 100\n")
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
         assert exc.value.path == "attacks[0].rate"
         assert "event budget of 10000000" in exc.value.reason
 
     def test_rate_must_split_evenly(self):
         text = MINIMAL + FLOOD + "rate = 1000\nattacker_count = 3\nstart_s = 0\nstop_s = 1\n"
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
         assert exc.value.path == "attacks[0].rate"
 
 
@@ -170,8 +179,6 @@ class TestRejectedBeforeRun:
          + os.path.dirname(rules_path("flood")) + "\n", "idps.ruleset"),
         (MINIMAL + FLOOD + "rate = 0\nstop_s = 1\n", "attacks[0].rate"),
         (MINIMAL + FLOOD + "rate = 1000000\nstop_s = 60\n", "attacks[0].rate"),
-        (MINIMAL + "heartbeat.enabled = true\nheartbeat.period_ms = 0\n",
-         "heartbeat.period_ms"),
         (MINIMAL + SPOOF + "at_s = -1\n", "attacks[0].at_s"),
         (MINIMAL + FLOOD + "rate = 10\nstart_s = -1\nstop_s = 1\n", "attacks[0].start_s"),
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = -2\n",
@@ -190,17 +197,19 @@ class TestRejectedBeforeRun:
         (MINIMAL + "tcp_probe.server_port = 70000\n", "tcp_probe.server_port"),
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.server_port = -1\n",
          "tcp_probe.server_port"),
+        # an unknown section fails in parsing, before validate runs
+        (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
     ])
     def test_error_path(self, text, path):
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text)
+            validate(parse_scenario_text(text))
         assert exc.value.path == path
 
     def test_bad_ruleset_syntax(self, tmp_path):
         (tmp_path / "bad.rules").write_text("block any\n")
         text = MINIMAL + "idps.enabled = true\nidps.ruleset = bad.rules\n"
         with pytest.raises(ConfigError) as exc:
-            parse_scenario_text(text, base_dir=str(tmp_path))
+            validate(parse_scenario_text(text, base_dir=str(tmp_path)))
         assert exc.value.path == "idps.ruleset" and "line 1" in exc.value.reason
 
     def test_sweep_rate_zero(self):
@@ -211,10 +220,10 @@ class TestRejectedBeforeRun:
 
     def test_run_validates_a_config_built_in_code(self):
         cfg = parse_scenario_text(MINIMAL)
-        cfg = dataclasses.replace(cfg, heartbeat=HeartbeatConfig(enabled=True, period_ms=0))
+        cfg = dataclasses.replace(cfg, plant=PlantConfig(tick_ms=0))
         with pytest.raises(ConfigError) as exc:
             run_scenario(cfg, record_trace=False)
-        assert exc.value.path == "heartbeat.period_ms"
+        assert exc.value.path == "plant.tick_ms"
 
 
 class TestTcpProbe:
@@ -256,7 +265,6 @@ FIELD_VALUES = {
         "enabled": st.booleans(), "tick_ms": _pos_int, "rate_per_tick": st.floats(1e-3, 1),
         "box_period_s": _pos_float, "first_box_s": st.floats(0, 1e3),
     },
-    HeartbeatConfig: {"enabled": st.booleans(), "period_ms": _pos_int},
     TcpProbeConfig: {
         "enabled": st.booleans(), "server_port": _ports,
         "client_address": _ips, "connect_at_s": _times,
@@ -325,9 +333,10 @@ class TestKeyTable:
             block = [f"{keys[name]} = {_render(v)}" for name, v in values.items()]
             lines += ["[attacks]", *block] if cls is AttackConfig else block
         cfg = parse_scenario_text("\n".join(lines) + "\n")
+        validate(cfg)
         got = {ScenarioConfig: cfg, DeviceConfig: cfg.devices["plc2"], IdpsConfig: cfg.idps,
-               PlantConfig: cfg.plant, HeartbeatConfig: cfg.heartbeat,
-               TcpProbeConfig: cfg.tcp_probe, AttackConfig: cfg.attacks[0]}
+               PlantConfig: cfg.plant, TcpProbeConfig: cfg.tcp_probe,
+               AttackConfig: cfg.attacks[0]}
         for cls, values in drawn.items():
             for name, value in values.items():
                 assert getattr(got[cls], name) == value, f"{cls.__name__}.{name}"

@@ -267,15 +267,6 @@ class TestEngineTransparency:
         assert e.inspected_block_leak == 0   # fail-open is the only leak path
 
 
-class TestHeartbeat:
-    def test_heartbeat_republishes_and_recovers_a_lost_cycle(self):
-        cfg = load("udp_flood")
-        hb = dataclasses.replace(cfg.heartbeat, enabled=True, period_ms=200)
-        cfg = dataclasses.replace(cfg, heartbeat=hb, seed=43)
-        res = run_scenario(cfg, record_trace=False)
-        assert len(res.recorder.legit_sends) > 2  # periodic repeats on the wire
-
-
 class TestDeadPlcHaltsApplication:
     def test_no_dispatches_on_dead_device(self):
         cfg = load("icmp_collapse")
