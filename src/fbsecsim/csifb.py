@@ -20,6 +20,7 @@ from .wire import decode, encode, try_decode  # noqa: F401  decode: bench/spans.
 DEFAULT_GROUP = "239.192.0.2"
 DEFAULT_PORT = 61499
 _MALFORMED = [(None, {"QO": FALSE})]  # a subscriber's RCV emissions for any junk; never mutated
+_DECODED_MAX = 256  # payloads a subscriber remembers before it forgets them all
 
 
 def parse_id(raw: bytes) -> tuple[str, int]:
@@ -91,14 +92,22 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
                     device_id: str) -> FBInstance:
     """Joins the group on INIT; IND fires exactly once per accepted packet,
     one whose payload decodes to a single BOOL, latched on RD_1."""
-    last_raw, last_emissions = None, _MALFORMED  # RCV's last RX payload object, its emissions
+    decoded = {}  # payload -> (its RX latch value, its RCV emissions); bytes never change
+
+    def remember(raw):
+        if len(decoded) >= _DECODED_MAX:
+            decoded.clear()
+        values = try_decode(raw)
+        emissions = _MALFORMED
+        if values is not None and len(values) == 1 and values[0].variant is Variant.BOOL:
+            emissions = [("IND", {"RD_1": values[0], "QO": TRUE})]
+        return decoded.setdefault(raw, (DataValue(Variant.STRING, raw), emissions))  # no Str() copy
 
     def handler(view):
-        # payloads are bytes already: no Str() check or copy per packet; a
-        # flood sends one payload object, so RX often holds it already
+        # a flood sends one payload object, so RX often holds it already
         payload = view.payload
         if inst.din["RX"].raw is not payload:
-            network.set_data_in(id, "RX", DataValue(Variant.STRING, payload))
+            network.set_data_in(id, "RX", (decoded.get(payload) or remember(payload))[0])
         network.dispatch(id, "RCV")
 
     def behavior(ctx, event, inputs, state: SubState):
@@ -113,18 +122,13 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             state.inited = True
             return state, [("INITO", {"QO": TRUE})]
         if event == "RCV":
-            nonlocal last_raw, last_emissions
             raw = inputs["RX"].raw
-            if raw is not last_raw:  # bytes never change: decode a flood's payload once
-                values = try_decode(raw)
-                last_raw, last_emissions = raw, _MALFORMED
-                if values is not None and len(values) == 1 and values[0].variant is Variant.BOOL:
-                    last_emissions = [("IND", {"RD_1": values[0], "QO": TRUE})]
-            if last_emissions is _MALFORMED:
+            emissions = (decoded.get(raw) or remember(raw))[1]
+            if emissions is _MALFORMED:
                 state.malformed += 1
             else:
                 state.accepted += 1
-            return state, last_emissions
+            return state, emissions
         return state, []
 
     ports = [

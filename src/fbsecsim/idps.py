@@ -103,11 +103,13 @@ class Rule:
             return False
         return True
 
+    def has_static_matchers(self) -> bool:  # does `static_match` test anything?
+        return (self.src_addr is not None or self.src_port is not None
+                or self.dst_addr is not None or self.dst_port is not None
+                or self.payload_sub is not None or bool(self.srcallow))
+
     def has_matchers(self) -> bool:
-        return (self.proto_name != "any" or self.src_addr is not None
-                or self.src_port is not None or self.dst_addr is not None
-                or self.dst_port is not None or self.payload_sub is not None
-                or self.rate is not None or bool(self.srcallow))
+        return self.proto_name != "any" or self.rate is not None or self.has_static_matchers()
 
 
 def _parse_addr(token: str, line: int) -> AddrMatcher | None:
@@ -295,13 +297,9 @@ class RateCounters(dict):
         self[key] = now
 
 
-def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
-    """Evaluate one rule of the packet's protocol; rate windows update on every static match."""
-    if not rule.static_match(view):
-        return False
+def rate_hit(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
+    """Count a static match of a rate rule; True when its window is exceeded."""
     rate = rule.rate
-    if rate is None:
-        return True
     key = (rule.id, view.src_address, view.src_port)
     times = counters.get(key)
     if times is None:
@@ -311,6 +309,40 @@ def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int)
         times = counters[key] = deque((times,), rate.threshold + 1)
     times.append(now)
     return len(times) > rate.threshold and times[0] > now - rate.window_us
+
+
+def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
+    """Evaluate one rule of the packet's protocol; rate windows update on every static match."""
+    return rule.static_match(view) and (rule.rate is None or rate_hit(rule, view, counters, now))
+
+
+class StaticMatches:
+    """The rules of a view's protocol that `static_match` it, in file order.
+    A protocol whose rules test only protocol and rate is not tested (so a
+    SYN from a rotating source costs nothing here); for the others, the two
+    views that last missed are remembered by identity with their matches,
+    since a flood sends one view object."""
+
+    __slots__ = ("_by_proto", "_v0", "_m0", "_v1", "_m1")
+
+    def __init__(self, rules: list[Rule]):
+        self._by_proto = {}  # proto -> (its rules, whether any has a static matcher)
+        for p in Proto:
+            mine = [r for r in rules if p in r.protos]
+            self._by_proto[p] = mine, any(r.has_static_matchers() for r in mine)
+        self._v0 = self._m0 = self._v1 = self._m1 = None
+
+    def matching(self, view: PacketView) -> list[Rule]:
+        if view is self._v0:
+            return self._m0
+        if view is self._v1:
+            return self._m1
+        rules, tested = self._by_proto[view.proto]
+        if not tested:
+            return rules
+        rules = [r for r in rules if r.static_match(view)]
+        self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, rules
+        return rules
 
 
 class IdpsEngine:
@@ -327,10 +359,8 @@ class IdpsEngine:
         self.mode = mode
         self.running = mode is not EngineMode.OFF
         blocking = mode is EngineMode.IPS
-        checks = [(rule, Verdict(blocking and rule.action is Action.BLOCK, rule.id, True))
-                  for rule in rules]
-        # proto -> the rules that can match it, in file order, each with its match verdict
-        self._checks = {p: [c for c in checks if p in c[0].protos] for p in Proto}
+        self._verdicts = {r.id: Verdict(blocking and r.action is Action.BLOCK, r.id, True) for r in rules}
+        self._static = StaticMatches(rules)
         self.rate_counters = RateCounters()
         self._inspected_times: deque[int] = deque()
         self.presented = 0
@@ -353,10 +383,10 @@ class IdpsEngine:
             return _UNINSPECTED
         times.append(now)
         self.inspected += 1
-        for rule, verdict in self._checks[view.proto]:
-            if match_packet(rule, view, self.rate_counters, now):
+        for rule in self._static.matching(view):
+            if rule.rate is None or rate_hit(rule, view, self.rate_counters, now):
                 self._raise_alert(rule, view, now)
-                return verdict
+                return self._verdicts[rule.id]
         return _PASS
 
     def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:

@@ -14,9 +14,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import SimError
-from .idps import Action, EngineMode, IdpsEngine, Rule
+from .idps import Action, EngineMode, IdpsEngine, Rule, StaticMatches
 from .plant import Command, Plant, completed_cycles
-from .transport import DeviceModel, DeviceState, Packet, Proto, Transport
+from .transport import DeviceModel, DeviceState, Packet, Transport
 from .values import TRUE
 from .wire import encode
 
@@ -36,7 +36,7 @@ _SWEEP_MIN = 1024  # the window table never sweeps below this many windows
 class TruthOracle:
     """First-match rule evaluation with unlimited inspection capacity.
 
-    Rules are grouped by protocol and windows re-implemented here on
+    The static matcher is the engine's, the windows re-implemented here on
     purpose: the engine's undercount is checked against bookkeeping it does
     not share.  A key's first hit is its bare timestamp (one hit never
     exceeds N >= 1) and becomes a deque of the newest N+1 hits on the
@@ -47,7 +47,7 @@ class TruthOracle:
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        self._by_proto = {p: [r for r in rules if p in r.protos] for p in Proto}
+        self._static = StaticMatches(rules)
         self.windows: dict = {}
         self.sweep_at = _SWEEP_MIN
         self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
@@ -63,9 +63,7 @@ class TruthOracle:
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
-        for rule in self._by_proto[view.proto]:
-            if not rule.static_match(view):
-                continue
+        for rule in self._static.matching(view):
             rate = rule.rate
             if rate is not None:
                 key = (rule.id, view.src_address, view.src_port)

@@ -1,8 +1,10 @@
 """Publisher/subscriber and client/server service blocks."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fbsecsim import csifb
 from fbsecsim.csifb import make_client, make_publisher, make_server, make_subscriber
 from fbsecsim.errors import MalformedPayload
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
@@ -16,7 +18,7 @@ from fbsecsim.transport import (
     ip_to_int,
 )
 from fbsecsim.values import Bool, DataValue, Str, Variant
-from fbsecsim.wire import decode
+from fbsecsim.wire import decode, try_decode
 
 US = 1_000_000
 GROUP = "239.192.0.2:61499"
@@ -203,6 +205,70 @@ class TestRxLatch:
             assert h.net2.data_out("SUB", "RD_1") == rd_1
         accepted = sum(decodes_to_one_bool(pool[n]) for n in picks)
         assert (state.accepted, state.malformed) == (accepted, len(picks) - accepted)
+
+
+def fresh_rd_1(payload: bytes) -> DataValue | None:
+    """The value a fresh `try_decode` of the payload latches on RD_1, or
+    None when the subscriber must count it malformed."""
+    values = try_decode(payload)
+    if values is not None and len(values) == 1 and values[0].variant is Variant.BOOL:
+        return values[0]
+    return None
+
+
+# Payloads of every kind; a pick of (n, True) delivers a new but equal object.
+_POOL = [b"\x40", b"\x41", b"\x43" + (-5).to_bytes(8, "big", signed=True), b"\x41\x40",
+         b"\x50\x00\x01A", b"\x00", b"\x43\x00", b""]
+
+
+class TestDecodeMemo:
+    def test_interleaved_floods_decode_each_payload_once(self, monkeypatch):
+        """Junk and replay floods alternate on one subscriber; each payload,
+        one object per flood, is decoded once however they interleave."""
+        decoded = []
+        monkeypatch.setattr(csifb, "try_decode", lambda raw: decoded.append(raw) or try_decode(raw))
+        h = Harness().with_subscriber()
+        h.net2.dispatch("SUB", "INIT")
+        handler = h.tr.sockets[("plc2", 61499)]
+        dst = ip_to_int("239.192.0.2")
+        junk = PacketView(Proto.UDP, 1234, 40000, dst, 61499, b"\x00")
+        replay = PacketView(Proto.UDP, 1235, 40000, dst, 61499, b"\x40")
+        for _ in range(500):
+            handler(junk)
+            handler(replay)
+        state = h.net2.instances["SUB"].state
+        assert (state.accepted, state.malformed) == (500, 500)
+        assert decoded == [b"\x00", b"\x40"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_POOL) - 1), st.booleans()), max_size=40)
+           | st.lists(st.tuples(st.binary(max_size=4), st.booleans()), max_size=40),
+           st.sampled_from([1, 2, 256]))
+    def test_counts_and_rd_1_match_a_fresh_decode(self, picks, memo_size):
+        """Any payload sequence, whatever the memo's size: the counts and
+        RD_1 after each packet are those of decoding it afresh."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csifb, "_DECODED_MAX", memo_size)
+            h = Harness().with_subscriber()
+            h.net2.dispatch("SUB", "INIT")
+            handler = h.tr.sockets[("plc2", 61499)]
+            state = h.net2.instances["SUB"].state
+            rd_1 = h.net2.data_out("SUB", "RD_1")
+            accepted = 0
+            for n, (payload, copy) in enumerate(picks, start=1):
+                if type(payload) is int:
+                    payload = _POOL[payload]
+                if copy:
+                    payload = bytes(bytearray(payload))
+                handler(PacketView(Proto.UDP, 1234, 40001, ip_to_int("239.192.0.2"), 61499,
+                                   payload))
+                value = fresh_rd_1(payload)
+                if value is not None:
+                    accepted += 1
+                    rd_1 = value
+                assert h.net2.data_in("SUB", "RX") == DataValue(Variant.STRING, payload)
+                assert h.net2.data_out("SUB", "RD_1") == rd_1
+                assert (state.accepted, state.malformed) == (accepted, n - accepted)
 
 
 class TestClientServer:

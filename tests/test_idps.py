@@ -1,6 +1,7 @@
 """Rule parsing, matching, engine saturation, lifecycle, alert polling."""
 
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fbsecsim import idps, metrics
+from fbsecsim.data import rules_path
 from fbsecsim.errors import RuleSyntaxError
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
 from fbsecsim.idps import (
@@ -19,6 +21,7 @@ from fbsecsim.idps import (
     IdpsEngine,
     RateCounters,
     STATUS_RUNNING,
+    StaticMatches,
     make_alertcheck,
     make_idps_cfb,
     make_idps_sifb,
@@ -526,6 +529,110 @@ class TestRateTableMemory:
             tracemalloc.stop()
         assert len(eng.rate_counters) == len(oracle.windows) == sources
         assert held / sources < BYTES_PER_SOURCE
+
+
+def _views_held(static):
+    """The packet views a `StaticMatches` keeps a reference to."""
+    return [o for o in gc.get_referents(static) if isinstance(o, PacketView)]
+
+
+class TestStaticMatches:
+    """Static matches are reused per view object: shared views (floods)
+    interleaved with views seen once (rotating sources) give, packet by
+    packet, what `match_packet` on every rule of the protocol gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(['alert udp any any -> any 61499 rate 1/1 msg "m"',
+              'alert udp 10.0.0.1 any -> any any msg "m"'],
+             [(Proto.UDP, "10.0.0.1", 40000, 61499), (Proto.UDP, "10.0.0.2", 40000, 61499)],
+             [(0, 0), (0, 1), (0, 0), (None, 5), (0, 1), (0, 0), (None, 6), (0, 0)])
+    @given(st.lists(_rule_lines, min_size=1, max_size=5),
+           st.lists(st.tuples(st.sampled_from(_PROTOS), st.sampled_from(_ADDRS),
+                              st.sampled_from(_PORTS), st.sampled_from(_PORTS)),
+                    min_size=1, max_size=3),
+           # (gap, index of a shared view) or (None, claimed source of a new view)
+           st.lists(st.one_of(st.tuples(st.integers(0, 400_000), st.integers(0, 2)),
+                              st.tuples(st.none(), st.integers(0, 255))), max_size=60))
+    def test_interleaved_views_agree_with_match_packet(self, lines, shared, steps):
+        try:
+            rules = parse_rules("\n".join(lines))
+        except RuleSyntaxError:          # a block rule with no matchers
+            assume(False)
+        shared = [view(proto=p, src=src, sport=sport, dport=dport)
+                  for p, src, sport, dport in shared]
+        eng = IdpsEngine(inspection_capacity=len(steps) + 1)
+        eng.start(rules, EngineMode.IPS)
+        oracle = TruthOracle(rules)
+        ref_eng, ref_oracle = RateCounters(), RateCounters()
+        ref_alerts, ref_matches = [], 0
+        t = 0
+        for gap, pick in steps:
+            if gap is None:              # a new object, from a new claimed source
+                t += 1
+                base = shared[pick % len(shared)]
+                v = base._replace(src_address=ip_to_int("10.1.0.0") + pick)
+            else:
+                t += gap
+                v = shared[pick % len(shared)]
+            ref_rule = next((r for r in rules if v.proto in r.protos
+                             and match_packet(r, v, ref_eng, t)), None)
+            ref_hit = any(v.proto in r.protos and match_packet(r, v, ref_oracle, t)
+                          for r in rules)
+            verdict = eng.inspect(v, t)
+            if ref_rule is None:
+                assert (verdict.blocked, verdict.rule_id) == (False, None)
+            else:
+                ref_alerts.append(_alert_row(v, t, ref_rule.id, ref_rule.msg))
+                assert (verdict.blocked, verdict.rule_id) == (
+                    ref_rule.action is Action.BLOCK, ref_rule.id)
+            assert oracle.observe(v, t) == ref_hit
+            ref_matches += ref_hit
+            assert [dataclasses.astuple(a) for a in eng.alerts] == ref_alerts
+            assert set(eng.rate_counters) == set(ref_eng)
+            assert set(oracle.windows) == set(ref_oracle)
+            assert oracle.true_matches == ref_matches
+            assert len(_views_held(eng._static)) <= 2
+            assert len(_views_held(oracle._static)) <= 2
+
+    def test_rotating_views_keep_nothing(self):
+        """4000 SYNs, each from a new claimed source and seen once: against
+        combined.rules (`tcp` tests only rate) nothing is allocated or kept;
+        against rules that test the header only the two latest are kept."""
+        with open(rules_path("combined")) as f:
+            combined = parse_rules(f.read())
+        header = parse_rules(
+            'alert tcp 10.0.0.0/8 any -> any 61500 rate 500/1 msg "syn"\n'
+            'block tcp any any -> 192.168.1.2 any srcallow 10.0.0.0/9 msg "not ours"')
+        views = [PacketView(Proto.TCP_SYN, ip_to_int("10.0.0.0") + i * 4099, 1024 + i % 7,
+                            ip_to_int("192.168.1.2"), 61500, b"") for i in range(4_000)]
+        for rules, kept in ((combined, []), (header, [views[-1], views[-2]])):
+            static = StaticMatches(rules)
+            static.matching(views[0])
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for v in views:
+                    static.matching(v)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held - before < 1_000   # at most the two latest match lists
+            assert _views_held(static) == kept
+
+    def test_static_free_protocol_is_not_tested(self, monkeypatch):
+        """`tcp` and `icmp` in combined.rules test only protocol and rate."""
+        with open(rules_path("combined")) as f:
+            rules = parse_rules(f.read())
+        calls = []
+        monkeypatch.setattr(idps.Rule, "static_match",
+                            lambda rule, v: calls.append(rule.id) or True)
+        static = StaticMatches(rules)
+        for p in (Proto.TCP_SYN, Proto.ICMP_ECHO):
+            assert [r.id for r in static.matching(view(proto=p))] == [
+                r.id for r in rules if p in r.protos]
+        assert calls == []
+        static.matching(view())
+        assert calls == ["r1", "r2"]
 
 
 def sifb_net():

@@ -2,7 +2,7 @@
 """Interleaved parent/change pairs of the benchmark, judged by the claim rule.
 
     python3 tools/ab_pairs.py --parent REV --change REV --workload W \\
-        --pairs N --seed0 S [--seconds T]
+        --pairs N --seed0 S [--seconds T] [--record PATH]
 
 Both revisions are exported with `git archive` into a temporary directory;
 the script refuses to run if their `bench/` or `BENCHMARK.json` differ, so
@@ -16,6 +16,14 @@ whether a gain may be claimed: the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
 interquartile range.  The exit status is non-zero if any run was incorrect
 (its `correct` flag false or a failed run) or did not finish.
+
+--record PATH also appends that table as JSON to the list of rounds under
+`workloads` -> W: the revisions, their `src/` trees, the seeds and run
+length, and per metric each side's median, quartiles and per-pair values,
+the change's wins and the claim verdict.  An existing PATH keeps its other
+workloads and earlier rounds, so one file holds every round of every
+workload.  A revision may be a local commit that is later lost; the `src/`
+tree hashes name the timed code by content, and the file says so.
 
 Standard library only; nothing in the repository is modified.
 """
@@ -83,6 +91,19 @@ def judge(parent: list[float], change: list[float], lower_is_better: bool) -> di
             "claim": 10 * wins >= 9 * n and gain > pq3 - pq1}
 
 
+def record(path: str, workload: str, entry: dict) -> None:
+    """Append one round of a workload's pairs to the JSON file at `path`."""
+    data = {"anchor": "src_trees: the git tree of src/ on each side; revisions may be "
+                      "local commits that no longer exist", "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    data["workloads"].setdefault(workload, []).append(entry)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision timed as the parent")
@@ -91,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, help="run length (default: the benchmark's)")
+    parser.add_argument("--record", metavar="PATH", help="also write the table as JSON here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -132,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}")
     print(f"{'metric':22s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
           f" {'delta':>8s} {'wins':>7s}  claim")
+    table = {}
     for metric in declared:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -139,6 +162,17 @@ def main(argv: list[str] | None = None) -> int:
         cells = [f"{m:.6g} [{q1:.6g}, {q3:.6g}]" for m, q1, q3 in (j["parent"], j["change"])]
         print(f"{name:22s} {cells[0]:>34s} {cells[1]:>34s} {j['delta']:>+8.1%}"
               f" {j['wins']:>3d}/{j['n']:<3d}  {'yes' if j['claim'] else 'no'}")
+        table[name] = {"better": metric["better"], "wins": j["wins"], "n": j["n"],
+                       "delta": j["delta"], "claim": j["claim"],
+                       **{side: {"median": j[side][0], "q1": j[side][1], "q3": j[side][2],
+                                 "values": values[side]} for side in SIDES}}
+    if args.record:
+        record(args.record, args.workload, {
+            "revisions": revs,
+            "src_trees": {side: git("rev-parse", f"{revs[side]}:src").stdout.strip()
+                          for side in SIDES},
+            "pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+            "seconds": args.seconds, "incorrect": incorrect, "metrics": table})
     for line in incorrect:
         print(f"incorrect run: {line}", file=sys.stderr)
     return 1 if incorrect else 0
