@@ -20,7 +20,6 @@ from .transport import (
     DeviceModel,
     Endpoint,
     GroupAddress,
-    IngestResult,
     Packet,
     Proto,
     Transport,
@@ -158,7 +157,7 @@ class _FloodPump:
                 dev.bulk_unresponsive_drop(count - i)
                 return
             now = scheduler.now
-            if dev is None or dev.ingest(now) is IngestResult.INGESTED:
+            if dev is None or dev.ingest(now):
                 src = base_src
                 if syn_rotate:
                     # Rotate the claimed source so the SYN-ACKs vanish and no

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 from .errors import StringTooLong
 from .fbnet import FBInstance, FBNetwork, PortKind, PortSpec
-from .transport import Endpoint, GroupAddress, Proto, Transport, ip_to_int
-from .values import FALSE, TRUE, DataValue, Str, Variant
+from .transport import TCP_DATA, TCP_SYNACK, Endpoint, GroupAddress, Proto, Transport, ip_to_int
+from .values import BOOL, FALSE, STRING, TRUE, DataValue, Str, Variant
 from .wire import decode, encode, try_decode  # noqa: F401  decode: bench/spans.py wraps csifb.decode
 
 DEFAULT_GROUP = "239.192.0.2"
@@ -99,9 +99,9 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             decoded.clear()
         values = try_decode(raw)
         emissions = _MALFORMED
-        if values is not None and len(values) == 1 and values[0].variant is Variant.BOOL:
+        if values is not None and len(values) == 1 and values[0].variant is BOOL:
             emissions = [("IND", {"RD_1": values[0], "QO": TRUE})]
-        return decoded.setdefault(raw, (DataValue(Variant.STRING, raw), emissions))  # no Str() copy
+        return decoded.setdefault(raw, (DataValue(STRING, raw), emissions))  # no Str() copy
 
     def handler(view):
         # a flood sends one payload object, so RX often holds it already
@@ -161,7 +161,7 @@ def make_server(id: str, network: FBNetwork, transport: Transport,
     """
 
     def handler(view):
-        if view.proto is not Proto.TCP_DATA:
+        if view.proto is not TCP_DATA:
             return
         network.set_data_in(id, "RX", Str(view.payload))
         network.dispatch(id, "RCV")
@@ -209,7 +209,7 @@ def make_client(id: str, network: FBNetwork, transport: Transport,
     """TCP client: INIT sends the SYN; the SYN-ACK completes the handshake."""
 
     def handler(view):
-        if view.proto is not Proto.TCP_SYNACK:
+        if view.proto is not TCP_SYNACK:
             return
         network.dispatch(id, "TCPEV")
 

@@ -36,6 +36,10 @@ class EngineMode(Enum):
     IPS = "ips"
 
 
+# Module names for per-packet code: an Enum class read is ~10x a global on 3.10/3.11.
+BLOCK, IPS = Action.BLOCK, EngineMode.IPS
+
+
 _PROTO_SETS = {
     "udp": frozenset({Proto.UDP}),
     "tcp": frozenset({Proto.TCP_SYN, Proto.TCP_SYNACK, Proto.TCP_ACK, Proto.TCP_DATA}),

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import SimError
-from .idps import Action, EngineMode, IdpsEngine, Rule, StaticMatches
+from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Transport
 from .values import TRUE
@@ -79,7 +79,7 @@ class TruthOracle:
                 if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet
             self.true_matches += 1
-            if rule.action is Action.BLOCK:
+            if rule.action is BLOCK:
                 self.block_matches += 1
             return True
         return False
@@ -155,8 +155,8 @@ class Recorder:
             else:
                 self.benign_blocked += 1
         elif (verdict.inspected and verdict.rule_id is not None
-              and self._rule_actions.get(verdict.rule_id) is Action.BLOCK
-              and self.engine.mode is EngineMode.IPS):
+              and self._rule_actions.get(verdict.rule_id) is BLOCK
+              and self.engine.mode is IPS):
             # The engine evaluated a block match and still let it through.
             self.inspected_block_leak += 1
 

@@ -53,6 +53,20 @@ class Proto(Enum):
     __hash__ = object.__hash__
 
 
+class DeviceState(Enum):
+    RESPONSIVE = "RESPONSIVE"
+    DEGRADED = "DEGRADED"
+    UNRESPONSIVE = "UNRESPONSIVE"
+
+
+# Per-packet code reads members through these names: on Python 3.10/3.11 an
+# Enum class attribute read takes EnumMeta's slow path, about 10x a global.
+TCP_SYN, TCP_SYNACK, TCP_ACK, TCP_DATA, ICMP_ECHO = (
+    Proto.TCP_SYN, Proto.TCP_SYNACK, Proto.TCP_ACK, Proto.TCP_DATA, Proto.ICMP_ECHO)
+RESPONSIVE, DEGRADED, UNRESPONSIVE = (
+    DeviceState.RESPONSIVE, DeviceState.DEGRADED, DeviceState.UNRESPONSIVE)
+
+
 class Endpoint(NamedTuple):
     device_id: str
     address: int
@@ -89,18 +103,6 @@ class PacketView(NamedTuple):
     payload: bytes
 
 
-class IngestResult(Enum):
-    INGESTED = "ingested"
-    DROPPED_CAPACITY = "dropped_capacity"
-    DROPPED_UNRESPONSIVE = "dropped_unresponsive"
-
-
-class DeviceState(Enum):
-    RESPONSIVE = "RESPONSIVE"
-    DEGRADED = "DEGRADED"
-    UNRESPONSIVE = "UNRESPONSIVE"
-
-
 class SlidingWindow:
     """Arrival counter over the trailing second, bucketed at 1 ms.
 
@@ -119,14 +121,14 @@ class SlidingWindow:
         """Count an arrival; returns the window total including it."""
         b = now // BUCKET_US
         buckets = self._buckets
+        self._total += 1
+        if buckets and buckets[-1][0] == b:  # its first arrival expired the old buckets
+            buckets[-1][1] += 1
+            return self._total
         low = b - _N_BUCKETS
         while buckets and buckets[0][0] < low:
             self._total -= buckets.popleft()[1]
-        if buckets and buckets[-1][0] == b:
-            buckets[-1][1] += 1
-        else:
-            buckets.append([b, 1])
-        self._total += 1
+        buckets.append([b, 1])
         return self._total
 
 
@@ -180,7 +182,7 @@ class DeviceModel:
         self.address = address
         self.capacity = capacity
         self.critical_rate = critical_rate
-        self.state = DeviceState.RESPONSIVE
+        self.state = RESPONSIVE
         self.down = False  # state is UNRESPONSIVE; kept by _transition
         self.window = SlidingWindow()
         self.halfopen = HalfOpenTable(halfopen_capacity, halfopen_timeout_us)
@@ -205,41 +207,41 @@ class DeviceModel:
 
     def _transition(self, state: DeviceState, t: int) -> None:
         self.state = state
-        self.down = state is DeviceState.UNRESPONSIVE
+        self.down = state is UNRESPONSIVE
         self.transitions.append((t, state))
 
     def _maybe_recover(self, now: int) -> None:
-        if (self.state is DeviceState.DEGRADED and self._overloaded_at is not None
+        if (self.state is DEGRADED and self._overloaded_at is not None
                 and now - self._overloaded_at >= WINDOW_US):
-            self._transition(DeviceState.RESPONSIVE, self._overloaded_at + WINDOW_US)
+            self._transition(RESPONSIVE, self._overloaded_at + WINDOW_US)
             self._overloaded_at = None
 
-    def ingest(self, now: int) -> IngestResult:
-        """Account one arrival and decide its fate."""
+    def ingest(self, now: int) -> bool:
+        """Account one arrival and decide its fate: True if it is ingested."""
         self.offered += 1
-        if self.state is DeviceState.UNRESPONSIVE:
+        if self.down:
             self.dropped_unresponsive += 1
-            return IngestResult.DROPPED_UNRESPONSIVE
+            return False
         rate = self.window.add(now)
         if rate >= self.critical_rate:
-            self._transition(DeviceState.UNRESPONSIVE, now)
+            self._transition(UNRESPONSIVE, now)
             self.dropped_unresponsive += 1
-            return IngestResult.DROPPED_UNRESPONSIVE
+            return False
         if rate > self.capacity:
             self._overloaded_at = now
-            if self.state is DeviceState.RESPONSIVE:
-                self._transition(DeviceState.DEGRADED, now)
+            if self.state is RESPONSIVE:
+                self._transition(DEGRADED, now)
             if self._rng.random() < 1.0 - self.capacity / rate:
                 self.dropped_capacity += 1
-                return IngestResult.DROPPED_CAPACITY
+                return False
         elif self._overloaded_at is not None:
             self._maybe_recover(now)
         self.ingested += 1
-        return IngestResult.INGESTED
+        return True
 
     def bulk_unresponsive_drop(self, count: int) -> None:
         """Fast path for flood remainders once the device is down."""
-        assert self.state is DeviceState.UNRESPONSIVE
+        assert self.down
         self.offered += count
         self.dropped_unresponsive += count
 
@@ -310,7 +312,7 @@ class Transport:
     def send(self, packet: Packet) -> bool:
         """Schedule delivery; returns False (and counts) if the sender is down."""
         sender = self.devices.get(packet.true_origin)
-        if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
+        if sender is not None and sender.state is UNRESPONSIVE:
             sender.sender_down += 1
             return False
         if self.on_send is not None:
@@ -340,7 +342,7 @@ class Transport:
             self.undeliverable += 1
             return
         now = self.scheduler.now
-        if device.ingest(now) is IngestResult.INGESTED:
+        if device.ingest(now):
             self.arrive(device, packet, ep, view, now)
 
     def arrive(self, device: DeviceModel, packet: Packet, ep: Endpoint,
@@ -363,28 +365,28 @@ class Transport:
                view: PacketView | None) -> None:
         """Final fate of a packet past the engine; `view` is its view, if made yet."""
         proto = packet.proto
-        if proto is Proto.ICMP_ECHO:
+        if proto is ICMP_ECHO:
             device.icmp_received += 1        # device-level load only
             return
-        if proto is Proto.TCP_SYN:
+        if proto is TCP_SYN:
             if device.halfopen.syn(packet.src.address, packet.src.port, ep.port, now):
                 device.syn_accepted += 1
                 reply = self.make_packet(
-                    Proto.TCP_SYNACK,
+                    TCP_SYNACK,
                     Endpoint(device.device_id, device.address, ep.port),
                     packet.src, b"", device.device_id)
                 self.send(reply)
             else:
                 device.syn_refused += 1
             return
-        if proto is Proto.TCP_ACK:
+        if proto is TCP_ACK:
             if device.halfopen.ack(packet.src.address, packet.src.port, ep.port):
                 device.established.add((packet.src.address, packet.src.port, ep.port))
                 device.established_count += 1
             else:
                 device.stray_acks += 1
             return
-        if proto is Proto.TCP_DATA:
+        if proto is TCP_DATA:
             if (packet.src.address, packet.src.port, ep.port) not in device.established:
                 device.stray_data += 1
                 return

@@ -223,11 +223,19 @@ class _LoggingDevice(DeviceModel):
         super().__init__(*args, **kw)
         self.log, self.scheduler = log, scheduler
 
+    def fate_counters(self):
+        return self.offered, self.ingested, self.dropped_capacity, self.dropped_unresponsive
+
     def ingest(self, now):
-        fate = super().ingest(now)
-        self.log.append((now, self.scheduler.processed, self.device_id, fate, self.state,
-                         self.ingested, self.dropped_capacity, self.dropped_unresponsive))
-        return fate
+        before = self.fate_counters()
+        ok = super().ingest(now)
+        after = self.fate_counters()
+        # one offer and exactly one fate counter moved, by one; True just for `ingested`
+        delta = tuple(a - b for a, b in zip(after, before))
+        assert delta in ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)) and ok is (delta[1] == 1)
+        self.log.append((now, self.scheduler.processed, self.device_id, ok, delta, self.state,
+                         *after))
+        return ok
 
 
 class _LoggingTransport(Transport):

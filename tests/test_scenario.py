@@ -1,6 +1,7 @@
 """End-to-end scenario behavior: liveness, injection, gating, availability."""
 
 import dataclasses
+import enum
 import sys
 
 import pytest
@@ -279,3 +280,46 @@ class TestDeadPlcHaltsApplication:
         before = net2.suppressed
         assert net2.dispatch("SUB", "RCV") == []
         assert net2.suppressed == before + 1
+
+
+def enum_class_reads(cfg):
+    """Run `cfg` untraced, counting every attribute read on an Enum class
+    (`Proto.UDP`, `DeviceState.UNRESPONSIVE`, ...); returns (reads, report)."""
+    meta = enum.EnumMeta
+    assert "__getattribute__" not in vars(meta)
+    reads = 0
+
+    def counting(cls, name):
+        nonlocal reads
+        reads += 1
+        return type.__getattribute__(cls, name)
+
+    meta.__getattribute__ = counting
+    try:
+        report = run_scenario(cfg, record_trace=False).report
+    finally:
+        del meta.__getattribute__
+    return reads, report
+
+
+class TestHotPathReadsNoEnumClass:
+    """On Python 3.10 and 3.11 an Enum class attribute read takes EnumMeta's
+    slow path, about ten times a module global, so per-packet and per-tick
+    code reads members through module-level names.  Doubling a flood's rate
+    must leave a run's count of such reads where it was."""
+
+    @pytest.mark.parametrize("name, mode", [("udp_flood", None), ("udp_flood", "ids"),
+                                            ("udp_flood", "ips"), ("syn_flood", None)])
+    def test_reads_do_not_grow_with_offered_packets(self, name, mode):
+        cfg = load(name)
+        if mode is not None:
+            cfg = with_idps(cfg, mode, "combined.rules", "log_only")
+        flood = cfg.attacks[0]
+        runs = [enum_class_reads(cfg.with_attack_rate(flood.name, flood.rate * k))
+                for k in (1, 2)]
+        offered = [sum(d["offered"] for d in report.devices.values()) for _, report in runs]
+        assert offered[1] - offered[0] >= flood.rate  # the flood lasts at least 1 s
+        if mode is not None:
+            assert runs[0][1].engine.inspected > 0 and runs[0][1].engine.true_matches > 0
+        (reads, _), (reads_2x, _) = runs
+        assert reads_2x <= reads + 8, (reads, reads_2x)  # slack for state transitions

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from fbsecsim.fbnet import Scheduler
 from fbsecsim.transport import (
+    BUCKET_US,
+    WINDOW_US,
     DeviceModel,
     DeviceState,
     Endpoint,
     GroupAddress,
     HalfOpenTable,
-    IngestResult,
     Packet,
     PacketView,
     Proto,
+    SlidingWindow,
     Transport,
     int_to_ip,
     ip_to_int,
@@ -32,6 +34,27 @@ def make_transport(latency=500):
 
 def plain_device(dev_id="plc2", addr="192.168.1.2", **kw):
     return DeviceModel(dev_id, ip_to_int(addr), **kw)
+
+
+# (offered, ingested, dropped_capacity, dropped_unresponsive) deltas of one arrival
+_FATES = {(1, 1, 0, 0): "ingested", (1, 0, 1, 0): "dropped_capacity",
+          (1, 0, 0, 1): "dropped_unresponsive"}
+
+
+def _fate_counters(dev):
+    return dev.offered, dev.ingested, dev.dropped_capacity, dev.dropped_unresponsive
+
+
+def ingest_fate(dev, now):
+    """`dev.ingest(now)`, named by the fate counter it moved.  Checks that the
+    arrival is offered once, that exactly one fate counter moves, by one, and
+    that `ingest` returns True just when that counter is `ingested`."""
+    before = _fate_counters(dev)
+    ok = dev.ingest(now)
+    delta = tuple(a - b for a, b in zip(_fate_counters(dev), before))
+    assert delta in _FATES, delta
+    assert ok is (delta[1] == 1)
+    return _FATES[delta]
 
 
 class TestAddressing:
@@ -145,7 +168,7 @@ class TestIngest:
     def test_below_capacity_always_ingests(self):
         dev = plain_device(capacity=10_000)
         for i in range(100):
-            assert dev.ingest(i * 10_000) is IngestResult.INGESTED
+            assert ingest_fate(dev, i * 10_000) == "ingested"
 
     def test_drop_fraction_matches_fluid_limit(self):
         """capacity 10k, offered 40k/s: expected drop fraction 1 - C/L = 0.75,
@@ -155,10 +178,10 @@ class TestIngest:
         drops = offered = 0
         t = 0
         while t < 3 * US:
-            res = dev.ingest(t)
+            fate = ingest_fate(dev, t)
             if t >= US:  # skip the ramp-up second
                 offered += 1
-                drops += res is IngestResult.DROPPED_CAPACITY
+                drops += fate == "dropped_capacity"
             t += interval
         assert offered >= 79_000
         assert abs(drops / offered - 0.75) < 0.02
@@ -181,7 +204,7 @@ class TestIngest:
             t += 1
         before = dev.ingested
         for dt in (1, US, 50 * US):
-            assert dev.ingest(t + dt) is IngestResult.DROPPED_UNRESPONSIVE
+            assert ingest_fate(dev, t + dt) == "dropped_unresponsive"
         assert dev.ingested == before
 
     def test_degraded_recovers_after_clean_window(self):
@@ -212,10 +235,10 @@ class TestIngest:
             drops = offered = 0
             t = 0
             while t < 2 * US:
-                res = dev.ingest(t)
+                fate = ingest_fate(dev, t)
                 if t >= US:
                     offered += 1
-                    drops += res is not IngestResult.INGESTED
+                    drops += fate != "ingested"
                 t += interval
             fractions.append(drops / offered)
         ranks = {v: i for i, v in enumerate(sorted(fractions))}
@@ -249,6 +272,30 @@ class _FullScanTable:
     def live(self, now):
         self._evict(now)
         return len(self.entries)
+
+
+class TestSlidingWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 * WINDOW_US), st.lists(st.one_of(
+        st.just(0),                                       # same instant
+        st.integers(1, BUCKET_US - 1),                    # same bucket or the next
+        st.integers(BUCKET_US, 50 * BUCKET_US),           # a few buckets on
+        st.sampled_from([WINDOW_US - BUCKET_US, WINDOW_US, WINDOW_US + BUCKET_US]),
+        st.integers(WINDOW_US + BUCKET_US, 3 * WINDOW_US),  # past the window: it empties
+    ), max_size=200))
+    def test_totals_match_a_brute_force_count(self, t, steps):
+        """Each `add` returns the number of arrivals so far whose bucket is in
+        [b - 1000, b], b the new arrival's bucket; the deque keeps exactly the
+        non-empty buckets of that span."""
+        n_buckets = WINDOW_US // BUCKET_US
+        window, seen = SlidingWindow(), []
+        for step in [0] + steps:
+            t += step
+            b = t // BUCKET_US
+            seen.append(b)
+            live = [a for a in seen if b - n_buckets <= a <= b]
+            assert window.add(t) == len(live)
+            assert [bucket for bucket, _ in window._buckets] == sorted(set(live))
 
 
 class TestHalfOpen:

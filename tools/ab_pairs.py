@@ -14,13 +14,16 @@ For every end-to-end metric of BENCHMARK.json it prints each side's median
 [q1, q3] and the change's wins out of n pairs (ties count for neither), and
 whether a gain may be claimed: the change wins at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
-interquartile range.  The exit status is non-zero if any run was incorrect
+interquartile range.  The `worse` verdict is the mirror image: the change
+loses at least nine tenths of the pairs and its median is worse by more than
+the parent's interquartile range, which is how a metric that must not move
+shows that it did.  The exit status is non-zero if any run was incorrect
 (its `correct` flag false or a failed run) or did not finish.
 
 --record PATH also appends that table as JSON to the list of rounds under
 `workloads` -> W: the revisions, their `src/` trees, the seeds and run
 length, and per metric each side's median, quartiles and per-pair values,
-the change's wins and the claim verdict.  An existing PATH keeps its other
+the change's wins and the claim and worse verdicts.  An existing PATH keeps its other
 workloads and earlier rounds, so one file holds every round of every
 workload.  A revision may be a local commit that is later lost; the `src/`
 tree hashes name the timed code by content, and the file says so.
@@ -80,15 +83,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def judge(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
-    """Per-pair wins and the claim rule for one metric."""
-    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    """Per-pair wins, the claim rule for one metric and its mirror, `worse`."""
+    sign = 1 if lower_is_better else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
-    gain = (pmed - cmed) if lower_is_better else (cmed - pmed)
+    gain = sign * (pmed - cmed)
     n = len(parent)
     return {"parent": (pmed, pq1, pq3), "change": (cmed, cq1, cq3), "wins": wins, "n": n,
             "delta": (cmed - pmed) / pmed if pmed else 0.0,
-            "claim": 10 * wins >= 9 * n and gain > pq3 - pq1}
+            "claim": 10 * wins >= 9 * n and gain > pq3 - pq1,
+            "worse": 10 * losses >= 9 * n and -gain > pq3 - pq1}
 
 
 def record(path: str, workload: str, entry: dict) -> None:
@@ -153,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# {args.workload}: parent {revs['parent'][:12]} vs change {revs['change'][:12]}, "
           f"{args.pairs} pairs, seeds {args.seed0}..{args.seed0 + args.pairs - 1}")
     print(f"{'metric':22s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
-          f" {'delta':>8s} {'wins':>7s}  claim")
+          f" {'delta':>8s} {'wins':>7s}  claim  worse")
     table = {}
     for metric in declared:
         name = metric["name"]
@@ -161,9 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         j = judge(values["parent"], values["change"], metric["better"] == "lower")
         cells = [f"{m:.6g} [{q1:.6g}, {q3:.6g}]" for m, q1, q3 in (j["parent"], j["change"])]
         print(f"{name:22s} {cells[0]:>34s} {cells[1]:>34s} {j['delta']:>+8.1%}"
-              f" {j['wins']:>3d}/{j['n']:<3d}  {'yes' if j['claim'] else 'no'}")
+              f" {j['wins']:>3d}/{j['n']:<3d}  {'yes' if j['claim'] else 'no':5s}  "
+              f"{'yes' if j['worse'] else 'no'}")
         table[name] = {"better": metric["better"], "wins": j["wins"], "n": j["n"],
-                       "delta": j["delta"], "claim": j["claim"],
+                       "delta": j["delta"], "claim": j["claim"], "worse": j["worse"],
                        **{side: {"median": j[side][0], "q1": j[side][1], "q3": j[side][2],
                                  "values": values[side]} for side in SIDES}}
     if args.record:
