@@ -25,6 +25,7 @@ from .attacks import GHOST_ID, AttackKind
 from .errors import ConfigError, RuleSyntaxError
 from .fbnet import US
 from .idps import Rule, parse_rules
+from .plant import FULL
 from .transport import ip_to_int
 
 
@@ -272,6 +273,13 @@ def _check_positive(obj: object, section: str, *names: str) -> None:
             raise ConfigError(f"{section}.{name}", "must be positive")
 
 
+def _check_us(obj: object, section: str, *names: str) -> None:
+    """Times a run rounds to whole microseconds: each must round to at least 1."""
+    for name in names:
+        if round(getattr(obj, name) * US) <= 0:
+            raise ConfigError(f"{section}.{name}", "must be at least 1 us once rounded to whole us")
+
+
 def validate(cfg: ScenarioConfig) -> list[Rule]:
     """Raise ConfigError, with its key path, at the first value a run would
     reject.  Run once at the start of every run, and by `fbsecsim validate`.
@@ -285,8 +293,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
         raise ConfigError("safemode.policy", f"unknown policy {cfg.safemode!r}")
     for dev_id, dev in cfg.devices.items():
         _check_address(dev.address, f"device.{dev_id}.address")
-        _check_positive(dev, f"device.{dev_id}", "capacity", "critical_rate",
-                        "halfopen_capacity", "halfopen_timeout_s")
+        _check_positive(dev, f"device.{dev_id}", "capacity", "critical_rate", "halfopen_capacity")
+        _check_us(dev, f"device.{dev_id}", "halfopen_timeout_s")
     idps = cfg.idps
     if idps.mode not in ("off", "ids", "ips"):
         raise ConfigError("idps.mode", f"mode must be off|ids|ips, got {idps.mode!r}")
@@ -301,11 +309,14 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
                 rules = parse_rules(read_text(idps.ruleset))
             except (RuleSyntaxError, ConfigError) as e:
                 raise ConfigError("idps.ruleset", str(e)) from None
-        _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms", "hold_window_s")
+        _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms")
+        _check_us(idps, "idps", "hold_window_s")
     if cfg.plant.enabled:
-        _check_positive(cfg.plant, "plant", "tick_ms", "box_period_s")
-        if not 0 < cfg.plant.rate_per_tick <= 1:
-            raise ConfigError("plant.rate_per_tick", "must be in (0, 1]")
+        _check_positive(cfg.plant, "plant", "tick_ms")
+        _check_us(cfg.plant, "plant", "box_period_s")
+        # the plant moves in whole milli-positions per tick
+        if not 0 < round(cfg.plant.rate_per_tick * FULL) <= FULL:
+            raise ConfigError("plant.rate_per_tick", "must be in (0, 1] once rounded to 0.001")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
     _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
     if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):

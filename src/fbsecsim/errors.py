@@ -29,10 +29,6 @@ class BehaviorFault(SimError):
     """A behavior emitted a port it does not declare; dispatch rolled back."""
 
 
-class BindingError(SimError):
-    """Composite interface port bound to a missing or incompatible port."""
-
-
 class EventBudgetExceeded(SimError):
     """Scheduler processed more events than the configured budget allows."""
 

@@ -16,7 +16,6 @@ from typing import Any, Callable
 
 from .errors import (
     BehaviorFault,
-    BindingError,
     DataInConnectedError,
     DuplicateIdError,
     EventBudgetExceeded,
@@ -83,9 +82,6 @@ class Scheduler:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (time, lane, key, self._seq, fn))
-
-    def after(self, delay: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
-        self.at(self.now + delay, fn, lane, key)
 
     def run_next(self, time: int, lane: int, key: Any) -> bool:
         """Let a running entry run its successor inline instead of `at`-ing it.
@@ -216,7 +212,7 @@ def _latch_error(inst: str, port: str, variant: Variant | None, kind: PortKind) 
 
 
 def _parse_ref(ref: str) -> tuple[str, str]:
-    # Split on the last dot: composite-prefixed instance ids contain dots.
+    # Split on the last dot: instance ids such as IDPS.SIFB contain dots.
     inst, _, port = ref.rpartition(".")
     if not inst or not port:
         raise UnknownPortError(f"bad port reference {ref!r}, want 'Instance.PORT'")
@@ -315,7 +311,7 @@ class FBNetwork:
     # -- execution ---------------------------------------------------------
 
     def post(self, inst: str, event: str, delay: int = 0) -> None:
-        self.scheduler.after(delay, lambda: self.dispatch(inst, event))
+        self.scheduler.at(self.scheduler.now + delay, lambda: self.dispatch(inst, event))
 
     def dispatch(self, inst_id: str, event: str) -> list[Emission]:
         """Run one event delivery: sample WITH data, run the behavior once,
@@ -404,53 +400,3 @@ def make_e_switch(id: str) -> FBInstance:
     ]
     return FBInstance(id, ports, behavior)
 
-
-# -- composite blocks -------------------------------------------------------
-
-@dataclass
-class CompositeFB:
-    """An interface over an interior network, flattened at instantiation.
-
-    `build_interior` returns (instances, event_conns, data_conns) with
-    interior-local ids; `bindings` maps each interface port name onto one
-    interior (instance, port).
-    """
-
-    interface: list[PortSpec]
-    build_interior: Callable[[], tuple[list[FBInstance], list[tuple[str, str]], list[tuple[str, str]]]]
-    bindings: dict[str, tuple[str, str]]
-
-    def instantiate(self, network: FBNetwork, name: str) -> dict[str, str]:
-        """Add prefixed interior instances and return interface -> concrete refs."""
-        instances, event_conns, data_conns = self.build_interior()
-        by_id = {i.id: i for i in instances}
-        iface_by_name = {p.name: p for p in self.interface}
-        if len(iface_by_name) != len(self.interface):
-            raise BindingError(f"{name}: duplicate interface port names")
-        for pname, (b_inst, b_port) in self.bindings.items():
-            if pname not in iface_by_name:
-                raise BindingError(f"{name}: binding for unknown interface port {pname}")
-            if b_inst not in by_id:
-                raise BindingError(f"{name}: binding {pname} targets missing instance {b_inst}")
-            spec = iface_by_name[pname]
-            inner = by_id[b_inst].by_kind.get(spec.kind, {}).get(b_port)
-            if inner is None:
-                raise BindingError(f"{name}: {pname} bound to missing {b_inst}.{b_port} ({spec.kind.value})")
-            if spec.data_variant is not inner.data_variant:
-                raise BindingError(f"{name}: {pname} variant mismatch on {b_inst}.{b_port}")
-        for p in self.interface:
-            if p.name not in self.bindings:
-                raise BindingError(f"{name}: interface port {p.name} is unbound")
-
-        for inst in instances:
-            inst.id = f"{name}.{inst.id}"
-            network.add(inst)
-        for src, dst in event_conns:
-            s, sp = _parse_ref(src)
-            d, dp = _parse_ref(dst)
-            network.connect(f"{name}.{s}.{sp}", f"{name}.{d}.{dp}")
-        for src, dst in data_conns:
-            s, sp = _parse_ref(src)
-            d, dp = _parse_ref(dst)
-            network.connect(f"{name}.{s}.{sp}", f"{name}.{d}.{dp}")
-        return {p: f"{name}.{inst}.{port}" for p, (inst, port) in self.bindings.items()}

@@ -18,9 +18,10 @@ import shlex
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import RuleSyntaxError
-from .fbnet import US, CompositeFB, FBInstance, PortKind, PortSpec
+from .fbnet import US, FBInstance, FBNetwork, PortKind, PortSpec
 from .transport import Proto, PacketView, int_to_ip, ip_to_int
 from .values import Bool, Int, Str, Variant
 
@@ -354,7 +355,6 @@ class IdpsEngine:
 
     def __init__(self, inspection_capacity: int = 5_000):
         self.inspection_capacity = inspection_capacity
-        self.on_alert = None  # callable(alert count) or None
         self.start([], EngineMode.OFF)
 
     def start(self, rules: list[Rule], mode: EngineMode) -> None:
@@ -403,8 +403,6 @@ class IdpsEngine:
             names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
             names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),
             len(view.payload), rule.msg))
-        if self.on_alert is not None:
-            self.on_alert(len(self.alerts))
 
 
 # -- function-block packaging ------------------------------------------------
@@ -418,9 +416,9 @@ def make_idps_sifb(id: str, engine: IdpsEngine, rules: list[Rule],
     """Service-interface block whose INIT starts the engine on the parsed
     `rules` in `mode`; a second INIT is ignored.
 
-    STATUS reads RUNNING once started; the engine writes its alert count
-    into this block's ALERT_SEQ latch on every alert, so a poller can sample
-    it between events.
+    STATUS reads RUNNING once started.  ALERT_SEQ holds the engine's alert
+    count as last sampled: INIT zeroes it, and `add_idps`'s poll writes it
+    just before the poller reads it.
     """
 
     def behavior(ctx, event, inputs, state):
@@ -438,13 +436,7 @@ def make_idps_sifb(id: str, engine: IdpsEngine, rules: list[Rule],
         PortSpec("ALERT_SEQ", PortKind.DATA_OUT, Variant.INT),
         PortSpec("QO", PortKind.DATA_OUT, Variant.BOOL),
     ]
-    sifb = FBInstance(id, ports, behavior, state=STATUS_STOPPED)
-
-    def on_alert(seq: int) -> None:
-        sifb.dout["ALERT_SEQ"] = Int(seq)
-
-    engine.on_alert = on_alert
-    return sifb
+    return FBInstance(id, ports, behavior, state=STATUS_STOPPED)
 
 
 def make_alertcheck(id: str, hold_window_us: int = 2_000_000) -> FBInstance:
@@ -467,27 +459,24 @@ def make_alertcheck(id: str, hold_window_us: int = 2_000_000) -> FBInstance:
     return FBInstance(id, ports, behavior, state=(0, None))
 
 
-def make_idps_cfb(engine: IdpsEngine, rules: list[Rule], mode: EngineMode,
-                  hold_window_us: int = 2_000_000) -> CompositeFB:
-    """Composite of the lifecycle SIFB and the alert poller; A is the flag."""
+FLAG = "IDPS.ALERTCHECK.QO"  # the attack flag A
 
-    def build_interior():
-        sifb = make_idps_sifb("SIFB", engine, rules, mode)
-        check = make_alertcheck("ALERTCHECK", hold_window_us)
-        return [sifb, check], [], [("SIFB.ALERT_SEQ", "ALERTCHECK.SEQ")]
 
-    interface = [
-        PortSpec("INIT", PortKind.EVENT_IN),
-        PortSpec("POLL", PortKind.EVENT_IN),
-        PortSpec("INITO", PortKind.EVENT_OUT),
-        PortSpec("STATUS", PortKind.DATA_OUT, Variant.STRING),
-        PortSpec("A", PortKind.DATA_OUT, Variant.BOOL),
-    ]
-    bindings = {
-        "INIT": ("SIFB", "INIT"),
-        "POLL": ("ALERTCHECK", "POLL"),
-        "INITO": ("SIFB", "INITO"),
-        "STATUS": ("SIFB", "STATUS"),
-        "A": ("ALERTCHECK", "QO"),
-    }
-    return CompositeFB(interface, build_interior, bindings)
+def add_idps(net: FBNetwork, engine: IdpsEngine, rules: list[Rule], mode: EngineMode,
+             hold_window_us: int) -> Callable[[], bool]:
+    """Add the lifecycle SIFB (`IDPS.SIFB`) and the alert poller
+    (`IDPS.ALERTCHECK`) to `net`, with ALERT_SEQ wired to the poller's SEQ.
+
+    Returns `poll`: it writes the engine's alert count into ALERT_SEQ,
+    dispatches the poller's POLL, which samples it, and returns A.
+    """
+    net.add(make_idps_sifb("IDPS.SIFB", engine, rules, mode))
+    net.add(make_alertcheck("IDPS.ALERTCHECK", hold_window_us))
+    net.connect("IDPS.SIFB.ALERT_SEQ", "IDPS.ALERTCHECK.SEQ")
+
+    def poll() -> bool:
+        net.set_data_out("IDPS.SIFB", "ALERT_SEQ", Int(len(engine.alerts)))
+        net.dispatch("IDPS.ALERTCHECK", "POLL")
+        return net.data_out("IDPS.ALERTCHECK", "QO").raw
+
+    return poll

@@ -112,14 +112,6 @@ class Plant:
     def sensor_cyl1_end(self) -> bool:
         return self.cyl1 == FULL
 
-    @property
-    def cyl1_pos(self) -> float:
-        return self.cyl1 / FULL
-
-    @property
-    def cyl2_pos(self) -> float:
-        return self.cyl2 / FULL
-
 
 def completed_cycles(samples: list[tuple]) -> list[int]:
     """Timestamps where both cylinders return home with the box pushed off."""

@@ -1,10 +1,10 @@
 """Scenario assembly and execution.
 
 Builds the two-PLC world from a ScenarioConfig: plant, devices, transport,
-the controller network on each PLC, the optional inspection engine packaged
-as a composite block, the chosen safe-mode wiring, attack schedules and the
-optional TCP probe pair.  Everything runs on one scheduler; a run is
-deterministic given the config (seed included).  `run_scenario` and
+the controller network on each PLC, the optional inspection engine and the
+two IDPS blocks `idps.add_idps` adds for it, the chosen safe-mode wiring,
+attack schedules and the optional TCP probe pair.  Everything runs on one
+scheduler; a run is deterministic given the config (seed included).  `run_scenario` and
 `run_sweep` validate each config they run once, before it runs; the
 ruleset `validate` parses is the one the engine and the oracle use.
 
@@ -29,7 +29,7 @@ from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
 from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
-from .idps import EngineMode, IdpsEngine, Rule, make_idps_cfb
+from .idps import FLAG, EngineMode, IdpsEngine, Rule, add_idps
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
 from .transport import DeviceModel, Endpoint, GroupAddress, Transport, ip_to_int
@@ -109,16 +109,14 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
 
     plant = Plant(cfg.plant.rate_per_tick) if cfg.plant.enabled else None
 
-    # -- engine and its composite block on the subscriber PLC ---------------
+    # -- engine and its IDPS blocks on the subscriber PLC -------------------
     engine: IdpsEngine | None = None
-    cfb_refs: dict[str, str] = {}
     gate_active = False
     if cfg.idps.enabled:
         engine = IdpsEngine(inspection_capacity=cfg.idps.inspection_capacity)
         devices["plc2"].engine = engine
-        cfb = make_idps_cfb(engine, rules, EngineMode(cfg.idps.mode),
-                            hold_window_us=round(cfg.idps.hold_window_s * US))
-        cfb_refs = cfb.instantiate(net2, "IDPS")
+        poll_idps = add_idps(net2, engine, rules, EngineMode(cfg.idps.mode),
+                             round(cfg.idps.hold_window_s * US))
         gate_active = cfg.safemode == "gate_and_hold"
 
     recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
@@ -161,9 +159,8 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
             net2.add(make_e_switch("GATE_SV")).add(make_e_switch("GATE_BOX"))
             net2.connect("SUB.IND", "GATE_SV.EI").connect("GATE_SV.EO0", "LiftCtl.REQ")
             net2.connect("IX_Box.IND", "GATE_BOX.EI").connect("GATE_BOX.EO0", "LiftCtl.BOX")
-            net2.connect(cfb_refs["A"], "GATE_SV.G")
-            net2.connect(cfb_refs["A"], "GATE_BOX.G")
-            net2.connect(cfb_refs["A"], "QX_Cyl2.GATE")
+            for guard in ("GATE_SV.G", "GATE_BOX.G", "QX_Cyl2.GATE"):
+                net2.connect(FLAG, guard)
         else:
             net2.connect("SUB.IND", "LiftCtl.REQ")
             net2.connect("IX_Box.IND", "LiftCtl.BOX")
@@ -182,16 +179,13 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
         scheduler.at(period_us, task)
 
     if engine is not None:
-        net2.post(*cfb_refs["INIT"].rsplit(".", 1))
-        poll_inst, poll_port = cfb_refs["POLL"].rsplit(".", 1)
-        flag_inst, flag_port = cfb_refs["A"].rsplit(".", 1)
+        net2.post("IDPS.SIFB", "INIT")
         shutdown_policy = cfg.safemode == "shutdown"
 
         def poll():
             # A changes only on POLL and feeds no event, so reading it here
             # sees every change at the instant it happens.
-            net2.dispatch(poll_inst, poll_port)
-            flag = net2.data_out(flag_inst, flag_port).raw
+            flag = poll_idps()
             recorder.on_flag(scheduler.now, flag)
             if shutdown_policy and flag:
                 net2.suspended.update(("SUB", "LiftCtl", "QX_Cyl2", "IX_Box"))

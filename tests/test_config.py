@@ -197,6 +197,14 @@ class TestRejectedBeforeRun:
         (MINIMAL + "tcp_probe.server_port = 70000\n", "tcp_probe.server_port"),
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.server_port = -1\n",
          "tcp_probe.server_port"),
+        # times and rates are checked as the run rounds them: to whole us,
+        # and the plant's rate to whole milli-positions per tick
+        (MINIMAL + "plant.rate_per_tick = 0.0004\n", "plant.rate_per_tick"),
+        (MINIMAL + "plant.box_period_s = 0.0000004\n", "plant.box_period_s"),
+        (MINIMAL + "idps.enabled = true\nidps.ruleset = " + rules_path("flood")
+         + "\nidps.hold_window_s = 0.0000004\n", "idps.hold_window_s"),
+        (MINIMAL + "device.plc2.halfopen_timeout_s = 0.0000004\n",
+         "device.plc2.halfopen_timeout_s"),
         # an unknown section fails in parsing, before validate runs
         (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
     ])

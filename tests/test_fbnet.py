@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fbsecsim.errors import (
     BehaviorFault,
-    BindingError,
     DataInConnectedError,
     DuplicateIdError,
     EventBudgetExceeded,
@@ -17,7 +16,6 @@ from fbsecsim.errors import (
 from fbsecsim.fbnet import (
     LANE_FB,
     LANE_NET,
-    CompositeFB,
     FBInstance,
     FBNetwork,
     PortKind,
@@ -353,46 +351,6 @@ class TestDeterminism:
         assert any("[true]" in line for line in lines)
 
 
-class TestComposite:
-    def simple_composite(self, bind_to=("INNER", "EO")):
-        def build():
-            inner = make_block("INNER")
-            return [inner], [], []
-
-        iface = [PortSpec("OUT", PortKind.EVENT_OUT)]
-        return CompositeFB(iface, build, {"OUT": bind_to})
-
-    def test_instantiate_prefixes_and_maps(self):
-        net, _ = fresh_net()
-        refs = self.simple_composite().instantiate(net, "C1")
-        assert refs["OUT"] == "C1.INNER.EO"
-        assert "C1.INNER" in net.instances
-
-    def test_binding_to_missing_port_rejected(self):
-        net, _ = fresh_net()
-        with pytest.raises(BindingError):
-            self.simple_composite(bind_to=("INNER", "GHOST")).instantiate(net, "C1")
-
-    def test_unbound_interface_port_rejected(self):
-        def build():
-            return [make_block("INNER")], [], []
-
-        comp = CompositeFB([PortSpec("OUT", PortKind.EVENT_OUT)], build, {})
-        net, _ = fresh_net()
-        with pytest.raises(BindingError):
-            comp.instantiate(net, "C1")
-
-    def test_kind_mismatch_in_binding_rejected(self):
-        def build():
-            return [make_block("INNER")], [], []
-
-        comp = CompositeFB([PortSpec("OUT", PortKind.EVENT_OUT)], build,
-                           {"OUT": ("INNER", "DO")})
-        net, _ = fresh_net()
-        with pytest.raises(BindingError):
-            comp.instantiate(net, "C1")
-
-
 class TestPlanCache:
     """Dispatch resolves a plan per (instance, event) once; wiring changes drop it."""
 
@@ -607,9 +565,6 @@ class _SortedModel:
         self.seq += 1
         self.pending.append((time, lane, key, self.seq, fn))
 
-    def after(self, delay, fn, lane=LANE_FB, key=""):
-        self.at(self.now + delay, fn, lane, key)
-
     def run_next(self, time, lane, key):
         return False
 
@@ -637,7 +592,7 @@ _entry = st.recursive(
                            st.lists(kids, max_size=3).map(tuple)),
     max_leaves=12)
 _ops = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["at", "after"]), _entry),
+    st.tuples(st.just("at"), _entry),
     st.tuples(st.just("run"), st.integers(0, 4)),
 ), max_size=25)
 
@@ -665,8 +620,6 @@ def drive(sched, ops):
         for n, (op, arg) in enumerate(ops):
             if op == "run":
                 sched.run_until(sched.now + arg)
-            elif op == "after":
-                sched.after(arg[0], lambda e=arg, n=n: fire(e, (n,)), lane=arg[1], key=arg[2])
             else:
                 schedule(arg, (n,), False)
         sched.run_until(sched.now + 100)
@@ -680,7 +633,7 @@ class TestSchedulerOrder:
     @settings(max_examples=300, deadline=None)
     @given(_ops, st.one_of(st.just(10**6), st.integers(1, 30)))
     def test_entries_run_in_time_lane_key_seq_order(self, ops, budget):
-        """at/after at colliding instants, entries scheduled from callbacks
+        """Entries at colliding instants, entries scheduled from callbacks
         (some asking to run inline) and repeated horizons all run in the
         order a sorted list gives, with the same counts and budget trip."""
         model = _SortedModel(budget)

@@ -22,8 +22,8 @@ from fbsecsim.idps import (
     RateCounters,
     STATUS_RUNNING,
     StaticMatches,
+    add_idps,
     make_alertcheck,
-    make_idps_cfb,
     make_idps_sifb,
     match_packet,
     parse_rules,
@@ -662,14 +662,6 @@ class TestLifecycle:
         assert sifb.state == STATUS_RUNNING
         assert net.data_out("SIFB", "QO").raw is False
 
-    def test_alerts_land_in_own_alert_seq(self):
-        net, sched, engine, sifb = sifb_net()
-        net.dispatch("SIFB", "INIT")
-        assert net.data_out("SIFB", "ALERT_SEQ") == Int(0)
-        for t in range(3):
-            engine.inspect(view(), t)
-        assert net.data_out("SIFB", "ALERT_SEQ") == Int(3) == Int(len(engine.alerts))
-
 
 class TestAlertCheck:
     def poll_at(self, net, times, seq_by_time):
@@ -703,18 +695,39 @@ class TestAlertCheck:
         assert not any(flags)
 
 
-class TestComposite:
-    def test_cfb_exposes_flag_from_poller(self):
-        sched = Scheduler()
-        net = FBNetwork(sched)
-        engine = IdpsEngine()
-        cfb = make_idps_cfb(engine, parse_rules('alert udp any any -> any any msg "x"'),
-                            EngineMode.IDS)
-        refs = cfb.instantiate(net, "IDPS")
-        net.dispatch(*refs["INIT"].rsplit(".", 1))
+def idps_net(hold_window_us=2 * US):
+    """The two IDPS blocks on a fresh network, INIT already dispatched."""
+    sched = Scheduler()
+    net = FBNetwork(sched)
+    engine = IdpsEngine()
+    poll = add_idps(net, engine, parse_rules('alert udp any any -> any any msg "x"'),
+                    EngineMode.IDS, hold_window_us)
+    net.dispatch("IDPS.SIFB", "INIT")
+    return net, sched, engine, poll
+
+
+class TestAddIdps:
+    def test_poll_raises_flag_after_an_alert(self):
+        net, sched, engine, poll = idps_net()
         assert engine.running
         engine.inspect(view(), 0)
         sched.now = 100_000
-        net.dispatch(*refs["POLL"].rsplit(".", 1))
-        inst, port = refs["A"].rsplit(".", 1)
-        assert net.data_out(inst, port).raw is True
+        assert poll() is True
+        assert net.data_out("IDPS.SIFB", "ALERT_SEQ") == Int(len(engine.alerts)) == Int(1)
+        assert net.data_out(*idps.FLAG.rsplit(".", 1)).raw is True
+
+    def test_alert_count_is_sampled_at_poll_time(self):
+        """Alerts between polls leave the latch alone; the next poll samples
+        the count and raises A, which a poll with no new alert keeps for
+        the hold window."""
+        net, sched, engine, poll = idps_net(hold_window_us=US)
+        for t in range(3):
+            engine.inspect(view(), t)
+        assert net.data_out("IDPS.SIFB", "ALERT_SEQ") == Int(0)
+        sched.now = 100_000
+        assert poll() is True
+        assert net.data_out("IDPS.SIFB", "ALERT_SEQ") == Int(3)
+        sched.now += US - 1
+        assert poll() is True
+        sched.now += 1
+        assert poll() is False

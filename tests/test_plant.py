@@ -18,7 +18,7 @@ class TestMotion:
         p = Plant(rate_per_tick=0.1)
         p.set_command(2, Command.EXTEND, 0)
         stepped(p, 10)
-        assert p.cyl2_pos == 1.0
+        assert p.cyl2 == 1000
 
     def test_hold_keeps_position(self):
         p = Plant(rate_per_tick=0.1)
@@ -26,16 +26,16 @@ class TestMotion:
         stepped(p, 3)
         p.set_command(2, Command.HOLD, 30_000)
         stepped(p, 5, start=30_000)
-        assert p.cyl2_pos == 0.3
+        assert p.cyl2 == 300
 
     def test_positions_clamped(self):
         p = Plant(rate_per_tick=0.1)
         p.set_command(1, Command.EXTEND, 0)
         stepped(p, 25)
-        assert p.cyl1_pos == 1.0
+        assert p.cyl1 == 1000
         p.set_command(1, Command.RETRACT, 0)
         stepped(p, 25)
-        assert p.cyl1_pos == 0.0
+        assert p.cyl1 == 0
 
 
 class TestHazard:

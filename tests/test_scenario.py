@@ -15,7 +15,7 @@ from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.scenario import run_scenario, run_sweep
 
 
-FLAG = ("IDPS.ALERTCHECK", "QO")  # the IDPS block's attack flag A
+FLAG = tuple(idps.FLAG.rsplit(".", 1))  # the IDPS blocks' attack flag A
 
 
 def load(name):
@@ -127,7 +127,7 @@ class TestParsedRules:
         cfg = load("spoof_blocked")
         cfg = dataclasses.replace(cfg, idps=dataclasses.replace(cfg.idps, ruleset=str(bad)))
         built = []
-        monkeypatch.setattr("fbsecsim.scenario.make_idps_cfb", lambda *a, **k: built.append(a))
+        monkeypatch.setattr("fbsecsim.scenario.add_idps", lambda *a, **k: built.append(a))
         with pytest.raises(ConfigError) as exc:
             run_scenario(cfg, record_trace=False)
         assert exc.value.path == "idps.ruleset" and not built
