@@ -7,13 +7,17 @@ acceptance math is exact.  Generators are lazily chained through the
 scheduler (one live event per attacker), and once a unicast target goes
 unresponsive the remainder is accounted in bulk since nothing else could
 observe it.
+
+Likewise, while a pump delivers arrivals inline nothing else can run, so
+an ingested arrival whose whole fate is a counter update is only counted
+(see `_FloodPump`); every arrival is still ingested and counted as an event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
@@ -81,13 +85,6 @@ def flood_count(spec: AttackSpec) -> int:
     return flood_clock(spec, 0)[1] * (spec.stop - spec.start) // US
 
 
-def iter_flood_times(spec: AttackSpec, attacker_index: int) -> Iterator[int]:
-    """Send instants of one attacker, each computed when it is taken."""
-    first, per_rate = flood_clock(spec, attacker_index)
-    for i in range(flood_count(spec)):
-        yield send_instant(first, per_rate, i)
-
-
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
     """Attackers have effectively unlimited capacity; they never degrade."""
     dev = DeviceModel(device_id, address, capacity=2**62, critical_rate=2**62)
@@ -115,6 +112,12 @@ class _FloodPump:
     ingests each arrival first; only an ingested one is built into a `Packet`
     (taking a sequence number) for `Transport.arrive`.  Group floods and
     targets with no device go through `Transport.deliver`.
+
+    The first time a call of a unicast non-SYN flood goes on inline, it asks
+    `Transport.count_only` once; if that names a counter, the rest of the
+    call runs in `_count`, where ingested arrivals build no packet and are
+    only counted.  Every arrival is still ingested and run as an event, so
+    device counters, drop draws, state changes and collapse are unchanged.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -152,6 +155,7 @@ class _FloodPump:
         transport, scheduler = self.transport, self.scheduler
         latency = transport.latency_us
         first, per_rate, count, i = self.first, self.per_rate, self.count, self.i
+        ask = dev is not None and not syn_rotate  # once per call, see the class docstring
         while True:
             if dev is not None and dev.down:
                 dev.bulk_unresponsive_drop(count - i)
@@ -182,6 +186,40 @@ class _FloodPump:
                 self.i = i
                 scheduler.at(when, self._pump, lane=LANE_NET, key=key)
                 return
+            if ask:
+                ask = False
+                counted = transport.count_only(dev, target, view, origin)
+                if counted is not None:
+                    self.i = i
+                    self._count(counted)
+                    return
+
+    def _count(self, counted: Callable[[int], None]) -> None:
+        """`_pump` for arrivals that are only counted: packet `i` (due now)
+        and each following one the scheduler lets run inline.  Each is still
+        ingested and run as an event; `counted(k)` takes the k ingested."""
+        dev, scheduler, origin = self.target_device, self.scheduler, self.origin
+        latency = self.transport.latency_us
+        first, per_rate, count, i = self.first, self.per_rate, self.count, self.i
+        k = 0
+        try:
+            while True:
+                if dev.down:
+                    dev.bulk_unresponsive_drop(count - i)
+                    return
+                if dev.ingest(scheduler.now):
+                    k += 1
+                i += 1
+                if i >= count:
+                    return
+                when = send_instant(first, per_rate, i) + latency
+                key = (origin, i)
+                if not scheduler.run_next(when, LANE_NET, key):
+                    self.i = i
+                    scheduler.at(when, self._pump, lane=LANE_NET, key=key)
+                    return
+        finally:
+            counted(k)
 
 
 def schedule_flood(spec: AttackSpec, transport: Transport, scheduler: Scheduler,

@@ -286,7 +286,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
     Returns the parsed ruleset, or [] when no engine inspects."""
     if cfg.seed is None:
         raise ConfigError("seed", "run.seed is mandatory: runs must be reproducible")
-    _check_positive(cfg, "run", "duration_s", "event_budget")
+    _check_us(cfg, "run", "duration_s")
+    _check_positive(cfg, "run", "event_budget")
     _check_positive(cfg, "net", "latency_us")
     _check_endpoint(cfg.group, "net.group", port_required=True)
     if cfg.safemode not in ("gate_and_hold", "log_only", "shutdown"):
@@ -355,13 +356,14 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
             raise ConfigError(f"{path}.rate", "flood rate must be positive")
         if a.start_s < 0:
             raise ConfigError(f"{path}.start_s", "must not be negative")
-        if a.start_s >= a.stop_s:
-            raise ConfigError(f"{path}.start_s", "start must precede stop")
+        span_us = round(a.stop_s * US) - round(a.start_s * US)
+        if span_us <= 0:
+            raise ConfigError(f"{path}.start_s", "start must precede stop by at least 1 us "
+                                                 "once both are rounded to whole us")
         if a.attacker_count < 1:
             raise ConfigError(f"{path}.attacker_count", "must be >= 1")
         if a.rate % a.attacker_count:
             raise ConfigError(f"{path}.rate", "must divide evenly across attackers")
-        span_us = round(a.stop_s * US) - round(a.start_s * US)
         if a.rate * span_us // US > cfg.event_budget:
             raise ConfigError(f"{path}.rate", f"{a.rate}/s over {span_us / US:.3f}s "
                                               f"exceeds the event budget of {cfg.event_budget}")

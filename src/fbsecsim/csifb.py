@@ -110,6 +110,24 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             network.set_data_in(id, "RX", (decoded.get(payload) or remember(payload))[0])
         network.dispatch(id, "RCV")
 
+    def count_malformed(k):
+        inst.state.malformed += k
+
+    def count_only(view):
+        """`count_malformed` if handling `view` now would change nothing but
+        `malformed`: an untraced, unsuppressed RCV of junk whose RX and QO
+        latches already hold what it would write; else None."""
+        host = network.host
+        entry = decoded.get(view.payload)
+        if (network.trace is None and id not in network.suspended
+                and (host is None or not host.down)
+                and entry is not None and entry[1] is _MALFORMED
+                and inst.din["RX"].raw is view.payload and inst.dout["QO"] is FALSE):
+            return count_malformed
+        return None
+
+    handler.count_only = count_only  # read by Transport.count_only
+
     def behavior(ctx, event, inputs, state: SubState):
         if event == "INIT":
             if not inputs["QI"].raw:

@@ -316,11 +316,6 @@ def rate_hit(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> 
     return len(times) > rate.threshold and times[0] > now - rate.window_us
 
 
-def match_packet(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
-    """Evaluate one rule of the packet's protocol; rate windows update on every static match."""
-    return rule.static_match(view) and (rule.rate is None or rate_hit(rule, view, counters, now))
-
-
 class StaticMatches:
     """The rules of a view's protocol that `static_match` it, in file order.
     A protocol whose rules test only protocol and rate is not tested (so a

@@ -161,8 +161,8 @@ class Recorder:
             self.inspected_block_leak += 1
 
     def on_delivered(self, packet: Packet, now: int) -> None:
-        if (packet.true_origin == self._publisher_id
-                and packet.payload == self._shared_payload):
+        """Watches the publisher's deliveries (`Transport.watch_delivery`)."""
+        if packet.payload == self._shared_payload:
             self.legit_deliveries.append((now, packet.seq))
 
     def on_flag(self, now: int, value: bool) -> None:

@@ -122,7 +122,7 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
     transport.on_send = recorder.on_send
     transport.on_presented = recorder.on_presented
-    transport.on_delivered = recorder.on_delivered
+    transport.watch_delivery("plc1", recorder.on_delivered)
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------
     if plant is not None:

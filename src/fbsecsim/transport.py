@@ -280,8 +280,10 @@ class Transport:
         self.on_send: Callable[[Packet], None] | None = None
         # on_presented(device, packet, view, verdict, now) after each engine tap
         self.on_presented: Callable | None = None
-        # on_delivered(packet, now) once a packet clears device and tap
-        self.on_delivered: Callable | None = None
+        # true origin -> fn(packet, now), called once a packet from that
+        # origin clears device and tap (`watch_delivery`); a flood from an
+        # unwatched origin may be counted without its packets (`count_only`)
+        self._watched: dict[str, Callable[[Packet, int], None]] = {}
 
     # -- topology ----------------------------------------------------------
 
@@ -298,6 +300,11 @@ class Transport:
 
     def bind(self, device_id: str, port: int, handler: Callable[[PacketView], None]) -> None:
         self.sockets[(device_id, port)] = handler
+
+    def watch_delivery(self, origin: str, fn: Callable[[Packet, int], None]) -> None:
+        """Call fn(packet, now) for each packet from `origin` that clears
+        device and tap; a later watch of the same origin replaces it."""
+        self._watched[origin] = fn
 
     # -- sending -----------------------------------------------------------
 
@@ -357,9 +364,33 @@ class Transport:
                 self.on_presented(device, packet, view, verdict, now)
             if verdict.blocked:
                 return
-        if self.on_delivered is not None:
-            self.on_delivered(packet, now)
+        watch = self._watched.get(packet.true_origin)
+        if watch is not None:
+            watch(packet, now)
         self._route(device, packet, ep, now, view)
+
+    def count_only(self, device: DeviceModel, ep: Endpoint, view: PacketView,
+                   origin: str) -> Callable[[int], None] | None:
+        """A function that accounts k ingested arrivals of `view` from
+        `origin` at `ep` (sequence numbers included) if their whole fate is a
+        counter update, else None: no engine runs on `device`, nobody watches
+        `origin`, and the UDP socket's handler names the counter through its
+        `count_only(view)`.  The answer holds until another event runs."""
+        engine = device.engine
+        if (engine is not None and engine.running) or origin in self._watched \
+                or view.proto is not Proto.UDP:
+            return None
+        handler = self.sockets.get((ep.device_id, ep.port))
+        answer = getattr(handler, "count_only", None)
+        count = answer(view) if answer is not None else None
+        if count is None:
+            return None
+
+        def arrivals(k: int) -> None:
+            self._seq += k
+            count(k)
+
+        return arrivals
 
     def _route(self, device: DeviceModel, packet: Packet, ep: Endpoint, now: int,
                view: PacketView | None) -> None:

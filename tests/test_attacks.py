@@ -16,8 +16,8 @@ from fbsecsim.attacks import (
     AttackSpec,
     attacker_device,
     craft_spoofed_publish,
+    flood_clock,
     flood_count,
-    iter_flood_times,
     schedule_flood,
     send_instant,
 )
@@ -37,6 +37,13 @@ from fbsecsim.transport import (
     ip_to_int,
 )
 from fbsecsim.values import Bool, Str
+
+
+def iter_flood_times(s, attacker_index):
+    """Send instants of one attacker, each computed when it is taken."""
+    first, per_rate = flood_clock(s, attacker_index)
+    for i in range(flood_count(s)):
+        yield send_instant(first, per_rate, i)
 
 
 def spec(kind=AttackKind.UDP_FLOOD, rate=1000, start=0, stop=US, count=1,
@@ -105,7 +112,9 @@ class TestArmingMemory:
         tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
         tr.bind("plc2", 61499, lambda v: None)
         sent = []
-        tr.on_delivered = lambda pkt, now: sent.append((pkt.true_origin, pkt.send_time))
+        for j in range(3):
+            tr.watch_delivery(f"attacker1.{j}",
+                              lambda pkt, now: sent.append((pkt.true_origin, pkt.send_time)))
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
         for j in range(3):
@@ -199,7 +208,8 @@ class TestFloodRuns:
         victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
         origins = []
         tr.bind("plc2", 61499, lambda v: None)
-        tr.on_delivered = lambda pkt, now: origins.append(pkt.true_origin)
+        for j in range(2):
+            tr.watch_delivery(f"attacker1.{j}", lambda pkt, now: origins.append(pkt.true_origin))
         s = spec(rate=100, stop=US, count=2)
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
@@ -519,10 +529,120 @@ class TestIngestFirst:
         tr = Transport(sched, latency_us=500)
         victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=1_000))
         seqs = []
-        tr.on_delivered = lambda pkt, now: seqs.append(pkt.seq)
+        tr.watch_delivery("attacker1", lambda pkt, now: seqs.append(pkt.seq))
         schedule_flood(spec(rate=5_000, stop=US), tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
         assert victim.offered == 5_000
         assert 0 < victim.ingested < victim.offered and victim.dropped_capacity > 0
         assert seqs == list(range(1, victim.ingested + 1))
         assert tr._seq == victim.ingested
+
+
+def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
+                   suspend, sends):
+    """Floods `floods` against a subscriber PLC (plc2) that may be suspended
+    and resumed, with legitimate publishes from plc1; return what every
+    layer and observer saw, the sequence counter included."""
+    sched = Scheduler()
+    tr = Transport(sched, 500)
+    log = []
+    victim = tr.add_device(_LoggingDevice(log, sched, "plc2", ip_to_int("192.168.1.2"),
+                                          capacity=capacity, critical_rate=critical_rate))
+    sender = tr.add_device(_LoggingDevice(log, sched, "plc1", ip_to_int("192.168.1.1")))
+    engine = None
+    if engine_cfg is not None:
+        mode, inspection_capacity = engine_cfg
+        engine = victim.engine = IdpsEngine(inspection_capacity)
+        engine.start(_CASE_RULES, mode)
+    seen = []
+    tr.on_send = lambda pkt: seen.append(("send", sched.now, pkt))
+    tr.on_presented = lambda dev, pkt, view, verdict, now: seen.append(
+        ("presented", now, dev.device_id, pkt, verdict))
+    tr.watch_delivery("plc1", lambda pkt, now: seen.append(("plc1", now, pkt)))
+    if watch_attacker:
+        tr.watch_delivery("attacker1", lambda pkt, now: seen.append(("attacker1", now, pkt)))
+    net = FBNetwork(sched, Trace() if traced else None, services={"transport": tr})
+    net.host = victim
+    net.add(make_subscriber("SUB", net, tr, "plc2"))
+    net.set_data_in("SUB", "QI", Bool(True))
+    net.set_data_in("SUB", "ID", Str("239.192.0.2:61499"))
+    net.dispatch("SUB", "INIT")
+    for t, action in zip(suspend, (net.suspended.add, net.suspended.discard)):
+        sched.at(t, lambda action=action: action("SUB"))
+    gaddr = GroupAddress(ip_to_int("239.192.0.2"), 61499)
+    src = Endpoint("plc1", sender.address, 40001)
+    for t, to_group, payload in sends:
+        dst = gaddr if to_group else Endpoint("plc2", victim.address, 61499)
+        sched.at(t, lambda dst=dst, payload=payload:
+                 tr.send(tr.make_packet(Proto.UDP, src, dst, payload, "plc1")))
+    for n, s in enumerate(floods):
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66") + 16 * n)
+    sched.run_until(max(s.stop for s in floods) + US)
+    sub = net.instances["SUB"]
+    stats = (engine.presented, engine.inspected, engine.dropped_by_engine,
+             [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
+    return (log, victim.counters(), victim.transitions, sender.counters(), tr.undeliverable,
+            stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
+            net.trace.entries if traced else None, net.suppressed, tr._seq, sched.processed)
+
+
+class TestCountOnly:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_per_packet_path(self, data):
+        """Counting an ingested junk arrival without building its packet
+        changes nothing any layer or observer sees."""
+        draw = data.draw
+        floods = []
+        # Most draws lean to what a count-only arrival needs (a lone UDP
+        # junk flood at the bound port); each of the others turns it off.
+        for attacker in ["attacker1", "attacker2"][:draw(st.sampled_from([1, 1, 1, 2]))]:
+            start = draw(st.integers(0, 2_000))
+            floods.append(AttackSpec(
+                name=attacker, kind=draw(st.sampled_from([AttackKind.UDP_FLOOD] * 5
+                                                         + [AttackKind.ICMP_FLOOD])),
+                attacker_id=attacker, target=Endpoint("plc2", ip_to_int("192.168.1.2"),
+                                                      draw(st.sampled_from([61499] * 5
+                                                                           + [61500]))),
+                rate=draw(st.integers(2_000, 40_000)), start=start,
+                stop=start + draw(st.integers(2_000, 30_000)),
+                attacker_count=draw(st.sampled_from([1, 1, 1, 2])),
+                payload=draw(st.sampled_from([b"\x00", b"\x00", b"\xff\x01", b"", b"\x41"]))))
+        packets = sum(flood_count(s) * s.attacker_count for s in floods)
+        capacity = draw(st.integers(1, packets + 50))  # overloaded or not
+        critical_rate = draw(st.one_of(st.just(10**6),  # or collapse at some point
+                                       st.integers(capacity + 1, capacity + packets)))
+        engine_cfg = draw(st.sampled_from([None, None, None, EngineMode.OFF, EngineMode.IDS,
+                                           EngineMode.IPS]))
+        if engine_cfg is not None:
+            engine_cfg = (engine_cfg, draw(st.integers(5, 2_000)))
+        stop = max(s.stop for s in floods)
+        suspend = sorted(draw(st.lists(st.integers(0, stop), max_size=2)))
+        sends = draw(st.lists(st.tuples(st.integers(0, stop), st.booleans(),
+                                        st.sampled_from([b"\x40", b"\x41", b"\x00"])),
+                              max_size=6))
+        traced, watch_attacker = (draw(st.sampled_from([False, False, True])) for _ in "tw")
+        case = (floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
+                suspend, sends)
+        got = run_count_case(*case)
+        with mock.patch.object(Transport, "count_only", lambda *args: None):
+            want = run_count_case(*case)
+        assert got == want
+
+    def test_junk_flood_builds_one_packet_per_pump_call(self):
+        """An untraced engine-off junk flood at a subscriber counts every
+        ingested arrival as malformed but routes only a pump call's first."""
+        routed = Counter()
+        arrive = Transport.arrive
+
+        def counted(tr, device, packet, ep, view, now):
+            routed[packet.true_origin] += 1
+            arrive(tr, device, packet, ep, view, now)
+
+        with mock.patch.object(Transport, "arrive", counted):
+            (log, victim, *_, (accepted, malformed), _din, _dout, _trace, _supp,
+             seq, processed) = run_count_case(
+                [spec(rate=10_000, stop=US // 10, payload=b"\x00")], 10**6, 10**6,
+                None, False, False, [], [])
+        assert victim["ingested"] == malformed == seq == 1_000 and accepted == 0
+        assert routed == {"attacker1": 1}  # one pump call: nothing else is due

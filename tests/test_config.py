@@ -205,6 +205,10 @@ class TestRejectedBeforeRun:
          + "\nidps.hold_window_s = 0.0000004\n", "idps.hold_window_s"),
         (MINIMAL + "device.plc2.halfopen_timeout_s = 0.0000004\n",
          "device.plc2.halfopen_timeout_s"),
+        (MINIMAL + "run.duration_s = 0.0000004\n", "run.duration_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstart_s = 1.0000001\nstop_s = 1.0000004\n",
+         "attacks[0].start_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstart_s = 2\nstop_s = 1\n", "attacks[0].start_s"),
         # an unknown section fails in parsing, before validate runs
         (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
     ])
@@ -212,6 +216,10 @@ class TestRejectedBeforeRun:
         with pytest.raises(ConfigError) as exc:
             validate(parse_scenario_text(text))
         assert exc.value.path == path
+
+    def test_one_microsecond_run_and_flood_are_valid(self):
+        validate(parse_scenario_text(MINIMAL + "run.duration_s = 0.000001\n" + FLOOD
+                                     + "rate = 1000000\nstart_s = 0\nstop_s = 0.000001\n"))
 
     def test_bad_ruleset_syntax(self, tmp_path):
         (tmp_path / "bad.rules").write_text("block any\n")

@@ -271,6 +271,57 @@ class TestDecodeMemo:
                 assert (state.accepted, state.malformed) == (accepted, n - accepted)
 
 
+class TestCountOnlyAnswer:
+    """The subscriber's socket handler names its `malformed` counter only
+    when receiving the view now would change nothing else."""
+
+    JUNK = PacketView(Proto.UDP, 1234, 40000, ip_to_int("239.192.0.2"), 61499, b"\xff\x01")
+    VALID = JUNK._replace(payload=b"\x41")
+
+    def primed(self):
+        """An untraced subscriber that has just received JUNK."""
+        h = Harness().with_subscriber()
+        h.net2.trace = None
+        h.net2.host = h.plc2
+        h.net2.dispatch("SUB", "INIT")
+        handler = h.tr.sockets[("plc2", 61499)]
+        handler(self.JUNK)
+        return h, handler
+
+    def test_counts_junk_it_has_just_received(self):
+        h, handler = self.primed()
+        count = handler.count_only(self.JUNK)
+        count(3)
+        assert h.net2.instances["SUB"].state.malformed == 4
+        assert h.tr._seq == 0  # the transport takes the sequence numbers
+
+    def spoil(self, h, handler, how):
+        if how == "traced":
+            h.net2.trace = Trace()
+        elif how == "suspended":
+            h.net2.suspended.add("SUB")
+        elif how == "host down":
+            h.plc2.down = True
+        elif how == "QO true":  # a valid payload last, or INIT, set it
+            h.net2.set_data_out("SUB", "QO", Bool(True))
+        elif how == "RX holds other junk":  # a receive would latch RX again
+            handler(self.JUNK._replace(payload=b"\x00"))
+        elif how == "valid payload":  # RX holds it while QO still reads false
+            h.net2.suspended.add("SUB")
+            handler(self.VALID)
+            h.net2.suspended.discard("SUB")
+            return self.VALID
+        return self.JUNK
+
+    @pytest.mark.parametrize("how", ["traced", "suspended", "host down", "QO true",
+                                     "RX holds other junk", "valid payload"])
+    def test_no_counter_when_a_receive_would_do_more(self, how):
+        h, handler = self.primed()
+        view = self.spoil(h, handler, how)
+        assert h.net2.data_out("SUB", "QO") == Bool(how == "QO true")
+        assert handler.count_only(view) is None
+
+
 class TestClientServer:
     def wire(self, h):
         h.net2.add(make_server("SRV", h.net2, h.tr, "plc2", 61500))

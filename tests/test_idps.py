@@ -25,14 +25,19 @@ from fbsecsim.idps import (
     add_idps,
     make_alertcheck,
     make_idps_sifb,
-    match_packet,
     parse_rules,
+    rate_hit,
 )
 from fbsecsim.metrics import TruthOracle
 from fbsecsim.transport import PacketView, Proto, int_to_ip, ip_to_int
 from fbsecsim.values import Int
 
 US = 1_000_000
+
+
+def match_packet(rule, view, counters, now):
+    """Evaluate one rule of the packet's protocol; rate windows update on every static match."""
+    return rule.static_match(view) and (rule.rate is None or rate_hit(rule, view, counters, now))
 
 
 def view(proto=Proto.UDP, src="10.0.0.66", sport=40000, dst="239.192.0.2",

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import sys
+from unittest import mock
 
 import pytest
 
@@ -11,8 +12,9 @@ from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import rules_path, scenario_path
 from fbsecsim.errors import ConfigError
+from fbsecsim.fbnet import FBNetwork
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
-from fbsecsim.scenario import run_scenario, run_sweep
+from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
 
 
 FLAG = tuple(idps.FLAG.rsplit(".", 1))  # the IDPS blocks' attack flag A
@@ -323,3 +325,39 @@ class TestHotPathReadsNoEnumClass:
             assert runs[0][1].engine.inspected > 0 and runs[0][1].engine.true_matches > 0
         (reads, _), (reads_2x, _) = runs
         assert reads_2x <= reads + 8, (reads, reads_2x)  # slack for state transitions
+
+
+def dispatch_count_and_files(cfg, record_trace, out_dir):
+    """Run `cfg`, write its outputs into `out_dir`; return how many
+    `FBNetwork.dispatch` calls it made and the bytes of its three CSVs."""
+    calls = 0
+    dispatch = FBNetwork.dispatch
+
+    def counted(net, inst_id, event):
+        nonlocal calls
+        calls += 1
+        return dispatch(net, inst_id, event)
+
+    with mock.patch.object(FBNetwork, "dispatch", counted):
+        write_outputs(run_scenario(cfg, record_trace=record_trace), str(out_dir))
+    return calls, {name: (out_dir / name).read_bytes()
+                   for name in ("metrics.csv", "alerts.csv", "transitions.csv")}
+
+
+class TestTracedMatchesUntraced:
+    """A traced run takes every ingested flood packet through routing and a
+    `SUB.RCV` dispatch; an untraced one counts junk arrivals the engine does
+    not see without building their packets.  Both must write the same files."""
+
+    @pytest.mark.parametrize("name, seed, rate", [
+        ("udp_flood", 42, None), ("udp_flood", 1042, None), ("udp_flood", 2042, None),
+        ("sweep", 42, 10_000)])
+    def test_same_outputs(self, name, seed, rate, tmp_path):
+        cfg = load(name).with_seed(seed)
+        if rate is not None:
+            cfg = dataclasses.replace(cfg.with_attack_rate("flood", rate),
+                                      idps=dataclasses.replace(cfg.idps, enabled=False))
+        traced, want = dispatch_count_and_files(cfg, True, tmp_path / "traced")
+        untraced, got = dispatch_count_and_files(cfg, False, tmp_path / "untraced")
+        assert got == want
+        assert untraced < traced / 2  # the untraced run did count arrivals
