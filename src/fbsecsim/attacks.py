@@ -9,8 +9,10 @@ unresponsive the remainder is accounted in bulk since nothing else could
 observe it.
 
 Likewise, while a pump delivers arrivals inline nothing else can run, so
-an ingested arrival whose whole fate is a counter update is only counted
-(see `_FloodPump`); every arrival is still ingested and counted as an event.
+an ingested arrival whose whole fate is a counter update is only counted,
+and such arrivals run in segments: each stretch due before anything else
+costs one scheduler bound and one device call (see `_FloodPump`).  Every
+arrival is still ingested and counted as an event.
 """
 
 from __future__ import annotations
@@ -116,8 +118,11 @@ class _FloodPump:
     The first time a call of a unicast non-SYN flood goes on inline, it asks
     `Transport.count_only` once; if that names a counter, the rest of the
     call runs in `_count`, where ingested arrivals build no packet and are
-    only counted.  Every arrival is still ingested and run as an event, so
-    device counters, drop draws, state changes and collapse are unchanged.
+    only counted, and the arrivals due before the scheduler's head go to the
+    device as one segment (`DeviceModel.ingest_many`).  Every arrival is
+    still ingested and run as an event, so device counters, drop draws,
+    state changes, collapse, `now`, `processed` and the event budget end
+    as they would one arrival at a time.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -195,24 +200,35 @@ class _FloodPump:
                     return
 
     def _count(self, counted: Callable[[int], None]) -> None:
-        """`_pump` for arrivals that are only counted: packet `i` (due now)
-        and each following one the scheduler lets run inline.  Each is still
-        ingested and run as an event; `counted(k)` takes the k ingested."""
+        """`_pump` for arrivals that are only counted, run as segments: packet
+        `i` (due now) and the successors `Scheduler.inline_bound` lets run
+        inline go to the device in one call, which stops after an arrival
+        that takes it down; `now` and `processed` then move once.  The next
+        packet goes through `run_next`, which decides a tie with the head,
+        the budget's end and a collapse's next arrival as for any packet.
+        `counted(k)` takes the k ingested."""
         dev, scheduler, origin = self.target_device, self.scheduler, self.origin
-        latency = self.transport.latency_us
-        first, per_rate, count, i = self.first, self.per_rate, self.count, self.i
+        base = self.first + self.transport.latency_us  # arrival of packet 0
+        per_rate, count, i = self.per_rate, self.count, self.i
         k = 0
         try:
             while True:
                 if dev.down:
                     dev.bulk_unresponsive_drop(count - i)
                     return
-                if dev.ingest(scheduler.now):
-                    k += 1
-                i += 1
+                last, left = scheduler.inline_bound()
+                # the last packet due at or before `last`: base + n * US // per_rate <= last
+                due = ((last - base + 1) * per_rate - 1) // US
+                end = max(i + 1, min(count, i + 1 + left, due + 1))
+                taken, ingested = dev.ingest_many(
+                    base + n * US // per_rate for n in range(i, end))
+                k += ingested
+                i += taken
+                scheduler.now = base + (i - 1) * US // per_rate
+                scheduler.processed += taken - 1  # its first packet ran as an event already
                 if i >= count:
                     return
-                when = send_instant(first, per_rate, i) + latency
+                when = base + i * US // per_rate
                 key = (origin, i)
                 if not scheduler.run_next(when, LANE_NET, key):
                     self.i = i

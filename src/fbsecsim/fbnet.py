@@ -104,6 +104,20 @@ class Scheduler:
             raise EventBudgetExceeded(f"more than {self.max_events} events processed")
         return True
 
+    def inline_bound(self) -> tuple[int, int]:
+        """(last, left) for a running entry that runs a stretch of successors
+        inline without `run_next` for each: one due at or before `last` (the
+        run_until horizon, or the heap head's time minus 1 if earlier) runs
+        before every queued entry, and `left` more events fit the budget.
+        One that ties with the head or comes later goes through `run_next`.
+        Having run n successors, the last at time t, the entry sets `now = t`
+        and adds n to `processed`."""
+        heap = self._heap
+        last = self._until
+        if heap and heap[0][0] <= last:
+            last = heap[0][0] - 1
+        return last, self.max_events - self.processed
+
     def run_until(self, until: int) -> None:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:

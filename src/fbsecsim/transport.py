@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict, deque
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .fbnet import LANE_NET, US, Scheduler
 
@@ -238,6 +238,62 @@ class DeviceModel:
             self._maybe_recover(now)
         self.ingested += 1
         return True
+
+    def ingest_many(self, times: Iterable[int]) -> tuple[int, int]:
+        """`ingest` each arrival time of `times` (non-decreasing, none before
+        the device's latest arrival) in turn, stopping after one that leaves
+        the device down; returns (arrivals taken, arrivals ingested).
+
+        The same steps as `ingest`, which is the per-arrival reference, with
+        the window, the drop RNG and the counters held in locals, so a
+        stretch of arrivals costs one call.  `times` is only iterated.
+        """
+        window = self.window
+        buckets, total = window._buckets, window._total
+        tail = buckets[-1] if buckets else None
+        bucket = tail[0] if buckets else None
+        capacity, critical_rate = self.capacity, self.critical_rate
+        draw = self._rng.random
+        overloaded_at, state = self._overloaded_at, self.state
+        taken = ingested = dropped = 0
+        for now in times:
+            taken += 1
+            if state is UNRESPONSIVE:
+                self.dropped_unresponsive += 1
+                break
+            b = now // BUCKET_US  # SlidingWindow.add
+            total += 1
+            if b == bucket:
+                tail[1] += 1
+            else:
+                low = b - _N_BUCKETS
+                while buckets and buckets[0][0] < low:
+                    total -= buckets.popleft()[1]
+                tail, bucket = [b, 1], b
+                buckets.append(tail)
+            if total >= critical_rate:
+                self._transition(UNRESPONSIVE, now)
+                self.dropped_unresponsive += 1
+                break
+            if total > capacity:
+                overloaded_at = now
+                if state is RESPONSIVE:
+                    self._transition(DEGRADED, now)
+                    state = DEGRADED
+                if draw() < 1.0 - capacity / total:
+                    dropped += 1
+                    continue
+            elif (overloaded_at is not None and state is DEGRADED
+                  and now - overloaded_at >= WINDOW_US):  # _maybe_recover
+                self._transition(RESPONSIVE, overloaded_at + WINDOW_US)
+                overloaded_at, state = None, RESPONSIVE
+            ingested += 1
+        window._total = total
+        self._overloaded_at = overloaded_at
+        self.offered += taken
+        self.ingested += ingested
+        self.dropped_capacity += dropped
+        return taken, ingested
 
     def bulk_unresponsive_drop(self, count: int) -> None:
         """Fast path for flood remainders once the device is down."""

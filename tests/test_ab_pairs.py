@@ -1,0 +1,60 @@
+"""The claim rule of tools/ab_pairs.py: per-pair wins, quartiles, claim and worse."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+TEN = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # quartiles 12.25 and 16.75: IQR 4.5
+
+
+def shifted(values, by):
+    return [v + by for v in values]
+
+
+@pytest.mark.parametrize("values,want", [
+    ([7.0], (7.0, 7.0, 7.0)),                     # one value: degenerate quartiles
+    ([1, 2, 3, 4, 5], (2, 3, 4)),
+    ([3, 1, 2], (1.5, 2, 2.5)),                   # order does not matter
+    (TEN, (12.25, 14.5, 16.75)),
+])
+def test_quartiles(values, want):
+    assert ab_pairs.quartiles(values) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("parent,change,lower_is_better,wins,claim,worse", [
+    # ties count for neither side
+    ([5] * 10, [5] * 10, True, 0, False, False),
+    ([2] * 10, [1] * 9 + [2], True, 9, True, False),
+    ([2] * 10, [1] * 8 + [2] * 2, True, 8, False, False),
+    # a claim needs 9/10 wins and a median gap larger than the parent's IQR
+    (TEN, shifted(TEN, -5), True, 10, True, False),
+    (TEN, shifted(TEN, -4.5), True, 10, False, False),   # gap equals the IQR
+    (TEN, shifted(TEN, -1), True, 10, False, False),
+    (TEN, shifted(TEN, -5)[:8] + [20, 20], True, 8, False, False),
+    (TEN, shifted(TEN, -5)[:9] + [20], True, 9, True, False),
+    # worse is its mirror
+    (TEN, shifted(TEN, 5), True, 0, False, True),
+    (TEN, shifted(TEN, 4.5), True, 0, False, False),
+    (TEN, shifted(TEN, 5)[:8] + [0, 0], True, 2, False, False),
+    # higher-is-better metrics flip the sign
+    (TEN, shifted(TEN, 5), False, 10, True, False),
+    (TEN, shifted(TEN, -5), False, 0, False, True),
+    ([2] * 10, [1] * 9 + [2], False, 0, False, True),
+])
+def test_judge(parent, change, lower_is_better, wins, claim, worse):
+    got = ab_pairs.judge(parent, change, lower_is_better)
+    assert (got["wins"], got["n"], got["claim"], got["worse"]) == (wins, len(parent), claim, worse)
+    for side, values in (("parent", parent), ("change", change)):
+        q1, median, q3 = ab_pairs.quartiles(values)
+        assert got[side] == (median, q1, q3)
+
+
+def test_judge_delta_is_relative_to_the_parent_median():
+    assert ab_pairs.judge(TEN, shifted(TEN, -5), True)["delta"] == pytest.approx(-5 / 14.5)
+    assert ab_pairs.judge([0] * 3, [1] * 3, True)["delta"] == 0.0  # no base: no ratio

@@ -27,6 +27,7 @@ from fbsecsim.errors import ConfigError, EventBudgetExceeded
 from fbsecsim.fbnet import LANE_FB, LANE_NET, US, FBNetwork, Scheduler, Trace
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.transport import (
+    BUCKET_US,
     DeviceModel,
     DeviceState,
     Endpoint,
@@ -227,7 +228,8 @@ class _HeapOnlyScheduler(Scheduler):
 
 class _LoggingDevice(DeviceModel):
     """Logs every arrival's fate with the event count, state and counters it
-    left behind; a flood pump asks `ingest` before it builds any packet."""
+    left behind; a flood pump asks `ingest` (or `ingest_many`, for a segment
+    of count-only arrivals) before it builds any packet."""
 
     def __init__(self, log, scheduler, *args, **kw):
         super().__init__(*args, **kw)
@@ -237,14 +239,31 @@ class _LoggingDevice(DeviceModel):
         return self.offered, self.ingested, self.dropped_capacity, self.dropped_unresponsive
 
     def ingest(self, now):
+        return self.logged(now, self.scheduler.processed, super().ingest)
+
+    def ingest_many(self, times):
+        """Takes each arrival in a one-arrival call and logs it with the
+        event count it runs as on the per-packet path: a segment's first
+        arrival is the event running now, and each next one a further event.
+        Stretches of many arrivals are pinned by `test_transport.TestIngestMany`."""
+        many = super().ingest_many
+        taken = ingested = 0
+        for now in times:
+            ingested += self.logged(now, self.scheduler.processed + taken,
+                                    lambda t: many((t,)) == (1, 1))
+            taken += 1
+            if self.down:
+                break
+        return taken, ingested
+
+    def logged(self, now, processed, ingest):
         before = self.fate_counters()
-        ok = super().ingest(now)
+        ok = ingest(now)
         after = self.fate_counters()
         # one offer and exactly one fate counter moved, by one; True just for `ingested`
         delta = tuple(a - b for a, b in zip(after, before))
         assert delta in ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)) and ok is (delta[1] == 1)
-        self.log.append((now, self.scheduler.processed, self.device_id, ok, delta, self.state,
-                         *after))
+        self.log.append((now, processed, self.device_id, ok, delta, self.state, *after))
         return ok
 
 
@@ -538,12 +557,26 @@ class TestIngestFirst:
         assert tr._seq == victim.ingested
 
 
+def subscriber_net(sched, tr, victim, trace):
+    """A network on `victim` (plc2) holding one initialised subscriber SUB
+    bound to port 61499."""
+    net = FBNetwork(sched, trace, services={"transport": tr})
+    net.host = victim
+    net.add(make_subscriber("SUB", net, tr, "plc2"))
+    net.set_data_in("SUB", "QI", Bool(True))
+    net.set_data_in("SUB", "ID", Str("239.192.0.2:61499"))
+    net.dispatch("SUB", "INIT")
+    return net
+
+
 def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-                   suspend, sends):
+                   suspend, sends, max_events=10**8, horizons=()):
     """Floods `floods` against a subscriber PLC (plc2) that may be suspended
-    and resumed, with legitimate publishes from plc1; return what every
-    layer and observer saw, the sequence counter included."""
-    sched = Scheduler()
+    and resumed, with legitimate publishes from plc1, run up to each horizon
+    in turn and then past the floods' end, or until the event budget runs
+    out; return what every layer and observer saw, the sequence counter
+    included."""
+    sched = Scheduler(max_events)
     tr = Transport(sched, 500)
     log = []
     victim = tr.add_device(_LoggingDevice(log, sched, "plc2", ip_to_int("192.168.1.2"),
@@ -561,12 +594,7 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
     tr.watch_delivery("plc1", lambda pkt, now: seen.append(("plc1", now, pkt)))
     if watch_attacker:
         tr.watch_delivery("attacker1", lambda pkt, now: seen.append(("attacker1", now, pkt)))
-    net = FBNetwork(sched, Trace() if traced else None, services={"transport": tr})
-    net.host = victim
-    net.add(make_subscriber("SUB", net, tr, "plc2"))
-    net.set_data_in("SUB", "QI", Bool(True))
-    net.set_data_in("SUB", "ID", Str("239.192.0.2:61499"))
-    net.dispatch("SUB", "INIT")
+    net = subscriber_net(sched, tr, victim, Trace() if traced else None)
     for t, action in zip(suspend, (net.suspended.add, net.suspended.discard)):
         sched.at(t, lambda action=action: action("SUB"))
     gaddr = GroupAddress(ip_to_int("239.192.0.2"), 61499)
@@ -577,16 +605,62 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
                  tr.send(tr.make_packet(Proto.UDP, src, dst, payload, "plc1")))
     for n, s in enumerate(floods):
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66") + 16 * n)
-    sched.run_until(max(s.stop for s in floods) + US)
+    ending = "drained"
+    try:
+        for until in (*horizons, max(s.stop for s in floods) + US):
+            sched.run_until(until)
+            # something new falls due right after each horizon
+            sched.at(until + 1, lambda: log.append(("tick", sched.now, sched.processed)))
+    except EventBudgetExceeded:
+        ending = "budget"
     sub = net.instances["SUB"]
     stats = (engine.presented, engine.inspected, engine.dropped_by_engine,
              [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
     return (log, victim.counters(), victim.transitions, sender.counters(), tr.undeliverable,
-            stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
+            ending, sched.now, stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
             net.trace.entries if traced else None, net.suppressed, tr._seq, sched.processed)
 
 
 class TestCountOnly:
+    @staticmethod
+    def flood_peak(seconds):
+        """Peak bytes traced while a lone untraced junk flood at 10^6 pkt/s
+        runs for `seconds` against an engine-off subscriber on plc2, and the
+        devices handed each segment.  The flood starts once plc2's window
+        holds a full second of buckets, so the window keeps its size."""
+        segments = []
+        many = DeviceModel.ingest_many
+
+        def segment(dev, times):
+            segments.append(dev.device_id)
+            return many(dev, times)
+
+        tracemalloc.start()
+        try:
+            sched = Scheduler()
+            tr = Transport(sched, 500)
+            victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
+            for t in range(US, 2 * US, BUCKET_US):
+                victim.window.add(t)
+            subscriber_net(sched, tr, victim, None)
+            stop = 2 * US + int(seconds * US)
+            schedule_flood(spec(rate=10**6, start=2 * US, stop=stop), tr, sched,
+                           ip_to_int("10.0.0.66"))
+            with mock.patch.object(DeviceModel, "ingest_many", segment):
+                sched.run_until(stop + US)
+            return tracemalloc.get_traced_memory()[1], segments
+        finally:
+            tracemalloc.stop()
+
+    def test_segment_memory_does_not_grow_with_flood_length(self):
+        """Nothing else is due, so one segment spans the whole flood; its
+        arrival times are made as they are ingested, so ten times the
+        arrivals take no more memory."""
+        (short, short_segments), (long, long_segments) = (self.flood_peak(0.02),
+                                                          self.flood_peak(0.2))
+        assert short_segments == long_segments == ["plc2"]
+        assert long < 1.1 * short, (short, long)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_the_per_packet_path(self, data):
@@ -617,13 +691,20 @@ class TestCountOnly:
         if engine_cfg is not None:
             engine_cfg = (engine_cfg, draw(st.integers(5, 2_000)))
         stop = max(s.stop for s in floods)
-        suspend = sorted(draw(st.lists(st.integers(0, stop), max_size=2)))
-        sends = draw(st.lists(st.tuples(st.integers(0, stop), st.booleans(),
+        # other events fall anywhere, or tie with a flood arrival
+        arrivals = [send_instant(*flood_clock(s, 0), n) + 500
+                    for s in floods for n in range(flood_count(s))]
+        instant = st.one_of(st.integers(0, stop), st.sampled_from(arrivals))
+        suspend = sorted(draw(st.lists(instant, max_size=2)))
+        sends = draw(st.lists(st.tuples(instant, st.booleans(),
                                         st.sampled_from([b"\x40", b"\x41", b"\x00"])),
                               max_size=6))
         traced, watch_attacker = (draw(st.sampled_from([False, False, True])) for _ in "tw")
+        # a segment ends at the event budget or at a run_until horizon
+        max_events = draw(st.one_of(st.just(10**8), st.integers(1, packets + 20)))
+        horizons = sorted(draw(st.lists(instant, max_size=3)))
         case = (floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-                suspend, sends)
+                suspend, sends, max_events, horizons)
         got = run_count_case(*case)
         with mock.patch.object(Transport, "count_only", lambda *args: None):
             want = run_count_case(*case)

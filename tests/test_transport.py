@@ -247,6 +247,48 @@ class TestIngest:
         assert rho > 0.99
 
 
+def _device_state(dev):
+    return (dev.counters(), dev.transitions, dev.state, dev.down, dev._overloaded_at,
+            [list(bucket) for bucket in dev.window._buckets], dev.window._total)
+
+
+class TestIngestMany:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_repeated_ingest(self, data):
+        """`ingest_many` over stretches of a time sequence leaves a device
+        where one `ingest` per arrival does, each call stopping after the
+        arrival that takes the device down, on sequences that cross
+        capacity, the critical rate and recovery gaps."""
+        draw = data.draw
+        capacity = draw(st.integers(1, 40))
+        critical_rate = draw(st.one_of(st.just(10**6), st.integers(capacity + 1, capacity + 80)))
+        seed = draw(st.integers(0, 3))
+        t = draw(st.integers(0, 3 * WINDOW_US))
+        times = []
+        # bursts of arrivals, each after a short lead or a clean window (recovery)
+        for lead, n, spacing in draw(st.lists(st.tuples(
+                st.one_of(st.integers(0, 2 * BUCKET_US), st.integers(WINDOW_US, 3 * WINDOW_US)),
+                st.integers(1, 60), st.integers(0, 50)), min_size=1, max_size=8)):
+            t += lead
+            for _ in range(n):
+                times.append(t)
+                t += spacing
+        cuts = sorted(draw(st.lists(st.integers(0, len(times)), max_size=4)))
+        many, ref = (plain_device(capacity=capacity, critical_rate=critical_rate, seed=seed)
+                     for _ in "mr")
+        for lo, hi in zip([0, *cuts], [*cuts, len(times)]):
+            taken = ingested = 0
+            for now in times[lo:hi]:
+                taken += 1
+                ingested += ref.ingest(now)
+                if ref.down:
+                    break
+            assert many.ingest_many(iter(times[lo:hi])) == (taken, ingested)
+            assert _device_state(many) == _device_state(ref)
+        assert many._rng.random() == ref._rng.random()
+
+
 class _FullScanTable:
     """Reference half-open table: a plain dict, scanned whole on every call."""
 
