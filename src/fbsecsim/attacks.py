@@ -8,18 +8,17 @@ scheduler (one live event per attacker), and once a unicast target goes
 unresponsive the remainder is accounted in bulk since nothing else could
 observe it.
 
-Likewise, while a pump delivers arrivals inline nothing else can run, so
-an ingested arrival whose whole fate is a counter update is only counted,
-and such arrivals run in segments: each stretch due before anything else
-costs one scheduler bound and one device call (see `_FloodPump`).  Every
-arrival is still ingested and counted as an event.
+A pump runs each arrival due before anything else inline, in one loop
+(`_FloodPump._pump`).  Nothing else can run meanwhile, so an ingested
+arrival whose whole fate is a counter update is only counted, and such
+arrivals go to the device a stretch at a time: one scheduler bound and one
+device call each.  Every arrival is still ingested and counted as an event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
@@ -107,22 +106,23 @@ def schedule_spoof(spec: AttackSpec, transport: Transport, scheduler: Scheduler)
 class _FloodPump:
     """One attacker's packet stream, self-rescheduling at delivery times.
 
-    While the scheduler has nothing due before the next packet, the pump
-    delivers it inline (`Scheduler.run_next`); otherwise only that packet is
-    armed.  Send instants are computed one at a time, so a flood holds the
-    same memory however many packets it sends.  A unicast target's device
-    ingests each arrival first; only an ingested one is built into a `Packet`
-    (taking a sequence number) for `Transport.arrive`.  Group floods and
-    targets with no device go through `Transport.deliver`.
+    `_pump` is its one loop.  Packet `i` runs as an event; each successor
+    due before anything else (`Scheduler.inline_bound`) runs inline, and the
+    first one that is not is armed.  Send instants are computed one at a
+    time, so a flood holds the same memory however many packets it sends.
+    A unicast target's device ingests each arrival first; only an ingested
+    one is built into a `Packet` (taking a sequence number) for
+    `Transport.arrive`.  Group floods and targets with no device go through
+    `Transport.deliver`.
 
     The first time a call of a unicast non-SYN flood goes on inline, it asks
-    `Transport.count_only` once; if that names a counter, the rest of the
-    call runs in `_count`, where ingested arrivals build no packet and are
-    only counted, and the arrivals due before the scheduler's head go to the
-    device as one segment (`DeviceModel.ingest_many`).  Every arrival is
-    still ingested and run as an event, so device counters, drop draws,
-    state changes, collapse, `now`, `processed` and the event budget end
-    as they would one arrival at a time.
+    `Transport.count_only` once; if that names a counter, ingested arrivals
+    build no packet for the rest of the call and are only counted, and the
+    arrivals due inline go to the device a segment at a time
+    (`DeviceModel.ingest_many`).  Every arrival is still ingested and run as
+    an event, so device counters, drop draws, state changes, collapse,
+    `now`, `processed` and the event budget end as they would one arrival
+    at a time.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -152,90 +152,73 @@ class _FloodPump:
                               lane=LANE_NET, key=(self.origin, 0))
 
     def _pump(self) -> None:
-        """Deliver packet `i`, then each following packet the scheduler lets
-        run inline (nothing else is due first); arm the next one otherwise."""
+        """Deliver packet `i` (due now) and each next packet `inline_bound`
+        lets run inline (due at or before `last`, with events `left` in the
+        budget), moving `now` and `processed` as a popped entry would; arm
+        the first one it does not.  Counted arrivals go to the device a
+        segment at a time, and `counted(k)` takes the k ingested when the
+        call ends."""
         target, payload, proto, origin = self.spec.target, self.spec.payload, self.proto, self.origin
         base_src, syn_rotate, view = self.src, self.syn_rotate, self.view
         dev, group = self.target_device, self.group
         transport, scheduler = self.transport, self.scheduler
         latency = transport.latency_us
-        first, per_rate, count, i = self.first, self.per_rate, self.count, self.i
-        ask = dev is not None and not syn_rotate  # once per call, see the class docstring
-        while True:
-            if dev is not None and dev.down:
-                dev.bulk_unresponsive_drop(count - i)
-                return
-            now = scheduler.now
-            if dev is None or dev.ingest(now):
-                src = base_src
-                if syn_rotate:
-                    # Rotate the claimed source so the SYN-ACKs vanish and no
-                    # ACK ever completes a handshake.
-                    rot = (base_src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
-                    src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
-                # a packet arrives exactly one latency after its send instant
-                pkt = Packet(proto, src, target, payload, now - latency, origin, transport.next_seq())
-                if dev is not None:
-                    transport.arrive(dev, pkt, target, view, now)
-                elif group is None:
-                    transport.deliver(pkt, target, view)
-                else:
-                    for member in transport.members(group):
-                        transport.deliver(pkt, member, view)
-            i += 1
-            if i >= count:
-                return
-            when = send_instant(first, per_rate, i) + latency
-            key = (origin, i)
-            if not scheduler.run_next(when, LANE_NET, key):
-                self.i = i
-                scheduler.at(when, self._pump, lane=LANE_NET, key=key)
-                return
-            if ask:
-                ask = False
-                counted = transport.count_only(dev, target, view, origin)
-                if counted is not None:
-                    self.i = i
-                    self._count(counted)
-                    return
-
-    def _count(self, counted: Callable[[int], None]) -> None:
-        """`_pump` for arrivals that are only counted, run as segments: packet
-        `i` (due now) and the successors `Scheduler.inline_bound` lets run
-        inline go to the device in one call, which stops after an arrival
-        that takes it down; `now` and `processed` then move once.  The next
-        packet goes through `run_next`, which decides a tie with the head,
-        the budget's end and a collapse's next arrival as for any packet.
-        `counted(k)` takes the k ingested."""
-        dev, scheduler, origin = self.target_device, self.scheduler, self.origin
-        base = self.first + self.transport.latency_us  # arrival of packet 0
+        base = self.first + latency  # arrival of packet 0
         per_rate, count, i = self.per_rate, self.count, self.i
+        ask = dev is not None and not syn_rotate  # once per call, see the class docstring
+        counted = None
         k = 0
         try:
             while True:
-                if dev.down:
+                if dev is not None and dev.down:
                     dev.bulk_unresponsive_drop(count - i)
                     return
-                last, left = scheduler.inline_bound()
-                # the last packet due at or before `last`: base + n * US // per_rate <= last
-                due = ((last - base + 1) * per_rate - 1) // US
-                end = max(i + 1, min(count, i + 1 + left, due + 1))
-                taken, ingested = dev.ingest_many(
-                    base + n * US // per_rate for n in range(i, end))
-                k += ingested
-                i += taken
-                scheduler.now = base + (i - 1) * US // per_rate
-                scheduler.processed += taken - 1  # its first packet ran as an event already
+                if counted is None:
+                    now = scheduler.now
+                    if dev is None or dev.ingest(now):
+                        src = base_src
+                        if syn_rotate:
+                            # Rotate the claimed source so the SYN-ACKs vanish
+                            # and no ACK ever completes a handshake.
+                            rot = (base_src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
+                            src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
+                        # a packet arrives exactly one latency after its send instant
+                        pkt = Packet(proto, src, target, payload, now - latency, origin,
+                                     transport.next_seq())
+                        if dev is not None:
+                            transport.arrive(dev, pkt, target, view, now)
+                        elif group is None:
+                            transport.deliver(pkt, target, view)
+                        else:
+                            for member in transport.members(group):
+                                transport.deliver(pkt, member, view)
+                    i += 1
+                else:
+                    # packet i and its successors due at or before `last`
+                    # (base + n * US // per_rate <= last), at most `left` in all
+                    end = ((last - base + 1) * per_rate - 1) // US + 1
+                    taken, ingested = dev.ingest_many(
+                        base + n * US // per_rate for n in range(i, min(count, i + left, end)))
+                    k += ingested
+                    i += taken
+                    scheduler.now = base + (i - 1) * US // per_rate
+                    scheduler.processed += taken - 1  # its first packet ran as an event already
                 if i >= count:
                     return
                 when = base + i * US // per_rate
-                key = (origin, i)
-                if not scheduler.run_next(when, LANE_NET, key):
+                last, left = scheduler.inline_bound()
+                if when > last or left < 1:
                     self.i = i
-                    scheduler.at(when, self._pump, lane=LANE_NET, key=key)
+                    scheduler.at(when, self._pump, lane=LANE_NET, key=(origin, i))
                     return
+                scheduler.now = when
+                scheduler.processed += 1
+                if ask:
+                    ask = False
+                    counted = transport.count_only(dev, target, view, origin)
         finally:
-            counted(k)
+            if counted is not None:
+                counted(k)
 
 
 def schedule_flood(spec: AttackSpec, transport: Transport, scheduler: Scheduler,

@@ -83,35 +83,15 @@ class Scheduler:
         self._seq += 1
         heapq.heappush(self._heap, (time, lane, key, self._seq, fn))
 
-    def run_next(self, time: int, lane: int, key: Any) -> bool:
-        """Let a running entry run its successor inline instead of `at`-ing it.
-
-        True only when the successor would be the very next entry popped:
-        it sorts before the heap head (which wins a tie on (time, lane, key),
-        being queued first) and is within the horizon of the run_until in
-        progress.  `now`, `processed` and the budget then move as for a
-        popped entry.  Call it as the entry's last act; on False, `at` the
-        successor instead.
-        """
-        if time > self._until:
-            return False
-        heap = self._heap
-        if heap and heap[0] < (time, lane, key, self._seq + 1):
-            return False
-        self.now = time
-        self.processed += 1
-        if self.processed > self.max_events:
-            raise EventBudgetExceeded(f"more than {self.max_events} events processed")
-        return True
-
     def inline_bound(self) -> tuple[int, int]:
-        """(last, left) for a running entry that runs a stretch of successors
-        inline without `run_next` for each: one due at or before `last` (the
-        run_until horizon, or the heap head's time minus 1 if earlier) runs
-        before every queued entry, and `left` more events fit the budget.
-        One that ties with the head or comes later goes through `run_next`.
-        Having run n successors, the last at time t, the entry sets `now = t`
-        and adds n to `processed`."""
+        """(last, left) for a running entry that runs its successors inline
+        instead of `at`-ing them: one due at or before `last` (the run_until
+        horizon, or the heap head's time minus 1 if earlier; -1 outside a
+        run_until) is the next entry to run, and `left` more events fit the
+        budget.  Having run n successors, the last at time t, the entry sets
+        `now = t` and adds n to `processed`.  A successor due later, tying
+        with the head, or past the budget is `at`-ed, so it pops in order
+        and its pop trips the budget."""
         heap = self._heap
         last = self._until
         if heap and heap[0][0] <= last:

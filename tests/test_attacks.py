@@ -6,7 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbsecsim import attacks
@@ -222,8 +222,8 @@ class _HeapOnlyScheduler(Scheduler):
     """Reference scheduler: declines every inline run, so each flood packet
     makes the heap round trip."""
 
-    def run_next(self, time, lane, key):
-        return False
+    def inline_bound(self):
+        return -1, 0
 
 
 class _LoggingDevice(DeviceModel):
@@ -317,39 +317,54 @@ def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
             peer.counters(), tr.undeliverable)
 
 
+@st.composite
+def coalescing_cases(draw):
+    """A `run_flood_case` case (a flood, timers on its arrival instants and
+    run_until horizons) and an event budget."""
+    group = draw(st.booleans())
+    target = GroupAddress(ip_to_int("239.192.0.2"), 61499) if group else None
+    start = draw(st.integers(0, 2_000))
+    s = spec(kind=draw(st.sampled_from([AttackKind.UDP_FLOOD, AttackKind.ICMP_FLOOD,
+                                         AttackKind.SYN_FLOOD])),
+             rate=draw(st.integers(2_000, 40_000)), start=start,
+             stop=start + draw(st.integers(2_000, 15_000)),
+             count=draw(st.integers(1, 3)), target=target)
+    latency = draw(st.sampled_from([1, 500]))
+    # (time, lane, key) of every flood packet's arrival; timers reuse
+    # them, so they fall due on the same instants and even tie on key
+    arrivals = sorted((t + latency, LANE_NET, ("attacker1" if s.attacker_count == 1
+                                               else f"attacker1.{j}", i))
+                      for j in range(s.attacker_count)
+                      for i, t in enumerate(iter_flood_times(s, j)))
+    slots = draw(st.lists(st.tuples(st.sampled_from(arrivals),
+                                    st.sampled_from([LANE_FB, LANE_NET]), st.booleans()),
+                          max_size=8))
+    timers = [(t, lane, key if lane == LANE_NET else "", sends)
+              for (t, _, key), lane, sends in slots]
+    horizons = sorted(draw(st.lists(st.sampled_from([a[0] for a in arrivals]),
+                                    max_size=3))) + [s.stop + US]
+    # the victim may collapse, and the budget may trip, anywhere in the flood
+    critical_rate = draw(st.integers(21, len(arrivals) + 40))
+    budget = draw(st.one_of(st.just(10**6), st.integers(1, len(arrivals) + 20)))
+    return (s, latency, critical_rate, group, timers, horizons), budget
+
+
+# A lone 50-packet flood, one packet per 100 us arriving 1 us after it is sent.
+_LONE = (spec(rate=10_000, stop=5_000), 1, 10**6, False)
+
+
 class TestCoalescing:
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_inline_packets_match_the_heap_round_trip(self, data):
+    @given(coalescing_cases())
+    # a sending LANE_NET timer on packet 3's arrival instant, keyed after
+    # the pump's key: packet 3 ties the heap head, sorts first and is armed
+    @example(((*_LONE, [(301, LANE_NET, ("attacker1", 4), True)], [5_000 + US]), 10**6))
+    # the budget runs out at packet 10, which would run inline
+    @example(((*_LONE, [], [5_000 + US]), 10))
+    def test_inline_packets_match_the_heap_round_trip(self, drawn):
         """A flood run with inline packets is indistinguishable from one
         where every packet goes through the heap."""
-        draw = data.draw
-        group = draw(st.booleans())
-        target = GroupAddress(ip_to_int("239.192.0.2"), 61499) if group else None
-        start = draw(st.integers(0, 2_000))
-        s = spec(kind=draw(st.sampled_from([AttackKind.UDP_FLOOD, AttackKind.ICMP_FLOOD,
-                                             AttackKind.SYN_FLOOD])),
-                 rate=draw(st.integers(2_000, 40_000)), start=start,
-                 stop=start + draw(st.integers(2_000, 15_000)),
-                 count=draw(st.integers(1, 3)), target=target)
-        latency = draw(st.sampled_from([1, 500]))
-        # (time, lane, key) of every flood packet's arrival; timers reuse
-        # them, so they fall due on the same instants and even tie on key
-        arrivals = sorted((t + latency, LANE_NET, ("attacker1" if s.attacker_count == 1
-                                                   else f"attacker1.{j}", i))
-                          for j in range(s.attacker_count)
-                          for i, t in enumerate(iter_flood_times(s, j)))
-        slots = draw(st.lists(st.tuples(st.sampled_from(arrivals),
-                                        st.sampled_from([LANE_FB, LANE_NET]), st.booleans()),
-                              max_size=8))
-        timers = [(t, lane, key if lane == LANE_NET else "", sends)
-                  for (t, _, key), lane, sends in slots]
-        horizons = sorted(draw(st.lists(st.sampled_from([a[0] for a in arrivals]),
-                                        max_size=3))) + [s.stop + US]
-        # the victim may collapse, and the budget may trip, anywhere in the flood
-        critical_rate = draw(st.integers(21, len(arrivals) + 40))
-        budget = draw(st.one_of(st.just(10**6), st.integers(1, len(arrivals) + 20)))
-        case = (s, latency, critical_rate, group, timers, horizons)
+        case, budget = drawn
         got = run_flood_case(Scheduler(max_events=budget), *case)
         assert got == run_flood_case(_HeapOnlyScheduler(max_events=budget), *case)
 

@@ -565,8 +565,8 @@ class _SortedModel:
         self.seq += 1
         self.pending.append((time, lane, key, self.seq, fn))
 
-    def run_next(self, time, lane, key):
-        return False
+    def inline_bound(self):
+        return -1, 0
 
     def run_until(self, until):
         while due := [e for e in self.pending if e[0] <= until]:
@@ -605,10 +605,14 @@ def drive(sched, ops):
     def schedule(entry, label, inline):
         delay, lane, key, _, _ = entry
         when = sched.now + delay
-        if inline and sched.run_next(when, lane, key):
-            fire(entry, label)
-        else:
-            sched.at(when, lambda: fire(entry, label), lane=lane, key=key)
+        if inline:  # as a flood pump runs its next packet
+            last, left = sched.inline_bound()
+            if when <= last and left >= 1:
+                sched.now = when
+                sched.processed += 1
+                fire(entry, label)
+                return
+        sched.at(when, lambda: fire(entry, label), lane=lane, key=key)
 
     def fire(entry, label):
         log.append((sched.now, label))
@@ -639,24 +643,32 @@ class TestSchedulerOrder:
         model = _SortedModel(budget)
         assert drive(Scheduler(max_events=budget), ops) == drive(model, ops)
 
-    def test_run_next_declines_outside_run_until(self):
-        sched = Scheduler()
-        assert not sched.run_next(0, LANE_NET, ("x", 0))
-        assert sched.processed == 0
+    def test_inline_bound_outside_run_until(self):
+        sched = Scheduler(max_events=5)
+        assert sched.inline_bound() == (-1, 5)
 
-    def test_run_next_runs_only_before_the_queued_entry(self):
+    def test_inline_bound_ends_one_us_before_the_queued_head(self):
         sched = Scheduler()
         seen = []
-        sched.at(2, lambda: seen.append(sched.run_next(5, LANE_NET, ("x", 0))))  # a tie
-        sched.at(3, lambda: seen.append(sched.run_next(5, LANE_NET, ("w", 9))))
+        sched.at(2, lambda: seen.append(sched.inline_bound()))
         sched.at(5, lambda: seen.append("queued"), lane=LANE_NET, key=("x", 0))
         sched.run_until(10)
-        assert seen == [False, True, "queued"]
-        assert sched.processed == 4
+        assert seen == [(4, sched.max_events - 1), "queued"]
 
-    def test_run_next_declines_past_the_horizon(self):
+    def test_inline_bound_is_the_horizon_when_nothing_is_queued(self):
         sched = Scheduler()
         seen = []
-        sched.at(2, lambda: seen.append(sched.run_next(11, LANE_FB, "")))
+        sched.at(2, lambda: seen.append(sched.inline_bound()[0]))
         sched.run_until(10)
-        assert seen == [False] and sched.now == 10
+        sched.at(12, lambda: seen.append(sched.inline_bound()[0]))
+        sched.at(31, lambda: seen.append("late"))  # past the horizon
+        sched.run_until(20)
+        assert seen == [10, 20]
+
+    def test_inline_bound_counts_down_the_budget(self):
+        sched = Scheduler(max_events=3)
+        seen = []
+        for t in (1, 2, 3):
+            sched.at(t, lambda: seen.append(sched.inline_bound()[1]))
+        sched.run_until(10)
+        assert seen == [2, 1, 0]
