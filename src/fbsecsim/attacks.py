@@ -12,7 +12,8 @@ A pump runs each arrival due before anything else inline, in one loop
 (`_FloodPump._pump`).  Nothing else can run meanwhile, so an ingested
 arrival whose whole fate is a counter update is only counted, and such
 arrivals go to the device a stretch at a time: one scheduler bound and one
-device call each.  Every arrival is still ingested and counted as an event.
+device call each, which works the stretch out one 1 ms window bucket at a
+time.  Every arrival is still ingested and counted as an event.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def flood_clock(spec: AttackSpec, attacker_index: int) -> tuple[int, int]:
     return spec.start + attacker_index * US // spec.rate, spec.rate // spec.attacker_count
 
 
-def send_instant(first: int, per_rate: int, i: int) -> int:
-    """Send instant of an attacker's packet `i`, from its `flood_clock`."""
-    return first + i * US // per_rate
-
-
 def flood_count(spec: AttackSpec) -> int:
     """Exact per-attacker packet count over [start, stop)."""
     return flood_clock(spec, 0)[1] * (spec.stop - spec.start) // US
@@ -118,11 +114,11 @@ class _FloodPump:
     The first time a call of a unicast non-SYN flood goes on inline, it asks
     `Transport.count_only` once; if that names a counter, ingested arrivals
     build no packet for the rest of the call and are only counted, and the
-    arrivals due inline go to the device a segment at a time
-    (`DeviceModel.ingest_many`).  Every arrival is still ingested and run as
-    an event, so device counters, drop draws, state changes, collapse,
-    `now`, `processed` and the event budget end as they would one arrival
-    at a time.
+    arrivals due inline go to the device a segment at a time, as an index
+    range of this schedule (`DeviceModel.ingest_span`).  Every arrival is
+    still ingested and run as an event, so device counters, drop draws,
+    state changes, collapse, `now`, `processed` and the event budget end as
+    they would one arrival at a time.
     """
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
@@ -197,8 +193,7 @@ class _FloodPump:
                     # packet i and its successors due at or before `last`
                     # (base + n * US // per_rate <= last), at most `left` in all
                     end = ((last - base + 1) * per_rate - 1) // US + 1
-                    taken, ingested = dev.ingest_many(
-                        base + n * US // per_rate for n in range(i, min(count, i + left, end)))
+                    taken, ingested = dev.ingest_span(base, per_rate, i, min(count, i + left, end))
                     k += ingested
                     i += taken
                     scheduler.now = base + (i - 1) * US // per_rate

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict, deque
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .fbnet import LANE_NET, US, Scheduler
 
@@ -239,57 +239,65 @@ class DeviceModel:
         self.ingested += 1
         return True
 
-    def ingest_many(self, times: Iterable[int]) -> tuple[int, int]:
-        """`ingest` each arrival time of `times` (non-decreasing, none before
-        the device's latest arrival) in turn, stopping after one that leaves
-        the device down; returns (arrivals taken, arrivals ingested).
-
-        The same steps as `ingest`, which is the per-arrival reference, with
-        the window, the drop RNG and the counters held in locals, so a
-        stretch of arrivals costs one call.  `times` is only iterated.
-        """
-        window = self.window
-        buckets, total = window._buckets, window._total
-        tail = buckets[-1] if buckets else None
-        bucket = tail[0] if buckets else None
+    def ingest_span(self, base: int, per_rate: int, lo: int, hi: int) -> tuple[int, int]:
+        """`ingest` arrivals lo..hi-1 (lo <= hi) of a periodic stream, arrival
+        m due at base + m * US // per_rate and none before the device's latest
+        arrival, stopping after one that leaves the device down; returns
+        (arrivals taken, arrivals ingested).  Within one 1 ms bucket the
+        window total rises by one per arrival, so the arrivals at or under
+        capacity, those over it and a collapse are index ranges: only an
+        over-capacity arrival costs a step, its drop draw."""
+        if self.down:
+            taken = min(hi - lo, 1)  # the first arrival, if any, finds it down
+            self.offered += taken
+            self.dropped_unresponsive += taken
+            return taken, 0
+        buckets, total = self.window._buckets, self.window._total
         capacity, critical_rate = self.capacity, self.critical_rate
         draw = self._rng.random
-        overloaded_at, state = self._overloaded_at, self.state
-        taken = ingested = dropped = 0
-        for now in times:
-            taken += 1
-            if state is UNRESPONSIVE:
-                self.dropped_unresponsive += 1
-                break
-            b = now // BUCKET_US  # SlidingWindow.add
-            total += 1
-            if b == bucket:
-                tail[1] += 1
-            else:
+        dropped = 0
+        m = lo
+        while m < hi:
+            b = (base + m * US // per_rate) // BUCKET_US
+            if buckets and buckets[-1][0] == b:
+                tail = buckets[-1]
+            else:  # SlidingWindow.add
                 low = b - _N_BUCKETS
                 while buckets and buckets[0][0] < low:
                     total -= buckets.popleft()[1]
-                tail, bucket = [b, 1], b
+                tail = [b, 0]
                 buckets.append(tail)
-            if total >= critical_rate:
-                self._transition(UNRESPONSIVE, now)
+            # arrivals m..end-1 fall in bucket b, and arrival m + j brings the
+            # total to total + j + 1: crit is the one that reaches critical_rate
+            # (the device is up, so total is below it), over the first over capacity
+            end = -(-((b + 1) * BUCKET_US - base) * per_rate // US)
+            if end > hi:
+                end = hi
+            crit = m + critical_rate - total - 1
+            stop = crit if crit < end else end
+            over = m + capacity - total if total < capacity else m
+            if over > stop:
+                over = stop
+            if over > m and self._overloaded_at is not None:
+                self._maybe_recover(base + (over - 1) * US // per_rate)
+            if over < stop:
+                if self.state is RESPONSIVE:
+                    self._transition(DEGRADED, base + over * US // per_rate)
+                self._overloaded_at = base + (stop - 1) * US // per_rate
+                for rate in range(total + over - m + 1, total + stop - m + 1):
+                    if draw() < 1.0 - capacity / rate:
+                        dropped += 1
+            n = stop - m + (crit < end)
+            total += n
+            tail[1] += n
+            m += n
+            if crit < end:
+                self._transition(UNRESPONSIVE, base + crit * US // per_rate)
                 self.dropped_unresponsive += 1
                 break
-            if total > capacity:
-                overloaded_at = now
-                if state is RESPONSIVE:
-                    self._transition(DEGRADED, now)
-                    state = DEGRADED
-                if draw() < 1.0 - capacity / total:
-                    dropped += 1
-                    continue
-            elif (overloaded_at is not None and state is DEGRADED
-                  and now - overloaded_at >= WINDOW_US):  # _maybe_recover
-                self._transition(RESPONSIVE, overloaded_at + WINDOW_US)
-                overloaded_at, state = None, RESPONSIVE
-            ingested += 1
-        window._total = total
-        self._overloaded_at = overloaded_at
+        self.window._total = total
+        taken = m - lo
+        ingested = taken - dropped - self.down
         self.offered += taken
         self.ingested += ingested
         self.dropped_capacity += dropped

@@ -1,4 +1,5 @@
-"""The claim rule of tools/ab_pairs.py: per-pair wins, quartiles, claim and worse."""
+"""The claim rule of tools/ab_pairs.py: per-pair wins, quartiles, claim and worse,
+and the spread of recorded rounds."""
 
 import importlib.util
 import pathlib
@@ -58,3 +59,34 @@ def test_judge(parent, change, lower_is_better, wins, claim, worse):
 def test_judge_delta_is_relative_to_the_parent_median():
     assert ab_pairs.judge(TEN, shifted(TEN, -5), True)["delta"] == pytest.approx(-5 / 14.5)
     assert ab_pairs.judge([0] * 3, [1] * 3, True)["delta"] == 0.0  # no base: no ratio
+
+
+def round_of(**metrics):
+    """A recorded round with the given (wins, n, delta) per metric."""
+    return {"metrics": {name: {"wins": w, "n": n, "delta": d}
+                        for name, (w, n, d) in metrics.items()}}
+
+
+@pytest.mark.parametrize("rounds,want", [
+    # one round: its own wins, and a range of one delta
+    ([round_of(wall_s=(10, 10, -0.25))], {"wall_s": ([(10, 10)], -0.25, -0.25)}),
+    # rounds in order; the range spans every round's delta
+    ([round_of(wall_s=(6, 10, 0.01)), round_of(wall_s=(0, 10, 0.03)),
+      round_of(wall_s=(2, 10, -0.02))],
+     {"wall_s": ([(6, 10), (0, 10), (2, 10)], -0.02, 0.03)}),
+    # the last round names the metrics; an earlier round without one is skipped
+    ([round_of(wall_s=(9, 10, -0.2), setup_s=(1, 10, 0.5)),
+      round_of(wall_s=(10, 12, -0.3)), round_of(wall_s=(8, 10, -0.1), run_ms_p50=(7, 10, 0.0))],
+     {"wall_s": ([(9, 10), (10, 12), (8, 10)], -0.3, -0.1),
+      "run_ms_p50": ([(7, 10)], 0.0, 0.0)}),
+])
+def test_spread(rounds, want):
+    assert ab_pairs.spread(rounds) == want
+
+
+def test_record_returns_the_workloads_rounds(tmp_path):
+    path = str(tmp_path / "bench.json")
+    first, other, second = round_of(wall_s=(1, 2, 0.1)), round_of(), round_of(wall_s=(2, 2, 0.2))
+    assert ab_pairs.record(path, "seed_batch", first) == [first]
+    assert ab_pairs.record(path, "syn_backlog", other) == [other]
+    assert ab_pairs.record(path, "seed_batch", second) == [first, second]

@@ -19,7 +19,6 @@ from fbsecsim.attacks import (
     flood_clock,
     flood_count,
     schedule_flood,
-    send_instant,
 )
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
 from fbsecsim.csifb import make_subscriber
@@ -38,6 +37,11 @@ from fbsecsim.transport import (
     ip_to_int,
 )
 from fbsecsim.values import Bool, Str
+
+
+def send_instant(first, per_rate, i):
+    """Send instant of an attacker's packet `i`, from its `flood_clock`."""
+    return first + i * US // per_rate
 
 
 def iter_flood_times(s, attacker_index):
@@ -228,7 +232,7 @@ class _HeapOnlyScheduler(Scheduler):
 
 class _LoggingDevice(DeviceModel):
     """Logs every arrival's fate with the event count, state and counters it
-    left behind; a flood pump asks `ingest` (or `ingest_many`, for a segment
+    left behind; a flood pump asks `ingest` (or `ingest_span`, for a segment
     of count-only arrivals) before it builds any packet."""
 
     def __init__(self, log, scheduler, *args, **kw):
@@ -241,16 +245,16 @@ class _LoggingDevice(DeviceModel):
     def ingest(self, now):
         return self.logged(now, self.scheduler.processed, super().ingest)
 
-    def ingest_many(self, times):
+    def ingest_span(self, base, per_rate, lo, hi):
         """Takes each arrival in a one-arrival call and logs it with the
         event count it runs as on the per-packet path: a segment's first
         arrival is the event running now, and each next one a further event.
-        Stretches of many arrivals are pinned by `test_transport.TestIngestMany`."""
-        many = super().ingest_many
+        Spans of many arrivals are pinned by `test_transport.TestIngestSpan`."""
+        span = super().ingest_span
         taken = ingested = 0
-        for now in times:
-            ingested += self.logged(now, self.scheduler.processed + taken,
-                                    lambda t: many((t,)) == (1, 1))
+        for m in range(lo, hi):
+            ingested += self.logged(base + m * US // per_rate, self.scheduler.processed + taken,
+                                    lambda _: span(base, per_rate, m, m + 1) == (1, 1))
             taken += 1
             if self.down:
                 break
@@ -644,11 +648,11 @@ class TestCountOnly:
         devices handed each segment.  The flood starts once plc2's window
         holds a full second of buckets, so the window keeps its size."""
         segments = []
-        many = DeviceModel.ingest_many
+        span = DeviceModel.ingest_span
 
-        def segment(dev, times):
+        def segment(dev, *args):
             segments.append(dev.device_id)
-            return many(dev, times)
+            return span(dev, *args)
 
         tracemalloc.start()
         try:
@@ -661,16 +665,16 @@ class TestCountOnly:
             stop = 2 * US + int(seconds * US)
             schedule_flood(spec(rate=10**6, start=2 * US, stop=stop), tr, sched,
                            ip_to_int("10.0.0.66"))
-            with mock.patch.object(DeviceModel, "ingest_many", segment):
+            with mock.patch.object(DeviceModel, "ingest_span", segment):
                 sched.run_until(stop + US)
             return tracemalloc.get_traced_memory()[1], segments
         finally:
             tracemalloc.stop()
 
     def test_segment_memory_does_not_grow_with_flood_length(self):
-        """Nothing else is due, so one segment spans the whole flood; its
-        arrival times are made as they are ingested, so ten times the
-        arrivals take no more memory."""
+        """Nothing else is due, so one segment spans the whole flood; it is
+        handed as an index range and worked out bucket by bucket, so ten
+        times the arrivals take no more memory."""
         (short, short_segments), (long, long_segments) = (self.flood_peak(0.02),
                                                           self.flood_peak(0.2))
         assert short_segments == long_segments == ["plc2"]

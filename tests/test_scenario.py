@@ -15,6 +15,7 @@ from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import FBNetwork
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
+from fbsecsim.transport import DeviceModel, DeviceState
 
 
 FLAG = tuple(idps.FLAG.rsplit(".", 1))  # the IDPS blocks' attack flag A
@@ -361,3 +362,36 @@ class TestTracedMatchesUntraced:
         untraced, got = dispatch_count_and_files(cfg, False, tmp_path / "untraced")
         assert got == want
         assert untraced < traced / 2  # the untraced run did count arrivals
+
+    @pytest.mark.parametrize("variant, state", [
+        ("collapse", DeviceState.UNRESPONSIVE), ("recovery", DeviceState.RESPONSIVE)])
+    def test_same_outputs_when_a_segment_changes_plc2_state(self, variant, state, tmp_path):
+        """Engine off: plc2 collapses (its critical rate lowered), or recovers
+        (a short burst over capacity, then a longer flood under it), on an
+        arrival the untraced run ingests inside a count-only segment."""
+        cfg = load("udp_flood")
+        flood = cfg.attack("flood")
+        if variant == "collapse":
+            plc2 = dataclasses.replace(cfg.devices["plc2"], critical_rate=5_000)
+            cfg = dataclasses.replace(cfg, devices={**cfg.devices, "plc2": plc2})
+        else:
+            burst_end = flood.start_s + 0.2
+            cfg = dataclasses.replace(cfg, attacks=[
+                dataclasses.replace(flood, rate=20_000, stop_s=burst_end),
+                dataclasses.replace(flood, name="trickle", rate=1_000, start_s=burst_end,
+                                    stop_s=7.0)])
+        in_segment = []
+        span = DeviceModel.ingest_span
+
+        def segment(dev, *args):
+            n = len(dev.transitions)
+            taken_ingested = span(dev, *args)
+            in_segment.extend(s for _, s in dev.transitions[n:])
+            return taken_ingested
+
+        traced, want = dispatch_count_and_files(cfg, True, tmp_path / "traced")
+        with mock.patch.object(DeviceModel, "ingest_span", segment):
+            untraced, got = dispatch_count_and_files(cfg, False, tmp_path / "untraced")
+        assert got == want
+        assert state in in_segment, in_segment
+        assert untraced < traced / 2

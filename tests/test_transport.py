@@ -252,41 +252,75 @@ def _device_state(dev):
             [list(bucket) for bucket in dev.window._buckets], dev.window._total)
 
 
-class TestIngestMany:
+class TestIngestSpan:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_repeated_ingest(self, data):
-        """`ingest_many` over stretches of a time sequence leaves a device
-        where one `ingest` per arrival does, each call stopping after the
-        arrival that takes the device down, on sequences that cross
-        capacity, the critical rate and recovery gaps."""
+        """`ingest_span` over consecutive pieces of a periodic span leaves a
+        device where one `ingest` per arrival does, each call stopping after
+        the arrival that takes the device down.  Earlier arrivals leave the
+        device over capacity, one arrival short of the critical rate, or
+        overloaded long enough ago that it recovers inside the span."""
         draw = data.draw
         capacity = draw(st.integers(1, 40))
         critical_rate = draw(st.one_of(st.just(10**6), st.integers(capacity + 1, capacity + 80)))
         seed = draw(st.integers(0, 3))
+        span, ref = (plain_device(capacity=capacity, critical_rate=critical_rate, seed=seed)
+                     for _ in "sr")
+
+        def both(now):
+            span.ingest(now)
+            ref.ingest(now)
+
         t = draw(st.integers(0, 3 * WINDOW_US))
-        times = []
-        # bursts of arrivals, each after a short lead or a clean window (recovery)
+        # bursts of earlier arrivals, each after a short lead or a clean window
         for lead, n, spacing in draw(st.lists(st.tuples(
                 st.one_of(st.integers(0, 2 * BUCKET_US), st.integers(WINDOW_US, 3 * WINDOW_US)),
-                st.integers(1, 60), st.integers(0, 50)), min_size=1, max_size=8)):
+                st.integers(1, 60), st.integers(0, 50)), max_size=4)):
             t += lead
             for _ in range(n):
-                times.append(t)
+                both(t)
                 t += spacing
-        cuts = sorted(draw(st.lists(st.integers(0, len(times)), max_size=4)))
-        many, ref = (plain_device(capacity=capacity, critical_rate=critical_rate, seed=seed)
-                     for _ in "mr")
-        for lo, hi in zip([0, *cuts], [*cuts, len(times)]):
+        if critical_rate < 10**6 and draw(st.booleans()):
+            # fill the window to one arrival short of critical_rate
+            while ref.window._total < critical_rate - 1 and not ref.down:
+                both(t)
+        per_rate = draw(st.one_of(st.sampled_from([3, 7, 333_333, 10**6]),
+                                  st.integers(1, 10**6)))
+        lo = draw(st.integers(0, 50))
+        hi = lo + draw(st.integers(0, 200))  # may be empty
+        # the span starts soon, or so that an overload's clean window ends inside it
+        t += draw(st.integers(0, 2 * BUCKET_US))
+        if ref._overloaded_at is not None and draw(st.booleans()):
+            t = max(t, ref._overloaded_at + WINDOW_US + BUCKET_US
+                    - draw(st.integers(0, (hi - lo) * US // per_rate)))
+        base = t - lo * US // per_rate  # arrival lo is due at t
+        cuts = sorted(draw(st.lists(st.integers(lo, hi), max_size=3)))
+        for a, b in zip([lo, *cuts], [*cuts, hi]):
             taken = ingested = 0
-            for now in times[lo:hi]:
+            for m in range(a, b):
                 taken += 1
-                ingested += ref.ingest(now)
+                ingested += ref.ingest(base + m * US // per_rate)
                 if ref.down:
                     break
-            assert many.ingest_many(iter(times[lo:hi])) == (taken, ingested)
-            assert _device_state(many) == _device_state(ref)
-        assert many._rng.random() == ref._rng.random()
+            assert span.ingest_span(base, per_rate, a, b) == (taken, ingested)
+            assert _device_state(span) == _device_state(ref)
+        assert span._rng.random() == ref._rng.random()
+
+    def test_recovers_on_the_last_under_capacity_arrival_of_a_bucket(self):
+        """The clean window ends between the first and the last arrival of
+        the span's one bucket, all under capacity: the device recovers."""
+        span, ref = (plain_device(capacity=20) for _ in "sr")
+        for dev in (span, ref):
+            for _ in range(30):
+                dev.ingest(0)
+            dev.ingest(500_500)  # over capacity: overloaded until 1_500_500
+        base = 1_500_495  # bucket 1500; of the earlier arrivals only 500_500 is in the window
+        assert span.ingest_span(base, 10**6, 0, 10) == (10, 10)
+        for m in range(10):
+            ref.ingest(base + m)
+        assert span.state is DeviceState.RESPONSIVE
+        assert _device_state(span) == _device_state(ref)
 
 
 class _FullScanTable:

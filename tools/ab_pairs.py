@@ -26,7 +26,10 @@ length, and per metric each side's median, quartiles and per-pair values,
 the change's wins and the claim and worse verdicts.  An existing PATH keeps its other
 workloads and earlier rounds, so one file holds every round of every
 workload.  A revision may be a local commit that is later lost; the `src/`
-tree hashes name the timed code by content, and the file says so.
+tree hashes name the timed code by content, and the file says so.  When
+PATH already holds rounds of W for the same two `src/` trees, the table is
+followed by each metric's wins in every such round and the range of its
+deltas, so one round's verdict can be read against the others'.
 
 Standard library only; nothing in the repository is modified.
 """
@@ -97,17 +100,31 @@ def judge(parent: list[float], change: list[float], lower_is_better: bool) -> di
             "worse": 10 * losses >= 9 * n and -gain > pq3 - pq1}
 
 
-def record(path: str, workload: str, entry: dict) -> None:
-    """Append one round of a workload's pairs to the JSON file at `path`."""
+def spread(rounds: list[dict]) -> dict[str, tuple[list[tuple[int, int]], float, float]]:
+    """Per metric of the last round: its (wins, pairs) in each round that has
+    it, in order, and the smallest and largest of those rounds' deltas."""
+    out = {}
+    for name in rounds[-1]["metrics"]:
+        cells = [r["metrics"][name] for r in rounds if name in r["metrics"]]
+        deltas = [c["delta"] for c in cells]
+        out[name] = [(c["wins"], c["n"]) for c in cells], min(deltas), max(deltas)
+    return out
+
+
+def record(path: str, workload: str, entry: dict) -> list[dict]:
+    """Append one round of a workload's pairs to the JSON file at `path`;
+    returns all of that workload's rounds, the new one last."""
     data = {"anchor": "src_trees: the git tree of src/ on each side; revisions may be "
                       "local commits that no longer exist", "workloads": {}}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    data["workloads"].setdefault(workload, []).append(entry)
+    rounds = data["workloads"].setdefault(workload, [])
+    rounds.append(entry)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=1, sort_keys=True)
         f.write("\n")
+    return rounds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -174,12 +191,17 @@ def main(argv: list[str] | None = None) -> int:
                        **{side: {"median": j[side][0], "q1": j[side][1], "q3": j[side][2],
                                  "values": values[side]} for side in SIDES}}
     if args.record:
-        record(args.record, args.workload, {
-            "revisions": revs,
-            "src_trees": {side: git("rev-parse", f"{revs[side]}:src").stdout.strip()
-                          for side in SIDES},
+        src_trees = {side: git("rev-parse", f"{revs[side]}:src").stdout.strip() for side in SIDES}
+        rounds = [r for r in record(args.record, args.workload, {
+            "revisions": revs, "src_trees": src_trees,
             "pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
             "seconds": args.seconds, "incorrect": incorrect, "metrics": table})
+                  if r.get("src_trees") == src_trees]
+        if len(rounds) > 1:
+            print(f"# {len(rounds)} rounds of {args.workload} on these src/ trees in {args.record}")
+            for name, (wins, low, high) in spread(rounds).items():
+                print(f"{name:22s} wins {' '.join(f'{w}/{n}' for w, n in wins)}"
+                      f"  delta {low:+.1%} .. {high:+.1%}")
     for line in incorrect:
         print(f"incorrect run: {line}", file=sys.stderr)
     return 1 if incorrect else 0
