@@ -37,10 +37,9 @@ def _cmd_run(args) -> int:
         print(f"  engine: presented={e.presented} inspected={e.inspected} "
               f"dropped_by_engine={e.dropped_by_engine} alerts={e.alerts} "
               f"true_matches={e.true_matches}")
-    if r.plant is not None:
-        p = r.plant
-        print(f"  plant: cycles={len(p.cycles)} availability={p.availability:.6f} "
-              f"hazard={'yes' if p.hazard else 'no'}")
+    p = r.plant
+    print(f"  plant: cycles={len(p.cycles)} availability={p.availability:.6f} "
+          f"hazard={'yes' if p.hazard else 'no'}")
     print(f"  outputs in {args.out}")
     return r.exit_code
 

@@ -50,7 +50,6 @@ class IdpsConfig:
 
 @dataclass
 class PlantConfig:
-    enabled: bool = True
     tick_ms: int = 10
     rate_per_tick: float = 0.1
     box_period_s: float = 5.0
@@ -312,12 +311,11 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
                 raise ConfigError("idps.ruleset", str(e)) from None
         _check_positive(idps, "idps", "inspection_capacity", "poll_period_ms")
         _check_us(idps, "idps", "hold_window_s")
-    if cfg.plant.enabled:
-        _check_positive(cfg.plant, "plant", "tick_ms")
-        _check_us(cfg.plant, "plant", "box_period_s")
-        # the plant moves in whole milli-positions per tick
-        if not 0 < round(cfg.plant.rate_per_tick * FULL) <= FULL:
-            raise ConfigError("plant.rate_per_tick", "must be in (0, 1] once rounded to 0.001")
+    _check_positive(cfg.plant, "plant", "tick_ms")
+    _check_us(cfg.plant, "plant", "box_period_s")
+    # the plant moves in whole milli-positions per tick
+    if not 0 < round(cfg.plant.rate_per_tick * FULL) <= FULL:
+        raise ConfigError("plant.rate_per_tick", "must be in (0, 1] once rounded to 0.001")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
     _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
     if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):

@@ -394,3 +394,20 @@ def make_e_switch(id: str) -> FBInstance:
     ]
     return FBInstance(id, ports, behavior)
 
+
+def secure(net: FBNetwork, gates: dict[str, str], flag: str, gated: tuple[str, ...]) -> None:
+    """Gate each critical event input, a key of `gates`, behind the E_SWITCH
+    it names: every event connection into the input moves to the switch's
+    EI, keeping its place in its source's fan-out, and EO0 drives the input.
+    The data output `flag` feeds each switch's G and each `gated` data input.
+    """
+    for dst, gate in gates.items():
+        net.add(make_e_switch(gate))
+        target, ei = _parse_ref(dst), (gate, "EI")
+        for dsts in net.event_conns.values():
+            dsts[:] = [ei if d == target else d for d in dsts]
+        # after the reroute, which would make this EO0->EI, a loop; connect
+        # also drops every plan resolved before the pass
+        net.connect(f"{gate}.EO0", dst)
+    for guard in (*(f"{g}.G" for g in gates.values()), *gated):
+        net.connect(flag, guard)

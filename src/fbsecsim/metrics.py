@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SimError
 from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches
@@ -224,10 +224,7 @@ def cycle_detector(plant: Plant, recorder: Recorder,
     if plant.hazard and plant.hazard_time is not None:
         unavailable.append((plant.hazard_time, duration))
     for dev_id in recorder.plc_ids:
-        dev = devices.get(dev_id)
-        if dev is None:
-            continue
-        for t, state in dev.transitions:
+        for t, state in devices[dev_id].transitions:
             if state is DeviceState.UNRESPONSIVE:
                 unavailable.append((t, duration))
                 break
@@ -263,7 +260,7 @@ class RunReport:
     final_states: dict[str, str]
     engine: EngineStats | None
     alerts: list
-    plant: PlantOutcome | None
+    plant: PlantOutcome
     subscriber: dict[str, int]
     probe_attempts: list[dict]
     undeliverable: int
@@ -279,7 +276,7 @@ class RunReport:
                 raise ConservationError("engine: presented != inspected + dropped_by_engine")
 
 
-def build_report(duration: int, seed: int, transport: Transport, plant: Plant | None,
+def build_report(duration: int, seed: int, transport: Transport, plant: Plant,
                  recorder: Recorder, subscriber_stats: dict[str, int],
                  probe_attempts: list[dict], suppressed: int) -> RunReport:
     engine = recorder.engine
@@ -290,11 +287,11 @@ def build_report(duration: int, seed: int, transport: Transport, plant: Plant | 
         devices[dev_id] = dev.counters()
         transitions[dev_id] = [(t, s.value) for t, s in dev.transitions]
         final_states[dev_id] = dev.state_at(duration).value
-    outcome = cycle_detector(plant, recorder, transport.devices, duration) if plant else None
+    outcome = cycle_detector(plant, recorder, transport.devices, duration)
     exit_code = EXIT_CLEAN
     if any(final_states.get(p) == DeviceState.UNRESPONSIVE.value for p in recorder.plc_ids):
         exit_code = EXIT_COLLAPSE
-    if outcome is not None and outcome.hazard:
+    if outcome.hazard:
         exit_code = EXIT_HAZARD
     stats = None
     if engine is not None:
@@ -340,22 +337,19 @@ def metrics_rows(report: RunReport) -> list[tuple[str, str]]:
         rows.append((f"device.{dev_id}.final_state", report.final_states[dev_id]))
     if report.engine is not None:
         e = report.engine
-        for key in ("presented", "inspected", "dropped_by_engine", "alerts", "blocked",
-                    "true_matches", "attack_presented", "attack_blocked", "benign_blocked",
-                    "inspected_block_leak"):
-            rows.append((f"engine.{key}", str(getattr(e, key))))
+        for f in fields(EngineStats):
+            rows.append((f"engine.{f.name}", str(getattr(e, f.name))))
         rows.append(("engine.recall", "" if e.recall is None else f"{e.recall:.6f}"))
         rows.append(("engine.precision", "" if e.precision is None else f"{e.precision:.6f}"))
-    if report.plant is not None:
-        p = report.plant
-        rows.extend([
-            ("plant.cycles_completed", str(len(p.cycles))),
-            ("plant.availability", f"{p.availability:.6f}"),
-            ("plant.hazard", "1" if p.hazard else "0"),
-            ("plant.hazard_time_us", "" if p.hazard_time is None else str(p.hazard_time)),
-            ("plant.boxes_arrived", str(p.boxes_arrived)),
-            ("plant.boxes_skipped", str(p.boxes_skipped)),
-        ])
+    p = report.plant
+    rows.extend([
+        ("plant.cycles_completed", str(len(p.cycles))),
+        ("plant.availability", f"{p.availability:.6f}"),
+        ("plant.hazard", "1" if p.hazard else "0"),
+        ("plant.hazard_time_us", "" if p.hazard_time is None else str(p.hazard_time)),
+        ("plant.boxes_arrived", str(p.boxes_arrived)),
+        ("plant.boxes_skipped", str(p.boxes_skipped)),
+    ])
     for key in sorted(report.subscriber):
         rows.append((f"subscriber.{key}", str(report.subscriber[key])))
     for i, attempt in enumerate(report.probe_attempts):
@@ -373,7 +367,7 @@ def write_csv(path, header: list[str], rows) -> None:
             w.writerow(row)
 
 
-def write_report_files(report: RunReport, plant: Plant | None, out_dir) -> None:
+def write_report_files(report: RunReport, plant: Plant, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "metrics.csv"), ["key", "value"], metrics_rows(report))
     write_csv(os.path.join(out_dir, "alerts.csv"),
@@ -385,18 +379,16 @@ def write_report_files(report: RunReport, plant: Plant | None, out_dir) -> None:
             transitions.append((t, dev_id, state))
     transitions.sort(key=lambda r: (r[0], r[1]))
     write_csv(os.path.join(out_dir, "transitions.csv"), ["time_us", "device", "state"], transitions)
-    if plant is not None:
-        write_csv(os.path.join(out_dir, "plant.csv"),
-                  ["time_us", "cyl1_pos", "cyl2_pos", "box_present", "box_pushed_off", "hazard"],
-                  [(t, f"{c1 / 1000:.3f}", f"{c2 / 1000:.3f}",
-                    int(bp), int(po), int(hz)) for t, c1, c2, bp, po, hz in plant.samples])
+    write_csv(os.path.join(out_dir, "plant.csv"),
+              ["time_us", "cyl1_pos", "cyl2_pos", "box_present", "box_pushed_off", "hazard"],
+              [(t, f"{c1 / 1000:.3f}", f"{c2 / 1000:.3f}",
+                int(bp), int(po), int(hz)) for t, c1, c2, bp, po, hz in plant.samples])
 
 
 def sweep_row(rate: int, report: RunReport, target_device: str) -> list:
     dev = report.devices[target_device]
     e = report.engine
-    avail = report.plant.availability if report.plant else 1.0
     return [rate, dev["offered"], dev["ingested"], dev["dropped_capacity"],
             e.dropped_by_engine if e else 0, e.alerts if e else 0,
-            e.true_matches if e else 0, f"{avail:.6f}",
+            e.true_matches if e else 0, f"{report.plant.availability:.6f}",
             report.final_states[target_device]]

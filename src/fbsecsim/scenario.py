@@ -8,14 +8,16 @@ scheduler; a run is deterministic given the config (seed included).  `run_scenar
 `run_sweep` validate each config they run once, before it runs; the
 ruleset `validate` parses is the one the engine and the oracle use.
 
-Safe-mode wiring on the subscriber PLC:
-  gate_and_hold  every event path into LiftCtl goes through an event switch
-                 whose guard is the attack flag A; actuator writes are also
-                 frozen while A holds.  Requires the engine; without it the
-                 wiring falls back to direct connections.
+PLC2's application is wired once, directly.  `GATES`, `GATED` and
+`SHUTDOWN` annotate its critical parts, and the safe-mode policy compiles
+the annotation:
+  gate_and_hold  `fbnet.secure` routes every event connection into a
+                 critical input through its E_SWITCH, guarded by the attack
+                 flag A, and A freezes the `GATED` actuator input.  Requires
+                 the engine; without it the connections stay direct.
   log_only       direct connections, engine only logs.
   shutdown       direct connections; the first poll that reads A true
-                 suspends the application blocks for the rest of the run.
+                 suspends the `SHUTDOWN` blocks for the rest of the run.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .config import PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, validate
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
-from .fbnet import US, FBNetwork, Scheduler, Trace, make_e_switch
+from .fbnet import US, FBNetwork, Scheduler, Trace, secure
 from .idps import FLAG, EngineMode, IdpsEngine, Rule, add_idps
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
@@ -39,12 +41,18 @@ PUB_SRC_PORT = 40001
 CLIENT_PORT = 53000
 PLC_IDS = ["plc1", "plc2"]
 
+# PLC2's critical parts: each critical event input and the gate it gets,
+# the actuator input A freezes, and the blocks `shutdown` suspends.
+GATES = {"LiftCtl.REQ": "GATE_SV", "LiftCtl.BOX": "GATE_BOX"}
+GATED = ("QX_Cyl2.GATE",)
+SHUTDOWN = ("SUB", "LiftCtl", "QX_Cyl2", "IX_Box")
+
 
 @dataclass
 class RunResult:
     report: RunReport
     trace: Trace | None  # None unless the run was recorded
-    plant: Plant | None
+    plant: Plant
     recorder: Recorder
     config: ScenarioConfig
     networks: dict[str, FBNetwork]
@@ -107,17 +115,15 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     net1.host = devices["plc1"]
     net2.host = devices["plc2"]
 
-    plant = Plant(cfg.plant.rate_per_tick) if cfg.plant.enabled else None
+    plant = Plant(cfg.plant.rate_per_tick)
 
     # -- engine and its IDPS blocks on the subscriber PLC -------------------
     engine: IdpsEngine | None = None
-    gate_active = False
     if cfg.idps.enabled:
         engine = IdpsEngine(inspection_capacity=cfg.idps.inspection_capacity)
         devices["plc2"].engine = engine
         poll_idps = add_idps(net2, engine, rules, EngineMode(cfg.idps.mode),
                              round(cfg.idps.hold_window_s * US))
-        gate_active = cfg.safemode == "gate_and_hold"
 
     recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
     transport.on_send = recorder.on_send
@@ -125,48 +131,39 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     transport.watch_delivery("plc1", recorder.on_delivered)
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------
-    if plant is not None:
-        net1.add(make_ix("IX_BoxTop")).add(make_ix("IX_Cyl1End"))
-        net1.add(make_thrustctl("ThrustCtl"))
-        net1.add(make_qx("QX_Cyl1", plant, cylinder=1))
-        net1.add(make_publisher("PUB", transport, "plc1", devices["plc1"].address, PUB_SRC_PORT))
-        net1.connect("IX_BoxTop.IND", "ThrustCtl.BOXTOP").connect("IX_BoxTop.Q", "ThrustCtl.BOXQ")
-        net1.connect("IX_Cyl1End.IND", "ThrustCtl.CYLEND").connect("IX_Cyl1End.Q", "ThrustCtl.ENDQ")
-        net1.connect("ThrustCtl.DRIVE", "QX_Cyl1.REQ").connect("ThrustCtl.CMD", "QX_Cyl1.CMD")
-        net1.connect("ThrustCtl.SEND", "PUB.REQ").connect("ThrustCtl.SV", "PUB.SD_1")
-        net1.set_data_in("PUB", "QI", TRUE)
-        net1.set_data_in("PUB", "ID", Str(cfg.group))
-        net1.post("PUB", "INIT")
+    net1.add(make_ix("IX_BoxTop")).add(make_ix("IX_Cyl1End"))
+    net1.add(make_thrustctl("ThrustCtl"))
+    net1.add(make_qx("QX_Cyl1", plant, cylinder=1))
+    net1.add(make_publisher("PUB", transport, "plc1", devices["plc1"].address, PUB_SRC_PORT))
+    net1.connect("IX_BoxTop.IND", "ThrustCtl.BOXTOP").connect("IX_BoxTop.Q", "ThrustCtl.BOXQ")
+    net1.connect("IX_Cyl1End.IND", "ThrustCtl.CYLEND").connect("IX_Cyl1End.Q", "ThrustCtl.ENDQ")
+    net1.connect("ThrustCtl.DRIVE", "QX_Cyl1.REQ").connect("ThrustCtl.CMD", "QX_Cyl1.CMD")
+    net1.connect("ThrustCtl.SEND", "PUB.REQ").connect("ThrustCtl.SV", "PUB.SD_1")
+    net1.set_data_in("PUB", "QI", TRUE)
+    net1.set_data_in("PUB", "ID", Str(cfg.group))
+    net1.post("PUB", "INIT")
 
-    # -- PLC2: subscriber, gates, LiftCtl, actuator ---------------------------
-    if plant is not None:
-        net2.add(make_subscriber("SUB", net2, transport, "plc2"))
-        net2.add(make_ix("IX_Box"))
-        liftctl = make_liftctl("LiftCtl")
-        lift_behavior = liftctl.behavior
+    # -- PLC2: subscriber, LiftCtl, actuator, then the safe-mode gates -------
+    net2.add(make_subscriber("SUB", net2, transport, "plc2"))
+    net2.add(make_ix("IX_Box"))
+    liftctl = make_liftctl("LiftCtl")
+    lift_behavior = liftctl.behavior
 
-        def timed_liftctl(ctx, event, inputs, state):
-            recorder.on_liftctl_dispatch(ctx.now)
-            return lift_behavior(ctx, event, inputs, state)
+    def timed_liftctl(ctx, event, inputs, state):
+        recorder.on_liftctl_dispatch(ctx.now)
+        return lift_behavior(ctx, event, inputs, state)
 
-        liftctl.behavior = timed_liftctl
-        net2.add(liftctl)
-        net2.add(make_qx("QX_Cyl2", plant, cylinder=2))
-        net2.connect("LiftCtl.DRIVE", "QX_Cyl2.REQ").connect("LiftCtl.CMD", "QX_Cyl2.CMD")
-        net2.connect("SUB.RD_1", "LiftCtl.SV")
-        net2.connect("IX_Box.Q", "LiftCtl.BOXQ")
-        if gate_active:
-            net2.add(make_e_switch("GATE_SV")).add(make_e_switch("GATE_BOX"))
-            net2.connect("SUB.IND", "GATE_SV.EI").connect("GATE_SV.EO0", "LiftCtl.REQ")
-            net2.connect("IX_Box.IND", "GATE_BOX.EI").connect("GATE_BOX.EO0", "LiftCtl.BOX")
-            for guard in ("GATE_SV.G", "GATE_BOX.G", "QX_Cyl2.GATE"):
-                net2.connect(FLAG, guard)
-        else:
-            net2.connect("SUB.IND", "LiftCtl.REQ")
-            net2.connect("IX_Box.IND", "LiftCtl.BOX")
-        net2.set_data_in("SUB", "QI", TRUE)
-        net2.set_data_in("SUB", "ID", Str(cfg.group))
-        net2.post("SUB", "INIT")
+    liftctl.behavior = timed_liftctl
+    net2.add(liftctl)
+    net2.add(make_qx("QX_Cyl2", plant, cylinder=2))
+    net2.connect("LiftCtl.DRIVE", "QX_Cyl2.REQ").connect("LiftCtl.CMD", "QX_Cyl2.CMD")
+    net2.connect("SUB.IND", "LiftCtl.REQ").connect("SUB.RD_1", "LiftCtl.SV")
+    net2.connect("IX_Box.IND", "LiftCtl.BOX").connect("IX_Box.Q", "LiftCtl.BOXQ")
+    if engine is not None and cfg.safemode == "gate_and_hold":
+        secure(net2, GATES, FLAG, GATED)
+    net2.set_data_in("SUB", "QI", TRUE)
+    net2.set_data_in("SUB", "ID", Str(cfg.group))
+    net2.post("SUB", "INIT")
 
     # -- lifecycle and periodic events ----------------------------------------
     def every(period_us: int, fn) -> None:
@@ -188,40 +185,34 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
             flag = poll_idps()
             recorder.on_flag(scheduler.now, flag)
             if shutdown_policy and flag:
-                net2.suspended.update(("SUB", "LiftCtl", "QX_Cyl2", "IX_Box"))
+                net2.suspended.update(SHUTDOWN)
 
         every(cfg.idps.poll_period_ms * 1000, poll)
 
-    if plant is not None:
-        arrivals = []
-        t = round(cfg.plant.first_box_s * US)
-        while t < duration:
-            arrivals.append(t)
-            t += round(cfg.plant.box_period_s * US)
-        arrival_iter = iter(arrivals)
-        next_arrival = next(arrival_iter, None)
-        sensor_state = {"IX_BoxTop": False, "IX_Cyl1End": False, "IX_Box": False}
+    next_arrival = round(cfg.plant.first_box_s * US)  # the next box; none lands at `duration`
+    box_period = round(cfg.plant.box_period_s * US)
+    sensor_state = {"IX_BoxTop": False, "IX_Cyl1End": False, "IX_Box": False}
 
-        def scan(net: FBNetwork, inst: str, bit: bool) -> None:
-            if bit != sensor_state[inst]:
-                sensor_state[inst] = bit
-                net.set_data_in(inst, "NEWQ", Bool(bit))
-                net.dispatch(inst, "SCAN")
+    def scan(net: FBNetwork, inst: str, bit: bool) -> None:
+        if bit != sensor_state[inst]:
+            sensor_state[inst] = bit
+            net.set_data_in(inst, "NEWQ", Bool(bit))
+            net.dispatch(inst, "SCAN")
 
-        def tick():
-            nonlocal next_arrival
-            now = scheduler.now
-            plant.step(now)
-            while next_arrival is not None and next_arrival <= now:
-                plant.try_box_arrival(now)
-                next_arrival = next(arrival_iter, None)
-            plant.sample(now)
-            scan(net1, "IX_BoxTop", plant.sensor_box_top())
-            scan(net1, "IX_Cyl1End", plant.sensor_cyl1_end())
-            scan(net2, "IX_Box", plant.sensor_box())
+    def tick():
+        nonlocal next_arrival
+        now = scheduler.now
+        plant.step(now)
+        while next_arrival <= now and next_arrival < duration:
+            plant.try_box_arrival(now)
+            next_arrival += box_period
+        plant.sample(now)
+        scan(net1, "IX_BoxTop", plant.sensor_box_top())
+        scan(net1, "IX_Cyl1End", plant.sensor_cyl1_end())
+        scan(net2, "IX_Box", plant.sensor_box())
 
-        plant.sample(0)
-        every(cfg.plant.tick_ms * 1000, tick)
+    plant.sample(0)
+    every(cfg.plant.tick_ms * 1000, tick)
 
     # -- attacks ---------------------------------------------------------------
     for i, a in enumerate(cfg.attacks):
@@ -270,10 +261,8 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
                           f"more than {cfg.event_budget} events by t={scheduler.now}us "
                           f"of {duration}us") from None
 
-    sub_stats: dict[str, int] = {}
-    if plant is not None:
-        s = net2.instances["SUB"].state
-        sub_stats = {"accepted": s.accepted, "malformed": s.malformed}
+    s = net2.instances["SUB"].state
+    sub_stats = {"accepted": s.accepted, "malformed": s.malformed}
     probe_attempts = []
     if client_inst is not None:
         probe_attempts = [{"started": at.started, "established": at.established}

@@ -589,17 +589,19 @@ def subscriber_net(sched, tr, victim, trace):
 
 
 def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-                   suspend, sends, max_events=10**8, horizons=()):
+                   suspend, sends, max_events=10**8, horizons=(), plain=False):
     """Floods `floods` against a subscriber PLC (plc2) that may be suspended
     and resumed, with legitimate publishes from plc1, run up to each horizon
     in turn and then past the floods' end, or until the event budget runs
     out; return what every layer and observer saw, the sequence counter
-    included."""
+    included.  `plain` makes plc2 a `DeviceModel` that logs nothing, so a
+    count-only segment reaches its `ingest_span` whole."""
     sched = Scheduler(max_events)
     tr = Transport(sched, 500)
     log = []
-    victim = tr.add_device(_LoggingDevice(log, sched, "plc2", ip_to_int("192.168.1.2"),
-                                          capacity=capacity, critical_rate=critical_rate))
+    kw = dict(capacity=capacity, critical_rate=critical_rate)
+    victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), **kw) if plain else
+                           _LoggingDevice(log, sched, "plc2", ip_to_int("192.168.1.2"), **kw))
     sender = tr.add_device(_LoggingDevice(log, sched, "plc1", ip_to_int("192.168.1.1")))
     engine = None
     if engine_cfg is not None:
@@ -635,9 +637,53 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
     sub = net.instances["SUB"]
     stats = (engine.presented, engine.inspected, engine.dropped_by_engine,
              [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
-    return (log, victim.counters(), victim.transitions, sender.counters(), tr.undeliverable,
+    return (log, victim.counters(), victim.transitions, victim.window._buckets,
+            sender.counters(), tr.undeliverable,
             ending, sched.now, stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
             net.trace.entries if traced else None, net.suppressed, tr._seq, sched.processed)
+
+
+@st.composite
+def count_cases(draw):
+    """A `run_count_case` case; most draws lean to what a count-only
+    arrival needs, and each of the others turns it off."""
+    floods = []
+    # by default a lone UDP junk flood at the bound port
+    for attacker in ["attacker1", "attacker2"][:draw(st.sampled_from([1, 1, 1, 2]))]:
+        start = draw(st.integers(0, 2_000))
+        floods.append(AttackSpec(
+            name=attacker, kind=draw(st.sampled_from([AttackKind.UDP_FLOOD] * 5
+                                                     + [AttackKind.ICMP_FLOOD])),
+            attacker_id=attacker, target=Endpoint("plc2", ip_to_int("192.168.1.2"),
+                                                  draw(st.sampled_from([61499] * 5
+                                                                       + [61500]))),
+            rate=draw(st.integers(2_000, 40_000)), start=start,
+            stop=start + draw(st.integers(2_000, 30_000)),
+            attacker_count=draw(st.sampled_from([1, 1, 1, 2])),
+            payload=draw(st.sampled_from([b"\x00", b"\x00", b"\xff\x01", b"", b"\x41"]))))
+    packets = sum(flood_count(s) * s.attacker_count for s in floods)
+    capacity = draw(st.integers(1, packets + 50))  # overloaded or not
+    critical_rate = draw(st.one_of(st.just(10**6),  # or collapse at some point
+                                   st.integers(capacity + 1, capacity + packets)))
+    engine_cfg = draw(st.sampled_from([None, None, None, EngineMode.OFF, EngineMode.IDS,
+                                       EngineMode.IPS]))
+    if engine_cfg is not None:
+        engine_cfg = (engine_cfg, draw(st.integers(5, 2_000)))
+    stop = max(s.stop for s in floods)
+    # other events fall anywhere, or tie with a flood arrival
+    arrivals = [send_instant(*flood_clock(s, 0), n) + 500
+                for s in floods for n in range(flood_count(s))]
+    instant = st.one_of(st.integers(0, stop), st.sampled_from(arrivals))
+    suspend = sorted(draw(st.lists(instant, max_size=2)))
+    sends = draw(st.lists(st.tuples(instant, st.booleans(),
+                                    st.sampled_from([b"\x40", b"\x41", b"\x00"])),
+                          max_size=6))
+    traced, watch_attacker = (draw(st.sampled_from([False, False, True])) for _ in "tw")
+    # a segment ends at the event budget or at a run_until horizon
+    max_events = draw(st.one_of(st.just(10**8), st.integers(1, packets + 20)))
+    horizons = sorted(draw(st.lists(instant, max_size=3)))
+    return (floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
+            suspend, sends, max_events, horizons)
 
 
 class TestCountOnly:
@@ -680,54 +726,26 @@ class TestCountOnly:
         assert short_segments == long_segments == ["plc2"]
         assert long < 1.1 * short, (short, long)
 
+    @staticmethod
+    def matches_the_per_packet_path(case, plain):
+        got = run_count_case(*case, plain=plain)
+        with mock.patch.object(Transport, "count_only", lambda *args: None):
+            want = run_count_case(*case, plain=plain)
+        assert got == want
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_matches_the_per_packet_path(self, data):
+    @given(count_cases())
+    def test_matches_the_per_packet_path(self, case):
         """Counting an ingested junk arrival without building its packet
         changes nothing any layer or observer sees."""
-        draw = data.draw
-        floods = []
-        # Most draws lean to what a count-only arrival needs (a lone UDP
-        # junk flood at the bound port); each of the others turns it off.
-        for attacker in ["attacker1", "attacker2"][:draw(st.sampled_from([1, 1, 1, 2]))]:
-            start = draw(st.integers(0, 2_000))
-            floods.append(AttackSpec(
-                name=attacker, kind=draw(st.sampled_from([AttackKind.UDP_FLOOD] * 5
-                                                         + [AttackKind.ICMP_FLOOD])),
-                attacker_id=attacker, target=Endpoint("plc2", ip_to_int("192.168.1.2"),
-                                                      draw(st.sampled_from([61499] * 5
-                                                                           + [61500]))),
-                rate=draw(st.integers(2_000, 40_000)), start=start,
-                stop=start + draw(st.integers(2_000, 30_000)),
-                attacker_count=draw(st.sampled_from([1, 1, 1, 2])),
-                payload=draw(st.sampled_from([b"\x00", b"\x00", b"\xff\x01", b"", b"\x41"]))))
-        packets = sum(flood_count(s) * s.attacker_count for s in floods)
-        capacity = draw(st.integers(1, packets + 50))  # overloaded or not
-        critical_rate = draw(st.one_of(st.just(10**6),  # or collapse at some point
-                                       st.integers(capacity + 1, capacity + packets)))
-        engine_cfg = draw(st.sampled_from([None, None, None, EngineMode.OFF, EngineMode.IDS,
-                                           EngineMode.IPS]))
-        if engine_cfg is not None:
-            engine_cfg = (engine_cfg, draw(st.integers(5, 2_000)))
-        stop = max(s.stop for s in floods)
-        # other events fall anywhere, or tie with a flood arrival
-        arrivals = [send_instant(*flood_clock(s, 0), n) + 500
-                    for s in floods for n in range(flood_count(s))]
-        instant = st.one_of(st.integers(0, stop), st.sampled_from(arrivals))
-        suspend = sorted(draw(st.lists(instant, max_size=2)))
-        sends = draw(st.lists(st.tuples(instant, st.booleans(),
-                                        st.sampled_from([b"\x40", b"\x41", b"\x00"])),
-                              max_size=6))
-        traced, watch_attacker = (draw(st.sampled_from([False, False, True])) for _ in "tw")
-        # a segment ends at the event budget or at a run_until horizon
-        max_events = draw(st.one_of(st.just(10**8), st.integers(1, packets + 20)))
-        horizons = sorted(draw(st.lists(instant, max_size=3)))
-        case = (floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-                suspend, sends, max_events, horizons)
-        got = run_count_case(*case)
-        with mock.patch.object(Transport, "count_only", lambda *args: None):
-            want = run_count_case(*case)
-        assert got == want
+        self.matches_the_per_packet_path(case, plain=False)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(count_cases())
+    def test_whole_segments_match_the_per_packet_path(self, case):
+        """The same with a victim that takes each count-only segment in one
+        `ingest_span` call, so spans of many arrivals and buckets run."""
+        self.matches_the_per_packet_path(case, plain=True)
 
     def test_junk_flood_builds_one_packet_per_pump_call(self):
         """An untraced engine-off junk flood at a subscriber counts every

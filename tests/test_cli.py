@@ -20,7 +20,6 @@ def write(tmp_path, name, text):
 MINI_COLLAPSE = """\
 run.seed = 9
 run.duration_s = 3
-plant.enabled = false
 device.plc2.critical_rate = 5000
 
 [attacks]
@@ -52,6 +51,11 @@ class TestRun:
     def test_config_error_exit_two(self, tmp_path):
         scen = write(tmp_path, "bad.scenario", "run.duration_s = 5\n")
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+
+    def test_plant_enabled_is_an_unknown_key(self, tmp_path, capsys):
+        scen = write(tmp_path, "p.scenario", MINI_COLLAPSE + "plant.enabled = false\n")
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: plant.enabled: unknown key\n"
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "ghost.scenario")]) == 2
@@ -151,7 +155,6 @@ class TestSweep:
     MINI_SWEEP = """\
 run.seed = 5
 run.duration_s = 3
-plant.enabled = false
 device.plc2.capacity = 1000000
 
 [attacks]

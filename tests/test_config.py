@@ -211,6 +211,8 @@ class TestRejectedBeforeRun:
         (MINIMAL + FLOOD + "rate = 10\nstart_s = 2\nstop_s = 1\n", "attacks[0].start_s"),
         # an unknown section fails in parsing, before validate runs
         (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
+        # the plant always runs: it has no `enabled` key
+        (MINIMAL + "plant.enabled = false\n", "plant.enabled"),
     ])
     def test_error_path(self, text, path):
         with pytest.raises(ConfigError) as exc:
@@ -278,7 +280,7 @@ FIELD_VALUES = {
         "hold_window_s": _pos_float,
     },
     PlantConfig: {
-        "enabled": st.booleans(), "tick_ms": _pos_int, "rate_per_tick": st.floats(1e-3, 1),
+        "tick_ms": _pos_int, "rate_per_tick": st.floats(1e-3, 1),
         "box_period_s": _pos_float, "first_box_s": st.floats(0, 1e3),
     },
     TcpProbeConfig: {

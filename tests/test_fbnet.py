@@ -23,8 +23,9 @@ from fbsecsim.fbnet import (
     Scheduler,
     Trace,
     make_e_switch,
+    secure,
 )
-from fbsecsim.values import Bool, Int, Variant
+from fbsecsim.values import TRUE, Bool, Int, Variant
 
 
 def passthrough(ctx, event, inputs, state):
@@ -180,6 +181,94 @@ class TestESwitch:
             fired = [e for e, _ in emissions if e]
             assert len(fired) == 1
             assert fired[0] == ("EO1" if guard else "EO0")
+
+
+@st.composite
+def annotated_nets(draw):
+    """Event wiring from sources S<i> (GO in, O0/O1 out) into sinks D<j>
+    (I0..I2 in, a Bool GATE data input), an annotation of critical sink
+    inputs and gated GATE inputs.  S0.O0 always fans out to both a
+    critical and a non-critical input."""
+    sources = [f"S{i}" for i in range(draw(st.integers(1, 3)))]
+    sinks = [f"D{j}" for j in range(draw(st.integers(1, 3)))]
+    inputs = [f"{d}.I{k}" for d in sinks for k in range(3)]
+    crit, plain = draw(st.permutations(inputs))[:2]
+    critical = {crit} | set(draw(st.lists(st.sampled_from(inputs), max_size=4))) - {plain}
+    conns = [("S0.O0", d) for d in draw(st.permutations([crit, plain]))]
+    outputs = [f"{s}.O{k}" for s in sources for k in (0, 1)]
+    conns += draw(st.lists(st.tuples(st.sampled_from(outputs), st.sampled_from(inputs)),
+                           max_size=10))
+    gated = tuple(draw(st.lists(st.sampled_from([f"{d}.GATE" for d in sinks]), unique=True)))
+    gates = {c: "GATE_" + c.replace(".", "_") for c in sorted(critical)}
+    return sources, sinks, conns, gates, gated
+
+
+class TestSecure:
+    """`secure` reroutes every event connection into a critical input
+    through a gate guarded by the flag, and changes nothing else."""
+
+    @staticmethod
+    def build(sources, sinks, conns):
+        net, sched = fresh_net()
+        fire = lambda ctx, ev, i, s: (s, [("O0", {}), ("O1", {})])
+        for s in sources:
+            net.add(FBInstance(s, [PortSpec("GO", PortKind.EVENT_IN),
+                                   PortSpec("O0", PortKind.EVENT_OUT),
+                                   PortSpec("O1", PortKind.EVENT_OUT)], fire))
+        for d in sinks:
+            net.add(FBInstance(d, [*(PortSpec(f"I{k}", PortKind.EVENT_IN) for k in range(3)),
+                                   PortSpec("GATE", PortKind.DATA_IN, Variant.BOOL)], passthrough))
+        net.add(FBInstance("F", [PortSpec("Q", PortKind.DATA_OUT, Variant.BOOL)], passthrough))
+        for src, dst in conns:
+            net.connect(src, dst)
+        return net, sched
+
+    @staticmethod
+    def fire_sources(net, sched, sources):
+        """Dispatch every source's GO; return the dispatches this makes."""
+        start = len(net.trace.entries)
+        for s in sources:
+            net.dispatch(s, "GO")
+        sched.run_until(sched.now)
+        return [(inst, port) for kind, _, inst, port, _ in net.trace.entries[start:]
+                if kind == "dispatch"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(annotated_nets())
+    def test_gates_every_path_into_a_critical_input(self, case):
+        sources, sinks, conns, gates, gated = case
+        net, sched = self.build(sources, sinks, conns)
+        before = {k: list(v) for k, v in net.event_conns.items()}
+        direct = self.fire_sources(net, sched, sources)  # caches every plan
+        secure(net, gates, "F.Q", gated)
+
+        def rerouted(ref):
+            return (gates[f"{ref[0]}.{ref[1]}"], "EI") if f"{ref[0]}.{ref[1]}" in gates else ref
+
+        # every source keeps its fan-out, in order, with critical inputs
+        # swapped for their gates; the gates' EO0 are the only new sources
+        assert {k: net.event_conns[k] for k in before} == {
+            k: [rerouted(d) for d in v] for k, v in before.items()}
+        assert {k: v for k, v in net.event_conns.items() if k not in before} == {
+            (gate, "EO0"): [tuple(dst.split("."))] for dst, gate in gates.items()}
+        for src, dsts in net.event_conns.items():
+            for d in dsts:
+                if f"{d[0]}.{d[1]}" in gates:
+                    gate = gates[f"{d[0]}.{d[1]}"]
+                    assert src == (gate, "EO0")
+                    assert [p.name for p in net.instances[gate].ports] == ["EI", "G", "EO0", "EO1"]
+                    assert net.data_src[(gate, "G")] == ("F", "Q")
+        for d in sinks:
+            assert net.data_src.get((d, "GATE")) == (("F", "Q") if f"{d}.GATE" in gated else None)
+
+        # plans cached before the pass are gone: with the flag true no
+        # event reaches a critical input, and with it false all of them do
+        net.set_data_out("F", "Q", TRUE)
+        assert self.fire_sources(net, sched, sources) == [rerouted(d) for d in direct]
+        net.set_data_out("F", "Q", Bool(False))
+        passed = self.fire_sources(net, sched, sources)
+        reached = sorted(d for d in passed if d[0] in sinks)
+        assert reached == sorted(d for d in direct if d[0] in sinks)
 
 
 class TestDispatch:
