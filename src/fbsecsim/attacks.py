@@ -115,7 +115,11 @@ class _FloodPump:
     `Transport.count_only` once; if that names a counter, ingested arrivals
     build no packet for the rest of the call and are only counted, and the
     arrivals due inline go to the device a segment at a time, as an index
-    range of this schedule (`DeviceModel.ingest_span`).  Every arrival is
+    range of this schedule (`DeviceModel.ingest_span`).  A call armed while
+    counting (`counting`) makes the next one ask as soon as it pops, so a
+    flood that other events cut into many calls routes no arrival after its
+    first while the answer stands; a pump that never counted, such as an
+    engine-on, SYN or ICMP flood, never asks on the pop.  Every arrival is
     still ingested and run as an event, so device counters, drop draws,
     state changes, collapse, `now`, `processed` and the event budget end as
     they would one arrival at a time.
@@ -132,6 +136,7 @@ class _FloodPump:
         self.count = flood_count(spec)
         self.first, self.per_rate = flood_clock(spec, attacker_index)
         self.i = 0
+        self.counting = False  # armed while counting: ask on the pop
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
@@ -153,7 +158,10 @@ class _FloodPump:
         budget), moving `now` and `processed` as a popped entry would; arm
         the first one it does not.  Counted arrivals go to the device a
         segment at a time, and `counted(k)` takes the k ingested when the
-        call ends."""
+        call ends.  If the call before armed packet `i` while counting and
+        `count_only` still answers, the first segment starts at packet `i`
+        itself; the pop has counted it in `processed` already, so the budget
+        allows it and `left` more."""
         target, payload, proto, origin = self.spec.target, self.spec.payload, self.proto, self.origin
         base_src, syn_rotate, view = self.src, self.syn_rotate, self.view
         dev, group = self.target_device, self.group
@@ -161,8 +169,12 @@ class _FloodPump:
         latency = transport.latency_us
         base = self.first + latency  # arrival of packet 0
         per_rate, count, i = self.per_rate, self.count, self.i
-        ask = dev is not None and not syn_rotate  # once per call, see the class docstring
         counted = None
+        if self.counting:
+            counted = transport.count_only(dev, target, view, origin)
+            last, left = scheduler.inline_bound()
+            left += 1  # the popped arrival has run as an event already
+        ask = counted is None and dev is not None and not syn_rotate
         k = 0
         try:
             while True:
@@ -190,10 +202,12 @@ class _FloodPump:
                                 transport.deliver(pkt, member, view)
                     i += 1
                 else:
-                    # packet i and its successors due at or before `last`
+                    # packet i (due now; a popped one may tie with the heap head)
+                    # and its successors due at or before `last`
                     # (base + n * US // per_rate <= last), at most `left` in all
                     end = ((last - base + 1) * per_rate - 1) // US + 1
-                    taken, ingested = dev.ingest_span(base, per_rate, i, min(count, i + left, end))
+                    taken, ingested = dev.ingest_span(base, per_rate, i,
+                                                      min(count, i + left, max(end, i + 1)))
                     k += ingested
                     i += taken
                     scheduler.now = base + (i - 1) * US // per_rate
@@ -203,7 +217,7 @@ class _FloodPump:
                 when = base + i * US // per_rate
                 last, left = scheduler.inline_bound()
                 if when > last or left < 1:
-                    self.i = i
+                    self.i, self.counting = i, counted is not None
                     scheduler.at(when, self._pump, lane=LANE_NET, key=(origin, i))
                     return
                 scheduler.now = when

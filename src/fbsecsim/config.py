@@ -18,6 +18,7 @@ reproducible, never wall-clock seeded).  Every error names its key path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -272,11 +273,14 @@ def _check_positive(obj: object, section: str, *names: str) -> None:
             raise ConfigError(f"{section}.{name}", "must be positive")
 
 
-def _check_us(obj: object, section: str, *names: str) -> None:
-    """Times a run rounds to whole microseconds: each must round to at least 1."""
+def _check_us(obj: object, section: str, *names: str, least: int = 1) -> None:
+    """Times a run rounds to whole microseconds: each must be finite in us
+    and round to at least `least` us."""
     for name in names:
-        if round(getattr(obj, name) * US) <= 0:
-            raise ConfigError(f"{section}.{name}", "must be at least 1 us once rounded to whole us")
+        us = getattr(obj, name) * US
+        if not (math.isfinite(us) and round(us) >= least):
+            raise ConfigError(f"{section}.{name}",
+                              f"must be finite and at least {least} us once rounded to whole us")
 
 
 def validate(cfg: ScenarioConfig) -> list[Rule]:
@@ -313,8 +317,10 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
         _check_us(idps, "idps", "hold_window_s")
     _check_positive(cfg.plant, "plant", "tick_ms")
     _check_us(cfg.plant, "plant", "box_period_s")
+    _check_us(cfg.plant, "plant", "first_box_s", least=0)
     # the plant moves in whole milli-positions per tick
-    if not 0 < round(cfg.plant.rate_per_tick * FULL) <= FULL:
+    rate = cfg.plant.rate_per_tick
+    if not (math.isfinite(rate) and 0 < round(rate * FULL) <= FULL):
         raise ConfigError("plant.rate_per_tick", "must be in (0, 1] once rounded to 0.001")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
     _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
@@ -352,8 +358,7 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
             continue
         if a.rate <= 0:
             raise ConfigError(f"{path}.rate", "flood rate must be positive")
-        if a.start_s < 0:
-            raise ConfigError(f"{path}.start_s", "must not be negative")
+        _check_us(a, path, "start_s", "stop_s", least=0)
         span_us = round(a.stop_s * US) - round(a.start_s * US)
         if span_us <= 0:
             raise ConfigError(f"{path}.start_s", "start must precede stop by at least 1 us "

@@ -33,6 +33,16 @@ class CommandWrite:
 
 
 class Plant:
+    """The plant's state, moved one tick at a time by `step`.
+
+    `settled` is true when another `step` would change nothing: each
+    cylinder is at rest or against the stop its command drives it to, and
+    the push-off predicate is false.  `step` sets it; a command write that
+    changes something and a box that lands clear it.  A tick that finds the
+    plant settled and no box due has nothing to move or scan
+    (`scenario._run`'s tick).
+    """
+
     def __init__(self, rate_per_tick: float = 0.1):
         self.rate_milli = round(rate_per_tick * FULL)
         if self.rate_milli <= 0:
@@ -45,6 +55,7 @@ class Plant:
         self.box_pushed_off = False
         self.hazard = False
         self.hazard_time: int | None = None
+        self.settled = False
         self.boxes_arrived = 0
         self.boxes_skipped = 0
         self.writes: list[CommandWrite] = []
@@ -58,6 +69,7 @@ class Plant:
         self.writes.append(CommandWrite(now, cylinder, command, changed))
         if not changed:
             return
+        self.settled = False
         if cylinder == 1:
             self.cmd1 = command
         else:
@@ -80,12 +92,16 @@ class Plant:
         return pos
 
     def step(self, now: int) -> None:
-        """Advance one tick of motion, then evaluate the push-off predicate."""
-        self.cyl1 = self._move(self.cyl1, self.cmd1, self.rate_milli)
-        self.cyl2 = self._move(self.cyl2, self.cmd2, self.rate_milli)
-        if self.cyl1 == FULL and self.cyl2 == FULL and self.box_present:
+        """Advance one tick of motion, evaluate the push-off predicate, and
+        note whether the plant has settled."""
+        move, rate = self._move, self.rate_milli
+        cyl1 = self.cyl1 = move(self.cyl1, self.cmd1, rate)
+        cyl2 = self.cyl2 = move(self.cyl2, self.cmd2, rate)
+        if cyl1 == FULL and cyl2 == FULL and self.box_present:
             self.box_pushed_off = True
             self.box_present = False
+        # the push-off predicate is false by now, so only motion is left
+        self.settled = move(cyl1, self.cmd1, rate) == cyl1 and move(cyl2, self.cmd2, rate) == cyl2
 
     def try_box_arrival(self, now: int) -> bool:
         """A new box lands only on an empty, lowered plate."""
@@ -94,6 +110,7 @@ class Plant:
             return False
         self.box_present = True
         self.box_pushed_off = False
+        self.settled = False
         self.boxes_arrived += 1
         return True
 

@@ -200,8 +200,16 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
             net.dispatch(inst, "SCAN")
 
     def tick():
+        """Step the plant, land a box that is due, sample, and scan the
+        sensors.  A settled plant with no box due has nothing to move or
+        scan, so only its sample is taken.  Every tick stays an event: a
+        tick chain re-armed later would order differently against polls at
+        a shared instant, and the event budget counts ticks."""
         nonlocal next_arrival
         now = scheduler.now
+        if plant.settled and not (next_arrival <= now and next_arrival < duration):
+            plant.sample(now)
+            return
         plant.step(now)
         while next_arrival <= now and next_arrival < duration:
             plant.try_box_arrival(now)

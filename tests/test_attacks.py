@@ -747,20 +747,45 @@ class TestCountOnly:
         `ingest_span` call, so spans of many arrivals and buckets run."""
         self.matches_the_per_packet_path(case, plain=True)
 
-    def test_junk_flood_builds_one_packet_per_pump_call(self):
+    @pytest.mark.parametrize("horizons, sends, calls, routed", [
+        # nothing else is due: one pump call
+        ((), [], 1, {"attacker1": 1}),
+        # the no-op events due after run_until horizons cut the flood
+        (tuple(range(10_000, 100_000, 10_000)), [], 10, {"attacker1": 1}),
+        # a publish sent at 50.05 ms cuts it twice, and its arrival at
+        # 50.55 ms leaves RX holding its payload until one more junk arrival
+        # is routed
+        ((), [(50_050, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
+    ])
+    def test_junk_flood_routes_only_its_first_arrival(self, horizons, sends, calls, routed):
         """An untraced engine-off junk flood at a subscriber counts every
-        ingested arrival as malformed but routes only a pump call's first."""
-        routed = Counter()
+        ingested arrival as malformed but routes only its first: a pump call
+        asks `count_only` once its first arrival has been routed, and a call
+        armed while counting asks again on the pop and counts from there.
+        If that answer is no, the call asks again after its first arrival."""
+        got = Counter()
         arrive = Transport.arrive
+        pump = attacks._FloodPump._pump
+        pumped = 0
 
         def counted(tr, device, packet, ep, view, now):
-            routed[packet.true_origin] += 1
+            got[packet.true_origin] += 1
             arrive(tr, device, packet, ep, view, now)
 
-        with mock.patch.object(Transport, "arrive", counted):
+        def pump_call(self):
+            nonlocal pumped
+            pumped += 1
+            pump(self)
+
+        with mock.patch.object(Transport, "arrive", counted), \
+                mock.patch.object(attacks._FloodPump, "_pump", pump_call):
             (log, victim, *_, (accepted, malformed), _din, _dout, _trace, _supp,
              seq, processed) = run_count_case(
                 [spec(rate=10_000, stop=US // 10, payload=b"\x00")], 10**6, 10**6,
-                None, False, False, [], [])
-        assert victim["ingested"] == malformed == seq == 1_000 and accepted == 0
-        assert routed == {"attacker1": 1}  # one pump call: nothing else is due
+                None, False, False, [], sends, horizons=horizons)
+        assert victim["ingested"] == malformed + accepted == seq == 1_000 + len(sends)
+        assert accepted == len(sends)
+        # every arrival, send and no-op ran as an event
+        assert processed == 1_000 + 2 * len(sends) + len(horizons)
+        assert pumped == calls
+        assert got == routed

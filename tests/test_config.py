@@ -209,6 +209,19 @@ class TestRejectedBeforeRun:
         (MINIMAL + FLOOD + "rate = 10\nstart_s = 1.0000001\nstop_s = 1.0000004\n",
          "attacks[0].start_s"),
         (MINIMAL + FLOOD + "rate = 10\nstart_s = 2\nstop_s = 1\n", "attacks[0].start_s"),
+        # a time must be finite, and the first box may not land before the run
+        (MINIMAL + "plant.first_box_s = -20\n", "plant.first_box_s"),
+        (MINIMAL + "plant.first_box_s = nan\n", "plant.first_box_s"),
+        (MINIMAL + "run.duration_s = nan\n", "run.duration_s"),
+        (MINIMAL + "run.duration_s = inf\n", "run.duration_s"),
+        (MINIMAL + "plant.box_period_s = inf\n", "plant.box_period_s"),
+        (MINIMAL + "plant.box_period_s = nan\n", "plant.box_period_s"),
+        (MINIMAL + "plant.rate_per_tick = nan\n", "plant.rate_per_tick"),
+        (MINIMAL + "plant.rate_per_tick = inf\n", "plant.rate_per_tick"),
+        (MINIMAL + "device.plc2.halfopen_timeout_s = nan\n", "device.plc2.halfopen_timeout_s"),
+        (MINIMAL + "device.plc2.halfopen_timeout_s = inf\n", "device.plc2.halfopen_timeout_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstart_s = nan\nstop_s = 1\n", "attacks[0].start_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstop_s = inf\n", "attacks[0].stop_s"),
         # an unknown section fails in parsing, before validate runs
         (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
         # the plant always runs: it has no `enabled` key

@@ -1,6 +1,11 @@
 """Plant motion, hazard predicate, push-off, arrivals, cycle detection, and
 the actuator adapter that writes the plant's commands."""
 
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fbsecsim.control import make_qx
 from fbsecsim.fbnet import FBNetwork, Scheduler
 from fbsecsim.plant import Command, Plant, completed_cycles
@@ -88,6 +93,48 @@ class TestPushOff:
         assert not p.box_pushed_off
         p.step(200_000)
         assert p.box_pushed_off and not p.box_present
+
+
+# one plant operation: a step, a box landing, or a command write
+_OPS = st.one_of(st.just(("step",)), st.just(("box",)),
+                 st.tuples(st.just("cmd"), st.sampled_from([1, 2]), st.sampled_from(Command)))
+
+
+class TestSettled:
+    @staticmethod
+    def fields(plant):
+        return {k: v for k, v in vars(plant).items() if k != "settled"}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([0.001, 0.1, 0.3, 0.7, 1.0]), st.lists(_OPS, max_size=60))
+    def test_settled_iff_another_step_changes_nothing(self, rate, ops):
+        p = Plant(rate_per_tick=rate)
+        for n, (op, *args) in enumerate(ops):
+            if op == "cmd":
+                p.set_command(*args, n)
+            elif op == "box":
+                p.try_box_arrival(n)
+            else:
+                p.step(n)
+                again = copy.deepcopy(p)
+                again.step(n + 1)
+                assert p.settled is (self.fields(again) == self.fields(p))
+
+    def test_a_change_of_command_or_a_landing_unsettles(self):
+        p = Plant(rate_per_tick=0.1)
+        p.step(0)
+        assert p.settled
+        p.set_command(2, Command.HOLD, 1)  # no change: still settled
+        assert p.settled
+        p.set_command(2, Command.EXTEND, 2)
+        assert not p.settled
+        stepped(p, 10)
+        assert p.settled and p.cyl2 == 1000
+        p.set_command(2, Command.RETRACT, 3)
+        stepped(p, 10)
+        assert p.settled and p.cyl2 == 0
+        assert p.try_box_arrival(5)
+        assert not p.settled
 
 
 class TestArrivals:

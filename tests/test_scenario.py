@@ -2,18 +2,23 @@
 
 import dataclasses
 import enum
+import os
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsecsim import idps
 from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
-from fbsecsim.data import rules_path, scenario_path
+from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import FBNetwork
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
+from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
 from fbsecsim.transport import DeviceModel, DeviceState
 
@@ -395,3 +400,87 @@ class TestTracedMatchesUntraced:
         assert got == want
         assert state in in_segment, in_segment
         assert untraced < traced / 2
+
+
+def run_files(cfg, record_trace, settle=True):
+    """Run `cfg`; return the bytes of every file it writes, how many times
+    the plant stepped and how many ticks ran.  `settle=False` is the
+    reference run: `settled` is false after every step, so every tick steps
+    the plant and scans its sensors."""
+    steps = 0
+    step = Plant.step
+
+    def counted(plant, now):
+        nonlocal steps
+        steps += 1
+        step(plant, now)
+        plant.settled = plant.settled and settle
+
+    with mock.patch.object(Plant, "step", counted), tempfile.TemporaryDirectory() as out:
+        result = run_scenario(cfg, record_trace=record_trace)
+        write_outputs(result, out)
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as f:
+                files[name] = f.read()
+    return files, steps, len(result.plant.samples) - 1  # the sample at 0 is no tick
+
+
+def idle_ticks_change_nothing(cfg, record_trace):
+    """Assert a run writes what its reference run writes; return how many
+    ticks it did not step."""
+    got, steps, ticks = run_files(cfg, record_trace)
+    want, ref_steps, ref_ticks = run_files(cfg, record_trace, settle=False)
+    # names, not bytes: a diff of two traces takes pytest minutes
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+    assert ref_steps == ref_ticks == ticks
+    return ticks - steps
+
+
+@st.composite
+def idle_tick_cases(draw):
+    """A short run of `spoof_blocked`'s plant and spoof with the plant's
+    timing, the latency and the policy drawn; the engine may be off, the
+    spoof's send instants fall on the tick grid or off it, and a junk flood
+    into plc2 may run."""
+    tick_ms = draw(st.sampled_from([1, 3, 10, 20]))
+    cfg = load("spoof_blocked")
+    policy = draw(st.sampled_from([None, "gate_and_hold", "log_only", "shutdown"]))
+    if policy is None:
+        cfg = dataclasses.replace(cfg, idps=dataclasses.replace(cfg.idps, enabled=False))
+    else:
+        cfg = with_idps(cfg, "ips", "combined.rules", policy)
+    at_us = draw(st.lists(st.one_of(st.integers(1, 199).map(lambda n: n * tick_ms * 1000),
+                                    st.integers(1, 1_999_999)), min_size=1, max_size=3))
+    attacks = [AttackConfig(name="spoof", kind=AttackKind.SPOOF_PUBLISH, target="group",
+                            at_s=tuple(t / 1e6 for t in at_us), payload=b"\x41")]
+    if draw(st.booleans()):
+        start_ms = draw(st.integers(0, 1_500))
+        attacks.append(AttackConfig(
+            name="flood", kind=AttackKind.UDP_FLOOD, target="plc2:61499",
+            rate=draw(st.sampled_from([2_000, 10_000, 20_000])), start_s=start_ms / 1e3,
+            stop_s=(start_ms + draw(st.integers(1, 400))) / 1e3, payload=b"\x00"))
+    plant = dataclasses.replace(
+        cfg.plant, tick_ms=tick_ms,
+        rate_per_tick=draw(st.sampled_from([0.05, 0.1, 0.25, 1.0])),
+        box_period_s=draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
+        first_box_s=draw(st.integers(0, 1_500_000)) / 1e6)
+    return dataclasses.replace(cfg, duration_s=2.0, plant=plant, attacks=attacks,
+                               latency_us=draw(st.sampled_from([1, 500, 3_000])))
+
+
+class TestIdleTicks:
+    """A tick that finds the plant settled and no box due only samples it.
+    The reference run steps and scans on every tick; both write the same
+    bytes."""
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_shipped_scenarios_match_the_reference(self, name, record_trace):
+        assert idle_ticks_change_nothing(load(name), record_trace) > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(idle_tick_cases(), st.booleans())
+    def test_drawn_runs_match_the_reference(self, cfg, record_trace):
+        idle_ticks_change_nothing(cfg, record_trace)
