@@ -169,9 +169,8 @@ class _FloodPump:
         latency = transport.latency_us
         base = self.first + latency  # arrival of packet 0
         per_rate, count, i = self.per_rate, self.count, self.i
-        counted = None
-        if self.counting:
-            counted = transport.count_only(dev, target, view, origin)
+        counted = transport.count_only(dev, target, view, origin) if self.counting else None
+        if counted is not None:
             last, left = scheduler.inline_bound()
             left += 1  # the popped arrival has run as an event already
         ask = counted is None and dev is not None and not syn_rotate
