@@ -1,6 +1,7 @@
 """Attack generators: exact counts, phase splitting, crafting."""
 
 import dataclasses
+import gc
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -700,6 +701,9 @@ class TestCountOnly:
             segments.append(dev.device_id)
             return span(dev, *args)
 
+        # garbage left by earlier tests would otherwise be collected, or
+        # not, inside the traced run and move its peak by more than 10%
+        gc.collect()
         tracemalloc.start()
         try:
             sched = Scheduler()
