@@ -27,6 +27,7 @@ from .transport import (
     Endpoint,
     GroupAddress,
     Packet,
+    PacketView,
     Proto,
     Transport,
 )
@@ -106,21 +107,21 @@ class _FloodPump:
     due before anything else (`Scheduler.inline_bound`) runs inline, and the
     first one that is not is armed.  Send instants are computed one at a
     time, so a flood holds the same memory however many packets it sends.
-    A unicast target's device ingests each arrival first; only an ingested
-    one is built into a `Packet` (taking a sequence number) for
-    `Transport.arrive`.  Group floods and targets with no device go through
+    A unicast target's device ingests each arrival first; an ingested one
+    takes a sequence number and goes to `Transport.arrive` without a
+    `Packet`.  Group floods and targets with no device build one for
     `Transport.deliver`.
 
     The first time a call of a unicast non-SYN flood goes on inline, it asks
-    `Transport.count_only` once; if that names a counter, ingested arrivals
-    build no packet for the rest of the call and are only counted, and the
-    arrivals due inline go to the device a segment at a time, as an index
-    range of this schedule (`DeviceModel.ingest_span`).  A call armed while
-    counting (`counting`) makes the next one ask as soon as it pops, so a
-    flood that other events cut into many calls routes no arrival after its
-    first while the answer stands; a pump that never counted, such as an
-    engine-on, SYN or ICMP flood, never asks on the pop.  Every arrival is
-    still ingested and run as an event, so device counters, drop draws,
+    `Transport.count_only`, and again after its first routed arrival if that
+    found no counter; once one does, the call's later ingested arrivals are
+    only counted, and those due inline go to the device a segment at a time,
+    as an index range of this schedule (`DeviceModel.ingest_span`).  A call
+    armed while counting (`counting`) makes the next one ask as soon as it
+    pops, so a flood that other events cut into many calls routes no arrival
+    after its first while the answer stands; a pump that never counted, such
+    as an engine-on, SYN or ICMP flood, never asks on the pop.  Every arrival
+    is still ingested and run as an event, so device counters, drop draws,
     state changes, collapse, `now`, `processed` and the event budget end as
     they would one arrival at a time.
     """
@@ -164,6 +165,8 @@ class _FloodPump:
         allows it and `left` more."""
         target, payload, proto, origin = self.spec.target, self.spec.payload, self.proto, self.origin
         base_src, syn_rotate, view = self.src, self.syn_rotate, self.view
+        src_id = GHOST_ID if syn_rotate else base_src.device_id
+        ghost_net, dst_address, dst_port = base_src.address & 0xFFFF0000, target.address, target.port
         dev, group = self.target_device, self.group
         transport, scheduler = self.transport, self.scheduler
         latency = transport.latency_us
@@ -182,23 +185,24 @@ class _FloodPump:
                     return
                 if counted is None:
                     now = scheduler.now
-                    if dev is None or dev.ingest(now):
-                        src = base_src
+                    routed = dev is None or dev.ingest(now)
+                    if routed:
                         if syn_rotate:
                             # Rotate the claimed source so the SYN-ACKs vanish
                             # and no ACK ever completes a handshake.
-                            rot = (base_src.address & 0xFFFF0000) | (i % 0xFFFE + 1)
-                            src = Endpoint(GHOST_ID, rot, 1024 + i % 60000)
-                        # a packet arrives exactly one latency after its send instant
-                        pkt = Packet(proto, src, target, payload, now - latency, origin,
-                                     transport.next_seq())
+                            view = PacketView(proto, ghost_net | (i % 0xFFFE + 1),
+                                              1024 + i % 60000, dst_address, dst_port, payload)
                         if dev is not None:
-                            transport.arrive(dev, pkt, target, view, now)
-                        elif group is None:
-                            transport.deliver(pkt, target, view)
+                            transport.next_seq()  # the arrival's, read by `arrive` if watched
+                            transport.arrive(dev, origin, src_id, view, target, now)
                         else:
-                            for member in transport.members(group):
-                                transport.deliver(pkt, member, view)
+                            src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
+                                if syn_rotate else base_src
+                            # a packet arrives exactly one latency after its send instant
+                            pkt = Packet(proto, src, target, payload, now - latency, origin,
+                                         transport.next_seq())
+                            for ep in (target,) if group is None else transport.members(group):
+                                transport.deliver(pkt, ep, view)
                     i += 1
                 else:
                     # packet i (due now; a popped one may tie with the heap head)
@@ -222,8 +226,8 @@ class _FloodPump:
                 scheduler.now = when
                 scheduler.processed += 1
                 if ask:
-                    ask = False
                     counted = transport.count_only(dev, target, view, origin)
+                    ask = counted is None and not routed
         finally:
             if counted is not None:
                 counted(k)

@@ -274,13 +274,14 @@ def _check_positive(obj: object, section: str, *names: str) -> None:
 
 
 def _check_us(obj: object, section: str, *names: str, least: int = 1) -> None:
-    """Times a run rounds to whole microseconds: each must be finite in us
-    and round to at least `least` us."""
+    """Times a run rounds to whole microseconds, alone or in a tuple: each
+    must be finite in us and round to at least `least` us."""
     for name in names:
-        us = getattr(obj, name) * US
-        if not (math.isfinite(us) and round(us) >= least):
-            raise ConfigError(f"{section}.{name}",
-                              f"must be finite and at least {least} us once rounded to whole us")
+        value = getattr(obj, name)
+        for t in value if isinstance(value, tuple) else (value,):
+            if not (math.isfinite(t * US) and round(t * US) >= least):
+                raise ConfigError(f"{section}.{name}", f"must be finite and at least "
+                                                       f"{least} us once rounded to whole us")
 
 
 def validate(cfg: ScenarioConfig) -> list[Rule]:
@@ -324,8 +325,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
         raise ConfigError("plant.rate_per_tick", "must be in (0, 1] once rounded to 0.001")
     _check_address(cfg.tcp_probe.client_address, "tcp_probe.client_address")
     _check_port(cfg.tcp_probe.server_port, "tcp_probe.server_port")
-    if cfg.tcp_probe.enabled and any(t < 0 for t in cfg.tcp_probe.connect_at_s):
-        raise ConfigError("tcp_probe.connect_at_s", "must not be negative")
+    if cfg.tcp_probe.enabled:
+        _check_us(cfg.tcp_probe, "tcp_probe", "connect_at_s", least=0)
 
     seen: set[str] = set()
     for i, a in enumerate(cfg.attacks):
@@ -353,8 +354,7 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
         if a.kind is AttackKind.SPOOF_PUBLISH:
             if not a.at_s:
                 raise ConfigError(f"{path}.at_s", "spoof needs send times")
-            if min(a.at_s) < 0:
-                raise ConfigError(f"{path}.at_s", "must not be negative")
+            _check_us(a, path, "at_s", least=0)
             continue
         if a.rate <= 0:
             raise ConfigError(f"{path}.rate", "flood rate must be positive")

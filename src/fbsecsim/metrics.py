@@ -113,11 +113,11 @@ class EngineStats:
 
 
 class Recorder:
-    """Streaming observer of one run: the transport hooks feed it packets, the
-    run reports the attack flag and LiftCtl dispatches.  The truth oracle
-    exists whenever the engine does, on the engine's rules; the recorder's
-    own five counts classify the engine's verdicts by each packet's true
-    origin and the matched rule's action."""
+    """Streaming observer of one run: the transport hooks feed it packets and
+    arrivals, the run reports the attack flag and LiftCtl dispatches.  The
+    truth oracle exists whenever the engine does, on the engine's rules; the
+    recorder's own five counts classify the engine's verdicts by each
+    arrival's true origin and the matched rule's action."""
 
     def __init__(self, plc_ids: list[str], publisher_id: str,
                  engine: IdpsEngine | None, rules: list[Rule]):
@@ -143,8 +143,8 @@ class Recorder:
                 and packet.payload == self._shared_payload):
             self.legit_sends.append((packet.send_time, packet.seq))
 
-    def on_presented(self, device: DeviceModel, packet: Packet, view, verdict, now: int) -> None:
-        is_attack = packet.true_origin in self.attacker_ids
+    def on_presented(self, device: DeviceModel, origin: str, view, verdict, now: int) -> None:
+        is_attack = origin in self.attacker_ids
         if is_attack:
             self.attack_presented += 1
         self.oracle.observe(view, now)

@@ -342,9 +342,9 @@ class Transport:
         self.undeliverable = 0
         self._seq = 0
         self.on_send: Callable[[Packet], None] | None = None
-        # on_presented(device, packet, view, verdict, now) after each engine tap
+        # on_presented(device, origin, view, verdict, now): an arrival past the engine tap
         self.on_presented: Callable | None = None
-        # true origin -> fn(packet, now), called once a packet from that
+        # true origin -> fn(packet, now), called once an arrival from that
         # origin clears device and tap (`watch_delivery`); a flood from an
         # unwatched origin may be counted without its packets (`count_only`)
         self._watched: dict[str, Callable[[Packet, int], None]] = {}
@@ -407,31 +407,36 @@ class Transport:
     def deliver(self, packet: Packet, ep: Endpoint, view: PacketView | None = None) -> None:
         """One arrival at `ep`: device lookup, `DeviceModel.ingest`, then `arrive`.
         `view`, when given, is `packet.view()` made once by the caller (a flood
-        shares one across its packets); otherwise it is made when first needed."""
+        shares one across its packets); otherwise it is made on ingest."""
         device = self.devices.get(ep.device_id)
         if device is None:
             self.undeliverable += 1
             return
         now = self.scheduler.now
         if device.ingest(now):
-            self.arrive(device, packet, ep, view, now)
+            self.arrive(device, packet.true_origin, packet.src.device_id,
+                        view if view is not None else packet.view(), ep, now, packet)
 
-    def arrive(self, device: DeviceModel, packet: Packet, ep: Endpoint,
-               view: PacketView | None, now: int) -> None:
-        """Engine tap, observers and routing of a packet `device` ingested at `now`."""
+    def arrive(self, device: DeviceModel, origin: str, src_id: str, view: PacketView,
+               ep: Endpoint, now: int, packet: Packet | None = None) -> None:
+        """Engine tap, observers and routing of an arrival `device` ingested at
+        `now`: its true origin, claimed source device id and view, and the
+        `Packet` that `send` made, if any.  A unicast flood arrival has none;
+        it takes its sequence number just before, and a watcher's gets it."""
         engine = device.engine
         if engine is not None and engine.running:
-            if view is None:
-                view = packet.view()
             verdict = engine.inspect(view, now)
             if self.on_presented is not None:
-                self.on_presented(device, packet, view, verdict, now)
+                self.on_presented(device, origin, view, verdict, now)
             if verdict.blocked:
                 return
-        watch = self._watched.get(packet.true_origin)
+        watch = self._watched.get(origin)
         if watch is not None:
+            if packet is None:
+                packet = Packet(view.proto, Endpoint(src_id, view.src_address, view.src_port),
+                                ep, view.payload, now - self.latency_us, origin, self._seq)
             watch(packet, now)
-        self._route(device, packet, ep, now, view)
+        self._route(device, src_id, view, ep, now)
 
     def count_only(self, device: DeviceModel, ep: Endpoint, view: PacketView,
                    origin: str) -> Callable[[int], None] | None:
@@ -456,33 +461,33 @@ class Transport:
 
         return arrivals
 
-    def _route(self, device: DeviceModel, packet: Packet, ep: Endpoint, now: int,
-               view: PacketView | None) -> None:
-        """Final fate of a packet past the engine; `view` is its view, if made yet."""
-        proto = packet.proto
+    def _route(self, device: DeviceModel, src_id: str, view: PacketView, ep: Endpoint,
+               now: int) -> None:
+        """Final fate of an arrival past the engine; a SYN-ACK goes to its claimed source."""
+        proto = view.proto
         if proto is ICMP_ECHO:
             device.icmp_received += 1        # device-level load only
             return
         if proto is TCP_SYN:
-            if device.halfopen.syn(packet.src.address, packet.src.port, ep.port, now):
+            if device.halfopen.syn(view.src_address, view.src_port, ep.port, now):
                 device.syn_accepted += 1
                 reply = self.make_packet(
                     TCP_SYNACK,
                     Endpoint(device.device_id, device.address, ep.port),
-                    packet.src, b"", device.device_id)
+                    Endpoint(src_id, view.src_address, view.src_port), b"", device.device_id)
                 self.send(reply)
             else:
                 device.syn_refused += 1
             return
         if proto is TCP_ACK:
-            if device.halfopen.ack(packet.src.address, packet.src.port, ep.port):
-                device.established.add((packet.src.address, packet.src.port, ep.port))
+            if device.halfopen.ack(view.src_address, view.src_port, ep.port):
+                device.established.add((view.src_address, view.src_port, ep.port))
                 device.established_count += 1
             else:
                 device.stray_acks += 1
             return
         if proto is TCP_DATA:
-            if (packet.src.address, packet.src.port, ep.port) not in device.established:
+            if (view.src_address, view.src_port, ep.port) not in device.established:
                 device.stray_data += 1
                 return
         # UDP, TCP_SYNACK and established TCP_DATA go to the bound socket.
@@ -490,4 +495,4 @@ class Transport:
         if handler is None:
             device.unbound += 1
             return
-        handler(view if view is not None else packet.view())
+        handler(view)

@@ -272,21 +272,29 @@ class _LoggingDevice(DeviceModel):
         return ok
 
 
+def arrival_seq(tr, packet):
+    """An arrival's sequence number as `arrive` sees it: its packet's, or for
+    a unicast flood arrival, which has none, the one it took just before."""
+    return tr._seq if packet is None else packet.seq
+
+
 class _LoggingTransport(Transport):
-    """Logs every ingested packet as `arrive` gets it; with its devices'
-    ingest log, every arrival crosses the log whatever path it took."""
+    """Logs every ingested arrival as `arrive` gets it: origin, claimed
+    source, view and sequence number; with its devices' ingest log, every
+    arrival crosses the log whatever path it took."""
 
     def __init__(self, scheduler, latency_us, seqs=True):
         super().__init__(scheduler, latency_us)
         self.log = []
-        self.seqs = seqs  # False: log packets without their sequence numbers
+        self.seqs = seqs  # False: log arrivals without their sequence numbers
 
     def device(self, device_id, address, **kw):
         return self.add_device(_LoggingDevice(self.log, self.scheduler, device_id, address, **kw))
 
-    def arrive(self, device, packet, ep, view, now):
-        self.log.append((now, ep.device_id, packet if self.seqs else packet._replace(seq=None)))
-        super().arrive(device, packet, ep, view, now)
+    def arrive(self, device, origin, src_id, view, ep, now, packet=None):
+        self.log.append((now, ep.device_id, origin, src_id, view,
+                         arrival_seq(self, packet) if self.seqs else None))
+        super().arrive(device, origin, src_id, view, ep, now, packet)
 
 
 def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
@@ -391,23 +399,31 @@ class TestCoalescing:
 
 
 class _ViewCheckingTransport(Transport):
-    """Checks every view an ingested packet carries against the packet it
-    was made from: the one given to `arrive`, the engine's and the socket's."""
+    """Checks every view an ingested arrival carries against the packet it
+    stands for: the one `send` made or, for a unicast flood arrival, which
+    has none, the one a pump that builds every packet makes
+    (`flood_packet`); the view given to `arrive`, the engine's and the
+    socket's.  Every target ingests every arrival, so a flood's arrivals at
+    one target come in packet order."""
 
     def __init__(self, scheduler, latency_us):
         super().__init__(scheduler, latency_us)
         self.packet = None
+        self.pumps = {}  # origin -> its _FloodPump
         self.checked = {"arrive": 0, "engine": 0, "socket": 0}
-        self.shared = Counter()  # flood packets that arrived with a view, by proto
+        self.views = {}  # flood origin -> the view of each of its arrivals
 
-    def arrive(self, device, packet, ep, view, now):
-        if view is not None:
-            assert view == packet.view()
-            self.checked["arrive"] += 1
-            if packet.true_origin.startswith("attacker1"):
-                self.shared[packet.proto] += 1
+    def arrive(self, device, origin, src_id, view, ep, now, packet=None):
+        views = self.views.setdefault(origin, []) if origin.startswith("attacker1") else []
+        if packet is None:
+            packet = flood_packet(self.pumps[origin], len(views), self._seq)
+            assert packet.dst == ep
+        assert (origin, src_id) == (packet.true_origin, packet.src.device_id)
+        assert view == packet.view()
+        views.append(view)
+        self.checked["arrive"] += 1
         self.packet = packet
-        super().arrive(device, packet, ep, view, now)
+        super().arrive(device, origin, src_id, view, ep, now, packet)
 
     def check(self, where, view):
         assert view == self.packet.view()
@@ -449,19 +465,40 @@ class TestSharedViews:
         for t in draw(st.lists(st.integers(0, s.stop), max_size=5)):
             dst = gaddr if draw(st.booleans()) else Endpoint("plc2", victim.address, 61499)
             sched.at(t, lambda dst=dst: tr.send(tr.make_packet(Proto.UDP, src, dst, b"\x41", "plc1")))
-        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+        with mock.patch.object(attacks, "_FloodPump", _RegisteredPump):
+            schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(s.stop + US)
 
-        # at this capacity every flood packet is ingested and arrives
+        # at this capacity every flood packet is ingested and arrives, with
+        # one view for the whole flood or, as its header rotates, one per SYN
+        # (shared by the group's members)
+        assert len(tr.views) == (s.attacker_count if flood_count(s) else 0)
+        for views in tr.views.values():
+            assert len(views) == flood_count(s) * (2 if group else 1)
+            assert len(set(map(id, views))) == (
+                flood_count(s) if kind is AttackKind.SYN_FLOOD else 1)
         offered = flood_count(s) * s.attacker_count * (2 if group else 1)
-        if kind is AttackKind.SYN_FLOOD:
-            assert not tr.shared  # its header rotates: a view per packet
-        else:
-            proto = Proto.UDP if kind is AttackKind.UDP_FLOOD else Proto.ICMP_ECHO
-            assert sum(tr.shared.values()) == tr.shared[proto] == offered
-            assert tr.checked["socket"] >= (offered if kind is AttackKind.UDP_FLOOD else 0)
+        assert tr.checked["socket"] >= (offered if kind is AttackKind.UDP_FLOOD else 0)
         if engine_on:
             assert tr.checked["engine"] == engine.presented == victim.ingested
+
+
+def flood_packet(pump, i, seq):
+    """Packet `i` of `pump`'s flood, numbered `seq`, built the per-packet way."""
+    src = pump.src
+    if pump.syn_rotate:
+        src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (i % 0xFFFE + 1),
+                       1024 + i % 60000)
+    return Packet(pump.proto, src, pump.spec.target, pump.spec.payload,
+                  send_instant(pump.first, pump.per_rate, i), pump.origin, seq)
+
+
+class _RegisteredPump(attacks._FloodPump):
+    """A pump that registers itself with its transport's `pumps` by origin."""
+
+    def __init__(self, spec, attacker_index, src, transport, scheduler):
+        super().__init__(spec, attacker_index, src, transport, scheduler)
+        transport.pumps[self.origin] = self
 
 
 class _DeliverEveryPacketPump(attacks._FloodPump):
@@ -473,12 +510,7 @@ class _DeliverEveryPacketPump(attacks._FloodPump):
         if dev is not None and dev.down:
             dev.bulk_unresponsive_drop(self.count - i)
             return
-        src = self.src
-        if self.syn_rotate:
-            src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (i % 0xFFFE + 1),
-                           1024 + i % 60000)
-        pkt = Packet(self.proto, src, spec.target, spec.payload,
-                     send_instant(self.first, self.per_rate, i), self.origin, tr.next_seq())
+        pkt = flood_packet(self, i, tr.next_seq())
         for ep in tr.members(self.group) if self.group is not None else [spec.target]:
             tr.deliver(pkt, ep, self.view)
         self.i = i = i + 1
@@ -611,8 +643,8 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
         engine.start(_CASE_RULES, mode)
     seen = []
     tr.on_send = lambda pkt: seen.append(("send", sched.now, pkt))
-    tr.on_presented = lambda dev, pkt, view, verdict, now: seen.append(
-        ("presented", now, dev.device_id, pkt, verdict))
+    tr.on_presented = lambda dev, origin, view, verdict, now: seen.append(
+        ("presented", now, dev.device_id, origin, view, tr._seq, verdict))
     tr.watch_delivery("plc1", lambda pkt, now: seen.append(("plc1", now, pkt)))
     if watch_attacker:
         tr.watch_delivery("attacker1", lambda pkt, now: seen.append(("attacker1", now, pkt)))
@@ -751,30 +783,36 @@ class TestCountOnly:
         `ingest_span` call, so spans of many arrivals and buckets run."""
         self.matches_the_per_packet_path(case, plain=True)
 
-    @pytest.mark.parametrize("horizons, sends, calls, routed", [
+    @pytest.mark.parametrize("capacity, horizons, sends, calls, routed", [
         # nothing else is due: one pump call
-        ((), [], 1, {"attacker1": 1}),
+        (10**6, (), [], 1, {"attacker1": 1}),
         # the no-op events due after run_until horizons cut the flood
-        (tuple(range(10_000, 100_000, 10_000)), [], 10, {"attacker1": 1}),
+        (10**6, tuple(range(10_000, 100_000, 10_000)), [], 10, {"attacker1": 1}),
         # a publish sent at 50.05 ms cuts it twice, and its arrival at
         # 50.55 ms leaves RX holding its payload until one more junk arrival
         # is routed
-        ((), [(50_050, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
+        (10**6, (), [(50_050, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
+        # the same at 50.25 ms on an overloaded plc2: the first junk arrival
+        # after the publish is dropped, so RX still holds the publish and the
+        # call asks again after the next routed one
+        (300, (), [(50_250, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
     ])
-    def test_junk_flood_routes_only_its_first_arrival(self, horizons, sends, calls, routed):
+    def test_junk_flood_routes_only_its_first_arrival(self, capacity, horizons, sends, calls,
+                                                      routed):
         """An untraced engine-off junk flood at a subscriber counts every
         ingested arrival as malformed but routes only its first: a pump call
         asks `count_only` once its first arrival has been routed, and a call
         armed while counting asks again on the pop and counts from there.
-        If that answer is no, the call asks again after its first arrival."""
+        If that answer is no, the call asks again after its first arrival
+        and, if that one was dropped, after its first routed one."""
         got = Counter()
         arrive = Transport.arrive
         pump = attacks._FloodPump._pump
         pumped = 0
 
-        def counted(tr, device, packet, ep, view, now):
-            got[packet.true_origin] += 1
-            arrive(tr, device, packet, ep, view, now)
+        def counted(tr, device, origin, src_id, view, ep, now, packet=None):
+            got[origin] += 1
+            arrive(tr, device, origin, src_id, view, ep, now, packet)
 
         def pump_call(self):
             nonlocal pumped
@@ -785,9 +823,11 @@ class TestCountOnly:
                 mock.patch.object(attacks._FloodPump, "_pump", pump_call):
             (log, victim, *_, (accepted, malformed), _din, _dout, _trace, _supp,
              seq, processed) = run_count_case(
-                [spec(rate=10_000, stop=US // 10, payload=b"\x00")], 10**6, 10**6,
+                [spec(rate=10_000, stop=US // 10, payload=b"\x00")], capacity, 10**6,
                 None, False, False, [], sends, horizons=horizons)
-        assert victim["ingested"] == malformed + accepted == seq == 1_000 + len(sends)
+        assert victim["offered"] == 1_000 + len(sends)
+        assert victim["ingested"] == malformed + accepted == seq
+        assert victim["dropped_capacity"] == (0 if capacity == 10**6 else 331)
         assert accepted == len(sends)
         # every arrival, send and no-op ran as an event
         assert processed == 1_000 + 2 * len(sends) + len(horizons)

@@ -183,6 +183,13 @@ class TestRejectedBeforeRun:
         (MINIMAL + FLOOD + "rate = 10\nstart_s = -1\nstop_s = 1\n", "attacks[0].start_s"),
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = -2\n",
          "tcp_probe.connect_at_s"),
+        # a time a run rounds to whole us must be finite
+        (MINIMAL + SPOOF + "at_s = nan\n", "attacks[0].at_s"),
+        (MINIMAL + SPOOF + "at_s = 5, inf\n", "attacks[0].at_s"),
+        (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = nan\n",
+         "tcp_probe.connect_at_s"),
+        (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = 1, inf\n",
+         "tcp_probe.connect_at_s"),
         (MINIMAL + "run.event_budget = 0\n", "run.event_budget"),
         (MINIMAL + FLOOD.replace("plc2:61499", "plc2:99999") + "rate = 10\nstop_s = 1\n",
          "attacks[0].target"),

@@ -20,10 +20,11 @@ from fbsecsim.fbnet import FBNetwork
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
-from fbsecsim.transport import DeviceModel, DeviceState
+from fbsecsim.transport import DeviceModel, DeviceState, Endpoint, Packet, Transport
 
 
 FLAG = tuple(idps.FLAG.rsplit(".", 1))  # the IDPS blocks' attack flag A
+BENCH_SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "scenarios")
 
 
 def load(name):
@@ -484,3 +485,97 @@ class TestIdleTicks:
     @given(idle_tick_cases(), st.booleans())
     def test_drawn_runs_match_the_reference(self, cfg, record_trace):
         idle_ticks_change_nothing(cfg, record_trace)
+
+
+def packets_change_nothing(cfg, record_trace):
+    """Assert a run writes what its reference run writes: there every
+    ingested arrival reaches `arrive` with a `Packet`, one a pump that builds
+    a packet per arrival would have built, and each origin's arrivals are
+    handed to a no-op delivery watcher, so no flood is counted without its
+    packets.  Returns how many packets the reference built for arrivals
+    that had none."""
+    arrive = Transport.arrive
+    built = 0
+
+    def with_packet(tr, device, origin, src_id, view, ep, now, packet=None):
+        nonlocal built
+        if packet is None:
+            built += 1
+            packet = Packet(view.proto, Endpoint(src_id, view.src_address, view.src_port), ep,
+                            view.payload, now - tr.latency_us, origin, tr._seq)
+        if origin not in tr._watched:
+            tr.watch_delivery(origin, lambda packet, now: None)
+        arrive(tr, device, origin, src_id, view, ep, now, packet)
+
+    got = run_files(cfg, record_trace)[0]
+    with mock.patch.object(Transport, "arrive", with_packet), \
+            mock.patch.object(Transport, "count_only", lambda *args: None):
+        want = run_files(cfg, record_trace)[0]
+    # names, not bytes: a diff of two traces takes pytest minutes
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+    return built
+
+
+@st.composite
+def engine_on_cases(draw):
+    """A short run of `spoof_blocked`'s plant with boxes early, the engine in
+    ids or ips mode on a drawn ruleset and policy, and drawn traffic: UDP,
+    SYN and ICMP floods into plc2 (possibly claiming plc1's address),
+    spoofed publishes and the TCP probe."""
+    cfg = with_idps(load("spoof_blocked"), draw(st.sampled_from(["ids", "ips"])),
+                    draw(st.sampled_from(["combined.rules", "flood.rules", "spoof.rules"])),
+                    draw(st.sampled_from(["gate_and_hold", "log_only", "shutdown"])))
+    cfg = dataclasses.replace(cfg, idps=dataclasses.replace(
+        cfg.idps, inspection_capacity=draw(st.sampled_from([50, 5_000]))))
+    attacks = []
+    if draw(st.booleans()):
+        attacks.append(AttackConfig(
+            name="spoof", kind=AttackKind.SPOOF_PUBLISH, target="group",
+            at_s=tuple(t / 1e6 for t in draw(st.lists(st.integers(1, 999_999),
+                                                      min_size=1, max_size=3))),
+            payload=draw(st.sampled_from([b"\x41", b"\x40"]))))
+    for n, kind in enumerate(draw(st.lists(st.sampled_from(
+            [AttackKind.UDP_FLOOD, AttackKind.SYN_FLOOD, AttackKind.ICMP_FLOOD]),
+            min_size=1, max_size=2))):
+        start_ms = draw(st.integers(0, 700))
+        count = draw(st.sampled_from([1, 2]))
+        attacks.append(AttackConfig(
+            name=f"flood{n}", kind=kind,
+            target="plc2:61500" if kind is AttackKind.SYN_FLOOD else "plc2:61499",
+            rate=count * draw(st.sampled_from([1_000, 5_000, 20_000])),
+            start_s=start_ms / 1e3, stop_s=(start_ms + draw(st.integers(1, 300))) / 1e3,
+            payload=draw(st.sampled_from([b"\x00", b"\x41"])),
+            claimed_src=draw(st.sampled_from(["", "plc1"])), attacker=f"attacker{n}",
+            attacker_count=count))
+    plc2 = dataclasses.replace(cfg.devices["plc2"],
+                               capacity=draw(st.sampled_from([2_000, 10_000, 400_000])),
+                               halfopen_capacity=draw(st.sampled_from([16, 1_024])))
+    probe = dataclasses.replace(cfg.tcp_probe, enabled=draw(st.booleans()),
+                                connect_at_s=(0.05, draw(st.integers(1, 999)) / 1e3))
+    plant = dataclasses.replace(cfg.plant, first_box_s=0.05, box_period_s=0.3)
+    return dataclasses.replace(cfg, duration_s=1.0, devices={**cfg.devices, "plc2": plc2},
+                               plant=plant, tcp_probe=probe, attacks=attacks)
+
+
+class TestPacketlessArrivals:
+    """A unicast flood arrival reaches the engine, the recorder and its route
+    as its origin, claimed source and view, with no `Packet`; the reference
+    run builds one for every arrival and reads it.  Both write the same
+    bytes."""
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_shipped_scenarios_match_the_reference(self, name, record_trace):
+        packets_change_nothing(load(name), record_trace)
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("name", ["subscriber_flood", "syn_backlog", "seed_batch"])
+    def test_bench_configs_match_the_reference(self, name, record_trace):
+        cfg = parse_scenario_file(os.path.join(BENCH_SCENARIOS, f"{name}.scenario"))
+        assert packets_change_nothing(cfg, record_trace) > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(engine_on_cases(), st.booleans())
+    def test_drawn_engine_on_runs_match_the_reference(self, cfg, record_trace):
+        packets_change_nothing(cfg, record_trace)
