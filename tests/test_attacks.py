@@ -272,12 +272,6 @@ class _LoggingDevice(DeviceModel):
         return ok
 
 
-def arrival_seq(tr, packet):
-    """An arrival's sequence number as `arrive` sees it: its packet's, or for
-    a unicast flood arrival, which has none, the one it took just before."""
-    return tr._seq if packet is None else packet.seq
-
-
 class _LoggingTransport(Transport):
     """Logs every ingested arrival as `arrive` gets it: origin, claimed
     source, view and sequence number; with its devices' ingest log, every
@@ -292,8 +286,9 @@ class _LoggingTransport(Transport):
         return self.add_device(_LoggingDevice(self.log, self.scheduler, device_id, address, **kw))
 
     def arrive(self, device, origin, src_id, view, ep, now, packet=None):
-        self.log.append((now, ep.device_id, origin, src_id, view,
-                         arrival_seq(self, packet) if self.seqs else None))
+        # a unicast flood arrival has no packet: its number is the one it took just before
+        seq = self._seq if packet is None else packet.seq
+        self.log.append((now, ep.device_id, origin, src_id, view, seq if self.seqs else None))
         super().arrive(device, origin, src_id, view, ep, now, packet)
 
 

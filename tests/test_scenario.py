@@ -168,6 +168,15 @@ class TestInjection:
         e = res.report.engine
         assert e.blocked >= 1 and e.recall == 1.0 and e.precision == 1.0
 
+    def test_engine_stats_classify_by_true_origin(self):
+        """A spoof wearing plc1's header is still counted as attack traffic:
+        the recorder classifies an arrival by its origin, not its header."""
+        cfg = load("spoof_blocked")
+        cfg = dataclasses.replace(cfg, attacks=[
+            dataclasses.replace(cfg.attacks[0], claimed_src="plc1")])
+        e = run_scenario(cfg, record_trace=False).report.engine
+        assert (e.presented, e.attack_presented) == (2, 1)
+
     def test_log_only_logs_while_getting_hit(self):
         res = run_scenario(load("spoof_logonly"))
         assert res.report.plant.hazard
@@ -427,14 +436,18 @@ def run_files(cfg, record_trace, settle=True):
     return files, steps, len(result.plant.samples) - 1  # the sample at 0 is no tick
 
 
+def assert_same_files(got, want):
+    # names, not bytes: a diff of two traces takes pytest minutes
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
 def idle_ticks_change_nothing(cfg, record_trace):
     """Assert a run writes what its reference run writes; return how many
     ticks it did not step."""
     got, steps, ticks = run_files(cfg, record_trace)
     want, ref_steps, ref_ticks = run_files(cfg, record_trace, settle=False)
-    # names, not bytes: a diff of two traces takes pytest minutes
-    assert sorted(got) == sorted(want)
-    assert [name for name in want if got[name] != want[name]] == []
+    assert_same_files(got, want)
     assert ref_steps == ref_ticks == ticks
     return ticks - steps
 
@@ -511,9 +524,7 @@ def packets_change_nothing(cfg, record_trace):
     with mock.patch.object(Transport, "arrive", with_packet), \
             mock.patch.object(Transport, "count_only", lambda *args: None):
         want = run_files(cfg, record_trace)[0]
-    # names, not bytes: a diff of two traces takes pytest minutes
-    assert sorted(got) == sorted(want)
-    assert [name for name in want if got[name] != want[name]] == []
+    assert_same_files(got, want)
     return built
 
 
@@ -521,8 +532,8 @@ def packets_change_nothing(cfg, record_trace):
 def engine_on_cases(draw):
     """A short run of `spoof_blocked`'s plant with boxes early, the engine in
     ids or ips mode on a drawn ruleset and policy, and drawn traffic: UDP,
-    SYN and ICMP floods into plc2 (possibly claiming plc1's address),
-    spoofed publishes and the TCP probe."""
+    SYN and ICMP floods into plc2, spoofed publishes (possibly wearing
+    plc1's header) and the TCP probe."""
     cfg = with_idps(load("spoof_blocked"), draw(st.sampled_from(["ids", "ips"])),
                     draw(st.sampled_from(["combined.rules", "flood.rules", "spoof.rules"])),
                     draw(st.sampled_from(["gate_and_hold", "log_only", "shutdown"])))
@@ -534,7 +545,8 @@ def engine_on_cases(draw):
             name="spoof", kind=AttackKind.SPOOF_PUBLISH, target="group",
             at_s=tuple(t / 1e6 for t in draw(st.lists(st.integers(1, 999_999),
                                                       min_size=1, max_size=3))),
-            payload=draw(st.sampled_from([b"\x41", b"\x40"]))))
+            payload=draw(st.sampled_from([b"\x41", b"\x40"])),
+            claimed_src=draw(st.sampled_from(["", "plc1"]))))
     for n, kind in enumerate(draw(st.lists(st.sampled_from(
             [AttackKind.UDP_FLOOD, AttackKind.SYN_FLOOD, AttackKind.ICMP_FLOOD]),
             min_size=1, max_size=2))):
@@ -545,8 +557,7 @@ def engine_on_cases(draw):
             target="plc2:61500" if kind is AttackKind.SYN_FLOOD else "plc2:61499",
             rate=count * draw(st.sampled_from([1_000, 5_000, 20_000])),
             start_s=start_ms / 1e3, stop_s=(start_ms + draw(st.integers(1, 300))) / 1e3,
-            payload=draw(st.sampled_from([b"\x00", b"\x41"])),
-            claimed_src=draw(st.sampled_from(["", "plc1"])), attacker=f"attacker{n}",
+            payload=draw(st.sampled_from([b"\x00", b"\x41"])), attacker=f"attacker{n}",
             attacker_count=count))
     plc2 = dataclasses.replace(cfg.devices["plc2"],
                                capacity=draw(st.sampled_from([2_000, 10_000, 400_000])),
