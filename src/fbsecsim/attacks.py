@@ -4,20 +4,24 @@ Floods are perfectly periodic: packet n of an aggregate-rate-r flood is
 due at start + floor(n * 1e6 / r) microseconds, and k attackers split the
 stream round-robin with evenly spaced phase offsets, so every count in the
 acceptance math is exact.  Generators are lazily chained through the
-scheduler (one live event per attacker), and once a unicast target goes
-unresponsive the remainder is accounted in bulk since nothing else could
-observe it.
+scheduler: one pump per run holds every attacker's stream and keeps one
+live event for them all, and once a unicast target goes unresponsive the
+remainder is accounted in bulk since nothing else could observe it.
 
-A pump runs each arrival due before anything else inline, in one loop
-(`_FloodPump._pump`).  Nothing else can run meanwhile, so an ingested
+The pump runs each arrival due before anything else inline, in one loop
+(`_FloodPump._pump`), whichever stream it belongs to; what an arrival's
+fan-out leaves for the same instant runs in between
+(`Scheduler.run_ready`).  Nothing else can run meanwhile, so an ingested
 arrival whose whole fate is a counter update is only counted, and such
-arrivals go to the device a stretch at a time: one scheduler bound and one
-device call each, which works the stretch out one 1 ms window bucket at a
-time.  Every arrival is still ingested and counted as an event.
+arrivals go to the device a stretch of one stream at a time: one scheduler
+bound and one device call each, which works the stretch out one 1 ms
+window bucket at a time.  Every arrival is still ingested and counted as
+an event.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,148 +104,215 @@ def schedule_spoof(spec: AttackSpec, transport: Transport, scheduler: Scheduler)
         scheduler.at(t, fire)
 
 
-class _FloodPump:
-    """One attacker's packet stream, self-rescheduling at delivery times.
+_NEVER = 1 << 62  # later than any arrival
 
-    `_pump` is its one loop.  Packet `i` runs as an event; each successor
-    due before anything else (`Scheduler.inline_bound`) runs inline, and the
-    first one that is not is armed.  Send instants are computed one at a
-    time, so a flood holds the same memory however many packets it sends.
-    A unicast target's device ingests each arrival first; an ingested one
-    takes a sequence number and goes to `Transport.arrive` without a
-    `Packet`.  Group floods and targets with no device build one for
-    `Transport.deliver`.
 
-    The first time a call of a unicast non-SYN flood goes on inline, it asks
-    `Transport.count_only`, and again after its first routed arrival if that
-    found no counter; once one does, the call's later ingested arrivals are
-    only counted, and those due inline go to the device a segment at a time,
-    as an index range of this schedule (`DeviceModel.ingest_span`).  A call
-    armed while counting (`counting`) makes the next one ask as soon as it
-    pops, so a flood that other events cut into many calls routes no arrival
-    after its first while the answer stands; a pump that never counted, such
-    as an engine-on, SYN or ICMP flood, never asks on the pop.  Every arrival
-    is still ingested and run as an event, so device counters, drop draws,
-    state changes, collapse, `now`, `processed` and the event budget end as
-    they would one arrival at a time.
-    """
+class _Stream:
+    """One attacker's packet stream: what `_FloodPump` needs to deliver its
+    packets, and the index `i` of the next one.  Send instants are computed
+    one at a time, so a flood holds the same memory however many packets
+    it sends."""
 
     def __init__(self, spec: AttackSpec, attacker_index: int, src: Endpoint,
-                 transport: Transport, scheduler: Scheduler):
+                 transport: Transport):
         self.spec = spec
         self.src = src
         self.origin = src.device_id  # ground truth survives header rotation
-        self.transport = transport
-        self.scheduler = scheduler
         self.proto = _FLOOD_PROTO[spec.kind]
         self.count = flood_count(spec)
         self.first, self.per_rate = flood_clock(spec, attacker_index)
         self.i = 0
-        self.counting = False  # armed while counting: ask on the pop
+        self.counting = False  # parked while counting: ask on the pop
+        self.armed = False     # its next arrival has the pump's heap entry
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
         self.view = None if self.syn_rotate else Packet(
             self.proto, src, spec.target, spec.payload, 0, self.origin, 0).view()
-        if isinstance(spec.target, GroupAddress):
-            self.group, self.target_device = spec.target.address, None
+        target = spec.target
+        if isinstance(target, GroupAddress):
+            self.group, self.target_device = target.address, None
         else:
-            self.group, self.target_device = None, transport.devices.get(spec.target.device_id)
+            self.group, self.target_device = None, transport.devices.get(target.device_id)
+        self.base = self.first + transport.latency_us  # packet 0's arrival
+        # what `_FloodPump._pump` reads, in one tuple
+        self.fixed = (target, spec.payload, self.proto, self.origin, src, self.syn_rotate,
+                      self.view, GHOST_ID if self.syn_rotate else src.device_id,
+                      src.address & 0xFFFF0000, target.address, target.port,
+                      self.target_device, self.group, self.base, self.per_rate, self.count)
 
-    def start(self) -> None:
-        if self.count:
-            self.scheduler.at(self.first + self.transport.latency_us, self._pump,
-                              lane=LANE_NET, key=(self.origin, 0))
+
+class _FloodPump:
+    """Every flood stream of a run, delivered from one scheduler entry.
+
+    `parked` queues each stream's next arrival by the key its own heap
+    entry would have, (time, origin, i, seq), with the seq the scheduler
+    gave when the stream stopped (`Scheduler.reserve`).  The head always
+    has a scheduler entry (`armed`); the others need none.  `_pump` is the
+    one loop: the popped arrival runs as an event, then each next arrival
+    of its stream due before anything else (before `inline_bound`'s `last`
+    and before the next parked arrival's time) runs inline, and the first
+    that is not parks the stream.  The pump then runs what the fan-out
+    left for this instant (`Scheduler.run_ready`) and goes on with the new
+    head as if it had popped, if that is due before anything else, or
+    arms it.  So interleaved floods run in one call, in the order one heap
+    entry per stream would give.  A unicast target's device ingests each
+    arrival first; an ingested one takes a sequence number and goes to
+    `Transport.arrive` without a `Packet`.  Group floods and targets with
+    no device build one for `Transport.deliver`.
+
+    The first time a stream goes on inline, the pump asks
+    `Transport.count_only`, and again after its first routed arrival if
+    that found no counter; once one does, the stream's later ingested
+    arrivals are only counted, and those due inline go to the device a
+    segment at a time, as an index range of its schedule
+    (`DeviceModel.ingest_span`).  The counter takes the count when the
+    stream stops, before anything else runs.  A stream parked while
+    counting (`counting`) asks as soon as it runs again, so a flood that
+    other events cut into many runs routes no arrival after its first
+    while the answer stands; a stream that never counted, such as an
+    engine-on, SYN or ICMP flood, never asks there.  Every arrival is
+    still ingested and run as an event, so device counters, drop draws,
+    state changes, collapse, `now`, `processed` and the event budget end
+    as they would one arrival at a time.
+    """
+
+    def __init__(self, transport: Transport, scheduler: Scheduler):
+        self.transport = transport
+        self.scheduler = scheduler
+        self.parked: list = []  # heap of (time, origin, i, seq, stream)
+
+    def add(self, stream: _Stream) -> None:
+        if stream.count:
+            when, origin, parked = stream.base, stream.origin, self.parked
+            if parked and parked[0][:3] <= (when, origin, 0):
+                seq = self.scheduler.reserve()
+            else:  # the new head
+                stream.armed = True
+                seq = self.scheduler.at_seq(when, self._pump, LANE_NET, (origin, 0))
+            heapq.heappush(parked, (when, origin, 0, seq, stream))
 
     def _pump(self) -> None:
-        """Deliver packet `i` (due now) and each next packet `inline_bound`
-        lets run inline (due at or before `last`, with events `left` in the
-        budget), moving `now` and `processed` as a popped entry would; arm
-        the first one it does not.  Counted arrivals go to the device a
-        segment at a time, and `counted(k)` takes the k ingested when the
-        call ends.  If the call before armed packet `i` while counting and
-        `count_only` still answers, the first segment starts at packet `i`
-        itself; the pop has counted it in `processed` already, so the budget
-        allows it and `left` more."""
-        target, payload, proto, origin = self.spec.target, self.spec.payload, self.proto, self.origin
-        base_src, syn_rotate, view = self.src, self.syn_rotate, self.view
-        src_id = GHOST_ID if syn_rotate else base_src.device_id
-        ghost_net, dst_address, dst_port = base_src.address & 0xFFFF0000, target.address, target.port
-        dev, group = self.target_device, self.group
-        transport, scheduler = self.transport, self.scheduler
+        """Deliver the head's packet `i` (due now) and each next packet of
+        its stream `inline_bound` lets run inline (due at or before `last`,
+        with events `left` in the budget) and due before the next parked
+        arrival, moving `now` and `processed` as a popped entry would; park
+        the stream at the first one it does not, then go on with the next
+        head as above.  Counted arrivals go to the device a segment at a
+        time, and `counted(k)` takes the k ingested when the stream stops.
+        If the stream was parked while counting and `count_only` still
+        answers, the first segment starts at packet `i` itself; the pop has
+        counted it in `processed` already, so the budget allows it and
+        `left` more."""
+        transport, scheduler, parked = self.transport, self.scheduler, self.parked
         latency = transport.latency_us
-        base = self.first + latency  # arrival of packet 0
-        per_rate, count, i = self.per_rate, self.count, self.i
-        counted = transport.count_only(dev, target, view, origin) if self.counting else None
-        if counted is not None:
-            last, left = scheduler.inline_bound()
-            left += 1  # the popped arrival has run as an event already
-        ask = counted is None and dev is not None and not syn_rotate
-        k = 0
-        try:
-            while True:
-                if dev is not None and dev.down:
-                    dev.bulk_unresponsive_drop(count - i)
-                    return
-                if counted is None:
-                    now = scheduler.now
-                    routed = dev is None or dev.ingest(now)
-                    if routed:
-                        if syn_rotate:
-                            # Rotate the claimed source so the SYN-ACKs vanish
-                            # and no ACK ever completes a handshake.
-                            view = PacketView(proto, ghost_net | (i % 0xFFFE + 1),
-                                              1024 + i % 60000, dst_address, dst_port, payload)
-                        if dev is not None:
-                            transport.next_seq()  # the arrival's, read by `arrive` if watched
-                            transport.arrive(dev, origin, src_id, view, target, now)
-                        else:
-                            src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
-                                if syn_rotate else base_src
-                            # a packet arrives exactly one latency after its send instant
-                            pkt = Packet(proto, src, target, payload, now - latency, origin,
-                                         transport.next_seq())
-                            for ep in (target,) if group is None else transport.members(group):
-                                transport.deliver(pkt, ep, view)
-                    i += 1
-                else:
-                    # packet i (due now; a popped one may tie with the heap head)
-                    # and its successors due at or before `last`
-                    # (base + n * US // per_rate <= last), at most `left` in all
-                    end = ((last - base + 1) * per_rate - 1) // US + 1
-                    taken, ingested = dev.ingest_span(base, per_rate, i,
-                                                      min(count, i + left, max(end, i + 1)))
-                    k += ingested
-                    i += taken
-                    scheduler.now = base + (i - 1) * US // per_rate
-                    scheduler.processed += taken - 1  # its first packet ran as an event already
-                if i >= count:
-                    return
-                when = base + i * US // per_rate
-                last, left = scheduler.inline_bound()
-                if when > last or left < 1:
-                    self.i, self.counting = i, counted is not None
-                    scheduler.at(when, self._pump, lane=LANE_NET, key=(origin, i))
-                    return
-                scheduler.now = when
-                scheduler.processed += 1
-                if ask:
-                    counted = transport.count_only(dev, target, view, origin)
-                    ask = counted is None and not routed
-        finally:
+        stream = heapq.heappop(parked)[4]
+        stream.armed = False
+        while True:
+            (target, payload, proto, origin, base_src, syn_rotate, view, src_id, ghost_net,
+             dst_address, dst_port, dev, group, base, per_rate, count) = stream.fixed
+            i = stream.i
+            cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
+            counted = transport.count_only(dev, target, view, origin) if stream.counting else None
             if counted is not None:
-                counted(k)
+                last, left = scheduler.inline_bound()
+                left += 1  # the popped arrival has run as an event already
+            ask = counted is None and dev is not None and not syn_rotate
+            k = 0
+            try:
+                while True:
+                    if dev is not None and dev.down:
+                        dev.bulk_unresponsive_drop(count - i)
+                        last = -1  # done: ask the scheduler afresh below
+                        break
+                    if counted is None:
+                        now = scheduler.now
+                        routed = dev is None or dev.ingest(now)
+                        if routed:
+                            if syn_rotate:
+                                # Rotate the claimed source so the SYN-ACKs vanish
+                                # and no ACK ever completes a handshake.
+                                view = PacketView(proto, ghost_net | (i % 0xFFFE + 1),
+                                                  1024 + i % 60000, dst_address, dst_port, payload)
+                            if dev is not None:
+                                transport.next_seq()  # the arrival's, read by `arrive` if watched
+                                transport.arrive(dev, origin, src_id, view, target, now)
+                            else:
+                                src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
+                                    if syn_rotate else base_src
+                                # a packet arrives exactly one latency after its send instant
+                                pkt = Packet(proto, src, target, payload, now - latency, origin,
+                                             transport.next_seq())
+                                for ep in (target,) if group is None else transport.members(group):
+                                    transport.deliver(pkt, ep, view)
+                        i += 1
+                    else:
+                        # packet i (due now; a popped one may tie with the heap head)
+                        # and its successors due at or before `last` and before `cap`
+                        # (base + n * US // per_rate <= last), at most `left` in all
+                        if last >= cap:
+                            last = cap - 1
+                        end = ((last - base + 1) * per_rate - 1) // US + 1
+                        taken, ingested = dev.ingest_span(base, per_rate, i,
+                                                          min(count, i + left, max(end, i + 1)))
+                        k += ingested
+                        i += taken
+                        scheduler.now = base + (i - 1) * US // per_rate
+                        scheduler.processed += taken - 1  # its first packet ran as an event already
+                    if i >= count:
+                        last = -1
+                        break
+                    when = base + i * US // per_rate
+                    last, left = scheduler.inline_bound()
+                    if when > last or left < 1 or when >= cap:
+                        stream.i, stream.counting = i, counted is not None
+                        if when < cap and last >= scheduler.now:
+                            # still the head, and nothing is due now: arm it
+                            stream.armed = True
+                            seq = scheduler.at_seq(when, self._pump, LANE_NET, (origin, i))
+                            heapq.heappush(parked, (when, origin, i, seq, stream))
+                            return
+                        heapq.heappush(parked, (when, origin, i, scheduler.reserve(), stream))
+                        break
+                    scheduler.now = when
+                    scheduler.processed += 1
+                    if ask:
+                        counted = transport.count_only(dev, target, view, origin)
+                        ask = counted is None and not routed
+            finally:
+                if counted is not None:
+                    counted(k)
+            if not parked:
+                return
+            if last < scheduler.now:
+                # something is due now, such as what the last arrival's
+                # fan-out left in the FIFO: run it, then ask again
+                scheduler.run_ready()
+                last, left = scheduler.inline_bound()
+            when, origin, i, seq, stream = parked[0]
+            if stream.armed:
+                return
+            if when > last or left < 1:
+                stream.armed = True
+                scheduler.at_seq(when, self._pump, LANE_NET, (origin, i), seq)
+                return
+            heapq.heappop(parked)
+            scheduler.now = when
+            scheduler.processed += 1  # as its pop would
 
 
 def schedule_flood(spec: AttackSpec, transport: Transport, scheduler: Scheduler,
                    base_address: int) -> list[DeviceModel]:
-    """Create the attacker devices and arm one pump per attacker."""
+    """Create the attacker devices and add one stream per attacker to the
+    run's pump, made by its first flood."""
+    pump = transport.flood_pump
+    if pump is None:
+        pump = transport.flood_pump = _FloodPump(transport, scheduler)
     devices = []
     for j in range(spec.attacker_count):
         dev_id = spec.attacker_id if spec.attacker_count == 1 else f"{spec.attacker_id}.{j}"
         address = base_address + j
         dev = transport.devices.get(dev_id) or attacker_device(transport, dev_id, address)
         devices.append(dev)
-        src = Endpoint(dev_id, address, 40000 + j)
-        _FloodPump(spec, j, src, transport, scheduler).start()
+        pump.add(_Stream(spec, j, Endpoint(dev_id, address, 40000 + j), transport))
     return devices

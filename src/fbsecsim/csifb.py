@@ -10,6 +10,7 @@ convincingly crafted packet is indistinguishable from the real thing here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import StringTooLong
 from .fbnet import FBInstance, FBNetwork, PortKind, PortSpec
@@ -103,27 +104,37 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             emissions = [("IND", {"RD_1": values[0], "QO": TRUE})]
         return decoded.setdefault(raw, (DataValue(STRING, raw), emissions))  # no Str() copy
 
+    def quiet():
+        """Whether an RCV would run untraced and unsuppressed."""
+        host = network.host
+        return (network.trace is None and id not in network.suspended
+                and (host is None or not host.down))
+
+    def count_malformed(rx, k):
+        """What k RCVs of junk whose RX latch value is `rx` do when `quiet`."""
+        if k:
+            inst.din["RX"] = rx
+            inst.dout["QO"] = FALSE
+            inst.state.malformed += k
+
     def handler(view):
-        # a flood sends one payload object, so RX often holds it already
         payload = view.payload
+        entry = decoded.get(payload) or remember(payload)
+        if entry[1] is _MALFORMED and quiet():
+            count_malformed(entry[0], 1)
+            return
+        # a flood sends one payload object, so RX often holds it already
         if inst.din["RX"].raw is not payload:
-            network.set_data_in(id, "RX", (decoded.get(payload) or remember(payload))[0])
+            network.set_data_in(id, "RX", entry[0])
         network.dispatch(id, "RCV")
 
-    def count_malformed(k):
-        inst.state.malformed += k
-
     def count_only(view):
-        """`count_malformed` if handling `view` now would change nothing but
-        `malformed`: an untraced, unsuppressed RCV of junk whose RX and QO
-        latches already hold what it would write; else None."""
-        host = network.host
+        """A counter of k receipts of `view` if `handler` would take them
+        without a dispatch: the memo says its payload is junk and an RCV
+        would run `quiet`; else None."""
         entry = decoded.get(view.payload)
-        if (network.trace is None and id not in network.suspended
-                and (host is None or not host.down)
-                and entry is not None and entry[1] is _MALFORMED
-                and inst.din["RX"].raw is view.payload and inst.dout["QO"] is FALSE):
-            return count_malformed
+        if entry is not None and entry[1] is _MALFORMED and quiet():
+            return partial(count_malformed, entry[0])
         return None
 
     handler.count_only = count_only  # read by Transport.count_only

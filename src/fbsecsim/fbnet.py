@@ -4,12 +4,16 @@ Instances are black boxes: a deterministic transition function over
 (fired event input, latched data inputs, internal state, virtual time).
 Virtual time is measured in integer microseconds.  Event delivery within
 one timestamp is FIFO; packet deliveries are sequenced on a separate lane
-so simultaneous arrivals order by source id (see transport).
+so simultaneous arrivals order by source id (see transport).  An event
+scheduled for the current instant with no lane or key (a fan-out, a post
+with no delay) skips the heap: it waits in a FIFO that runs right after
+any heap entry already queued for that instant and lane (see `Scheduler`).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
@@ -67,10 +71,20 @@ class Ctx:
 
 
 class Scheduler:
-    """Priority queue over (time, lane, key, seq); FIFO within equal keys."""
+    """Priority queue over (time, lane, key, seq); FIFO within equal keys.
+
+    An entry `at` the current instant on LANE_FB with key "" goes to a
+    FIFO, not the heap.  Its seq would be higher than that of any heap
+    entry with the same (time, lane, key), which was pushed before `now`
+    reached that time, and lower than that of any later one, which goes
+    to the FIFO too; so `run_until` runs a heap head at (now, LANE_FB, "")
+    first, then the FIFO, then everything else, in the sorted order.
+    While the FIFO holds entries nothing runs inline (`inline_bound`).
+    """
 
     def __init__(self, max_events: int = 100_000_000):
         self._heap: list = []
+        self._ready: deque = deque()  # entries at (now, LANE_FB, ""), in seq order
         self._seq = 0
         self.now = 0
         self.processed = 0
@@ -78,20 +92,44 @@ class Scheduler:
         self._until = -1  # horizon of the run_until in progress; -1 outside one
 
     def at(self, time: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} before now={self.now}")
+        if time <= self.now:
+            if time < self.now:
+                raise ValueError(f"cannot schedule at {time} before now={self.now}")
+            if lane == LANE_FB and key == "":
+                self._ready.append(fn)
+                return
         self._seq += 1
         heapq.heappush(self._heap, (time, lane, key, self._seq, fn))
+
+    def reserve(self) -> int:
+        """The seq an entry `at`-ed now would take, for one that is queued
+        elsewhere and may enter the heap later through `at_seq`."""
+        self._seq += 1
+        return self._seq
+
+    def at_seq(self, time: int, fn: Callable[[], None], lane: int, key: Any,
+               seq: int | None = None) -> int:
+        """Push an entry on the heap with `seq` from `reserve`, so it sorts
+        as if it had been `at`-ed when that was taken, or with a new seq;
+        returns the seq."""
+        if seq is None:
+            self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, lane, key, seq, fn))
+        return seq
 
     def inline_bound(self) -> tuple[int, int]:
         """(last, left) for a running entry that runs its successors inline
         instead of `at`-ing them: one due at or before `last` (the run_until
         horizon, or the heap head's time minus 1 if earlier; -1 outside a
-        run_until) is the next entry to run, and `left` more events fit the
-        budget.  Having run n successors, the last at time t, the entry sets
-        `now = t` and adds n to `processed`.  A successor due later, tying
-        with the head, or past the budget is `at`-ed, so it pops in order
-        and its pop trips the budget."""
+        run_until; `now - 1` while the FIFO holds entries) is the next entry
+        to run, and `left` more events fit the budget.  Having run n
+        successors, the last at time t, the entry sets `now = t` and adds n
+        to `processed`.  A successor due later, tying with the head, or past
+        the budget is `at`-ed, so it pops in order and its pop trips the
+        budget.  The FIFO is never drained here: an entry on LANE_FB may
+        still `at` more of its own, which must queue behind it."""
+        if self._ready:
+            return self.now - 1, self.max_events - self.processed
         heap = self._heap
         last = self._until
         if heap and heap[0][0] <= last:
@@ -102,22 +140,45 @@ class Scheduler:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:
             raise ValueError("until precedes current virtual time")
-        heap = self._heap
+        heap, ready = self._heap, self._ready
         self._until = until
         try:
-            while heap and heap[0][0] <= until:
-                entry = heapq.heappop(heap)
-                self.now = entry[0]
+            while True:
+                if ready:
+                    head = heap[0] if heap else None
+                    if (head is not None and head[0] == self.now and head[1] == LANE_FB
+                            and head[2] == ""):
+                        fn = heapq.heappop(heap)[4]
+                    else:
+                        fn = ready.popleft()
+                elif heap and heap[0][0] <= until:
+                    entry = heapq.heappop(heap)
+                    self.now = entry[0]
+                    fn = entry[4]
+                else:
+                    break
                 self.processed += 1
                 if self.processed > self.max_events:
                     raise EventBudgetExceeded(f"more than {self.max_events} events processed")
-                entry[4]()
+                fn()
         finally:
             self._until = -1
         self.now = until
 
+    def run_ready(self) -> None:
+        """Run the FIFO until it is empty, counting each entry as an event,
+        as `run_until` would.  For a running LANE_NET entry about to run
+        successors inline: entries it left in the FIFO would run next in
+        any case."""
+        ready = self._ready
+        while ready:
+            self.processed += 1
+            if self.processed > self.max_events:
+                raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+            ready.popleft()()
+
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._ready)
 
 
 class Trace:

@@ -348,6 +348,7 @@ class Transport:
         # origin clears device and tap (`watch_delivery`); a flood from an
         # unwatched origin may be counted without its packets (`count_only`)
         self._watched: dict[str, Callable[[Packet, int], None]] = {}
+        self.flood_pump = None  # the run's attacks._FloodPump, made by its first flood
 
     # -- topology ----------------------------------------------------------
 

@@ -384,6 +384,10 @@ class TestCoalescing:
                 self.armed += 1
                 super().at(*args, **kw)
 
+            def at_seq(self, *args, **kw):
+                self.armed += 1
+                return super().at_seq(*args, **kw)
+
         sched = CountingScheduler()
         tr = Transport(sched, latency_us=500)
         victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
@@ -404,14 +408,14 @@ class _ViewCheckingTransport(Transport):
     def __init__(self, scheduler, latency_us):
         super().__init__(scheduler, latency_us)
         self.packet = None
-        self.pumps = {}  # origin -> its _FloodPump
+        self.streams = {}  # origin -> its flood stream
         self.checked = {"arrive": 0, "engine": 0, "socket": 0}
         self.views = {}  # flood origin -> the view of each of its arrivals
 
     def arrive(self, device, origin, src_id, view, ep, now, packet=None):
         views = self.views.setdefault(origin, []) if origin.startswith("attacker1") else []
         if packet is None:
-            packet = flood_packet(self.pumps[origin], len(views), self._seq)
+            packet = flood_packet(self.streams[origin], len(views), self._seq)
             assert packet.dst == ep
         assert (origin, src_id) == (packet.true_origin, packet.src.device_id)
         assert view == packet.view()
@@ -460,8 +464,8 @@ class TestSharedViews:
         for t in draw(st.lists(st.integers(0, s.stop), max_size=5)):
             dst = gaddr if draw(st.booleans()) else Endpoint("plc2", victim.address, 61499)
             sched.at(t, lambda dst=dst: tr.send(tr.make_packet(Proto.UDP, src, dst, b"\x41", "plc1")))
-        with mock.patch.object(attacks, "_FloodPump", _RegisteredPump):
-            schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
+        tr.streams = {entry[-1].origin: entry[-1] for entry in tr.flood_pump.parked}
         sched.run_until(s.stop + US)
 
         # at this capacity every flood packet is ingested and arrives, with
@@ -478,40 +482,42 @@ class TestSharedViews:
             assert tr.checked["engine"] == engine.presented == victim.ingested
 
 
-def flood_packet(pump, i, seq):
-    """Packet `i` of `pump`'s flood, numbered `seq`, built the per-packet way."""
-    src = pump.src
-    if pump.syn_rotate:
+def flood_packet(stream, i, seq):
+    """Packet `i` of a flood stream, numbered `seq`, built the per-packet way."""
+    src = stream.src
+    if stream.syn_rotate:
         src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (i % 0xFFFE + 1),
                        1024 + i % 60000)
-    return Packet(pump.proto, src, pump.spec.target, pump.spec.payload,
-                  send_instant(pump.first, pump.per_rate, i), pump.origin, seq)
+    return Packet(stream.proto, src, stream.spec.target, stream.spec.payload,
+                  send_instant(stream.first, stream.per_rate, i), stream.origin, seq)
 
 
-class _RegisteredPump(attacks._FloodPump):
-    """A pump that registers itself with its transport's `pumps` by origin."""
+class _DeliverEveryPacketPump:
+    """Reference pump: every packet of every stream is built and numbered,
+    ingested or not, and goes through `Transport.deliver` on its own heap
+    entry, `at`-ed when the packet before it has run."""
 
-    def __init__(self, spec, attacker_index, src, transport, scheduler):
-        super().__init__(spec, attacker_index, src, transport, scheduler)
-        transport.pumps[self.origin] = self
+    def __init__(self, transport, scheduler):
+        self.transport, self.scheduler = transport, scheduler
 
+    def add(self, stream):
+        if stream.count:
+            self.arm(stream, 0)
 
-class _DeliverEveryPacketPump(attacks._FloodPump):
-    """Reference pump: every flood packet is built and numbered, ingested or
-    not, and goes through `Transport.deliver` on its own heap entry."""
+    def arm(self, stream, i):
+        self.scheduler.at(send_instant(stream.first, stream.per_rate, i) + self.transport.latency_us,
+                          lambda: self.deliver(stream, i), lane=LANE_NET, key=(stream.origin, i))
 
-    def _pump(self):
-        spec, i, dev, tr = self.spec, self.i, self.target_device, self.transport
+    def deliver(self, stream, i):
+        tr, dev = self.transport, stream.target_device
         if dev is not None and dev.down:
-            dev.bulk_unresponsive_drop(self.count - i)
+            dev.bulk_unresponsive_drop(stream.count - i)
             return
-        pkt = flood_packet(self, i, tr.next_seq())
-        for ep in tr.members(self.group) if self.group is not None else [spec.target]:
-            tr.deliver(pkt, ep, self.view)
-        self.i = i = i + 1
-        if i < self.count:
-            self.scheduler.at(send_instant(self.first, self.per_rate, i) + tr.latency_us,
-                              self._pump, lane=LANE_NET, key=(self.origin, i))
+        pkt = flood_packet(stream, i, tr.next_seq())
+        for ep in tr.members(stream.group) if stream.group is not None else [stream.spec.target]:
+            tr.deliver(pkt, ep, stream.view)
+        if i + 1 < stream.count:
+            self.arm(stream, i + 1)
 
 
 _CASE_RULES = parse_rules(
@@ -521,9 +527,11 @@ _CASE_RULES = parse_rules(
     'alert icmp any any -> any any msg "ping"\n')
 
 
-def run_pump_case(s, capacity, critical_rate, engine_cfg, sends):
-    """Flood `s` against a subscriber PLC (plc2) and a group peer (plc3),
-    with legitimate publishes from plc1; return what every layer saw."""
+def run_pump_case(floods, capacity, critical_rate, engine_cfg, sends, timers=()):
+    """Floods `floods` against a subscriber PLC (plc2) and a group peer
+    (plc3), with legitimate publishes from plc1 and logged timers keyed as
+    given, each of which may `at` a keyed child when it runs; return what
+    every layer saw."""
     sched = Scheduler()
     tr = _LoggingTransport(sched, 500, seqs=False)
     victim = tr.device("plc2", ip_to_int("192.168.1.2"), capacity=capacity,
@@ -548,8 +556,17 @@ def run_pump_case(s, capacity, critical_rate, engine_cfg, sends):
         dst = gaddr if to_group else Endpoint("plc2", victim.address, 61499)
         sched.at(t, lambda dst=dst, payload=payload:
                  tr.send(tr.make_packet(Proto.UDP, src, dst, payload, "plc1")))
-    schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
-    sched.run_until(s.stop + US)
+    for n, (t, lane, key, child) in enumerate(timers):
+        def fire(n=n, child=child):
+            tr.log.append((sched.now, "timer", n))
+            if child is not None and child[0] >= sched.now:
+                sched.at(child[0], lambda: tr.log.append((sched.now, "child", n)),
+                         lane=child[1], key=child[2])
+
+        sched.at(t, fire, lane=lane, key=key)
+    for n, s in enumerate(floods):
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66") + 16 * n)
+    sched.run_until(max(s.stop for s in floods) + US)
     sub = net.instances["SUB"].state
     seen = (engine.presented, engine.inspected, engine.dropped_by_engine,
             [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
@@ -582,7 +599,7 @@ class TestIngestFirst:
             st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
         sends = draw(st.lists(st.tuples(st.integers(0, s.stop), st.booleans(),
                                         st.sampled_from([b"\x40", b"\x41"])), max_size=6))
-        case = (s, capacity, critical_rate, engine_cfg, sends)
+        case = ([s], capacity, critical_rate, engine_cfg, sends)
         got, seqs = run_pump_case(*case)
         with mock.patch.object(attacks, "_FloodPump", _DeliverEveryPacketPump):
             want, reference_seqs = run_pump_case(*case)
@@ -602,6 +619,57 @@ class TestIngestFirst:
         assert 0 < victim.ingested < victim.offered and victim.dropped_capacity > 0
         assert seqs == list(range(1, victim.ingested + 1))
         assert tr._seq == victim.ingested
+
+
+@st.composite
+def merged_stream_cases(draw):
+    """A `run_pump_case` case of two or three floods whose arrivals often
+    fall on the same instants and, when their attackers share a name, on
+    the same heap keys; timers reuse those keys, and their children too."""
+    floods = []
+    for n in range(draw(st.integers(2, 3))):
+        count = draw(st.integers(1, 2))
+        start = draw(st.sampled_from([0, 0, 100, 250]))
+        floods.append(AttackSpec(
+            name=f"flood{n}", kind=draw(st.sampled_from([AttackKind.UDP_FLOOD] * 3
+                                                         + [AttackKind.SYN_FLOOD,
+                                                            AttackKind.ICMP_FLOOD])),
+            attacker_id=draw(st.sampled_from(["attacker1", "attacker2"])),
+            target=draw(st.sampled_from([Endpoint("plc2", ip_to_int("192.168.1.2"), 61499),
+                                         GroupAddress(ip_to_int("239.192.0.2"), 61499)])),
+            rate=count * draw(st.sampled_from([2_000, 4_000, 10_000])), start=start,
+            stop=start + draw(st.sampled_from([3_000, 6_000])), attacker_count=count,
+            payload=draw(st.sampled_from([b"\x00", b"\x40", b"\x41"]))))
+    arrivals = sorted({(send_instant(*flood_clock(s, j), i) + 500, LANE_NET,
+                        (s.attacker_id if s.attacker_count == 1 else f"{s.attacker_id}.{j}", i))
+                       for s in floods for j in range(s.attacker_count)
+                       for i in range(flood_count(s))})
+    timers = [(t, lane, key if lane == LANE_NET else "", child)
+              for (t, _, key), lane, child in draw(st.lists(st.tuples(
+                  st.sampled_from(arrivals), st.sampled_from([LANE_FB, LANE_NET]),
+                  st.none() | st.sampled_from(arrivals)), max_size=8))]
+    packets = sum(flood_count(s) * s.attacker_count for s in floods)
+    capacity = draw(st.integers(1, packets + 50))
+    critical_rate = draw(st.one_of(st.just(10**6), st.integers(capacity + 1, capacity + packets)))
+    engine_cfg = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
+    sends = draw(st.lists(st.tuples(st.integers(0, 6_000), st.booleans(),
+                                    st.sampled_from([b"\x40", b"\x41"])), max_size=4))
+    return floods, capacity, critical_rate, engine_cfg, sends, timers
+
+
+class TestMergedStreams:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(merged_stream_cases())
+    def test_matches_a_pump_per_packet(self, case):
+        """Running every flood stream from one pump entry, inline while an
+        arrival is due before anything else, orders arrivals, ties on a
+        heap key included, as one heap entry per packet does."""
+        got, seqs = run_pump_case(*case)
+        with mock.patch.object(attacks, "_FloodPump", _DeliverEveryPacketPump):
+            want, reference_seqs = run_pump_case(*case)
+        assert got == want
+        assert seqs <= reference_seqs
 
 
 def subscriber_net(sched, tr, victim, trace):
@@ -783,23 +851,23 @@ class TestCountOnly:
         (10**6, (), [], 1, {"attacker1": 1}),
         # the no-op events due after run_until horizons cut the flood
         (10**6, tuple(range(10_000, 100_000, 10_000)), [], 10, {"attacker1": 1}),
-        # a publish sent at 50.05 ms cuts it twice, and its arrival at
-        # 50.55 ms leaves RX holding its payload until one more junk arrival
-        # is routed
-        (10**6, (), [(50_050, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
-        # the same at 50.25 ms on an overloaded plc2: the first junk arrival
-        # after the publish is dropped, so RX still holds the publish and the
-        # call asks again after the next routed one
-        (300, (), [(50_250, False, b"\x41")], 3, {"attacker1": 2, "plc1": 1}),
+        # a publish sent at 50.05 ms cuts it twice; its arrival at 50.55 ms
+        # latches RX and QO, and the counter latches them back, so the call
+        # that pops after it counts from its first arrival
+        (10**6, (), [(50_050, False, b"\x41")], 3, {"attacker1": 1, "plc1": 1}),
+        # the same at 50.25 ms on an overloaded plc2, where the first junk
+        # arrival after the publish is dropped
+        (300, (), [(50_250, False, b"\x41")], 3, {"attacker1": 1, "plc1": 1}),
     ])
     def test_junk_flood_routes_only_its_first_arrival(self, capacity, horizons, sends, calls,
                                                       routed):
         """An untraced engine-off junk flood at a subscriber counts every
-        ingested arrival as malformed but routes only its first: a pump call
-        asks `count_only` once its first arrival has been routed, and a call
-        armed while counting asks again on the pop and counts from there.
-        If that answer is no, the call asks again after its first arrival
-        and, if that one was dropped, after its first routed one."""
+        ingested arrival as malformed but routes only its first: the pump
+        asks `count_only` once that arrival has taught the subscriber's memo
+        the payload, and a stream parked while counting asks again when it
+        pops and counts from there.  If that answer is no, the stream asks
+        again after its first arrival and, if that one was dropped, after
+        its first routed one."""
         got = Counter()
         arrive = Transport.arrive
         pump = attacks._FloodPump._pump

@@ -1,5 +1,7 @@
 """Publisher/subscriber and client/server service blocks."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -271,6 +273,40 @@ class TestDecodeMemo:
                 assert (state.accepted, state.malformed) == (accepted, n - accepted)
 
 
+class TestJunkWithoutDispatch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_POOL) - 1),
+                              st.sampled_from(["", "", "suspend", "resume", "down", "up"])),
+                    max_size=30))
+    def test_untraced_receipts_match_traced_ones(self, steps):
+        """An untraced subscriber takes junk without dispatching `RCV`; after
+        every receipt it holds the latches, counts and suppressed count of
+        a traced one, which dispatches each, whatever came before and
+        whether the block is suspended or its host down."""
+        seen = []
+        for traced in (True, False):
+            h = Harness().with_subscriber()
+            h.net2.host = h.plc2
+            h.net2.trace = Trace() if traced else None
+            h.net2.dispatch("SUB", "INIT")
+            handler = h.tr.sockets[("plc2", 61499)]
+            sub = h.net2.instances["SUB"]
+            states = []
+            for pick, how in steps:
+                if how == "suspend":
+                    h.net2.suspended.add("SUB")
+                elif how == "resume":
+                    h.net2.suspended.discard("SUB")
+                else:
+                    h.plc2.down = how == "down" or (h.plc2.down and how != "up")
+                handler(PacketView(Proto.UDP, 1234, 40001, ip_to_int("239.192.0.2"), 61499,
+                                   _POOL[pick]))
+                states.append((sub.din.copy(), sub.dout.copy(), dataclasses.astuple(sub.state),
+                               h.net2.suppressed))
+            seen.append(states)
+        assert seen[0] == seen[1]
+
+
 class TestCountOnlyAnswer:
     """The subscriber's socket handler names its `malformed` counter only
     when receiving the view now would change nothing else."""
@@ -313,13 +349,35 @@ class TestCountOnlyAnswer:
             return self.VALID
         return self.JUNK
 
-    @pytest.mark.parametrize("how", ["traced", "suspended", "host down", "QO true",
-                                     "RX holds other junk", "valid payload"])
+    @pytest.mark.parametrize("how", ["traced", "suspended", "host down", "valid payload"])
     def test_no_counter_when_a_receive_would_do_more(self, how):
         h, handler = self.primed()
         view = self.spoil(h, handler, how)
-        assert h.net2.data_out("SUB", "QO") == Bool(how == "QO true")
+        assert h.net2.data_out("SUB", "QO") == Bool(False)
         assert handler.count_only(view) is None
+
+    @pytest.mark.parametrize("how", ["QO true", "RX holds other junk"])
+    def test_counter_latches_what_a_receive_would(self, how):
+        """Junk received when the latches hold something else: counting k
+        receipts leaves the subscriber as k receipts through the handler
+        do, and counting none changes nothing."""
+        seen = []
+        for counted in (True, False):
+            h, handler = self.primed()
+            view = self.spoil(h, handler, how)
+            sub = h.net2.instances["SUB"]
+            if counted:
+                count = handler.count_only(view)
+                before = (sub.din.copy(), sub.dout.copy(), sub.state.malformed)
+                count(0)
+                assert (sub.din, sub.dout, sub.state.malformed) == before
+                count(3)
+            else:
+                for _ in range(3):
+                    handler(view)
+            seen.append((sub.din.copy(), sub.dout.copy(), sub.state.malformed, h.net2.suppressed))
+        assert seen[0] == seen[1]
+        assert seen[0][1]["QO"] == Bool(False)
 
 
 class TestClientServer:

@@ -761,3 +761,81 @@ class TestSchedulerOrder:
             sched.at(t, lambda: seen.append(sched.inline_bound()[1]))
         sched.run_until(10)
         assert seen == [2, 1, 0]
+
+
+class TestSameInstantFifo:
+    """Entries `at` the current instant on LANE_FB with key "" wait in a
+    FIFO instead of the heap; they still run in (time, lane, key, seq) order."""
+
+    def test_later_ats_of_a_fifo_caller_keep_their_order(self):
+        """An entry on LANE_FB asks to run its second child inline while the
+        FIFO holds its first: the child is queued behind it, not run."""
+        ops = [("at", (0, LANE_FB, "", False, ())),
+               ("at", (0, LANE_FB, "", False, ((0, LANE_FB, "", False, ()),
+                                               (0, LANE_FB, "", True, ((0, LANE_FB, "", False, ()),)),
+                                               (0, LANE_FB, "", False, ((0, LANE_FB, "", False, ()),)))))]
+        assert drive(Scheduler(), ops) == drive(_SortedModel(10**6), ops)
+
+    def test_queued_entries_of_an_instant_run_before_its_fifo(self):
+        sched = Scheduler()
+        order = []
+        sched.at(5, lambda: (order.append("a"), sched.at(5, lambda: order.append("c"))))
+        sched.at(5, lambda: order.append("b"))
+        sched.at(5, lambda: order.append("net"), lane=LANE_NET, key=("x", 0))
+        sched.run_until(5)
+        assert order == ["a", "b", "c", "net"]
+
+    def test_pending_counts_fifo_entries(self):
+        sched = Scheduler()
+        sched.at(0, lambda: None)
+        sched.at(0, lambda: None)
+        sched.at(5, lambda: None)
+        assert sched.pending() == 3
+        sched.run_until(0)
+        assert sched.pending() == 1
+
+    @staticmethod
+    def pumped(sched, log, drain, fanouts=1):
+        """A LANE_NET entry at 5 that leaves `fanouts` entries in the FIFO,
+        then runs its successor at 7 inline if `inline_bound` lets it, after
+        draining the FIFO if `drain`, else queues it."""
+        def successor():
+            log.append(("successor", sched.now, sched.processed))
+
+        def pump():
+            log.append(("pump", sched.now, sched.processed))
+            for n in range(fanouts):
+                sched.at(sched.now, lambda n=n: log.append(("fanout", n, sched.now, sched.processed)))
+            assert sched.inline_bound()[0] == sched.now - 1
+            if drain:
+                sched.run_ready()
+            last, left = sched.inline_bound()
+            if 7 <= last and left >= 1:
+                sched.now = 7
+                sched.processed += 1
+                successor()
+            else:
+                sched.at(7, successor, lane=LANE_NET, key=("x", 1))
+
+        sched.at(5, pump, lane=LANE_NET, key=("x", 0))
+        sched.at(9, lambda: log.append(("late", sched.now, sched.processed)))
+
+    def test_drained_fifo_runs_before_an_inline_successor(self):
+        """An `at(now)` from a running LANE_NET entry runs, through the
+        drain, before that entry's inline successor, as an event."""
+        sched, log = Scheduler(), []
+        self.pumped(sched, log, drain=True)
+        sched.run_until(10)
+        assert log == [("pump", 5, 1), ("fanout", 0, 5, 2), ("successor", 7, 3), ("late", 9, 4)]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_trips_in_the_drain_as_in_the_heap(self, budget):
+        runs = []
+        for drain in (True, False):
+            sched, log = Scheduler(max_events=budget), []
+            self.pumped(sched, log, drain, fanouts=3)
+            with pytest.raises(EventBudgetExceeded):
+                sched.run_until(10)
+            runs.append((log, sched.processed, sched.now))
+        assert runs[0] == runs[1]
+        assert runs[0][1:] == (budget + 1, 5)

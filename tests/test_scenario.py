@@ -16,7 +16,7 @@ from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
-from fbsecsim.fbnet import FBNetwork
+from fbsecsim.fbnet import FBNetwork, Scheduler
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
@@ -590,3 +590,72 @@ class TestPacketlessArrivals:
     @given(engine_on_cases(), st.booleans())
     def test_drawn_engine_on_runs_match_the_reference(self, cfg, record_trace):
         packets_change_nothing(cfg, record_trace)
+
+
+def merged_floods_change_nothing(cfg):
+    """Assert that `cfg` writes, untraced and traced, what its reference run
+    writes traced (less `trace.txt` for the untraced run).  The reference
+    runs nothing inline, so every flood arrival and same-instant fan-out
+    pops from `run_until`, and counts no arrival, so every junk arrival is
+    dispatched as `SUB.RCV`."""
+    untraced = run_files(cfg, False)[0]
+    traced = run_files(cfg, True)[0]
+    with mock.patch.object(Scheduler, "inline_bound", lambda sched: (-1, 0)), \
+            mock.patch.object(Scheduler, "run_ready", lambda sched: None), \
+            mock.patch.object(Transport, "count_only", lambda *args: None):
+        want = run_files(cfg, True)[0]
+    assert_same_files(traced, want)
+    del want["trace.txt"]
+    assert_same_files(untraced, want)
+
+
+@st.composite
+def multi_flood_cases(draw):
+    """A short run of `spoof_blocked`'s plant with boxes early and two or
+    three floods: junk or valid UDP into plc2's subscriber, UDP into the
+    group, SYN and ICMP, each from one to three attackers, often under an
+    attacker name another flood uses too, and on instants that often tie;
+    the engine off, or in ids or ips mode with a drawn policy."""
+    cfg = load("spoof_blocked")
+    mode = draw(st.sampled_from([None, "ids", "ips"]))
+    if mode is None:
+        cfg = dataclasses.replace(cfg, idps=dataclasses.replace(cfg.idps, enabled=False))
+    else:
+        cfg = with_idps(cfg, mode, draw(st.sampled_from(["combined.rules", "flood.rules"])),
+                        draw(st.sampled_from(["gate_and_hold", "log_only", "shutdown"])))
+    flood = st.sampled_from([
+        (AttackKind.UDP_FLOOD, "plc2:61499", b"\x00"), (AttackKind.UDP_FLOOD, "plc2:61499", b"\x40"),
+        (AttackKind.UDP_FLOOD, "plc2:61499", b"\x41"), (AttackKind.UDP_FLOOD, "group", b"\x00"),
+        (AttackKind.SYN_FLOOD, "plc2:61500", b""), (AttackKind.ICMP_FLOOD, "plc2:61499", b"")])
+    attacks = []
+    for n in range(draw(st.integers(2, 3))):
+        kind, target, payload = draw(flood)
+        count = draw(st.integers(1, 3))
+        start_ms = draw(st.sampled_from([100, 100, 120, 230]))
+        attacks.append(AttackConfig(
+            name=f"flood{n}", kind=kind, target=target, payload=payload,
+            rate=count * draw(st.sampled_from([1_000, 5_000, 10_000])),
+            start_s=start_ms / 1e3, stop_s=(start_ms + draw(st.sampled_from([20, 60, 150]))) / 1e3,
+            attacker=draw(st.sampled_from(["attacker1", "attacker2"])), attacker_count=count))
+    plc2 = dataclasses.replace(cfg.devices["plc2"],
+                               capacity=draw(st.sampled_from([2_000, 10_000, 400_000])),
+                               critical_rate=draw(st.sampled_from([12_000, 10**6])))
+    plant = dataclasses.replace(cfg.plant, first_box_s=0.05, box_period_s=0.3)
+    return dataclasses.replace(cfg, duration_s=0.5, devices={**cfg.devices, "plc2": plc2},
+                               plant=plant, attacks=attacks)
+
+
+class TestMergedFloods:
+    """One pump runs every flood stream of a run, the fan-out of an arrival
+    runs from a FIFO, and a junk arrival at an untraced subscriber is
+    counted without a dispatch; none of this changes a byte."""
+
+    @pytest.mark.parametrize("name", ["subscriber_flood", "syn_backlog", "seed_batch"])
+    def test_bench_configs_match_the_reference(self, name):
+        merged_floods_change_nothing(
+            parse_scenario_file(os.path.join(BENCH_SCENARIOS, f"{name}.scenario")))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(multi_flood_cases())
+    def test_drawn_multi_flood_runs_match_the_reference(self, cfg):
+        merged_floods_change_nothing(cfg)
