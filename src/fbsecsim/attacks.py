@@ -21,8 +21,8 @@ an event.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from enum import Enum
 
 from .fbnet import LANE_NET, US, Scheduler
@@ -190,7 +190,7 @@ class _FloodPump:
             else:  # the new head
                 stream.armed = True
                 seq = self.scheduler.at_seq(when, self._pump, LANE_NET, (origin, 0))
-            heapq.heappush(parked, (when, origin, 0, seq, stream))
+            heappush(parked, (when, origin, 0, seq, stream))
 
     def _pump(self) -> None:
         """Deliver the head's packet `i` (due now) and each next packet of
@@ -206,7 +206,7 @@ class _FloodPump:
         `left` more."""
         transport, scheduler, parked = self.transport, self.scheduler, self.parked
         latency = transport.latency_us
-        stream = heapq.heappop(parked)[4]
+        stream = heappop(parked)[4]
         stream.armed = False
         while True:
             (target, payload, proto, origin, base_src, syn_rotate, view, src_id, ghost_net,
@@ -270,9 +270,9 @@ class _FloodPump:
                             # still the head, and nothing is due now: arm it
                             stream.armed = True
                             seq = scheduler.at_seq(when, self._pump, LANE_NET, (origin, i))
-                            heapq.heappush(parked, (when, origin, i, seq, stream))
+                            heappush(parked, (when, origin, i, seq, stream))
                             return
-                        heapq.heappush(parked, (when, origin, i, scheduler.reserve(), stream))
+                        heappush(parked, (when, origin, i, scheduler.reserve(), stream))
                         break
                     scheduler.now = when
                     scheduler.processed += 1
@@ -296,7 +296,7 @@ class _FloodPump:
                 stream.armed = True
                 scheduler.at_seq(when, self._pump, LANE_NET, (origin, i), seq)
                 return
-            heapq.heappop(parked)
+            heappop(parked)
             scheduler.now = when
             scheduler.processed += 1  # as its pop would
 

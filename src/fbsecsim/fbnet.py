@@ -130,10 +130,12 @@ class Scheduler:
         still `at` more of its own, which must queue behind it."""
         if self._ready:
             return self.now - 1, self.max_events - self.processed
-        heap = self._heap
         last = self._until
-        if heap and heap[0][0] <= last:
-            last = heap[0][0] - 1
+        heap = self._heap
+        if heap:
+            head = heap[0][0]
+            if head <= last:
+                last = head - 1
         return last, self.max_events - self.processed
 
     def run_until(self, until: int) -> None:
