@@ -223,7 +223,7 @@ class _FloodPump:
                 while True:
                     if dev is not None and dev.down:
                         dev.bulk_unresponsive_drop(count - i)
-                        last = -1  # done: ask the scheduler afresh below
+                        last = None  # done: ask the scheduler afresh below
                         break
                     if counted is None:
                         now = scheduler.now
@@ -260,14 +260,14 @@ class _FloodPump:
                         scheduler.now = base + (i - 1) * US // per_rate
                         scheduler.processed += taken - 1  # its first packet ran as an event already
                     if i >= count:
-                        last = -1
+                        last = None
                         break
                     when = base + i * US // per_rate
                     last, left = scheduler.inline_bound()
                     if when > last or left < 1 or when >= cap:
                         stream.i, stream.counting = i, counted is not None
-                        if when < cap and last >= scheduler.now:
-                            # still the head, and nothing is due now: arm it
+                        if when < cap and not scheduler.ready:
+                            # still the head, and no fan-out is left to run: arm it
                             stream.armed = True
                             seq = scheduler.at_seq(when, self._pump, LANE_NET, (origin, i))
                             heappush(parked, (when, origin, i, seq, stream))
@@ -284,9 +284,8 @@ class _FloodPump:
                     counted(k)
             if not parked:
                 return
-            if last < scheduler.now:
-                # something is due now, such as what the last arrival's
-                # fan-out left in the FIFO: run it, then ask again
+            if last is None or scheduler.ready:
+                # run what the last arrival's fan-out left, then ask again
                 scheduler.run_ready()
                 last, left = scheduler.inline_bound()
             when, origin, i, seq, stream = parked[0]

@@ -84,7 +84,7 @@ class Scheduler:
 
     def __init__(self, max_events: int = 100_000_000):
         self._heap: list = []
-        self._ready: deque = deque()  # entries at (now, LANE_FB, ""), in seq order
+        self.ready: deque = deque()  # the FIFO: entries at (now, LANE_FB, ""), in seq order
         self._seq = 0
         self.now = 0
         self.processed = 0
@@ -96,7 +96,7 @@ class Scheduler:
             if time < self.now:
                 raise ValueError(f"cannot schedule at {time} before now={self.now}")
             if lane == LANE_FB and key == "":
-                self._ready.append(fn)
+                self.ready.append(fn)
                 return
         self._seq += 1
         heapq.heappush(self._heap, (time, lane, key, self._seq, fn))
@@ -128,7 +128,7 @@ class Scheduler:
         the budget is `at`-ed, so it pops in order and its pop trips the
         budget.  The FIFO is never drained here: an entry on LANE_FB may
         still `at` more of its own, which must queue behind it."""
-        if self._ready:
+        if self.ready:
             return self.now - 1, self.max_events - self.processed
         last = self._until
         heap = self._heap
@@ -142,7 +142,7 @@ class Scheduler:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:
             raise ValueError("until precedes current virtual time")
-        heap, ready = self._heap, self._ready
+        heap, ready = self._heap, self.ready
         self._until = until
         try:
             while True:
@@ -172,7 +172,7 @@ class Scheduler:
         as `run_until` would.  For a running LANE_NET entry about to run
         successors inline: entries it left in the FIFO would run next in
         any case."""
-        ready = self._ready
+        ready = self.ready
         while ready:
             self.processed += 1
             if self.processed > self.max_events:
@@ -180,7 +180,7 @@ class Scheduler:
             ready.popleft()()
 
     def pending(self) -> int:
-        return len(self._heap) + len(self._ready)
+        return len(self._heap) + len(self.ready)
 
 
 class Trace:
