@@ -22,8 +22,8 @@ an event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from enum import Enum
+from heapq import heappop, heappush
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
@@ -122,7 +122,7 @@ class _Stream:
         self.count = flood_count(spec)
         self.first, self.per_rate = flood_clock(spec, attacker_index)
         self.i = 0
-        self.counting = False  # parked while counting: ask on the pop
+        self.counting = False  # parked while counting: ask when it runs next
         self.armed = False     # its next arrival has the pump's heap entry
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         # Views carry only the header and payload, which a non-rotating flood

@@ -24,7 +24,17 @@ from fbsecsim.attacks import (
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
 from fbsecsim.csifb import make_subscriber
 from fbsecsim.errors import ConfigError, EventBudgetExceeded
-from fbsecsim.fbnet import LANE_FB, LANE_NET, US, FBNetwork, Scheduler, Trace
+from fbsecsim.fbnet import (
+    LANE_FB,
+    LANE_NET,
+    US,
+    FBInstance,
+    FBNetwork,
+    PortKind,
+    PortSpec,
+    Scheduler,
+    Trace,
+)
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.transport import (
     BUCKET_US,
@@ -670,6 +680,34 @@ class TestMergedStreams:
             want, reference_seqs = run_pump_case(*case)
         assert got == want
         assert seqs <= reference_seqs
+
+    @pytest.mark.parametrize("payloads", [[b"\x40"], [b"\x00", b"\x40"]])
+    def test_floods_with_fan_out_run_in_one_call(self, payloads):
+        """Nothing else is due: a valid flood whose every receipt fans out
+        to another block, alone or on the instants of a junk flood, runs in
+        one pump call; each fan-out still runs as an event, right after the
+        arrival that made it."""
+        sched = Scheduler()
+        tr = Transport(sched, 500)
+        victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=10**6))
+        net = subscriber_net(sched, tr, victim, Trace())
+        log = []
+        net.add(FBInstance("SINK", [PortSpec("EI", PortKind.EVENT_IN)],
+                           lambda ctx, ev, inputs, state: (log.append(("sink", ctx.now)) or state, [])))
+        net.connect("SUB.IND", "SINK.EI")
+        pump, calls = attacks._FloodPump._pump, []
+        with mock.patch.object(attacks._FloodPump, "_pump",
+                               lambda self: (calls.append(sched.now), pump(self))):
+            for n, payload in enumerate(payloads):
+                schedule_flood(AttackSpec(name=f"flood{n}", kind=AttackKind.UDP_FLOOD,
+                                          attacker_id=f"attacker{n + 1}",
+                                          target=Endpoint("plc2", victim.address, 61499),
+                                          rate=1_000, stop=US // 10, payload=payload),
+                               tr, sched, ip_to_int("10.0.0.66") + 16 * n)
+            sched.run_until(US)
+        assert calls == [500]
+        assert log == [("sink", 500 + n * 1_000) for n in range(100)]
+        assert sched.processed == 100 * len(payloads) + 100
 
 
 def subscriber_net(sched, tr, victim, trace):
