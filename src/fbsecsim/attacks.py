@@ -12,17 +12,20 @@ The pump runs each arrival due before anything else inline, in one loop
 (`_FloodPump._pump`), whichever stream it belongs to; what an arrival's
 fan-out leaves for the same instant runs in between
 (`Scheduler.run_ready`).  Nothing else can run meanwhile, so an ingested
-arrival whose whole fate is a counter update is only counted, and such
-arrivals go to the device a stretch of one stream at a time: one scheduler
-bound and one device call each, which works the stretch out one 1 ms
-window bucket at a time.  Every arrival is still ingested and counted as
-an event.
+arrival whose whole fate is a counter update is only counted: a junk UDP
+or an ICMP arrival that no engine inspects, or a SYN from a new source
+that the engine passes and a full half-open table refuses.  Such arrivals
+go to the device a stretch of one stream at a time: one scheduler bound
+and one device call each, which works the stretch out one 1 ms window
+bucket at a time.  Every arrival is still ingested and counted as an
+event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from heapq import heappop, heappush
 
 from .fbnet import LANE_NET, US, Scheduler
@@ -87,6 +90,13 @@ def flood_count(spec: AttackSpec) -> int:
     return flood_clock(spec, 0)[1] * (spec.stop - spec.start) // US
 
 
+def syn_source(ghost_net: int, i: int) -> tuple[int, int]:
+    """Claimed (address, port) of SYN `i` of a flood whose attacker's /16 is
+    `ghost_net`: the source rotates so the SYN-ACKs vanish and no ACK ever
+    completes a handshake."""
+    return ghost_net | (i % 0xFFFE + 1), 1024 + i % 60000
+
+
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
     """Attackers have effectively unlimited capacity; they never degrade."""
     dev = DeviceModel(device_id, address, capacity=2**62, critical_rate=2**62)
@@ -125,6 +135,8 @@ class _Stream:
         self.counting = False  # parked while counting: ask when it runs next
         self.armed = False     # its next arrival has the pump's heap entry
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
+        # SYN i's claimed (address, port), from the attacker's /16 (`syn_source`)
+        self.source = partial(syn_source, src.address & 0xFFFF0000) if self.syn_rotate else None
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
         self.view = None if self.syn_rotate else Packet(
@@ -161,20 +173,26 @@ class _FloodPump:
     `Transport.arrive` without a `Packet`.  Group floods and targets with
     no device build one for `Transport.deliver`.
 
-    The first time a stream goes on inline, the pump asks
-    `Transport.count_only`, and again after its first routed arrival if
-    that found no counter; once one does, the stream's later ingested
-    arrivals are only counted, and those due inline go to the device a
-    segment at a time, as an index range of its schedule
-    (`DeviceModel.ingest_span`).  The counter takes the count when the
-    stream stops, before anything else runs.  A stream parked while
-    counting (`counting`) asks as soon as it runs again, so a flood that
-    other events cut into many runs routes no arrival after its first
-    while the answer stands; a stream that never counted, such as an
-    engine-on, SYN or ICMP flood, never asks there.  Every arrival is
-    still ingested and run as an event, so device counters, drop draws,
-    state changes, collapse, `now`, `processed` and the event budget end
-    as they would one arrival at a time.
+    A stream's ingested arrivals whose whole fate is a counter update run
+    as segments: the pump hands the transport an index range of the
+    stream's schedule, and the transport's segment function takes a
+    prefix of it to the device in one call (`DeviceModel.ingest_span`)
+    and accounts it.  Two answers give such a function, and each holds
+    until another event runs.  `Transport.count_only` counts junk UDP and
+    ICMP arrivals; the pump asks it the first time a stream goes on
+    inline, again after its first routed arrival if that found no
+    counter, and as soon as a stream parked while counting (`counting`)
+    runs again, so a flood that other events cut into many runs routes no
+    arrival after its first while the answer stands.
+    `Transport.refusals` takes the SYNs that a full half-open table
+    refuses; the pump asks it whenever a unicast SYN stream starts to run
+    (a table with a free slot gets no answer), and offers each arrival of
+    the stream that is not in a segment to the answer first, so the
+    arrivals a segment leaves (one the table admits, one the engine fails
+    open on) take the per-packet path one at a time.
+    Every arrival is still ingested and run as an event, so device
+    counters, drop draws, state changes, collapse, `now`, `processed` and
+    the event budget end as they would one arrival at a time.
     """
 
     def __init__(self, transport: Transport, scheduler: Scheduler):
@@ -198,11 +216,10 @@ class _FloodPump:
         with events `left` in the budget) and due before the next parked
         arrival, moving `now` and `processed` as a popped entry would; park
         the stream at the first one it does not, then go on with the next
-        head as above.  Counted arrivals go to the device a segment at a
-        time, and `counted(k)` takes the k ingested when the stream stops.
-        If the stream was parked while counting and `count_only` still
-        answers, the first segment starts at packet `i` itself; the pop has
-        counted it in `processed` already, so the budget allows it and
+        head as above.  With a segment function, each arrival not yet
+        delivered starts a segment of those, and one the function does not
+        take goes alone.  A segment may start at packet `i` itself; the pop
+        has counted it in `processed` already, so the budget allows it and
         `left` more."""
         transport, scheduler, parked = self.transport, self.scheduler, self.parked
         latency = transport.latency_us
@@ -213,75 +230,69 @@ class _FloodPump:
              dst_address, dst_port, dev, group, base, per_rate, count) = stream.fixed
             i = stream.i
             cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
-            counted = transport.count_only(dev, target, view, origin) if stream.counting else None
-            if counted is not None:
+            if syn_rotate:
+                span = None if dev is None else transport.refusals(
+                    dev, target, origin, base, per_rate, stream.source)
+            elif stream.counting:
+                span = transport.count_only(dev, target, view, origin, base, per_rate)
+            else:
+                span = None
+            if span is not None:
                 last, left = scheduler.inline_bound()
                 left += 1  # the popped arrival has run as an event already
-            ask = counted is None and dev is not None and not syn_rotate
-            k = 0
-            try:
-                while True:
-                    if dev is not None and dev.down:
-                        dev.bulk_unresponsive_drop(count - i)
-                        last = None  # done: ask the scheduler afresh below
-                        break
-                    if counted is None:
-                        now = scheduler.now
-                        routed = dev is None or dev.ingest(now)
-                        if routed:
-                            if syn_rotate:
-                                # Rotate the claimed source so the SYN-ACKs vanish
-                                # and no ACK ever completes a handshake.
-                                view = PacketView(proto, ghost_net | (i % 0xFFFE + 1),
-                                                  1024 + i % 60000, dst_address, dst_port, payload)
-                            if dev is not None:
-                                transport.next_seq()  # the arrival's, read by `arrive` if watched
-                                transport.arrive(dev, origin, src_id, view, target, now)
-                            else:
-                                src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
-                                    if syn_rotate else base_src
-                                # a packet arrives exactly one latency after its send instant
-                                pkt = Packet(proto, src, target, payload, now - latency, origin,
-                                             transport.next_seq())
-                                for ep in (target,) if group is None else transport.members(group):
-                                    transport.deliver(pkt, ep, view)
-                        i += 1
-                    else:
-                        # packet i (due now; a popped one may tie with the heap head)
-                        # and its successors due at or before `last` and before `cap`
-                        # (base + n * US // per_rate <= last), at most `left` in all
-                        if last >= cap:
-                            last = cap - 1
-                        end = ((last - base + 1) * per_rate - 1) // US + 1
-                        taken, ingested = dev.ingest_span(base, per_rate, i,
-                                                          min(count, i + left, max(end, i + 1)))
-                        k += ingested
-                        i += taken
-                        scheduler.now = base + (i - 1) * US // per_rate
-                        scheduler.processed += taken - 1  # its first packet ran as an event already
-                    if i >= count:
-                        last = None
-                        break
-                    when = base + i * US // per_rate
-                    last, left = scheduler.inline_bound()
-                    if when > last or left < 1 or when >= cap:
-                        stream.i, stream.counting = i, counted is not None
-                        if when < cap and not scheduler.ready:
-                            # still the head, and no fan-out is left to run: arm it
-                            stream.armed = True
-                            seq = scheduler.at_seq(when, self._pump, LANE_NET, (origin, i))
-                            heappush(parked, (when, origin, i, seq, stream))
-                            return
-                        heappush(parked, (when, origin, i, scheduler.reserve(), stream))
-                        break
-                    scheduler.now = when
-                    scheduler.processed += 1
-                    if ask:
-                        counted = transport.count_only(dev, target, view, origin)
-                        ask = counted is None and not routed
-            finally:
-                if counted is not None:
-                    counted(k)
+            ask = span is None and dev is not None and not syn_rotate
+            while True:
+                if dev is not None and dev.down:
+                    dev.bulk_unresponsive_drop(count - i)
+                    last = None  # done: ask the scheduler afresh below
+                    break
+                # a segment of packet i (due now; a popped one may tie with the
+                # heap head) and its successors due at or before `last` and
+                # before `cap` (base + n * US // per_rate <= last), at most `left`
+                if span is not None and (taken := span(i, min(count, i + left, max(
+                        ((min(last, cap - 1) - base + 1) * per_rate - 1) // US + 1, i + 1)))):
+                    i += taken
+                    scheduler.now = base + (i - 1) * US // per_rate
+                    scheduler.processed += taken - 1  # its first packet ran as an event already
+                else:
+                    now = scheduler.now
+                    routed = dev is None or dev.ingest(now)
+                    if routed:
+                        if syn_rotate:
+                            address, port = syn_source(ghost_net, i)
+                            view = PacketView(proto, address, port, dst_address, dst_port, payload)
+                        if dev is not None:
+                            transport.next_seq()  # the arrival's, read by `arrive` if watched
+                            transport.arrive(dev, origin, src_id, view, target, now)
+                        else:
+                            src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
+                                if syn_rotate else base_src
+                            # a packet arrives exactly one latency after its send instant
+                            pkt = Packet(proto, src, target, payload, now - latency, origin,
+                                         transport.next_seq())
+                            for ep in (target,) if group is None else transport.members(group):
+                                transport.deliver(pkt, ep, view)
+                    i += 1
+                if i >= count:
+                    last = None
+                    break
+                when = base + i * US // per_rate
+                last, left = scheduler.inline_bound()
+                if when > last or left < 1 or when >= cap:
+                    stream.i, stream.counting = i, span is not None
+                    if when < cap and not scheduler.ready:
+                        # still the head, and no fan-out is left to run: arm it
+                        stream.armed = True
+                        seq = scheduler.at_seq(when, self._pump, LANE_NET, (origin, i))
+                        heappush(parked, (when, origin, i, seq, stream))
+                        return
+                    heappush(parked, (when, origin, i, scheduler.reserve(), stream))
+                    break
+                scheduler.now = when
+                scheduler.processed += 1
+                if ask:
+                    span = transport.count_only(dev, target, view, origin, base, per_rate)
+                    ask = span is None and not routed
             if not parked:
                 return
             if last is None or scheduler.ready:

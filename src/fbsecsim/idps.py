@@ -302,6 +302,16 @@ class RateCounters(dict):
         self[key] = now
 
 
+def unseen(table: dict, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
+    """How many of `sources` (claimed address, port), from the first, have
+    no key in the rate table `table` under any of `rules`."""
+    for n, (address, port) in enumerate(sources):
+        for rule in rules:
+            if (rule.id, address, port) in table:
+                return n
+    return len(sources)
+
+
 def rate_hit(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
     """Count a static match of a rate rule; True when its window is exceeded."""
     rate = rule.rate
@@ -323,13 +333,17 @@ class StaticMatches:
     views that last missed are remembered by identity with their matches,
     since a flood sends one view object."""
 
-    __slots__ = ("_by_proto", "_v0", "_m0", "_v1", "_m1")
+    __slots__ = ("_by_proto", "rate_only", "_v0", "_m0", "_v1", "_m1")
 
     def __init__(self, rules: list[Rule]):
         self._by_proto = {}  # proto -> (its rules, whether any has a static matcher)
+        # proto -> its rules, if none has a static matcher and each a rate clause
+        self.rate_only = {}
         for p in Proto:
             mine = [r for r in rules if p in r.protos]
             self._by_proto[p] = mine, any(r.has_static_matchers() for r in mine)
+            self.rate_only[p] = None if self._by_proto[p][1] or any(
+                r.rate is None for r in mine) else mine
         self._v0 = self._m0 = self._v1 = self._m1 = None
 
     def matching(self, view: PacketView) -> list[Rule]:
@@ -387,6 +401,42 @@ class IdpsEngine:
                 self._raise_alert(rule, view, now)
                 return self._verdicts[rule.id]
         return _PASS
+
+    # A segment of arrivals that each pass as the first hit of new keys is
+    # checked with `span_rules`, `room` and `unseen`, then taken by `pass_span`.
+
+    def span_rules(self, proto: Proto) -> list[Rule] | None:
+        """The rules an arrival of `proto` meets, if it passes them all when
+        it is the first hit of a new key under each: `StaticMatches` hands
+        them back untested and each has a rate clause; else None."""
+        return self._static.rate_only[proto]
+
+    def room(self, now: int) -> int:
+        """How many arrivals from `now` on `inspect` inspects before it
+        saturates, if no inspection time leaves the window meanwhile."""
+        times = self._inspected_times
+        low = now - US
+        while times and times[0] <= low:
+            times.popleft()
+        return self.inspection_capacity - len(times)
+
+    def unseen(self, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
+        return unseen(self.rate_counters, rules, sources)
+
+    def pass_span(self, rules: list[Rule], sources: list[tuple[int, int]],
+                  times: list[int]) -> None:
+        """`inspect` an arrival from each of `sources` (claimed address, port)
+        at the matching time of `times`, where `span_rules` gave `rules` and
+        `room` and `unseen` allow them all: each is inspected and passes as
+        the first hit of a new key under every rule."""
+        self.presented += len(times)
+        self.inspected += len(times)
+        self._inspected_times.extend(times)
+        self.room(times[-1])  # expire what the last arrival's inspect would
+        counters = self.rate_counters
+        for (address, port), now in zip(sources, times):
+            for rule in rules:
+                counters.add((rule.id, address, port), rule.rate, now)
 
     def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:
         # One string per endpoint per run, shared by the alerts naming it.

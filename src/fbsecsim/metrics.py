@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from .errors import SimError
-from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches
+from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches, unseen
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Transport
 from .values import TRUE
@@ -83,6 +83,24 @@ class TruthOracle:
                 self.block_matches += 1
             return True
         return False
+
+    def unseen(self, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
+        return unseen(self.windows, rules, sources)
+
+    def observe_span(self, rules: list[Rule], sources: list[tuple[int, int]],
+                     times: list[int]) -> None:
+        """`observe` an arrival from each of `sources` (claimed address, port)
+        at the matching time of `times`, where `rules` are all the rules
+        `StaticMatches` hands back for its protocol, each with a rate
+        clause (`IdpsEngine.span_rules`), and `unseen` allows them all:
+        each is the first hit of a new key under every rule, so none
+        matches."""
+        windows = self.windows
+        for (address, port), now in zip(sources, times):
+            for rule in rules:
+                if len(windows) >= self.sweep_at:
+                    self._sweep(now)
+                windows[(rule.id, address, port)] = now
 
 
 @dataclass
@@ -159,6 +177,15 @@ class Recorder:
               and self.engine.mode is IPS):
             # The engine evaluated a block match and still let it through.
             self.inspected_block_leak += 1
+
+    def presented_span(self, origin: str, rules: list[Rule], sources: list[tuple[int, int]],
+                       times: list[int]) -> None:
+        """`on_presented` for arrivals from `origin` that the engine passed
+        as the first hits of new keys (`IdpsEngine.pass_span`), one from
+        each of `sources` at the matching time of `times`."""
+        if origin in self.attacker_ids:
+            self.attack_presented += len(times)
+        self.oracle.observe_span(rules, sources, times)
 
     def on_delivered(self, packet: Packet, now: int) -> None:
         """Watches the publisher's deliveries (`Transport.watch_delivery`)."""

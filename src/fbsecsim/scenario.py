@@ -128,6 +128,7 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
     transport.on_send = recorder.on_send
     transport.on_presented = recorder.on_presented
+    transport.recorder = recorder
     transport.watch_delivery("plc1", recorder.on_delivered)
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------

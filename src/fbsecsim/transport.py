@@ -167,6 +167,15 @@ class HalfOpenTable:
     def ack(self, src_addr: int, src_port: int, local_port: int) -> bool:
         return self.entries.pop((src_addr, src_port, local_port), None) is not None
 
+    def refuses_until(self, now: int) -> int:
+        """The instant before which `syn` refuses every SYN from `now` on, if
+        it admits none meanwhile: the front entry's expiry when the table is
+        full after expiring at `now`, else `now`."""
+        entries = self.entries
+        if not entries or len(entries) < self.capacity:
+            return now
+        return max(now, next(iter(entries.values())) + self.timeout_us)
+
     def live(self, now: int) -> int:
         self._evict(now)
         return len(self.entries)
@@ -344,6 +353,9 @@ class Transport:
         self.on_send: Callable[[Packet], None] | None = None
         # on_presented(device, origin, view, verdict, now): an arrival past the engine tap
         self.on_presented: Callable | None = None
+        # the metrics.Recorder whose `on_presented` that is, if it is one; it
+        # also takes the refused SYNs of a segment (`refusals`)
+        self.recorder = None
         # true origin -> fn(packet, now), called once an arrival from that
         # origin clears device and tap (`watch_delivery`); a flood from an
         # unwatched origin may be counted without its packets (`count_only`)
@@ -439,28 +451,92 @@ class Transport:
             watch(packet, now)
         self._route(device, src_id, view, ep, now)
 
-    def count_only(self, device: DeviceModel, ep: Endpoint, view: PacketView,
-                   origin: str) -> Callable[[int], None] | None:
-        """A function that accounts k ingested arrivals of `view` from
-        `origin` at `ep` (sequence numbers included) if their whole fate is a
-        counter update, else None: no engine runs on `device`, nobody watches
-        `origin`, and the UDP socket's handler names the counter through its
-        `count_only(view)`.  The answer holds until another event runs."""
+    def count_only(self, device: DeviceModel, ep: Endpoint, view: PacketView, origin: str,
+                   base: int, per_rate: int) -> Callable[[int, int], int] | None:
+        """A segment function for a periodic stream of `view` from `origin`
+        at `ep`, arrival m due at base + m * US // per_rate, if the whole
+        fate of an ingested arrival is a counter update, else None: no
+        engine runs on `device`, nobody watches `origin`, and the view is
+        ICMP (`icmp_received`, which writes no trace) or UDP whose socket's
+        handler names the counter through its `count_only(view)`.
+        `span(lo, hi)` takes arrivals lo..hi-1 (lo < hi) to the device
+        (`DeviceModel.ingest_span`), accounts the ingested ones, sequence
+        numbers included, and returns how many it took.  The answer holds
+        until another event runs."""
         engine = device.engine
-        if (engine is not None and engine.running) or origin in self._watched \
-                or view.proto is not Proto.UDP:
+        if (engine is not None and engine.running) or origin in self._watched:
             return None
-        handler = self.sockets.get((ep.device_id, ep.port))
-        answer = getattr(handler, "count_only", None)
-        count = answer(view) if answer is not None else None
-        if count is None:
+        if view.proto is ICMP_ECHO:
+            def count(k: int) -> None:
+                device.icmp_received += k
+        else:
+            handler = self.sockets.get((ep.device_id, ep.port)) if view.proto is Proto.UDP else None
+            answer = getattr(handler, "count_only", None)
+            count = answer(view) if answer is not None else None
+            if count is None:
+                return None
+
+        def span(lo: int, hi: int) -> int:
+            taken, ingested = device.ingest_span(base, per_rate, lo, hi)
+            self._seq += ingested
+            count(ingested)
+            return taken
+
+        return span
+
+    def refusals(self, device: DeviceModel, ep: Endpoint, origin: str, base: int, per_rate: int,
+                 source: Callable[[int], tuple[int, int]]) -> Callable[[int, int], int] | None:
+        """A segment function for a periodic stream of SYNs from `origin` at
+        `ep`, arrival m due at base + m * US // per_rate from the claimed
+        (address, port) `source(m)`, if a SYN the half-open table refuses
+        can have a counter update as its whole fate, else None: the
+        half-open table has no free slot, nobody watches `origin`, and
+        either no engine runs on `device` or its rules
+        pass a SYN from a new source (`IdpsEngine.span_rules`) and what it
+        presents goes to no hook but `recorder`'s.  `span(lo, hi)` takes a
+        prefix of arrivals lo..hi-1, each of which the device ingests under
+        capacity, the engine inspects before it saturates as the first hit
+        of keys neither it nor the recorder's oracle holds, and the full
+        table refuses, and accounts the prefix as those arrivals one at a
+        time would be; it returns its length, 0 if arrival lo is not such a
+        SYN.  The answer holds until another event runs."""
+        table = device.halfopen
+        if len(table.entries) < table.capacity or origin in self._watched:
             return None
+        engine = device.engine
+        rules = recorder = None
+        if engine is not None and engine.running:
+            rules, hook = engine.span_rules(TCP_SYN), self.on_presented
+            if rules is None or (hook is not None
+                                 and hook != getattr(self.recorder, "on_presented", None)):
+                return None
+            recorder = None if hook is None else self.recorder
 
-        def arrivals(k: int) -> None:
-            self._seq += k
-            count(k)
+        def span(lo: int, hi: int) -> int:
+            now = base + lo * US // per_rate
+            # arrivals before the table's front entry expires, ingested under capacity
+            n = min(hi, -(-(table.refuses_until(now) - base) * per_rate // US)) - lo
+            n = min(n, min(device.capacity, device.critical_rate - 1) - device.window._total)
+            if rules is not None and n > 0:
+                # check both tables first, so the engine and the oracle take the same arrivals
+                sources = [source(m) for m in range(lo, lo + min(n, engine.room(now)))]
+                del sources[engine.unseen(rules, sources):]
+                if recorder is not None:
+                    del sources[recorder.oracle.unseen(rules, sources):]
+                n = len(sources)
+            if n <= 0:
+                return 0
+            device.ingest_span(base, per_rate, lo, lo + n)
+            if rules is not None:
+                times = [base + m * US // per_rate for m in range(lo, lo + n)]
+                engine.pass_span(rules, sources, times)
+                if recorder is not None:
+                    recorder.presented_span(origin, rules, sources, times)
+            device.syn_refused += n
+            self._seq += n
+            return n
 
-        return arrivals
+        return span
 
     def _route(self, device: DeviceModel, src_id: str, view: PacketView, ep: Endpoint,
                now: int) -> None:

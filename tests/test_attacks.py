@@ -43,6 +43,7 @@ from fbsecsim.transport import (
     Endpoint,
     GroupAddress,
     Packet,
+    PacketView,
     Proto,
     Transport,
     ip_to_int,
@@ -285,7 +286,11 @@ class _LoggingDevice(DeviceModel):
 class _LoggingTransport(Transport):
     """Logs every ingested arrival as `arrive` gets it: origin, claimed
     source, view and sequence number; with its devices' ingest log, every
-    arrival crosses the log whatever path it took."""
+    arrival crosses the log whatever path it took.  An arrival a segment
+    takes (`count_only`, `refusals`) is logged as if it had reached
+    `arrive`, right after its device log entry.  A SYN's view is logged
+    without its payload, which a segment does not carry and nothing past
+    the device reads."""
 
     def __init__(self, scheduler, latency_us, seqs=True):
         super().__init__(scheduler, latency_us)
@@ -298,8 +303,41 @@ class _LoggingTransport(Transport):
     def arrive(self, device, origin, src_id, view, ep, now, packet=None):
         # a unicast flood arrival has no packet: its number is the one it took just before
         seq = self._seq if packet is None else packet.seq
-        self.log.append((now, ep.device_id, origin, src_id, view, seq if self.seqs else None))
+        self.logged(now, ep, origin, src_id, view[:5] if view.proto is Proto.TCP_SYN else view, seq)
         super().arrive(device, origin, src_id, view, ep, now, packet)
+
+    def logged(self, now, ep, origin, src_id, view, seq):
+        self.log.append((now, ep.device_id, origin, src_id, view, seq if self.seqs else None))
+
+    def count_only(self, device, ep, view, origin, base, per_rate):
+        return self.logged_span(super().count_only(device, ep, view, origin, base, per_rate),
+                                ep, origin, origin, base, per_rate, lambda m: view)
+
+    def refusals(self, device, ep, origin, base, per_rate, source):
+        return self.logged_span(super().refusals(device, ep, origin, base, per_rate, source),
+                                ep, origin, GHOST_ID, base, per_rate,
+                                lambda m: (Proto.TCP_SYN, *source(m), ep.address, ep.port))
+
+    def logged_span(self, span, ep, origin, src_id, base, per_rate, view):
+        """`span`, logging each arrival its device logs as ingested, as
+        `arrive` would have logged it; `view(m)` is arrival m's view."""
+        if span is None:
+            return None
+
+        def logged(lo, hi):
+            start, seq = len(self.log), self._seq
+            taken = span(lo, hi)
+            fates, self.log[start:] = self.log[start:], []
+            assert len(fates) == taken  # one `_LoggingDevice` entry per arrival taken
+            for m, fate in enumerate(fates, lo):
+                self.log.append(fate)
+                if fate[3]:  # ingested: it takes the next sequence number
+                    seq += 1
+                    self.logged(base + m * US // per_rate, ep, origin, src_id, view(m), seq)
+            assert seq == self._seq
+            return taken
+
+        return logged
 
 
 def run_flood_case(sched, s, latency, critical_rate, group, timers, horizons):
@@ -434,6 +472,37 @@ class _ViewCheckingTransport(Transport):
         self.packet = packet
         super().arrive(device, origin, src_id, view, ep, now, packet)
 
+    def count_only(self, device, ep, view, origin, base, per_rate):
+        return self.checked_span(super().count_only(device, ep, view, origin, base, per_rate),
+                                 ep, origin, lambda m: view)
+
+    def refusals(self, device, ep, origin, base, per_rate, source):
+        payload = self.streams[origin].spec.payload
+        return self.checked_span(super().refusals(device, ep, origin, base, per_rate, source),
+                                 ep, origin, lambda m: PacketView(Proto.TCP_SYN, *source(m),
+                                                                  ep.address, ep.port, payload))
+
+    def checked_span(self, span, ep, origin, view):
+        """`span`, checking the view `view(m)` a segment stands for against
+        its packet's, as `arrive` checks it, for each arrival m it takes (at
+        this capacity, every one is ingested)."""
+        if span is None:
+            return None
+
+        def checked(lo, hi):
+            seq = self._seq
+            taken = span(lo, hi)
+            views = self.views.setdefault(origin, [])
+            for m in range(lo, lo + taken):
+                seq += 1
+                packet = flood_packet(self.streams[origin], m, seq)
+                assert len(views) == m and packet.dst == ep and view(m) == packet.view()
+                views.append(view(m))
+            self.checked["arrive"] += taken
+            return taken
+
+        return checked
+
     def check(self, where, view):
         assert view == self.packet.view()
         self.checked[where] += 1
@@ -530,6 +599,10 @@ class _DeliverEveryPacketPump:
             self.arm(stream, i + 1)
 
 
+# plc2's half-open table: the default, or small enough to fill and expire
+# while a drawn SYN flood runs, so its refused SYNs run as segments
+_HALFOPEN = st.sampled_from([(128, 3 * US), (4, 1_000), (16, 5_000)])
+
 _CASE_RULES = parse_rules(
     'block udp any any -> any 61499 payload "00" msg "junk"\n'
     'alert udp any any -> any any rate 40/1 msg "udp rate"\n'
@@ -537,15 +610,17 @@ _CASE_RULES = parse_rules(
     'alert icmp any any -> any any msg "ping"\n')
 
 
-def run_pump_case(floods, capacity, critical_rate, engine_cfg, sends, timers=()):
-    """Floods `floods` against a subscriber PLC (plc2) and a group peer
-    (plc3), with legitimate publishes from plc1 and logged timers keyed as
-    given, each of which may `at` a keyed child when it runs; return what
-    every layer saw."""
+def run_pump_case(floods, capacity, critical_rate, engine_cfg, sends, timers=(),
+                  halfopen=(128, 3 * US)):
+    """Floods `floods` against a subscriber PLC (plc2) whose half-open table
+    has the (capacity, timeout) `halfopen` and a group peer (plc3), with
+    legitimate publishes from plc1 and logged timers keyed as given, each of
+    which may `at` a keyed child when it runs; return what every layer saw."""
     sched = Scheduler()
     tr = _LoggingTransport(sched, 500, seqs=False)
     victim = tr.device("plc2", ip_to_int("192.168.1.2"), capacity=capacity,
-                       critical_rate=critical_rate)
+                       critical_rate=critical_rate, halfopen_capacity=halfopen[0],
+                       halfopen_timeout_us=halfopen[1])
     peer = tr.device("plc3", ip_to_int("192.168.1.3"))
     sender = tr.device("plc1", ip_to_int("192.168.1.1"))
     engine = None
@@ -586,7 +661,7 @@ def run_pump_case(floods, capacity, critical_rate, engine_cfg, sends, timers=())
 
 
 class TestIngestFirst:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_a_pump_that_delivers_every_packet(self, data):
         """Deciding a flood arrival's fate before its packet is built changes
@@ -609,7 +684,7 @@ class TestIngestFirst:
             st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
         sends = draw(st.lists(st.tuples(st.integers(0, s.stop), st.booleans(),
                                         st.sampled_from([b"\x40", b"\x41"])), max_size=6))
-        case = ([s], capacity, critical_rate, engine_cfg, sends)
+        case = ([s], capacity, critical_rate, engine_cfg, sends, (), draw(_HALFOPEN))
         got, seqs = run_pump_case(*case)
         with mock.patch.object(attacks, "_FloodPump", _DeliverEveryPacketPump):
             want, reference_seqs = run_pump_case(*case)
@@ -665,12 +740,21 @@ def merged_stream_cases(draw):
         st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
     sends = draw(st.lists(st.tuples(st.integers(0, 6_000), st.booleans(),
                                     st.sampled_from([b"\x40", b"\x41"])), max_size=4))
-    return floods, capacity, critical_rate, engine_cfg, sends, timers
+    return floods, capacity, critical_rate, engine_cfg, sends, timers, draw(_HALFOPEN)
 
 
 class TestMergedStreams:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(merged_stream_cases())
+    # a SYN stream, then two more that overlap it and repeat its claimed
+    # sources, against a small table that fills and expires: refused SYNs run
+    # as segments between the ones it admits and the ones whose keys another
+    # stream has counted
+    @example(([AttackSpec(name=f"flood{n}", kind=AttackKind.SYN_FLOOD, attacker_id="attacker1",
+                          target=Endpoint("plc2", ip_to_int("192.168.1.2"), 61499),
+                          rate=20_000, start=3_000 * n, stop=3_000 * n + 4_000,
+                          attacker_count=n + 1) for n in range(2)],
+              10**6, 10**6, (EngineMode.IDS, 2_000), [], [], (4, 1_000)))
     def test_matches_a_pump_per_packet(self, case):
         """Running every flood stream from one pump entry, inline while an
         arrival is due before anything else, orders arrivals, ties on a

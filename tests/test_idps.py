@@ -504,6 +504,90 @@ class TestAgreesWithFullScan:
         assert oracle.true_matches == ref_oracle.true_matches
 
 
+# Rules that test a SYN for nothing but protocol and rate, as `span_rules`
+# needs them, and one for UDP whose repeated hits fire.
+_SPAN_RULES = parse_rules('alert tcp any any -> any any rate 3/1 msg "syn"\n'
+                          'block any any any -> any any rate 2/1 msg "all"\n'
+                          'alert udp any any -> any any rate 1/1 msg "udp"\n')
+
+
+def _span_state(eng, oracle):
+    return (eng.presented, eng.inspected, eng.dropped_by_engine,
+            [dataclasses.astuple(a) for a in eng.alerts], list(eng._inspected_times),
+            dict(eng.rate_counters), eng.rate_counters.sweep_at, dict(eng.rate_counters.window_us),
+            oracle.windows, oracle.sweep_at, oracle.true_matches, oracle.block_matches)
+
+
+class TestSpans:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_gaps, st.sampled_from([Proto.TCP_SYN, Proto.UDP]),
+                              st.integers(0, 9)), max_size=30),
+           st.lists(st.integers(0, 9), unique=True, min_size=1, max_size=10),
+           st.lists(st.sampled_from([0, 0, 1, 400, 300_000]), min_size=10, max_size=10),
+           st.integers(1, 30), st.sampled_from([0, 4, math.inf]))
+    def test_a_span_is_its_arrivals_one_at_a_time(self, earlier, span, gaps, capacity, sweep_at):
+        """`pass_span` and `observe_span` over the SYNs `room` and `unseen`
+        allow leave the engine and the oracle as one `inspect` and one
+        `observe` per SYN do, each SYN inspected and passed; the SYN after
+        them meets a key either table holds or, if the engine had room for
+        no more, goes uninspected.  Earlier traffic from the same sources
+        may have left their keys, stale ones to sweep, or an engine near
+        saturation."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(idps, "_SWEEP_MIN", 0)
+            mp.setattr(metrics, "_SWEEP_MIN", 0)
+            pairs = []
+            for _ in "sr":
+                eng = IdpsEngine(inspection_capacity=capacity)
+                eng.start(_SPAN_RULES, EngineMode.IPS)
+                oracle = TruthOracle(_SPAN_RULES)
+                eng.rate_counters.sweep_at = oracle.sweep_at = sweep_at
+                t = 0
+                for gap, proto, n in earlier:
+                    t += gap
+                    v = view(proto=proto, src=f"10.0.0.{n}", sport=1024 + n)
+                    eng.inspect(v, t)
+                    oracle.observe(v, t)
+                pairs.append((eng, oracle))
+            (eng, oracle), (ref_eng, ref_oracle) = pairs
+            rules = eng.span_rules(Proto.TCP_SYN)
+            assert rules == _SPAN_RULES[:2]
+            sources = [(ip_to_int(f"10.0.0.{n}"), 1024 + n) for n in span]
+            times = [t + sum(gaps[:k + 1]) for k in range(len(sources))]
+            room = eng.room(times[0])
+            taken = sources[:room]
+            del taken[eng.unseen(rules, taken):]
+            del taken[oracle.unseen(rules, taken):]
+            stopped_by_a_key = len(taken) < min(room, len(sources)) and any(
+                (r.id, *sources[len(taken)]) in table
+                for r in rules for table in (eng.rate_counters, oracle.windows))
+            if taken:
+                eng.pass_span(rules, taken, times[:len(taken)])
+                oracle.observe_span(rules, taken, times[:len(taken)])
+            syns = [PacketView(Proto.TCP_SYN, address, port, 1, 61500, b"") for address, port in sources]
+            for v, now in zip(syns, times[:len(taken)]):
+                assert ref_eng.inspect(v, now) == idps._PASS
+                assert not ref_oracle.observe(v, now)
+            assert len(taken) == min(room, len(sources)) or stopped_by_a_key
+            if len(taken) < len(sources):  # the SYN after them goes alone
+                v, now = syns[len(taken)], times[len(taken)]
+                verdict = eng.inspect(v, now)
+                assert verdict == ref_eng.inspect(v, now)
+                assert oracle.observe(v, now) == ref_oracle.observe(v, now)
+                assert verdict.inspected or len(taken) == room
+            assert _span_state(eng, oracle) == _span_state(ref_eng, ref_oracle)
+
+    def test_rules_a_new_source_does_not_pass_alone(self):
+        """A rule without a rate clause, or one `StaticMatches` must test,
+        makes `span_rules` answer None for its protocol."""
+        for text in ['alert tcp any any -> any any msg "m"',
+                     'alert tcp any any -> any 61500 rate 3/1 msg "m"']:
+            eng = IdpsEngine()
+            eng.start(parse_rules(text), EngineMode.IDS)
+            assert eng.span_rules(Proto.TCP_SYN) is None
+            assert eng.span_rules(Proto.ICMP_ECHO) == []
+
+
 # Traced bytes per source of the test below, engine and oracle together:
 # about 306 on CPython 3.11 (x86-64), where one deque window per source
 # held about 1.9 kB.

@@ -597,12 +597,15 @@ def merged_floods_change_nothing(cfg):
     writes traced (less `trace.txt` for the untraced run).  The reference
     runs nothing inline, so every flood arrival and same-instant fan-out
     pops from `run_until`, and counts no arrival, so every junk arrival is
-    dispatched as `SUB.RCV`."""
+    dispatched as `SUB.RCV` and every SYN is routed.  (A one-arrival
+    segment still runs at a popped arrival, so the segment answers are
+    switched off too.)"""
     untraced = run_files(cfg, False)[0]
     traced = run_files(cfg, True)[0]
     with mock.patch.object(Scheduler, "inline_bound", lambda sched: (-1, 0)), \
             mock.patch.object(Scheduler, "run_ready", lambda sched: None), \
-            mock.patch.object(Transport, "count_only", lambda *args: None):
+            mock.patch.object(Transport, "count_only", lambda *args: None), \
+            mock.patch.object(Transport, "refusals", lambda *args: None):
         want = run_files(cfg, True)[0]
     assert_same_files(traced, want)
     del want["trace.txt"]
@@ -659,3 +662,117 @@ class TestMergedFloods:
     @given(multi_flood_cases())
     def test_drawn_multi_flood_runs_match_the_reference(self, cfg):
         merged_floods_change_nothing(cfg)
+
+
+def run_with_tables(cfg, record_trace):
+    """The bytes of every file `cfg` writes and its engine's and oracle's
+    rate tables with their sweep thresholds, which no file holds; or the
+    `ConfigError` it raises when its event budget runs out."""
+    try:
+        result = run_scenario(cfg, record_trace=record_trace)
+    except ConfigError as e:
+        return f"{e.path}: {e}"
+    with tempfile.TemporaryDirectory() as out:
+        write_outputs(result, out)
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as f:
+                files[name] = f.read()
+    engine, oracle = result.engine, result.recorder.oracle
+    tables = None if engine is None else (dict(engine.rate_counters), engine.rate_counters.sweep_at,
+                                          oracle.windows, oracle.sweep_at)
+    return files, tables
+
+
+def refused_syns_change_nothing(cfg, record_trace):
+    """Assert `cfg` writes what its reference run writes, where every SYN
+    takes the per-packet path (`Transport.refusals` answers None), and ends
+    with the same rate tables, or raises the same error; return how many
+    SYNs the run took in segments."""
+    taken = 0
+    refusals = Transport.refusals
+
+    def counted(tr, *args):
+        span = refusals(tr, *args)
+
+        def counted_span(lo, hi):
+            nonlocal taken
+            n = span(lo, hi)
+            taken += n
+            return n
+
+        return None if span is None else counted_span
+
+    with mock.patch.object(Transport, "refusals", counted):
+        got = run_with_tables(cfg, record_trace)
+    with mock.patch.object(Transport, "refusals", lambda *args: None):
+        want = run_with_tables(cfg, record_trace)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_files(got[0], want[0])
+        assert got[1] == want[1]
+    return taken
+
+
+@st.composite
+def syn_flood_cases(draw):
+    """A short run of the shipped `syn_flood` with one or two SYN floods into
+    plc2's TCP port from one to three attackers, often under one attacker
+    name, so their claimed sources repeat; plc2's capacity and critical
+    rate low enough to drop and collapse, even under capacity, its
+    half-open table of any size and timeout, the
+    engine off or on either flood ruleset at any inspection capacity, the
+    TCP probe on or off, and an event budget that may run out."""
+    cfg = load("syn_flood")
+    mode = draw(st.sampled_from([None, "ids", "ips"]))
+    if mode is not None:
+        cfg = with_idps(cfg, mode, draw(st.sampled_from(["combined.rules"] * 2 + ["flood.rules"])),
+                        draw(st.sampled_from(["gate_and_hold", "log_only", "shutdown"])))
+        cfg = dataclasses.replace(cfg, idps=dataclasses.replace(
+            cfg.idps, inspection_capacity=draw(st.sampled_from([50, 700, 5_000, 5_000]))))
+    plc2 = dataclasses.replace(
+        cfg.devices["plc2"], capacity=draw(st.sampled_from([500, 3_000])),
+        critical_rate=draw(st.sampled_from([4_000, 4_000, 1_500])),
+        halfopen_capacity=draw(st.sampled_from([1, 16, 1_024])),
+        halfopen_timeout_s=draw(st.sampled_from([0.001, 0.05, 0.5])))
+    attacks = []
+    for n in range(draw(st.integers(1, 2))):
+        count = draw(st.integers(1, 3))
+        start_ms = draw(st.sampled_from([50, 50, 80, 120]))
+        attacks.append(AttackConfig(
+            name=f"syn{n}", kind=AttackKind.SYN_FLOOD, target="plc2:61500",
+            rate=count * draw(st.sampled_from([1_000, 5_000, 20_000, 20_000])),
+            start_s=start_ms / 1e3, stop_s=(start_ms + draw(st.sampled_from([20, 60, 150, 150]))) / 1e3,
+            attacker=draw(st.sampled_from(["attacker1", "attacker2"])), attacker_count=count))
+    probe = dataclasses.replace(cfg.tcp_probe, enabled=draw(st.booleans()),
+                                connect_at_s=(0.06, draw(st.integers(61, 399)) / 1e3))
+    budget = draw(st.sampled_from([cfg.event_budget] * 6 + [2_000, 4_000]))
+    return dataclasses.replace(cfg, duration_s=0.4, devices={**cfg.devices, "plc2": plc2},
+                               attacks=attacks, tcp_probe=probe, event_budget=budget)
+
+
+class TestRefusedSyns:
+    """The SYNs a full half-open table refuses run as segments, ingested,
+    inspected, observed and refused a stretch at a time; the reference run
+    takes each one through `DeviceModel.ingest`, `IdpsEngine.inspect`,
+    `TruthOracle.observe` and `HalfOpenTable.syn`.  Both write the same
+    bytes and end with the same rate tables."""
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("cfg", [
+        parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario")),
+        load("syn_flood")], ids=["syn_backlog", "syn_flood"])
+    def test_syn_configs_match_the_reference(self, cfg, record_trace):
+        assert refused_syns_change_nothing(cfg, record_trace) > 2_000
+
+    @pytest.mark.parametrize("budget", [4_000, 4_700])
+    def test_a_budget_that_runs_out_mid_flood_raises_as_the_reference(self, budget):
+        cfg = parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario"))
+        assert refused_syns_change_nothing(
+            dataclasses.replace(cfg, event_budget=budget), False) > 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(syn_flood_cases(), st.booleans())
+    def test_drawn_syn_floods_match_the_reference(self, cfg, record_trace):
+        refused_syns_change_nothing(cfg, record_trace)

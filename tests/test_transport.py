@@ -1,12 +1,17 @@
 """Device capacity model, half-open table, delivery ordering, spoof opacity."""
 
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fbsecsim import idps, metrics
+from fbsecsim.attacks import GHOST_ID, syn_source
 from fbsecsim.fbnet import Scheduler
+from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
+from fbsecsim.metrics import Recorder
 from fbsecsim.transport import (
     BUCKET_US,
     WINDOW_US,
@@ -321,6 +326,166 @@ class TestIngestSpan:
             ref.ingest(base + m)
         assert span.state is DeviceState.RESPONSIVE
         assert _device_state(span) == _device_state(ref)
+
+
+# rulesets for the engine in front of a SYN stream: rate rules that test
+# nothing else (a SYN from a new source passes them), none for TCP, and one
+# whose destination port makes `StaticMatches` test each SYN
+_SYN_RULESETS = [
+    'alert tcp any any -> any any rate 3/1 msg "syn"\n'
+    'block udp any any -> any any payload "00" msg "junk"\n'
+    'alert any any any -> any any rate 2/1 msg "all"\n',
+    'alert udp any any -> any any rate 2/1 msg "udp"\n',
+    'alert tcp any any -> any 61500 rate 3/1 msg "port"\n',
+]
+
+
+@st.composite
+def refusal_cases(draw):
+    """A transport whose plc2 faces a periodic SYN stream from attacker1,
+    with its device window, half-open table, engine, rate tables and hooks
+    drawn as earlier traffic could have left them; every earlier time is at
+    or before arrival `lo`.  Returns the drawn parameters, to build the same
+    case twice, and the stream's clock and index range."""
+    per_rate = draw(st.sampled_from([1_000, 5_000, 20_000]))
+    lo = draw(st.integers(0, 20))
+    hi = lo + draw(st.integers(1, 60))
+    base = 1_200_000
+    t_lo = base + lo * US // per_rate
+    earlier = st.integers(0, t_lo)
+    halfopen = draw(st.integers(1, 6))
+    timeout = draw(st.sampled_from([1_000, 5_000, 50_000, 3 * US]))
+    params = dict(
+        capacity=draw(st.integers(1, 100)), critical_rate=draw(st.integers(2, 150)),
+        window=sorted(draw(st.lists(earlier, max_size=40))),
+        halfopen=halfopen, timeout=timeout,
+        # mostly a full table, whose front entry may expire inside the range
+        entries=sorted(draw(st.lists(st.integers(t_lo - timeout - 2_000, t_lo),
+                                     min_size=halfopen - draw(st.sampled_from([0, 0, 0, 1])),
+                                     max_size=halfopen))),
+        rules=draw(st.sampled_from([None, *_SYN_RULESETS[:1] * 3, *_SYN_RULESETS])),
+        inspection_capacity=draw(st.integers(1, 60)),
+        inspected=sorted(draw(st.lists(earlier, max_size=40))),
+        sweep_at=draw(st.sampled_from([None, 0, 3])),
+        # (arrival, engine's and/or oracle's table, first hit): keys counted before
+        seen=draw(st.lists(st.tuples(st.integers(lo, hi), st.sampled_from(["e", "o", "eo"]),
+                                     earlier), max_size=6)),
+        hook=draw(st.sampled_from(["recorder", "recorder", None, "other"])),
+        watched=draw(st.sampled_from([False] * 5 + [True])))
+    return params, base, per_rate, lo, hi
+
+
+def _refusal_transport(p):
+    tr, sched = make_transport()
+    dev = tr.add_device(plain_device(capacity=p["capacity"], critical_rate=p["critical_rate"],
+                                     halfopen_capacity=p["halfopen"],
+                                     halfopen_timeout_us=p["timeout"]))
+    for t in p["window"]:
+        dev.ingest(t)
+    for k, t in enumerate(p["entries"]):
+        dev.halfopen.syn(ip_to_int("192.168.1.30"), 50_000 + k, 61500, t)
+    engine = recorder = None
+    if p["rules"] is not None:
+        rules = parse_rules(p["rules"])
+        engine = dev.engine = IdpsEngine(p["inspection_capacity"])
+        engine.start(rules, EngineMode.IPS)
+        recorder = Recorder(["plc2"], "plc1", engine, rules)
+        recorder.attacker_ids.add("attacker1")
+        for t in p["inspected"]:
+            engine.inspect(PacketView(Proto.UDP, 1, 2, dev.address, 61499, b"\x41"), t)
+        if p["sweep_at"] is not None:
+            engine.rate_counters.sweep_at = recorder.oracle.sweep_at = p["sweep_at"]
+        for m, tables, t in p["seen"]:
+            address, port = syn_source(0x0A000000, m)
+            for rule in rules:
+                if rule.rate is not None:
+                    if "e" in tables:
+                        engine.rate_counters.add((rule.id, address, port), rule.rate, t)
+                    if "o" in tables:
+                        recorder.oracle.windows[(rule.id, address, port)] = t
+        if p["hook"] == "recorder":
+            tr.on_presented, tr.recorder = recorder.on_presented, recorder
+        elif p["hook"] == "other":
+            tr.on_presented = lambda *args: None
+    if p["watched"]:
+        tr.watch_delivery("attacker1", lambda packet, now: None)
+    return tr, sched, dev, engine, recorder
+
+
+def _refusal_state(tr, dev, engine, recorder):
+    state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq]
+    if engine is not None:
+        state += [engine.presented, engine.inspected, engine.dropped_by_engine, engine.alerts,
+                  list(engine._inspected_times), dict(engine.rate_counters),
+                  engine.rate_counters.sweep_at, recorder.attack_presented, recorder.blocked,
+                  recorder.oracle.windows, recorder.oracle.sweep_at, recorder.oracle.true_matches]
+    return state
+
+
+def _keys_seen_case(seen):
+    """Ten SYNs at 1000/s at a table one SYN fills, with an engine of room
+    for them all, and the keys `seen` counted before."""
+    return (dict(capacity=100, critical_rate=150, window=[], halfopen=1, timeout=3 * US,
+                 entries=[US], rules=_SYN_RULESETS[0], inspection_capacity=60, inspected=[],
+                 sweep_at=None, seen=seen, hook="recorder", watched=False),
+            1_200_000, 1_000, 0, 10)
+
+
+class TestRefusals:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(refusal_cases())
+    # a key only the oracle holds, then one only the engine holds, and the
+    # other way round: either stops the segment
+    @example(_keys_seen_case([(3, "o", 1_100_000), (6, "e", 1_100_000)]))
+    @example(_keys_seen_case([(3, "e", 1_100_000), (6, "o", 1_100_000)]))
+    def test_a_segment_is_its_arrivals_one_at_a_time(self, case):
+        """The SYNs `Transport.refusals` takes in one call leave the device,
+        the half-open table, the engine, the recorder and the oracle as the
+        per-packet path leaves them, and that path ingests each under
+        capacity, inspects and passes it, and refuses it.  Earlier traffic
+        may have left the device near capacity or collapse, the table full
+        with entries about to expire, the engine near saturation, the keys
+        of some of the stream's sources in either rate table, and both
+        tables due to sweep."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(idps, "_SWEEP_MIN", 0)
+            mp.setattr(metrics, "_SWEEP_MIN", 0)
+            self.check(*case)
+
+    @staticmethod
+    def check(p, base, per_rate, lo, hi):
+        tr, sched, dev, engine, recorder = _refusal_transport(p)
+        ref_tr, ref_sched, ref_dev, ref_engine, ref_recorder = _refusal_transport(p)
+        if dev.down:
+            return  # the pump accounts the flood's remainder in bulk
+        ep = Endpoint("plc2", dev.address, 61500)
+        source = partial(syn_source, 0x0A000000)
+        span = tr.refusals(dev, ep, "attacker1", base, per_rate, source)
+        assert (span is None) is (len(dev.halfopen.entries) < p["halfopen"] or p["watched"] or (
+            engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))
+        taken = 0 if span is None else span(lo, hi)
+        assert 0 <= taken <= hi - lo
+
+        def per_packet(tr, dev, m):
+            now = tr.scheduler.now = base + m * US // per_rate
+            if dev.ingest(now):
+                tr.next_seq()
+                tr.arrive(dev, "attacker1", GHOST_ID,
+                          PacketView(Proto.TCP_SYN, *source(m), ep.address, ep.port, b""), ep, now)
+
+        for m in range(lo, lo + taken):
+            refused = ref_dev.syn_refused
+            inspected, alerts = (ref_engine.inspected, len(ref_engine.alerts)) if ref_engine else (0, 0)
+            per_packet(ref_tr, ref_dev, m)
+            assert ref_dev.ingested == dev.ingested - (lo + taken - 1 - m)
+            assert ref_dev.window._total <= ref_dev.capacity and ref_dev.syn_refused == refused + 1
+            if ref_engine is not None:
+                assert ref_engine.inspected == inspected + 1 and len(ref_engine.alerts) == alerts
+        if lo + taken < hi:  # the arrival the segment left takes the per-packet path
+            per_packet(tr, dev, lo + taken)
+            per_packet(ref_tr, ref_dev, lo + taken)
+        assert _refusal_state(tr, dev, engine, recorder) == _refusal_state(
+            ref_tr, ref_dev, ref_engine, ref_recorder)
 
 
 class _FullScanTable:
