@@ -491,9 +491,9 @@ class Transport:
         (address, port) `source(m)`, if a SYN the half-open table refuses
         can have a counter update as its whole fate, else None: the
         half-open table has no free slot, nobody watches `origin`, and
-        either no engine runs on `device` or its rules
-        pass a SYN from a new source (`IdpsEngine.span_rules`) and what it
-        presents goes to no hook but `recorder`'s.  `span(lo, hi)` takes a
+        either no engine runs on `device` or its rules pass a SYN from a
+        new source (`IdpsEngine.span_rules`) and what it presents goes to
+        no hook but `recorder`'s.  `span(lo, hi)` takes a
         prefix of arrivals lo..hi-1, each of which the device ingests under
         capacity, the engine inspects before it saturates as the first hit
         of keys neither it nor the recorder's oracle holds, and the full
