@@ -14,11 +14,12 @@ fan-out leaves for the same instant runs in between
 (`Scheduler.run_ready`).  Nothing else can run meanwhile, so an ingested
 arrival whose whole fate is a counter update is only counted: a junk UDP
 or an ICMP arrival that no engine inspects, or a SYN from a new source
-that the engine passes and a full half-open table refuses.  Such arrivals
-go to the device a stretch of one stream at a time: one scheduler bound
-and one device call each, which works the stretch out one 1 ms window
-bucket at a time.  Every arrival is still ingested and counted as an
-event.
+that the engine passes and the half-open table refuses or admits, whose
+SYN-ACK to its spoofed source is a tallied event (`Scheduler.tally`).
+Such arrivals go to the device a stretch of one stream at a time: one
+scheduler bound and one device call each, which works the stretch out
+one 1 ms window bucket at a time.  Every arrival is still ingested and
+counted as an event.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from heapq import heappop, heappush
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
+    GHOST_ID,
     DeviceModel,
     Endpoint,
     GroupAddress,
@@ -46,10 +48,6 @@ class AttackKind(Enum):
     SYN_FLOOD = "syn_flood"
     ICMP_FLOOD = "icmp_flood"
 
-
-# Device id of the SYN flood's spoofed sources; never a registered device, so
-# the SYN-ACKs sent to them are undeliverable.
-GHOST_ID = "ghost"
 
 _FLOOD_PROTO = {
     AttackKind.UDP_FLOOD: Proto.UDP,
@@ -90,11 +88,13 @@ def flood_count(spec: AttackSpec) -> int:
     return flood_clock(spec, 0)[1] * (spec.stop - spec.start) // US
 
 
-def syn_source(ghost_net: int, i: int) -> tuple[int, int]:
-    """Claimed (address, port) of SYN `i` of a flood whose attacker's /16 is
-    `ghost_net`: the source rotates so the SYN-ACKs vanish and no ACK ever
-    completes a handshake."""
-    return ghost_net | (i % 0xFFFE + 1), 1024 + i % 60000
+def syn_source(ghost_net: int, i: int, k: int = 1, j: int = 0) -> tuple[int, int]:
+    """Claimed (address, port) of SYN `i` of attacker `j` of the `k` of a
+    flood whose attackers' /16 is `ghost_net`: the flood's SYN i * k + j,
+    so no two attackers claim one source.  The source rotates so the
+    SYN-ACKs vanish and no ACK ever completes a handshake."""
+    n = i * k + j
+    return ghost_net | (n % 0xFFFE + 1), 1024 + n % 60000
 
 
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
@@ -135,8 +135,9 @@ class _Stream:
         self.counting = False  # parked while counting: ask when it runs next
         self.armed = False     # its next arrival has the pump's heap entry
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
-        # SYN i's claimed (address, port), from the attacker's /16 (`syn_source`)
-        self.source = partial(syn_source, src.address & 0xFFFF0000) if self.syn_rotate else None
+        # SYN i's claimed (address, port), from the attackers' /16 (`syn_source`)
+        self.source = partial(syn_source, src.address & 0xFFFF0000, k=spec.attacker_count,
+                              j=attacker_index) if self.syn_rotate else None
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
         self.view = None if self.syn_rotate else Packet(
@@ -148,9 +149,9 @@ class _Stream:
             self.group, self.target_device = None, transport.devices.get(target.device_id)
         self.base = self.first + transport.latency_us  # packet 0's arrival
         # what `_FloodPump._pump` reads, in one tuple
-        self.fixed = (target, spec.payload, self.proto, self.origin, src, self.syn_rotate,
+        self.fixed = (target, spec.payload, self.proto, self.origin, src, self.source,
                       self.view, GHOST_ID if self.syn_rotate else src.device_id,
-                      src.address & 0xFFFF0000, target.address, target.port,
+                      target.address, target.port,
                       self.target_device, self.group, self.base, self.per_rate, self.count)
 
 
@@ -184,12 +185,14 @@ class _FloodPump:
     counter, and as soon as a stream parked while counting (`counting`)
     runs again, so a flood that other events cut into many runs routes no
     arrival after its first while the answer stands.
-    `Transport.refusals` takes the SYNs that a full half-open table
-    refuses; the pump asks it whenever a unicast SYN stream starts to run
-    (a table with a free slot gets no answer), and offers each arrival of
-    the stream that is not in a segment to the answer first, so the
-    arrivals a segment leaves (one the table admits, one the engine fails
-    open on) take the per-packet path one at a time.
+    `Transport.fresh_syns` takes the SYNs from new sources that the
+    half-open table refuses, being full, or admits; the pump asks it
+    whenever a unicast SYN stream starts to run, and offers each arrival
+    of the stream that is not in a segment to the answer first, so the
+    arrivals a segment leaves (one the engine fails open on, one whose
+    source a table holds) take the per-packet path one at a time.  The
+    SYN-ACKs of admitted SYNs, in a segment or not, are tallied events,
+    which cut no inline run.
     Every arrival is still ingested and run as an event, so device
     counters, drop draws, state changes, collapse, `now`, `processed` and
     the event budget end as they would one arrival at a time.
@@ -226,13 +229,14 @@ class _FloodPump:
         stream = heappop(parked)[4]
         stream.armed = False
         while True:
-            (target, payload, proto, origin, base_src, syn_rotate, view, src_id, ghost_net,
+            (target, payload, proto, origin, base_src, source, view, src_id,
              dst_address, dst_port, dev, group, base, per_rate, count) = stream.fixed
+            syn_rotate = source is not None
             i = stream.i
             cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
             if syn_rotate:
-                span = None if dev is None else transport.refusals(
-                    dev, target, origin, base, per_rate, stream.source)
+                span = None if dev is None else transport.fresh_syns(
+                    dev, target, origin, base, per_rate, source)
             elif stream.counting:
                 span = transport.count_only(dev, target, view, origin, base, per_rate)
             else:
@@ -259,8 +263,7 @@ class _FloodPump:
                     routed = dev is None or dev.ingest(now)
                     if routed:
                         if syn_rotate:
-                            address, port = syn_source(ghost_net, i)
-                            view = PacketView(proto, address, port, dst_address, dst_port, payload)
+                            view = PacketView(proto, *source(i), dst_address, dst_port, payload)
                         if dev is not None:
                             transport.next_seq()  # the arrival's, read by `arrive` if watched
                             transport.arrive(dev, origin, src_id, view, target, now)

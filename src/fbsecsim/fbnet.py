@@ -80,6 +80,12 @@ class Scheduler:
     to the FIFO too; so `run_until` runs a heap head at (now, LANE_FB, "")
     first, then the FIFO, then everything else, in the sorted order.
     While the FIFO holds entries nothing runs inline (`inline_bound`).
+
+    `tally` holds the due times, in non-decreasing order, of events whose
+    whole effect is to be counted: as the run passes a due time, the event
+    counts in `processed` and in `tallied`, and may trip the budget there.
+    Only the time of the event that trips it shows, so such an event needs
+    no place among those due at the same instant, and no heap entry.
     """
 
     def __init__(self, max_events: int = 100_000_000):
@@ -90,6 +96,8 @@ class Scheduler:
         self.processed = 0
         self.max_events = max_events
         self._until = -1  # horizon of the run_until in progress; -1 outside one
+        self.tally: deque[int] = deque()
+        self.tallied = 0  # tallied events run so far
 
     def at(self, time: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
         if time <= self.now:
@@ -122,30 +130,48 @@ class Scheduler:
         instead of `at`-ing them: one due at or before `last` (the run_until
         horizon, or the heap head's time minus 1 if earlier; -1 outside a
         run_until; `now - 1` while the FIFO holds entries) is the next entry
-        to run, and `left` more events fit the budget.  Having run n
-        successors, the last at time t, the entry sets `now = t` and adds n
-        to `processed`.  A successor due later, tying with the head, or past
-        the budget is `at`-ed, so it pops in order and its pop trips the
-        budget.  The FIFO is never drained here: an entry on LANE_FB may
-        still `at` more of its own, which must queue behind it."""
+        to run, and `left` more events fit the budget, with every tallied
+        event still queued counted as if it fell due before them.  Having
+        run n successors, the last at time t, the entry sets `now = t` and
+        adds n to `processed`; the tallied events due by then count when
+        the run passes on.  A successor due later, tying with the head, or
+        past the budget is `at`-ed, so it pops in order and its pop trips
+        the budget.  The FIFO is never drained here: an entry on LANE_FB
+        may still `at` more of its own, which must queue behind it."""
+        left = self.max_events - self.processed - len(self.tally)
         if self.ready:
-            return self.now - 1, self.max_events - self.processed
+            return self.now - 1, left
         last = self._until
         heap = self._heap
         if heap:
             head = heap[0][0]
             if head <= last:
                 last = head - 1
-        return last, self.max_events - self.processed
+        return last, left
+
+    def _count_tally(self, time: int) -> None:
+        """Run every tallied event due at or before `time`."""
+        tally = self.tally
+        while tally and tally[0] <= time:
+            due = tally.popleft()
+            self.processed += 1
+            if self.processed > self.max_events:
+                self.now = due
+                raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+            self.tallied += 1
 
     def run_until(self, until: int) -> None:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:
             raise ValueError("until precedes current virtual time")
-        heap, ready = self._heap, self.ready
+        heap, ready, tally = self._heap, self.ready, self.tally
         self._until = until
         try:
             while True:
+                if tally:  # count what falls due before the next entry
+                    t = self.now if ready else heap[0][0] if heap and heap[0][0] < until else until
+                    if tally[0] <= t:
+                        self._count_tally(t)
                 if ready:
                     head = heap[0] if heap else None
                     if (head is not None and head[0] == self.now and head[1] == LANE_FB
@@ -173,6 +199,8 @@ class Scheduler:
         successors inline: entries it left in the FIFO would run next in
         any case."""
         ready = self.ready
+        if ready and self.tally:
+            self._count_tally(self.now)
         while ready:
             self.processed += 1
             if self.processed > self.max_events:
@@ -180,7 +208,7 @@ class Scheduler:
             ready.popleft()()
 
     def pending(self) -> int:
-        return len(self._heap) + len(self.ready)
+        return len(self._heap) + len(self.ready) + len(self.tally)
 
 
 class Trace:

@@ -22,6 +22,10 @@ WINDOW_US = US
 BUCKET_US = 1_000
 _N_BUCKETS = WINDOW_US // BUCKET_US
 
+# Device id of a SYN flood's spoofed sources; never a registered device, so
+# the SYN-ACKs sent to them are undeliverable.
+GHOST_ID = "ghost"
+
 
 def ip_to_int(dotted: str) -> int:
     parts = dotted.split(".")
@@ -167,18 +171,15 @@ class HalfOpenTable:
     def ack(self, src_addr: int, src_port: int, local_port: int) -> bool:
         return self.entries.pop((src_addr, src_port, local_port), None) is not None
 
-    def refuses_until(self, now: int) -> int:
-        """The instant before which `syn` refuses every SYN from `now` on, if
-        it admits none meanwhile: the front entry's expiry when the table is
-        full after expiring at `now`, else `now`."""
-        entries = self.entries
-        if not entries or len(entries) < self.capacity:
-            return now
-        return max(now, next(iter(entries.values())) + self.timeout_us)
-
-    def live(self, now: int) -> int:
-        self._evict(now)
-        return len(self.entries)
+    def free(self, now: int) -> int:
+        """Free slots at `now`, once the entries stale by then expire."""
+        cutoff = now - self.timeout_us
+        free = self.capacity - len(self.entries)
+        for opened in self.entries.values():
+            if opened > cutoff:
+                break
+            free += 1
+        return free
 
 
 class DeviceModel:
@@ -348,13 +349,13 @@ class Transport:
         self.devices: dict[str, DeviceModel] = {}
         self.groups: dict[int, dict[Endpoint, None]] = {}  # join order preserved
         self.sockets: dict[tuple[str, int], Callable[[PacketView], None]] = {}
-        self.undeliverable = 0
+        self._undelivered = 0  # arrivals `deliver` finds no device for
         self._seq = 0
         self.on_send: Callable[[Packet], None] | None = None
         # on_presented(device, origin, view, verdict, now): an arrival past the engine tap
         self.on_presented: Callable | None = None
-        # the metrics.Recorder whose `on_presented` that is, if it is one; it
-        # also takes the refused SYNs of a segment (`refusals`)
+        # the metrics.Recorder whose `on_send` and `on_presented` those are, if
+        # they are its; it also takes the SYNs of a segment (`fresh_syns`)
         self.recorder = None
         # true origin -> fn(packet, now), called once an arrival from that
         # origin clears device and tap (`watch_delivery`); a flood from an
@@ -363,6 +364,12 @@ class Transport:
         self.flood_pump = None  # the run's attacks._FloodPump, made by its first flood
 
     # -- topology ----------------------------------------------------------
+
+    @property
+    def undeliverable(self) -> int:
+        """Arrivals due so far for a device id with no device: a unicast one
+        is a tallied event (`send`)."""
+        return self._undelivered + self.scheduler.tallied
 
     def add_device(self, device: DeviceModel) -> DeviceModel:
         self.devices[device.device_id] = device
@@ -394,7 +401,11 @@ class Transport:
         return Packet(proto, src, dst, payload, self.scheduler.now, origin, self.next_seq())
 
     def send(self, packet: Packet) -> bool:
-        """Schedule delivery; returns False (and counts) if the sender is down."""
+        """Schedule delivery; returns False (and counts) if the sender is down.
+        Devices are all added before the run, so a unicast packet to a device
+        id with no device can only be undeliverable: it is a tallied event
+        (`Scheduler.tally`), and sends come at a non-decreasing `now` with
+        one latency, so their due times come in order."""
         sender = self.devices.get(packet.true_origin)
         if sender is not None and sender.state is UNRESPONSIVE:
             sender.sender_down += 1
@@ -403,12 +414,15 @@ class Transport:
             self.on_send(packet)
         when = self.scheduler.now + self.latency_us
         key = (packet.true_origin, packet.seq)
-        if isinstance(packet.dst, GroupAddress):
+        dst = packet.dst
+        if isinstance(dst, GroupAddress):
             view = packet.view()  # one for every member
-            for member in self.members(packet.dst.address):
+            for member in self.members(dst.address):
                 self.scheduler.at(when, self._delivery(packet, member, view), lane=LANE_NET, key=key)
+        elif dst.device_id in self.devices:
+            self.scheduler.at(when, self._delivery(packet, dst), lane=LANE_NET, key=key)
         else:
-            self.scheduler.at(when, self._delivery(packet, packet.dst), lane=LANE_NET, key=key)
+            self.scheduler.tally.append(when)
         return True
 
     def _delivery(self, packet: Packet, ep: Endpoint,
@@ -423,7 +437,7 @@ class Transport:
         shares one across its packets); otherwise it is made on ingest."""
         device = self.devices.get(ep.device_id)
         if device is None:
-            self.undeliverable += 1
+            self._undelivered += 1
             return
         now = self.scheduler.now
         if device.ingest(now):
@@ -484,56 +498,88 @@ class Transport:
 
         return span
 
-    def refusals(self, device: DeviceModel, ep: Endpoint, origin: str, base: int, per_rate: int,
-                 source: Callable[[int], tuple[int, int]]) -> Callable[[int, int], int] | None:
+    def fresh_syns(self, device: DeviceModel, ep: Endpoint, origin: str, base: int,
+                   per_rate: int, source: Callable[[int], tuple[int, int]]
+                   ) -> Callable[[int, int], int] | None:
         """A segment function for a periodic stream of SYNs from `origin` at
         `ep`, arrival m due at base + m * US // per_rate from the claimed
-        (address, port) `source(m)`, if a SYN the half-open table refuses
-        can have a counter update as its whole fate, else None: the
-        half-open table has no free slot, nobody watches `origin`, and
-        either no engine runs on `device` or its rules pass a SYN from a
-        new source (`IdpsEngine.span_rules`) and what it presents goes to
-        no hook but `recorder`'s.  `span(lo, hi)` takes a
-        prefix of arrivals lo..hi-1, each of which the device ingests under
-        capacity, the engine inspects before it saturates as the first hit
-        of keys neither it nor the recorder's oracle holds, and the full
-        table refuses, and accounts the prefix as those arrivals one at a
-        time would be; it returns its length, 0 if arrival lo is not such a
-        SYN.  The answer holds until another event runs."""
-        table = device.halfopen
-        if len(table.entries) < table.capacity or origin in self._watched:
+        (address, port) `source(m)` of a `GHOST_ID` source, if such a SYN
+        from a new source can have counter updates, a half-open entry and an
+        undeliverable SYN-ACK as its whole fate, else None: nobody watches
+        `origin`, no device has `GHOST_ID`, packets sent go to no hook but
+        `recorder`'s (which records no SYN-ACK), and either no engine runs
+        on `device` or its rules pass a SYN from a new source
+        (`IdpsEngine.span_rules`) and what it presents goes to no hook but
+        `recorder`'s.  `span(lo, hi)` takes a prefix of arrivals lo..hi-1,
+        each of which the device ingests under capacity and the engine
+        inspects before it saturates as the first hit of keys neither it
+        nor the recorder's oracle holds, and which the half-open table
+        either all refuses, being full, or all admits under keys it does
+        not hold, before the first one's SYN-ACK falls due.  It accounts
+        the prefix as those arrivals one at a time would be, each admitted
+        one's SYN-ACK a tallied event (`send`), and returns its length, 0
+        if arrival lo is not such a SYN.  The answer holds until another
+        event runs."""
+        recorder = self.recorder
+        if (origin in self._watched or GHOST_ID in self.devices
+                or self.on_send not in (None, getattr(recorder, "on_send", None))):
             return None
         engine = device.engine
-        rules = recorder = None
+        rules = None
         if engine is not None and engine.running:
             rules, hook = engine.span_rules(TCP_SYN), self.on_presented
-            if rules is None or (hook is not None
-                                 and hook != getattr(self.recorder, "on_presented", None)):
+            if rules is None or hook not in (None, getattr(recorder, "on_presented", None)):
                 return None
-            recorder = None if hook is None else self.recorder
+            if hook is None:
+                recorder = None
+        table, port, latency = device.halfopen, ep.port, self.latency_us
+        entries, tally = table.entries, self.scheduler.tally
 
         def span(lo: int, hi: int) -> int:
             now = base + lo * US // per_rate
-            # arrivals before the table's front entry expires, ingested under capacity
-            n = min(hi, -(-(table.refuses_until(now) - base) * per_rate // US)) - lo
+            free = table.free(now)
+            if free:  # arrivals that find a slot, before the first one's SYN-ACK falls due
+                until, hi = now + latency, min(hi, lo + free)
+            else:  # arrivals before the full table's front entry expires
+                until = next(iter(entries.values())) + table.timeout_us
+            n = min(hi, -(-(until - base) * per_rate // US)) - lo
+            # ingested under capacity
             n = min(n, min(device.capacity, device.critical_rate - 1) - device.window._total)
             if rules is not None and n > 0:
-                # check both tables first, so the engine and the oracle take the same arrivals
-                sources = [source(m) for m in range(lo, lo + min(n, engine.room(now)))]
-                del sources[engine.unseen(rules, sources):]
-                if recorder is not None:
-                    del sources[recorder.oracle.unseen(rules, sources):]
-                n = len(sources)
+                n = min(n, engine.room(now))
             if n <= 0:
                 return 0
+            if free or rules is not None:
+                sources = [source(m) for m in range(lo, lo + n)]
+                if free:  # the table admits a key it holds without a new slot
+                    for k, (address, src_port) in enumerate(sources):
+                        if (address, src_port, port) in entries:
+                            del sources[k:]
+                            break
+                if rules is not None:
+                    # check both tables first, so the engine and the oracle take the same arrivals
+                    del sources[engine.unseen(rules, sources):]
+                    if recorder is not None:
+                        del sources[recorder.oracle.unseen(rules, sources):]
+                n = len(sources)
+                if n == 0:
+                    return 0
+                times = [base + m * US // per_rate for m in range(lo, lo + n)]
             device.ingest_span(base, per_rate, lo, lo + n)
             if rules is not None:
-                times = [base + m * US // per_rate for m in range(lo, lo + n)]
                 engine.pass_span(rules, sources, times)
                 if recorder is not None:
                     recorder.presented_span(origin, rules, sources, times)
-            device.syn_refused += n
-            self._seq += n
+            if free:
+                for (address, src_port), opened in zip(sources, times):
+                    entries[(address, src_port, port)] = opened
+                table._evict(times[-1])
+                device.syn_accepted += n
+                self._seq += 2 * n  # each arrival's, then its SYN-ACK's
+                tally.extend(opened + latency for opened in times)
+            else:
+                device.syn_refused += n
+                self._seq += n
             return n
 
         return span

@@ -193,6 +193,17 @@ class TestFloodRuns:
         table = victim.halfopen
         assert not table.syn(ip_to_int("192.168.1.30"), 53000, 61500, now=500_000)
 
+    @pytest.mark.parametrize("rate, count", [(1000, 1), (1000, 2)])
+    def test_attackers_of_one_syn_flood_claim_distinct_sources(self, rate, count):
+        """Attacker j of k sends the flood's SYNs j, k + j, 2k + j, ...: two
+        attackers at 500/s fill the table as one at 1000/s does, and no SYN
+        refreshes an entry another attacker's SYN opened."""
+        s = spec(kind=AttackKind.SYN_FLOOD, rate=rate, stop=US, count=count,
+                 target=Endpoint("plc2", ip_to_int("192.168.1.2"), 61500))
+        tr, victim, _devs = self.run_flood(s)
+        assert (victim.syn_accepted, tr.undeliverable) == (128, 128)
+        assert victim.syn_refused == 1000 - 128
+
     def test_attacker_never_degrades(self):
         sched = Scheduler()
         tr = Transport(sched)
@@ -242,6 +253,12 @@ class _HeapOnlyScheduler(Scheduler):
         return -1, 0
 
 
+def events_by(scheduler, now):
+    """Events run so far, with the tallied ones due by `now` that an inline
+    run has passed but not yet counted."""
+    return scheduler.processed + sum(due <= now for due in scheduler.tally)
+
+
 class _LoggingDevice(DeviceModel):
     """Logs every arrival's fate with the event count, state and counters it
     left behind; a flood pump asks `ingest` (or `ingest_span`, for a segment
@@ -255,7 +272,7 @@ class _LoggingDevice(DeviceModel):
         return self.offered, self.ingested, self.dropped_capacity, self.dropped_unresponsive
 
     def ingest(self, now):
-        return self.logged(now, self.scheduler.processed, super().ingest)
+        return self.logged(now, events_by(self.scheduler, now), super().ingest)
 
     def ingest_span(self, base, per_rate, lo, hi):
         """Takes each arrival in a one-arrival call and logs it with the
@@ -265,7 +282,8 @@ class _LoggingDevice(DeviceModel):
         span = super().ingest_span
         taken = ingested = 0
         for m in range(lo, hi):
-            ingested += self.logged(base + m * US // per_rate, self.scheduler.processed + taken,
+            now = base + m * US // per_rate
+            ingested += self.logged(now, events_by(self.scheduler, now) + taken,
                                     lambda _: span(base, per_rate, m, m + 1) == (1, 1))
             taken += 1
             if self.down:
@@ -287,7 +305,7 @@ class _LoggingTransport(Transport):
     """Logs every ingested arrival as `arrive` gets it: origin, claimed
     source, view and sequence number; with its devices' ingest log, every
     arrival crosses the log whatever path it took.  An arrival a segment
-    takes (`count_only`, `refusals`) is logged as if it had reached
+    takes (`count_only`, `fresh_syns`) is logged as if it had reached
     `arrive`, right after its device log entry.  A SYN's view is logged
     without its payload, which a segment does not carry and nothing past
     the device reads."""
@@ -311,29 +329,34 @@ class _LoggingTransport(Transport):
 
     def count_only(self, device, ep, view, origin, base, per_rate):
         return self.logged_span(super().count_only(device, ep, view, origin, base, per_rate),
-                                ep, origin, origin, base, per_rate, lambda m: view)
+                                device, ep, origin, origin, base, per_rate, lambda m: view)
 
-    def refusals(self, device, ep, origin, base, per_rate, source):
-        return self.logged_span(super().refusals(device, ep, origin, base, per_rate, source),
-                                ep, origin, GHOST_ID, base, per_rate,
+    def fresh_syns(self, device, ep, origin, base, per_rate, source):
+        return self.logged_span(super().fresh_syns(device, ep, origin, base, per_rate, source),
+                                device, ep, origin, GHOST_ID, base, per_rate,
                                 lambda m: (Proto.TCP_SYN, *source(m), ep.address, ep.port))
 
-    def logged_span(self, span, ep, origin, src_id, base, per_rate, view):
+    def logged_span(self, span, device, ep, origin, src_id, base, per_rate, view):
         """`span`, logging each arrival its device logs as ingested, as
-        `arrive` would have logged it; `view(m)` is arrival m's view."""
+        `arrive` would have logged it; `view(m)` is arrival m's view.  A
+        segment's SYNs are all admitted or all refused, and an admitted
+        one's SYN-ACK takes the sequence number after its own."""
         if span is None:
             return None
 
         def logged(lo, hi):
-            start, seq = len(self.log), self._seq
+            start, seq, accepted = len(self.log), self._seq, device.syn_accepted
             taken = span(lo, hi)
             fates, self.log[start:] = self.log[start:], []
             assert len(fates) == taken  # one `_LoggingDevice` entry per arrival taken
+            admitted = device.syn_accepted - accepted
+            assert admitted in (0, taken)
             for m, fate in enumerate(fates, lo):
                 self.log.append(fate)
                 if fate[3]:  # ingested: it takes the next sequence number
                     seq += 1
                     self.logged(base + m * US // per_rate, ep, origin, src_id, view(m), seq)
+                    seq += admitted > 0
             assert seq == self._seq
             return taken
 
@@ -409,6 +432,115 @@ def coalescing_cases(draw):
 _LONE = (spec(rate=10_000, stop=5_000), 1, 10**6, False)
 
 
+class _HeapDeliveryTransport(Transport):
+    """Reference transport: every SYN takes the per-packet path, and a
+    unicast packet to a device id with no device takes a heap entry, which
+    `deliver` counts undeliverable when it pops; no event is tallied."""
+
+    def fresh_syns(self, *args):
+        return None
+
+    def send(self, packet):
+        dst = packet.dst
+        if isinstance(dst, GroupAddress) or dst.device_id in self.devices:
+            return super().send(packet)
+        sender = self.devices.get(packet.true_origin)
+        if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
+            sender.sender_down += 1
+            return False
+        self.scheduler.at(self.scheduler.now + self.latency_us, self._delivery(packet, dst),
+                          lane=LANE_NET, key=(packet.true_origin, packet.seq))
+        return True
+
+
+def run_tally_case(transport_cls, budget, latency, floods, halfopen, timers, horizons):
+    """Run floods `floods` into plc2, whose half-open table has the
+    (capacity, timeout) `halfopen` and whose UDP socket leaves a same-instant
+    child in the FIFO that sends a packet to a device id with no device,
+    with timers keyed as given, each of which sends some packets there and
+    maybe a SYN to plc2, up to each horizon in turn; return (processed,
+    undeliverable, now) at each horizon and, if the budget runs out, `now`
+    then."""
+    sched = Scheduler(max_events=budget)
+    tr = transport_cls(sched, latency)
+    victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"),
+                                       halfopen_capacity=halfopen[0],
+                                       halfopen_timeout_us=halfopen[1]))
+    sender = tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
+    src = Endpoint("plc1", sender.address, 40001)
+    nowhere = Endpoint("nobody", ip_to_int("10.9.0.1"), 7)
+
+    def fire(ghosts, real):
+        for _ in range(ghosts):
+            tr.send(tr.make_packet(Proto.UDP, src, nowhere, b"", "plc1"))
+        if real:
+            tr.send(tr.make_packet(Proto.TCP_SYN, src, Endpoint("plc2", victim.address, 61500),
+                                   b"", "plc1"))
+
+    tr.bind("plc2", 61499, lambda view: sched.at(sched.now, lambda: fire(1, False)))
+    for t, lane, key, ghosts, real in timers:
+        sched.at(t, lambda ghosts=ghosts, real=real: fire(ghosts, real), lane=lane, key=key)
+    for n, s in enumerate(floods):
+        schedule_flood(s, tr, sched, ip_to_int("10.0.0.66") + 16 * n)
+    seen = []
+    try:
+        for until in horizons:
+            sched.run_until(until)
+            seen.append((sched.processed, tr.undeliverable, sched.now))
+    except EventBudgetExceeded:
+        return seen, sched.now
+    return seen, victim.counters()
+
+
+@st.composite
+def tally_cases(draw):
+    """A `run_tally_case` case: zero to two SYN or UDP floods, timers on
+    drawn instants (some on flood arrival instants, where they tie) that
+    send to nowhere, horizons and an event budget that may run out
+    anywhere."""
+    latency = draw(st.sampled_from([1, 500]))
+    floods = []
+    for n in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, 3_000))
+        kind = draw(st.sampled_from([AttackKind.SYN_FLOOD] * 2 + [AttackKind.UDP_FLOOD]))
+        port = 61500 if kind is AttackKind.SYN_FLOOD else 61499
+        floods.append(spec(kind=kind, rate=draw(st.integers(2_000, 40_000)),
+                           start=start, stop=start + draw(st.integers(1_000, 10_000)),
+                           count=draw(st.integers(1, 2)),
+                           target=Endpoint("plc2", ip_to_int("192.168.1.2"), port)))
+    arrivals = sorted(t + latency for s in floods for j in range(s.attacker_count)
+                      for t in iter_flood_times(s, j))
+    instant = st.sampled_from(arrivals) if arrivals else st.integers(0, 15_000)
+    timers = draw(st.lists(st.tuples(
+        st.one_of(instant, st.integers(0, 15_000)), st.sampled_from([LANE_FB, LANE_NET]),
+        st.sampled_from([("a", 0), ("plc1", 10**6), ("z", 0)]), st.integers(0, 3), st.booleans()),
+        max_size=8))
+    timers = [(t, lane, key if lane == LANE_NET else "", ghosts, real)
+              for t, lane, key, ghosts, real in timers]
+    horizons = sorted(draw(st.lists(st.one_of(instant, st.integers(0, 15_000)),
+                                    max_size=3))) + [20_000]
+    halfopen = draw(st.sampled_from([(4, 1_000), (16, 5_000), (128, 3 * US)]))
+    events = len(arrivals) * 3 + 4 * len(timers) + 20
+    budget = draw(st.one_of(st.just(10**6), st.integers(1, events)))
+    return budget, latency, floods, halfopen, timers, horizons
+
+
+class TestTalliedDeliveries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tally_cases())
+    # each junk arrival's FIFO child sends to nowhere; the budget runs out on
+    # a child, with the deliveries due by then not yet counted by the pump
+    @example((44, 1, [spec(rate=2_000, stop=7_500)], (4, 1_000),
+              [(1, LANE_FB, "", 0, False), (1, LANE_FB, "", 2, False)], [20_000]))
+    def test_match_one_heap_entry_per_delivery(self, case):
+        """Deliveries to a device id with no device, tallied, leave
+        `processed`, `undeliverable` and `now` at every `run_until` end, and
+        the instant the budget runs out, as one heap entry per delivery
+        does; a SYN flood's admitted SYNs send such deliveries a segment at
+        a time, the reference's one at a time."""
+        assert run_tally_case(Transport, *case) == run_tally_case(_HeapDeliveryTransport, *case)
+
+
 class TestCoalescing:
     @settings(max_examples=150, deadline=None)
     @given(coalescing_cases())
@@ -476,9 +608,9 @@ class _ViewCheckingTransport(Transport):
         return self.checked_span(super().count_only(device, ep, view, origin, base, per_rate),
                                  ep, origin, lambda m: view)
 
-    def refusals(self, device, ep, origin, base, per_rate, source):
+    def fresh_syns(self, device, ep, origin, base, per_rate, source):
         payload = self.streams[origin].spec.payload
-        return self.checked_span(super().refusals(device, ep, origin, base, per_rate, source),
+        return self.checked_span(super().fresh_syns(device, ep, origin, base, per_rate, source),
                                  ep, origin, lambda m: PacketView(Proto.TCP_SYN, *source(m),
                                                                   ep.address, ep.port, payload))
 
@@ -492,12 +624,15 @@ class _ViewCheckingTransport(Transport):
         def checked(lo, hi):
             seq = self._seq
             taken = span(lo, hi)
+            step = (self._seq - seq) // taken if taken else 1  # 2: SYN-ACKs numbered too
             views = self.views.setdefault(origin, [])
             for m in range(lo, lo + taken):
                 seq += 1
                 packet = flood_packet(self.streams[origin], m, seq)
                 assert len(views) == m and packet.dst == ep and view(m) == packet.view()
                 views.append(view(m))
+                seq += step - 1
+            assert seq == self._seq
             self.checked["arrive"] += taken
             return taken
 
@@ -565,8 +700,10 @@ def flood_packet(stream, i, seq):
     """Packet `i` of a flood stream, numbered `seq`, built the per-packet way."""
     src = stream.src
     if stream.syn_rotate:
-        src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (i % 0xFFFE + 1),
-                       1024 + i % 60000)
+        # attacker j of k sends the flood's SYNs j, k + j, 2k + j, ...
+        n = i * stream.spec.attacker_count + src.port - 40000
+        src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (n % 0xFFFE + 1),
+                       1024 + n % 60000)
     return Packet(stream.proto, src, stream.spec.target, stream.spec.payload,
                   send_instant(stream.first, stream.per_rate, i), stream.origin, seq)
 

@@ -5,7 +5,8 @@ shipped scenario, and `fbsecsim sweep` of the shipped sweep scenario, must
 keep writing byte-identical files.  The pins below
 are SHA-256 digests of each output file (None: the run writes no such
 file).  A change that alters any output on purpose re-pins here and says
-why.
+why.  Each run's event count and undeliverable count, which no file holds,
+are pinned too, for the shipped scenarios and the benchmark's.
 """
 
 import hashlib
@@ -14,7 +15,9 @@ import os
 import pytest
 
 from fbsecsim.cli import main
+from fbsecsim.config import parse_scenario_file
 from fbsecsim.data import list_scenarios, scenario_path
+from fbsecsim.scenario import run_scenario
 
 FILES = ("metrics.csv", "alerts.csv", "transitions.csv", "plant.csv", "trace.txt")
 
@@ -92,6 +95,25 @@ SWEEP_ARGS = ("--attack", "flood", "--rates", "10000,100000")
 SWEEP_GOLDEN = "f149b6c737322116654964b1b2f7d3134b0ec1bf8fd93fb00b7af550f2f75a4b"
 
 
+# scenario -> (events processed, undeliverable arrivals) of its run at its own
+# seed; the bench scenarios live in bench/scenarios
+COUNTS = {
+    "baseline": (6_145, 0),
+    "icmp_collapse": (1_001_526, 0),
+    "icmp_low": (1_828, 0),
+    "spoof_blocked": (898, 0),
+    "spoof_logonly": (900, 0),
+    "spoof_unprotected": (819, 0),
+    "sweep": (100_896, 0),
+    "syn_flood": (4_263, 128),
+    "udp_flood": (12_813, 0),
+    "bench/subscriber_flood": (6_113, 0),
+    "bench/syn_backlog": (5_170, 1_024),
+    "bench/seed_batch": (12_813, 0),
+}
+BENCH_SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "scenarios")
+
+
 def run_digests(name: str, out_dir: str) -> tuple[int, dict[str, str | None]]:
     """Run one shipped scenario through the CLI; return its exit code and file digests."""
     code = main(["run", scenario_path(name), "--out", out_dir])
@@ -126,3 +148,16 @@ def test_sweep_matches_golden(tmp_path, capsys):
     assert code == 0
     with open(out_dir / "sweep.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_GOLDEN
+
+
+def test_every_shipped_scenario_has_its_counts_pinned():
+    assert sorted(n for n in COUNTS if "/" not in n) == list_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_whole_run_counts(name):
+    path = (os.path.join(BENCH_SCENARIOS, name.removeprefix("bench/") + ".scenario")
+            if name.startswith("bench/") else scenario_path(name))
+    result = run_scenario(parse_scenario_file(path), record_trace=False)
+    assert (result.networks["plc1"].scheduler.processed,
+            result.report.undeliverable) == COUNTS[name]

@@ -16,11 +16,18 @@ from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
-from fbsecsim.fbnet import FBNetwork, Scheduler
+from fbsecsim.fbnet import LANE_NET, FBNetwork, Scheduler
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
-from fbsecsim.transport import DeviceModel, DeviceState, Endpoint, Packet, Transport
+from fbsecsim.transport import (
+    DeviceModel,
+    DeviceState,
+    Endpoint,
+    GroupAddress,
+    Packet,
+    Transport,
+)
 
 
 FLAG = tuple(idps.FLAG.rsplit(".", 1))  # the IDPS blocks' attack flag A
@@ -504,9 +511,9 @@ def packets_change_nothing(cfg, record_trace):
     """Assert a run writes what its reference run writes: there every
     ingested arrival reaches `arrive` with a `Packet`, one a pump that builds
     a packet per arrival would have built, and each origin's arrivals are
-    handed to a no-op delivery watcher, so no flood is counted without its
-    packets.  Returns how many packets the reference built for arrivals
-    that had none."""
+    handed to a no-op delivery watcher, and no segment answer is asked, so
+    no flood is counted without its packets.  Returns how many packets the
+    reference built for arrivals that had none."""
     arrive = Transport.arrive
     built = 0
 
@@ -522,7 +529,8 @@ def packets_change_nothing(cfg, record_trace):
 
     got = run_files(cfg, record_trace)[0]
     with mock.patch.object(Transport, "arrive", with_packet), \
-            mock.patch.object(Transport, "count_only", lambda *args: None):
+            mock.patch.object(Transport, "count_only", lambda *args: None), \
+            mock.patch.object(Transport, "fresh_syns", lambda *args: None):
         want = run_files(cfg, record_trace)[0]
     assert_same_files(got, want)
     return built
@@ -605,7 +613,7 @@ def merged_floods_change_nothing(cfg):
     with mock.patch.object(Scheduler, "inline_bound", lambda sched: (-1, 0)), \
             mock.patch.object(Scheduler, "run_ready", lambda sched: None), \
             mock.patch.object(Transport, "count_only", lambda *args: None), \
-            mock.patch.object(Transport, "refusals", lambda *args: None):
+            mock.patch.object(Transport, "fresh_syns", lambda *args: None):
         want = run_files(cfg, True)[0]
     assert_same_files(traced, want)
     del want["trace.txt"]
@@ -684,16 +692,38 @@ def run_with_tables(cfg, record_trace):
     return files, tables
 
 
-def refused_syns_change_nothing(cfg, record_trace):
+_send = Transport.send
+
+
+def send_with_heap_entries(tr, packet):
+    """`Transport.send` as it was before tallied events: a unicast packet to
+    a device id with no device takes a heap entry, and `deliver` counts it
+    undeliverable when it pops."""
+    dst = packet.dst
+    if isinstance(dst, GroupAddress) or dst.device_id in tr.devices:
+        return _send(tr, packet)
+    sender = tr.devices.get(packet.true_origin)
+    if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
+        sender.sender_down += 1
+        return False
+    if tr.on_send is not None:
+        tr.on_send(packet)
+    tr.scheduler.at(tr.scheduler.now + tr.latency_us, lambda: tr.deliver(packet, dst),
+                    lane=LANE_NET, key=(packet.true_origin, packet.seq))
+    return True
+
+
+def fresh_syns_change_nothing(cfg, record_trace):
     """Assert `cfg` writes what its reference run writes, where every SYN
-    takes the per-packet path (`Transport.refusals` answers None), and ends
-    with the same rate tables, or raises the same error; return how many
-    SYNs the run took in segments."""
+    takes the per-packet path (`Transport.fresh_syns` answers None) and
+    every SYN-ACK to a spoofed source takes a heap entry, and ends with the
+    same rate tables, or raises the same error; return how many SYNs the
+    run took in segments."""
     taken = 0
-    refusals = Transport.refusals
+    fresh_syns = Transport.fresh_syns
 
     def counted(tr, *args):
-        span = refusals(tr, *args)
+        span = fresh_syns(tr, *args)
 
         def counted_span(lo, hi):
             nonlocal taken
@@ -703,9 +733,10 @@ def refused_syns_change_nothing(cfg, record_trace):
 
         return None if span is None else counted_span
 
-    with mock.patch.object(Transport, "refusals", counted):
+    with mock.patch.object(Transport, "fresh_syns", counted):
         got = run_with_tables(cfg, record_trace)
-    with mock.patch.object(Transport, "refusals", lambda *args: None):
+    with mock.patch.object(Transport, "fresh_syns", lambda *args: None), \
+            mock.patch.object(Transport, "send", send_with_heap_entries):
         want = run_with_tables(cfg, record_trace)
     if isinstance(want, str):
         assert got == want
@@ -752,27 +783,62 @@ def syn_flood_cases(draw):
                                attacks=attacks, tcp_probe=probe, event_budget=budget)
 
 
+def syn_backlog(**changes):
+    """The `syn_backlog` bench config, with `changes` to its run; with
+    `stop_s`, its flood stops then: at 0.22048 s, once its 1024 SYNs have
+    filled the table, so only their SYN-ACKs remain."""
+    cfg = parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario"))
+    if "stop_s" in changes:
+        cfg = dataclasses.replace(cfg, attacks=[
+            dataclasses.replace(cfg.attacks[0], stop_s=changes.pop("stop_s"))])
+    return dataclasses.replace(cfg, **changes)
+
+
 class TestRefusedSyns:
-    """The SYNs a full half-open table refuses run as segments, ingested,
-    inspected, observed and refused a stretch at a time; the reference run
-    takes each one through `DeviceModel.ingest`, `IdpsEngine.inspect`,
-    `TruthOracle.observe` and `HalfOpenTable.syn`.  Both write the same
-    bytes and end with the same rate tables."""
+    """The SYNs from new sources that a half-open table admits or, full,
+    refuses run as segments, ingested, inspected, observed and admitted or
+    refused a stretch at a time, and the SYN-ACKs of the admitted ones
+    are tallied events; the reference run takes each SYN through
+    `DeviceModel.ingest`, `IdpsEngine.inspect`, `TruthOracle.observe` and
+    `HalfOpenTable.syn`, and each SYN-ACK through a heap entry.  Both
+    write the same bytes and end with the same rate tables, or raise the
+    same error."""
 
     @pytest.mark.parametrize("record_trace", [True, False])
-    @pytest.mark.parametrize("cfg", [
-        parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario")),
-        load("syn_flood")], ids=["syn_backlog", "syn_flood"])
+    @pytest.mark.parametrize("cfg", [syn_backlog(), load("syn_flood")],
+                             ids=["syn_backlog", "syn_flood"])
     def test_syn_configs_match_the_reference(self, cfg, record_trace):
-        assert refused_syns_change_nothing(cfg, record_trace) > 2_000
+        assert fresh_syns_change_nothing(cfg, record_trace) > 2_000
 
     @pytest.mark.parametrize("budget", [4_000, 4_700])
     def test_a_budget_that_runs_out_mid_flood_raises_as_the_reference(self, budget):
-        cfg = parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario"))
-        assert refused_syns_change_nothing(
-            dataclasses.replace(cfg, event_budget=budget), False) > 0
+        assert fresh_syns_change_nothing(syn_backlog(event_budget=budget), False) > 0
+
+    @pytest.mark.parametrize("budget", [1_100, 1_600, 2_040])
+    def test_a_budget_that_runs_out_while_the_table_fills_raises_as_the_reference(self, budget):
+        assert fresh_syns_change_nothing(
+            syn_backlog(stop_s=0.22048, event_budget=budget), False) > 0
+
+    @pytest.mark.parametrize("budget, t", [(2_058, 221_040), (2_070, 221_280), (2_079, 221_460)])
+    def test_a_budget_that_runs_out_on_a_tail_syn_ack_raises_as_the_reference(self, budget, t):
+        """The last SYN arrives at 220960 us; only SYN-ACKs fall due in the
+        next 500 us, and the budget runs out on one of them."""
+        cfg = syn_backlog(stop_s=0.22048, event_budget=budget)
+        assert fresh_syns_change_nothing(cfg, False) > 0
+        assert f"more than {budget} events by t={t}us" in run_with_tables(cfg, False)
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_a_run_that_ends_before_the_last_syn_acks_fall_due(self, record_trace):
+        """The run ends 9.6 ms into the table's filling, so the SYN-ACKs of
+        the 25 SYNs that arrived in its last latency never fall due (one
+        more admitted SYN is the probe's, whose SYN-ACK is delivered)."""
+        cfg = syn_backlog(duration_s=0.2101)
+        assert fresh_syns_change_nothing(cfg, record_trace) > 400
+        result = run_scenario(cfg, record_trace=record_trace)
+        assert (result.report.devices["plc2"]["syn_accepted"], result.report.undeliverable,
+                len(result.networks["plc1"].scheduler.tally)) == (482, 456, 25)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(syn_flood_cases(), st.booleans())
     def test_drawn_syn_floods_match_the_reference(self, cfg, record_trace):
-        refused_syns_change_nothing(cfg, record_trace)
+        fresh_syns_change_nothing(cfg, record_trace)

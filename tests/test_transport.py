@@ -355,14 +355,16 @@ def refusal_cases(draw):
     earlier = st.integers(0, t_lo)
     halfopen = draw(st.integers(1, 6))
     timeout = draw(st.sampled_from([1_000, 5_000, 50_000, 3 * US]))
+    free = draw(st.sampled_from([0, 0, 0, 1, 2, halfopen]))
     params = dict(
         capacity=draw(st.integers(1, 100)), critical_rate=draw(st.integers(2, 150)),
         window=sorted(draw(st.lists(earlier, max_size=40))),
-        halfopen=halfopen, timeout=timeout,
-        # mostly a full table, whose front entry may expire inside the range
+        halfopen=halfopen, timeout=timeout, latency=draw(st.sampled_from([100, 500, 20_000])),
+        # often a full table, whose front entry may expire inside the range
         entries=sorted(draw(st.lists(st.integers(t_lo - timeout - 2_000, t_lo),
-                                     min_size=halfopen - draw(st.sampled_from([0, 0, 0, 1])),
-                                     max_size=halfopen))),
+                                     min_size=max(0, halfopen - free), max_size=halfopen))),
+        # arrivals whose claimed source holds one of those entries
+        held=draw(st.lists(st.integers(lo, hi), max_size=2)),
         rules=draw(st.sampled_from([None, *_SYN_RULESETS[:1] * 3, *_SYN_RULESETS])),
         inspection_capacity=draw(st.integers(1, 60)),
         inspected=sorted(draw(st.lists(earlier, max_size=40))),
@@ -371,19 +373,23 @@ def refusal_cases(draw):
         seen=draw(st.lists(st.tuples(st.integers(lo, hi), st.sampled_from(["e", "o", "eo"]),
                                      earlier), max_size=6)),
         hook=draw(st.sampled_from(["recorder", "recorder", None, "other"])),
-        watched=draw(st.sampled_from([False] * 5 + [True])))
+        send_hook=draw(st.sampled_from(["recorder", None, None, "other"])),
+        watched=draw(st.sampled_from([False] * 5 + [True])),
+        ghost_device=draw(st.sampled_from([False] * 9 + [True])))
     return params, base, per_rate, lo, hi
 
 
 def _refusal_transport(p):
-    tr, sched = make_transport()
+    tr, sched = make_transport(p["latency"])
     dev = tr.add_device(plain_device(capacity=p["capacity"], critical_rate=p["critical_rate"],
                                      halfopen_capacity=p["halfopen"],
                                      halfopen_timeout_us=p["timeout"]))
     for t in p["window"]:
         dev.ingest(t)
+    held = [syn_source(0x0A000000, m) for m in p["held"]]
     for k, t in enumerate(p["entries"]):
-        dev.halfopen.syn(ip_to_int("192.168.1.30"), 50_000 + k, 61500, t)
+        address, port = held[k] if k < len(held) else (ip_to_int("192.168.1.30"), 50_000 + k)
+        dev.halfopen.syn(address, port, 61500, t)
     engine = recorder = None
     if p["rules"] is not None:
         rules = parse_rules(p["rules"])
@@ -407,13 +413,20 @@ def _refusal_transport(p):
             tr.on_presented, tr.recorder = recorder.on_presented, recorder
         elif p["hook"] == "other":
             tr.on_presented = lambda *args: None
+    if p["send_hook"] == "recorder" and recorder is not None:
+        tr.on_send, tr.recorder = recorder.on_send, recorder
+    elif p["send_hook"] == "other":
+        tr.on_send = lambda packet: None
     if p["watched"]:
         tr.watch_delivery("attacker1", lambda packet, now: None)
+    if p["ghost_device"]:
+        tr.add_device(plain_device(GHOST_ID, "10.0.0.1"))
     return tr, sched, dev, engine, recorder
 
 
 def _refusal_state(tr, dev, engine, recorder):
-    state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq]
+    state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq,
+             list(tr.scheduler.tally)]
     if engine is not None:
         state += [engine.presented, engine.inspected, engine.dropped_by_engine, engine.alerts,
                   list(engine._inspected_times), dict(engine.rate_counters),
@@ -422,31 +435,42 @@ def _refusal_state(tr, dev, engine, recorder):
     return state
 
 
-def _keys_seen_case(seen):
-    """Ten SYNs at 1000/s at a table one SYN fills, with an engine of room
-    for them all, and the keys `seen` counted before."""
-    return (dict(capacity=100, critical_rate=150, window=[], halfopen=1, timeout=3 * US,
-                 entries=[US], rules=_SYN_RULESETS[0], inspection_capacity=60, inspected=[],
-                 sweep_at=None, seen=seen, hook="recorder", watched=False),
+def _keys_seen_case(seen, halfopen=1, held=()):
+    """Ten SYNs at 1000/s at a table with `halfopen` slots that one SYN
+    fills, or none if its source is `held` (an arrival), with an engine of
+    room for them all, a latency of 20 ms and the keys `seen` counted
+    before."""
+    return (dict(capacity=100, critical_rate=150, window=[], halfopen=halfopen, timeout=3 * US,
+                 latency=20_000, entries=[US], held=list(held), rules=_SYN_RULESETS[0],
+                 inspection_capacity=60, inspected=[], sweep_at=None, seen=seen,
+                 hook="recorder", send_hook="recorder", watched=False, ghost_device=False),
             1_200_000, 1_000, 0, 10)
 
 
 class TestRefusals:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(refusal_cases())
     # a key only the oracle holds, then one only the engine holds, and the
     # other way round: either stops the segment
     @example(_keys_seen_case([(3, "o", 1_100_000), (6, "e", 1_100_000)]))
     @example(_keys_seen_case([(3, "e", 1_100_000), (6, "o", 1_100_000)]))
+    # the same with room in the table, so the SYNs are admitted
+    @example(_keys_seen_case([(3, "o", 1_100_000), (6, "e", 1_100_000)], halfopen=20))
+    @example(_keys_seen_case([(3, "e", 1_100_000), (6, "o", 1_100_000)], halfopen=20))
+    # the table holds arrival 4's source: it stops a segment of admitted SYNs
+    @example(_keys_seen_case([], halfopen=20, held=[4]))
     def test_a_segment_is_its_arrivals_one_at_a_time(self, case):
-        """The SYNs `Transport.refusals` takes in one call leave the device,
-        the half-open table, the engine, the recorder and the oracle as the
-        per-packet path leaves them, and that path ingests each under
-        capacity, inspects and passes it, and refuses it.  Earlier traffic
-        may have left the device near capacity or collapse, the table full
-        with entries about to expire, the engine near saturation, the keys
-        of some of the stream's sources in either rate table, and both
-        tables due to sweep."""
+        """The SYNs `Transport.fresh_syns` takes in one call leave the
+        device, the half-open table, the sequence numbers, the tallied
+        SYN-ACKs, the engine, the recorder and the oracle as the per-packet
+        path leaves them, and that path ingests each under capacity,
+        inspects and passes it, and either refuses all of them or admits
+        all of them, each before the first one's SYN-ACK falls due.
+        Earlier traffic may have left the device near capacity or collapse,
+        the table full with entries about to expire or holding some of the
+        stream's sources, the engine near saturation, the keys of some of
+        the stream's sources in either rate table, and both tables due to
+        sweep."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
             mp.setattr(metrics, "_SWEEP_MIN", 0)
@@ -460,11 +484,13 @@ class TestRefusals:
             return  # the pump accounts the flood's remainder in bulk
         ep = Endpoint("plc2", dev.address, 61500)
         source = partial(syn_source, 0x0A000000)
-        span = tr.refusals(dev, ep, "attacker1", base, per_rate, source)
-        assert (span is None) is (len(dev.halfopen.entries) < p["halfopen"] or p["watched"] or (
-            engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))
+        span = tr.fresh_syns(dev, ep, "attacker1", base, per_rate, source)
+        assert (span is None) is (
+            p["watched"] or p["ghost_device"] or p["send_hook"] == "other" or (
+                engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))
         taken = 0 if span is None else span(lo, hi)
         assert 0 <= taken <= hi - lo
+        admitted = dev.syn_accepted
 
         def per_packet(tr, dev, m):
             now = tr.scheduler.now = base + m * US // per_rate
@@ -474,13 +500,18 @@ class TestRefusals:
                           PacketView(Proto.TCP_SYN, *source(m), ep.address, ep.port, b""), ep, now)
 
         for m in range(lo, lo + taken):
-            refused = ref_dev.syn_refused
+            fates = ref_dev.syn_accepted, ref_dev.syn_refused
             inspected, alerts = (ref_engine.inspected, len(ref_engine.alerts)) if ref_engine else (0, 0)
             per_packet(ref_tr, ref_dev, m)
             assert ref_dev.ingested == dev.ingested - (lo + taken - 1 - m)
-            assert ref_dev.window._total <= ref_dev.capacity and ref_dev.syn_refused == refused + 1
+            assert ref_dev.window._total <= ref_dev.capacity
+            assert (ref_dev.syn_accepted, ref_dev.syn_refused) == (
+                (fates[0] + 1, fates[1]) if admitted else (fates[0], fates[1] + 1))
             if ref_engine is not None:
                 assert ref_engine.inspected == inspected + 1 and len(ref_engine.alerts) == alerts
+        if taken and admitted:
+            # no SYN-ACK of the segment falls due before its last arrival has run
+            assert sched.tally[-taken] > base + (lo + taken - 1) * US // per_rate
         if lo + taken < hi:  # the arrival the segment left takes the per-packet path
             per_packet(tr, dev, lo + taken)
             per_packet(ref_tr, ref_dev, lo + taken)
@@ -539,6 +570,12 @@ class TestSlidingWindow:
             assert [bucket for bucket, _ in window._buckets] == sorted(set(live))
 
 
+def live(table, now):
+    """Entries still live at `now`, once the stale ones expire."""
+    table._evict(now)
+    return len(table.entries)
+
+
 class TestHalfOpen:
     def test_tipping_point_is_exact(self):
         """With the table full of live entries, acceptance probability is 0."""
@@ -552,7 +589,7 @@ class TestHalfOpen:
         table = HalfOpenTable(capacity=4, timeout_us=3 * US)
         assert table.syn(7, 1234, 80, now=0)
         assert table.ack(7, 1234, 80)
-        assert table.live(now=1) == 0
+        assert live(table, 1) == 0
 
     def test_expired_slot_reclaimed(self):
         table = HalfOpenTable(capacity=1, timeout_us=3 * US)
@@ -567,10 +604,10 @@ class TestHalfOpen:
         assert table.syn(1, 1, 80, now=0)
         assert table.syn(2, 1, 80, now=2)
         assert table.syn(1, 1, 80, now=5)           # refresh: expires at 15, not 10
-        assert table.live(now=10) == 2
-        assert table.live(now=12) == 1              # the entry opened at 2 is gone
+        assert live(table, 10) == 2
+        assert live(table, 12) == 1              # the entry opened at 2 is gone
         assert dict(table.entries) == {(1, 1, 80): 5}
-        assert table.live(now=15) == 0
+        assert live(table, 15) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(capacity=st.integers(1, 6), timeout=st.integers(1, 10),
@@ -594,7 +631,7 @@ class TestHalfOpen:
             elif op == "ack":
                 assert table.ack(*key) == model.ack(*key)
             else:
-                assert table.live(now) == model.live(now)
+                assert live(table, now) == model.live(now)
             assert dict(table.entries) == model.entries
             times = list(table.entries.values())
             assert times == sorted(times)
