@@ -16,7 +16,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import (
     BehaviorFault,
@@ -81,11 +81,14 @@ class Scheduler:
     first, then the FIFO, then everything else, in the sorted order.
     While the FIFO holds entries nothing runs inline (`inline_bound`).
 
-    `tally` holds the due times, in non-decreasing order, of events whose
-    whole effect is to be counted: as the run passes a due time, the event
-    counts in `processed` and in `tallied`, and may trip the budget there.
-    Only the time of the event that trips it shows, so such an event needs
-    no place among those due at the same instant, and no heap entry.
+    A tallied event (`tally`) is one whose whole effect is to be counted:
+    once the run has passed its due time, it counts in `processed` and in
+    `tallied`, and the budget may run out on it, at its own time.  Only
+    the time of the event that exhausts the budget shows, so a tallied
+    event needs no place among those due at the same instant, and no heap
+    entry: `tallies` queues the due times, and the budget check compares
+    `processed` with `max_events` less the tallied events queued, so it
+    costs nothing more until the budget is nearly spent.
     """
 
     def __init__(self, max_events: int = 100_000_000):
@@ -94,10 +97,11 @@ class Scheduler:
         self._seq = 0
         self.now = 0
         self.processed = 0
-        self.max_events = max_events
+        self.max_events = max_events  # fixed once made: `_limit` follows it
         self._until = -1  # horizon of the run_until in progress; -1 outside one
-        self.tally: deque[int] = deque()
-        self.tallied = 0  # tallied events run so far
+        self.tallies: deque[int] = deque()  # due times of tallied events not yet counted
+        self.tallied = 0  # tallied events counted so far
+        self._limit = max_events  # max_events less the tallied events queued
 
     def at(self, time: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
         if time <= self.now:
@@ -138,7 +142,7 @@ class Scheduler:
         past the budget is `at`-ed, so it pops in order and its pop trips
         the budget.  The FIFO is never drained here: an entry on LANE_FB
         may still `at` more of its own, which must queue behind it."""
-        left = self.max_events - self.processed - len(self.tally)
+        left = self._limit - self.processed
         if self.ready:
             return self.now - 1, left
         last = self._until
@@ -149,29 +153,43 @@ class Scheduler:
                 last = head - 1
         return last, left
 
+    def tally(self, times: Iterable[int]) -> None:
+        """Queue tallied events due at `times`: in order, and none before
+        `now` or the last one queued."""
+        self._count_tally(self.now)  # the queue keeps only those still to come
+        self.tallies.extend(times)
+        self._limit = self.max_events - len(self.tallies)
+
     def _count_tally(self, time: int) -> None:
-        """Run every tallied event due at or before `time`."""
-        tally = self.tally
-        while tally and tally[0] <= time:
-            due = tally.popleft()
+        """Count every tallied event due at or before `time`."""
+        tallies = self.tallies
+        while tallies and tallies[0] <= time:
+            due = tallies.popleft()
             self.processed += 1
             if self.processed > self.max_events:
                 self.now = due
                 raise EventBudgetExceeded(f"more than {self.max_events} events processed")
             self.tallied += 1
+        self._limit = self.max_events - len(tallies)
+
+    def _over_limit(self) -> None:
+        """`processed`, which has just counted the event at `now`, passed
+        `max_events` less the tallied events queued: count those due by now
+        before it, and raise if the budget is spent."""
+        self.processed -= 1
+        self._count_tally(self.now)
+        self.processed += 1
+        if self.processed > self.max_events:
+            raise EventBudgetExceeded(f"more than {self.max_events} events processed")
 
     def run_until(self, until: int) -> None:
         """Process queued entries in order until the queue drains or time passes `until`."""
         if until < self.now:
             raise ValueError("until precedes current virtual time")
-        heap, ready, tally = self._heap, self.ready, self.tally
+        heap, ready = self._heap, self.ready
         self._until = until
         try:
             while True:
-                if tally:  # count what falls due before the next entry
-                    t = self.now if ready else heap[0][0] if heap and heap[0][0] < until else until
-                    if tally[0] <= t:
-                        self._count_tally(t)
                 if ready:
                     head = heap[0] if heap else None
                     if (head is not None and head[0] == self.now and head[1] == LANE_FB
@@ -186,11 +204,12 @@ class Scheduler:
                 else:
                     break
                 self.processed += 1
-                if self.processed > self.max_events:
-                    raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+                if self.processed > self._limit:
+                    self._over_limit()
                 fn()
         finally:
             self._until = -1
+        self._count_tally(until)
         self.now = until
 
     def run_ready(self) -> None:
@@ -199,16 +218,14 @@ class Scheduler:
         successors inline: entries it left in the FIFO would run next in
         any case."""
         ready = self.ready
-        if ready and self.tally:
-            self._count_tally(self.now)
         while ready:
             self.processed += 1
-            if self.processed > self.max_events:
-                raise EventBudgetExceeded(f"more than {self.max_events} events processed")
+            if self.processed > self._limit:
+                self._over_limit()
             ready.popleft()()
 
     def pending(self) -> int:
-        return len(self._heap) + len(self.ready) + len(self.tally)
+        return len(self._heap) + len(self.ready) + len(self.tallies)
 
 
 class Trace:

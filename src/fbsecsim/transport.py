@@ -422,7 +422,7 @@ class Transport:
         elif dst.device_id in self.devices:
             self.scheduler.at(when, self._delivery(packet, dst), lane=LANE_NET, key=key)
         else:
-            self.scheduler.tally.append(when)
+            self.scheduler.tally((when,))
         return True
 
     def _delivery(self, packet: Packet, ep: Endpoint,
@@ -576,7 +576,7 @@ class Transport:
                 table._evict(times[-1])
                 device.syn_accepted += n
                 self._seq += 2 * n  # each arrival's, then its SYN-ACK's
-                tally.extend(opened + latency for opened in times)
+                tally([opened + latency for opened in times])
             else:
                 device.syn_refused += n
                 self._seq += n

@@ -256,7 +256,7 @@ class _HeapOnlyScheduler(Scheduler):
 def events_by(scheduler, now):
     """Events run so far, with the tallied ones due by `now` that an inline
     run has passed but not yet counted."""
-    return scheduler.processed + sum(due <= now for due in scheduler.tally)
+    return scheduler.processed + sum(due <= now for due in scheduler.tallies)
 
 
 class _LoggingDevice(DeviceModel):

@@ -836,7 +836,7 @@ class TestRefusedSyns:
         assert fresh_syns_change_nothing(cfg, record_trace) > 400
         result = run_scenario(cfg, record_trace=record_trace)
         assert (result.report.devices["plc2"]["syn_accepted"], result.report.undeliverable,
-                len(result.networks["plc1"].scheduler.tally)) == (482, 456, 25)
+                len(result.networks["plc1"].scheduler.tallies)) == (482, 456, 25)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(syn_flood_cases(), st.booleans())

@@ -379,8 +379,22 @@ def refusal_cases(draw):
     return params, base, per_rate, lo, hi
 
 
+class _TallyLoggingScheduler(Scheduler):
+    """Logs the due time of every tallied event queued, counted or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.tally_log = []
+
+    def tally(self, times):
+        times = list(times)
+        self.tally_log += times
+        super().tally(times)
+
+
 def _refusal_transport(p):
-    tr, sched = make_transport(p["latency"])
+    sched = _TallyLoggingScheduler()
+    tr = Transport(sched, latency_us=p["latency"])
     dev = tr.add_device(plain_device(capacity=p["capacity"], critical_rate=p["critical_rate"],
                                      halfopen_capacity=p["halfopen"],
                                      halfopen_timeout_us=p["timeout"]))
@@ -426,7 +440,7 @@ def _refusal_transport(p):
 
 def _refusal_state(tr, dev, engine, recorder):
     state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq,
-             list(tr.scheduler.tally)]
+             tr.scheduler.tally_log]
     if engine is not None:
         state += [engine.presented, engine.inspected, engine.dropped_by_engine, engine.alerts,
                   list(engine._inspected_times), dict(engine.rate_counters),
@@ -511,7 +525,7 @@ class TestRefusals:
                 assert ref_engine.inspected == inspected + 1 and len(ref_engine.alerts) == alerts
         if taken and admitted:
             # no SYN-ACK of the segment falls due before its last arrival has run
-            assert sched.tally[-taken] > base + (lo + taken - 1) * US // per_rate
+            assert sched.tally_log[-taken] > base + (lo + taken - 1) * US // per_rate
         if lo + taken < hi:  # the arrival the segment left takes the per-packet path
             per_packet(tr, dev, lo + taken)
             per_packet(ref_tr, ref_dev, lo + taken)
