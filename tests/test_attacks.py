@@ -448,6 +448,8 @@ class _HeapDeliveryTransport(Transport):
         if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
             sender.sender_down += 1
             return False
+        if self.on_send is not None:
+            self.on_send(packet)
         self.scheduler.at(self.scheduler.now + self.latency_us, self._delivery(packet, dst),
                           lane=LANE_NET, key=(packet.true_origin, packet.seq))
         return True
@@ -737,7 +739,7 @@ class _DeliverEveryPacketPump:
 
 
 # plc2's half-open table: the default, or small enough to fill and expire
-# while a drawn SYN flood runs, so its refused SYNs run as segments
+# while a drawn SYN flood runs, so its admitted and refused SYNs run as segments
 _HALFOPEN = st.sampled_from([(128, 3 * US), (4, 1_000), (16, 5_000)])
 
 _CASE_RULES = parse_rules(
@@ -883,10 +885,10 @@ def merged_stream_cases(draw):
 class TestMergedStreams:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(merged_stream_cases())
-    # a SYN stream, then two more that overlap it and repeat its claimed
-    # sources, against a small table that fills and expires: refused SYNs run
-    # as segments between the ones it admits and the ones whose keys another
-    # stream has counted
+    # a SYN stream, then two more that overlap it and repeat some of its
+    # claimed sources, against a small table that fills and expires: SYNs
+    # run as segments, admitted or refused, between the ones whose keys
+    # another stream has counted or the table holds
     @example(([AttackSpec(name=f"flood{n}", kind=AttackKind.SYN_FLOOD, attacker_id="attacker1",
                           target=Endpoint("plc2", ip_to_int("192.168.1.2"), 61499),
                           rate=20_000, start=3_000 * n, stop=3_000 * n + 4_000,

@@ -5,8 +5,8 @@ shipped scenario, and `fbsecsim sweep` of the shipped sweep scenario, must
 keep writing byte-identical files.  The pins below
 are SHA-256 digests of each output file (None: the run writes no such
 file).  A change that alters any output on purpose re-pins here and says
-why.  Each run's event count and undeliverable count, which no file holds,
-are pinned too, for the shipped scenarios and the benchmark's.
+why.  Each run's event count, which no file holds, and its undeliverable
+count are pinned too, for the shipped scenarios and the benchmark's.
 """
 
 import hashlib
