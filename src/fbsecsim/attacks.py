@@ -3,31 +3,20 @@
 Floods are perfectly periodic: packet n of an aggregate-rate-r flood is
 due at start + floor(n * 1e6 / r) microseconds, and k attackers split the
 stream round-robin with evenly spaced phase offsets, so every count in the
-acceptance math is exact.  Generators are lazily chained through the
-scheduler: one pump per run holds every attacker's stream and keeps one
-live event for them all, and once a unicast target goes unresponsive the
-remainder is accounted in bulk since nothing else could observe it.
-
-The pump runs each arrival due before anything else inline, in one loop
-(`_FloodPump._pump`), whichever stream it belongs to; what an arrival's
-fan-out leaves for the same instant runs in between
-(`Scheduler.run_ready`).  Nothing else can run meanwhile, so an ingested
-arrival whose whole fate is a counter update is only counted: a junk UDP
-or an ICMP arrival that no engine inspects, or a SYN from a new source
-that the engine passes and the half-open table refuses or admits, whose
-SYN-ACK to its spoofed source is a tallied event (`Scheduler.tally`).
-Such arrivals go to the device a stretch of one stream at a time: one
-scheduler bound and one device call each, which works the stretch out
-one 1 ms window bucket at a time.  Every arrival is still ingested and
-counted as an event.
+acceptance math is exact.  One pump per run holds every attacker's stream
+and keeps one live event for them all (`_FloodPump`); once a unicast
+target goes unresponsive the remainder is accounted in bulk since nothing
+else could observe it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
+from itertools import chain
 
 from .fbnet import LANE_NET, US, Scheduler
 from .transport import (
@@ -97,6 +86,26 @@ def syn_source(ghost_net: int, i: int, k: int = 1, j: int = 0) -> tuple[int, int
     return ghost_net | (n % 0xFFFE + 1), 1024 + n % 60000
 
 
+def syn_sources(ghost_net: int, lo: int, hi: int, k: int = 1, j: int = 0
+                ) -> tuple[Sequence[int], Sequence[int]]:
+    """`syn_source` of SYNs lo..hi-1 (lo <= hi), as their addresses and
+    their ports: a range between wrap points, or a list if one wraps."""
+    n = lo * k + j
+    return (_steps(ghost_net + 1, n % 0xFFFE, 0xFFFE, k, hi - lo),
+            _steps(1024, n % 60000, 60000, k, hi - lo))
+
+
+def _steps(first: int, r: int, mod: int, k: int, count: int) -> Sequence[int]:
+    """first + (r + i * k) % mod for i in 0..count-1."""
+    runs = []
+    while count > 0:
+        take = min(count, (mod - r - 1) // k + 1)  # steps before the residue wraps
+        runs.append(range(first + r, first + r + take * k, k))
+        r = (r + take * k) % mod
+        count -= take
+    return runs[0] if len(runs) == 1 else [*chain.from_iterable(runs)]
+
+
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
     """Attackers have effectively unlimited capacity; they never degrade."""
     dev = DeviceModel(device_id, address, capacity=2**62, critical_rate=2**62)
@@ -135,9 +144,13 @@ class _Stream:
         self.counting = False  # parked while counting: ask when it runs next
         self.armed = False     # its next arrival has the pump's heap entry
         self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
-        # SYN i's claimed (address, port), from the attackers' /16 (`syn_source`)
-        self.source = partial(syn_source, src.address & 0xFFFF0000, k=spec.attacker_count,
-                              j=attacker_index) if self.syn_rotate else None
+        # SYN i's claimed (address, port), from the attackers' /16 (`syn_source`),
+        # and those of SYNs lo..hi-1 (`syn_sources`)
+        self.source = self.sources = None
+        if self.syn_rotate:
+            ghost_net, k = src.address & 0xFFFF0000, spec.attacker_count
+            self.source = partial(syn_source, ghost_net, k=k, j=attacker_index)
+            self.sources = partial(syn_sources, ghost_net, k=k, j=attacker_index)
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
         self.view = None if self.syn_rotate else Packet(
@@ -160,42 +173,27 @@ class _FloodPump:
 
     `parked` queues each stream's next arrival by the key its own heap
     entry would have, (time, origin, i, seq), with the seq the scheduler
-    gave when the stream stopped (`Scheduler.reserve`).  The head always
-    has a scheduler entry (`armed`); the others need none.  `_pump` is the
-    one loop: the popped arrival runs as an event, then each next arrival
-    of its stream due before anything else (before `inline_bound`'s `last`
-    and before the next parked arrival's time) runs inline, and the first
-    that is not parks the stream.  The pump then runs what the fan-out
-    left for this instant (`Scheduler.run_ready`) and goes on with the new
-    head as if it had popped, if that is due before anything else, or
-    arms it.  So interleaved floods run in one call, in the order one heap
-    entry per stream would give.  A unicast target's device ingests each
-    arrival first; an ingested one takes a sequence number and goes to
-    `Transport.arrive` without a `Packet`.  Group floods and targets with
-    no device build one for `Transport.deliver`.
+    gave when the stream stopped (`Scheduler.reserve`); only the head has
+    a scheduler entry (`armed`).  `_pump` runs the popped arrival, then
+    inline each next arrival of any stream that is due before anything
+    else, with what their fan-out leaves for the same instant in between
+    (`Scheduler.run_ready`).  A unicast target's device ingests each
+    arrival first, and an ingested one goes to `Transport.arrive` without
+    a `Packet`; group floods and targets with no device build one for
+    `Transport.deliver`.
 
-    A stream's ingested arrivals whose whole fate is a counter update run
-    as segments: the pump hands the transport an index range of the
-    stream's schedule, and the transport's segment function takes a
-    prefix of it to the device in one call (`DeviceModel.ingest_span`)
-    and accounts it.  Two answers give such a function, and each holds
-    until another event runs.  `Transport.count_only` counts junk UDP and
-    ICMP arrivals; the pump asks it the first time a stream goes on
-    inline, again after its first routed arrival if that found no
-    counter, and as soon as a stream parked while counting (`counting`)
-    runs again, so a flood that other events cut into many runs routes no
-    arrival after its first while the answer stands.
-    `Transport.fresh_syns` takes the SYNs from new sources that the
-    half-open table refuses, being full, or admits; the pump asks it
-    whenever a unicast SYN stream starts to run, and offers each arrival
-    of the stream that is not in a segment to the answer first, so the
-    arrivals a segment leaves (one the engine fails open on, one whose
-    source a table holds) take the per-packet path one at a time.  The
-    SYN-ACKs of admitted SYNs, in a segment or not, are tallied events,
-    which cut no inline run.
-    Every arrival is still ingested and run as an event, so device
-    counters, drop draws, state changes, collapse, `now`, `processed` and
-    the event budget end as they would one arrival at a time.
+    Arrivals whose whole fate is a counter update run as segments: the
+    pump hands a segment function an index range of a stream, and the
+    function takes a prefix of it in one call.  `Transport.count_only`
+    gives one for junk UDP and ICMP arrivals, asked the first time a
+    stream goes on inline, after its first routed arrival if that found
+    no counter, and as soon as a stream parked while counting
+    (`counting`) runs again.  `Transport.fresh_syns` gives one for SYNs
+    from new sources, asked whenever a unicast SYN stream starts to run;
+    an arrival it does not take goes alone.  Every arrival is still
+    ingested and counted as an event, in the order one heap entry per
+    arrival gives (`tests/test_attacks.py::TestCoalescing`,
+    `TestMergedStreams`).
     """
 
     def __init__(self, transport: Transport, scheduler: Scheduler):
@@ -236,7 +234,7 @@ class _FloodPump:
             cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
             if syn_rotate:
                 span = None if dev is None else transport.fresh_syns(
-                    dev, target, origin, base, per_rate, source)
+                    dev, target, origin, base, per_rate, stream.sources)
             elif stream.counting:
                 span = transport.count_only(dev, target, view, origin, base, per_rate)
             else:

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import shlex
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat
 from typing import Callable
 
 from .errors import RuleSyntaxError
 from .fbnet import US, FBInstance, FBNetwork, PortKind, PortSpec
-from .transport import Proto, PacketView, int_to_ip, ip_to_int
+from .transport import Proto, PacketView, first_held, int_to_ip, ip_to_int
 from .values import Bool, Int, Str, Variant
 
 
@@ -271,45 +273,81 @@ _SWEEP_MIN = 1024  # a rate table never sweeps below this many windows
 
 class RateCounters(dict):
     """(rule id, claimed address, claimed port) -> the newest threshold+1
-    hit times, which exceed the rate exactly when all are inside the window.
+    hit times, which exceed the rate exactly when all are inside the window;
+    a key's first hit is its bare timestamp, since one hit never fires.
 
-    A key's first hit is kept as the bare timestamp, and becomes a deque on
-    the second: `parse_rules` rejects N < 1, so one hit never fires.  A
-    flood that rotates its claimed source adds a key per packet, so `add`
-    first drops every key whose newest hit has left its rule's window, once
-    the table has doubled since the last sweep.  That changes no verdict: a
-    window cannot fire while a stale hit is left in it, and after
-    threshold+1 fresh hits it holds just what a new window would.
+    A new key first sweeps out every key whose newest hit has left its
+    rule's window, once the table has doubled since the last sweep, so a
+    flood that rotates its claimed source keeps a bounded table; a window
+    with a stale hit cannot fire, so no verdict changes.  Hit times never
+    go backwards, so no newest hit is older than `floor`, the last scan's
+    time or the oldest key it kept; a sweep while that lies inside the
+    shortest window skips the scan.
     """
 
     # no instance __dict__: `get` stays as fast as a dict's
-    __slots__ = ("sweep_at", "window_us")
+    __slots__ = ("sweep_at", "window_us", "floor")
 
     def __init__(self):
         super().__init__()
         self.sweep_at = _SWEEP_MIN
         self.window_us: dict[str, int] = {}  # rule id -> window length of its keys
+        self.floor = 0
 
-    def add(self, key: tuple, clause: RateClause, now: int) -> None:
-        """Store the first hit of a new key as its bare timestamp."""
-        if len(self) >= self.sweep_at:
-            window_us = self.window_us
+    def _sweep(self, now: int) -> None:
+        window_us = self.window_us
+        if self.floor <= now - min(window_us.values()):
             for k in [k for k, w in self.items()
                       if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
                 del self[k]
-            self.sweep_at = max(_SWEEP_MIN, 2 * len(self))
+            self.floor = min([now, *(w if type(w) is int else w[-1] for w in self.values())])
+        self.sweep_at = max(_SWEEP_MIN, 2 * len(self))
+
+    def add(self, key: tuple, clause: RateClause, now: int) -> None:
+        """Store the first hit of a new key as its bare timestamp."""
         self.window_us[key[0]] = clause.window_us
+        if len(self) >= self.sweep_at:
+            self._sweep(now)
         self[key] = now
 
-
-def unseen(table: dict, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
-    """How many of `sources` (claimed address, port), from the first, have
-    no key in the rate table `table` under any of `rules`."""
-    for n, (address, port) in enumerate(sources):
+    def fill(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+             times: list[int]) -> None:
+        """`add` the first hits of new keys: source i's (addresses[i],
+        ports[i]) under each of `rules` at times[i], for each i of `times`,
+        a stretch at a time between the keys that sweep."""
         for rule in rules:
-            if (rule.id, address, port) in table:
-                return n
-    return len(sources)
+            self.window_us[rule.id] = rule.rate.window_us
+        hits = first_hits(rules, addresses, ports, times)
+        left = len(rules) * len(times)
+        while left:
+            take = min(left, self.sweep_at - len(self))  # keys before the one that sweeps
+            if take > 0:
+                self.update(islice(hits, take))
+                left -= take
+            else:
+                key, now = next(hits)
+                self._sweep(now)
+                self[key] = now
+                left -= 1
+
+
+def first_hits(rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+               times: list[int]) -> Iterator[tuple[tuple, int]]:
+    """(rate key, time) of source i's (addresses[i], ports[i]) hit under
+    each of `rules` in turn at times[i], for each i of `times` in order."""
+    if len(rules) == 1:
+        return zip(zip(repeat(rules[0].id), addresses, ports), times)
+    return zip(chain.from_iterable(zip(*[zip(repeat(r.id), addresses, ports) for r in rules])),
+               chain.from_iterable(zip(*[times] * len(rules))))
+
+
+def unseen(table: dict, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+           n: int) -> int:
+    """How many of the first n sources (addresses[i], ports[i]) come before
+    the first with a key under one of `rules` in the rate table `table`."""
+    for rule in rules:
+        n = first_held(table, zip(repeat(rule.id), addresses, ports), n)
+    return n
 
 
 def rate_hit(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
@@ -402,8 +440,8 @@ class IdpsEngine:
                 return self._verdicts[rule.id]
         return _PASS
 
-    # A segment of arrivals that each pass as the first hit of new keys is
-    # checked with `span_rules`, `room` and `unseen`, then taken by `pass_span`.
+    # A segment of SYNs, each the first hit of new keys, is checked with
+    # `span_rules`, `room` and `unseen`, then taken by `pass_span`.
 
     def span_rules(self, proto: Proto) -> list[Rule] | None:
         """The rules an arrival of `proto` meets, if it passes them all when
@@ -420,23 +458,22 @@ class IdpsEngine:
             times.popleft()
         return self.inspection_capacity - len(times)
 
-    def unseen(self, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
-        return unseen(self.rate_counters, rules, sources)
+    def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+               n: int) -> int:
+        return unseen(self.rate_counters, rules, addresses, ports, n)
 
-    def pass_span(self, rules: list[Rule], sources: list[tuple[int, int]],
+    def pass_span(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
                   times: list[int]) -> None:
-        """`inspect` an arrival from each of `sources` (claimed address, port)
-        at the matching time of `times`, where `span_rules` gave `rules` and
-        `room` and `unseen` allow them all: each is inspected and passes as
-        the first hit of a new key under every rule."""
+        """Count an arrival from each source (addresses[i], ports[i]) at
+        times[i], for each i of `times`, presented and inspected, and fill
+        the rate table with their first hits under `rules`.  Where
+        `span_rules`, `room` and `unseen` allow them, that is what one
+        `inspect` each does (`tests/test_idps.py::TestSpans`)."""
         self.presented += len(times)
         self.inspected += len(times)
         self._inspected_times.extend(times)
         self.room(times[-1])  # expire what the last arrival's inspect would
-        counters = self.rate_counters
-        for (address, port), now in zip(sources, times):
-            for rule in rules:
-                counters.add((rule.id, address, port), rule.rate, now)
+        self.rate_counters.fill(rules, addresses, ports, times)
 
     def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:
         # One string per endpoint per run, shared by the alerts naming it.

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import os
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .errors import SimError
-from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches, unseen
+from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches, first_hits, unseen
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Transport
 from .values import TRUE
@@ -36,13 +38,13 @@ _SWEEP_MIN = 1024  # the window table never sweeps below this many windows
 class TruthOracle:
     """First-match rule evaluation with unlimited inspection capacity.
 
-    The static matcher is the engine's, the windows re-implemented here on
-    purpose: the engine's undercount is checked against bookkeeping it does
-    not share.  A key's first hit is its bare timestamp (one hit never
-    exceeds N >= 1) and becomes a deque of the newest N+1 hits on the
-    second.  A new key first drops every window whose newest hit has left
-    it, once the table has doubled since the last sweep; a window with a
-    stale hit left in it cannot be exceeded, so no verdict changes.
+    The static matcher is the engine's; the windows are re-implemented
+    here on purpose, so the engine's undercount is checked against
+    bookkeeping it does not share.  They follow the engine's rules: a
+    first hit is a bare timestamp, a sweep drops the windows whose newest
+    hit has left them once the table has doubled, and `floor`, a bound
+    under every newest hit, lets a sweep that can drop nothing skip the
+    scan (`idps.RateCounters`).
     """
 
     def __init__(self, rules: list[Rule]):
@@ -50,16 +52,19 @@ class TruthOracle:
         self._static = StaticMatches(rules)
         self.windows: dict = {}
         self.sweep_at = _SWEEP_MIN
+        self.floor = 0
         self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
         self.true_matches = 0
         self.block_matches = 0
 
     def _sweep(self, now: int) -> None:
-        window_us = self._window_us
-        for key in [k for k, w in self.windows.items()
-                    if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
-            del self.windows[key]
-        self.sweep_at = max(_SWEEP_MIN, 2 * len(self.windows))
+        window_us, windows = self._window_us, self.windows
+        if self.floor <= now - min(window_us.values()):
+            for key in [k for k, w in windows.items()
+                        if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
+                del windows[key]
+            self.floor = min([now, *(w if type(w) is int else w[-1] for w in windows.values())])
+        self.sweep_at = max(_SWEEP_MIN, 2 * len(windows))
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
@@ -84,23 +89,31 @@ class TruthOracle:
             return True
         return False
 
-    def unseen(self, rules: list[Rule], sources: list[tuple[int, int]]) -> int:
-        return unseen(self.windows, rules, sources)
+    def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+               n: int) -> int:
+        return unseen(self.windows, rules, addresses, ports, n)
 
-    def observe_span(self, rules: list[Rule], sources: list[tuple[int, int]],
+    def observe_span(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
                      times: list[int]) -> None:
-        """`observe` an arrival from each of `sources` (claimed address, port)
-        at the matching time of `times`, where `rules` are all the rules
-        `StaticMatches` hands back for its protocol, each with a rate
-        clause (`IdpsEngine.span_rules`), and `unseen` allows them all:
-        each is the first hit of a new key under every rule, so none
-        matches."""
+        """Store the first hits of new windows: source i's (addresses[i],
+        ports[i]) under each of `rules` at times[i], for each i of `times`,
+        a stretch at a time between the windows that sweep.  Where `rules`
+        are `IdpsEngine.span_rules` and `unseen` allows the sources, that is
+        what one `observe` each does, none matching
+        (`tests/test_idps.py::TestSpans`)."""
         windows = self.windows
-        for (address, port), now in zip(sources, times):
-            for rule in rules:
-                if len(windows) >= self.sweep_at:
-                    self._sweep(now)
-                windows[(rule.id, address, port)] = now
+        hits = first_hits(rules, addresses, ports, times)
+        left = len(rules) * len(times)
+        while left:
+            take = min(left, self.sweep_at - len(windows))  # windows before the one that sweeps
+            if take > 0:
+                windows.update(islice(hits, take))
+                left -= take
+            else:
+                key, now = next(hits)
+                self._sweep(now)
+                windows[key] = now
+                left -= 1
 
 
 @dataclass
@@ -178,14 +191,14 @@ class Recorder:
             # The engine evaluated a block match and still let it through.
             self.inspected_block_leak += 1
 
-    def presented_span(self, origin: str, rules: list[Rule], sources: list[tuple[int, int]],
-                       times: list[int]) -> None:
-        """`on_presented` for arrivals from `origin` that the engine passed
-        as the first hits of new keys (`IdpsEngine.pass_span`), one from
-        each of `sources` at the matching time of `times`."""
+    def presented_span(self, origin: str, rules: list[Rule], addresses: Sequence[int],
+                       ports: Sequence[int], times: list[int]) -> None:
+        """Count the arrivals from `origin` that the engine passed in bulk
+        (`IdpsEngine.pass_span`) and have the oracle observe them
+        (`TruthOracle.observe_span`): what `on_presented` does for each."""
         if origin in self.attacker_ids:
             self.attack_presented += len(times)
-        self.oracle.observe_span(rules, sources, times)
+        self.oracle.observe_span(rules, addresses, ports, times)
 
     def on_delivered(self, packet: Packet, now: int) -> None:
         """Watches the publisher's deliveries (`Transport.watch_delivery`)."""

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict, deque
+from collections.abc import Container, Iterable, Sequence
 from enum import Enum
+from itertools import compress, count, islice, repeat
 from typing import Callable, NamedTuple
 
 from .fbnet import LANE_NET, US, Scheduler
@@ -42,6 +44,12 @@ def ip_to_int(dotted: str) -> int:
 
 def int_to_ip(value: int) -> str:
     return f"{value >> 24 & 0xFF}.{value >> 16 & 0xFF}.{value >> 8 & 0xFF}.{value & 0xFF}"
+
+
+def first_held(table: Container, keys: Iterable, n: int) -> int:
+    """The index of the first of `keys` that `table` holds, or n if none of
+    the first n is held."""
+    return next(compress(count(), map(table.__contains__, islice(keys, n))), n)
 
 
 class Proto(Enum):
@@ -499,27 +507,22 @@ class Transport:
         return span
 
     def fresh_syns(self, device: DeviceModel, ep: Endpoint, origin: str, base: int,
-                   per_rate: int, source: Callable[[int], tuple[int, int]]
+                   per_rate: int,
+                   sources: Callable[[int, int], tuple[Sequence[int], Sequence[int]]]
                    ) -> Callable[[int, int], int] | None:
         """A segment function for a periodic stream of SYNs from `origin` at
-        `ep`, arrival m due at base + m * US // per_rate from the claimed
-        (address, port) `source(m)` of a `GHOST_ID` source, if such a SYN
-        from a new source can have counter updates, a half-open entry and an
-        undeliverable SYN-ACK as its whole fate, else None: nobody watches
-        `origin`, no device has `GHOST_ID`, packets sent go to no hook but
-        `recorder`'s (which records no SYN-ACK), and either no engine runs
-        on `device` or its rules pass a SYN from a new source
-        (`IdpsEngine.span_rules`) and what it presents goes to no hook but
-        `recorder`'s.  `span(lo, hi)` takes a prefix of arrivals lo..hi-1,
-        each of which the device ingests under capacity and the engine
-        inspects before it saturates as the first hit of keys neither it
-        nor the recorder's oracle holds, and which the half-open table
-        either all refuses, being full, or all admits under keys it does
-        not hold, before the first one's SYN-ACK falls due.  It accounts
-        the prefix as those arrivals one at a time would be, each admitted
-        one's SYN-ACK a tallied event (`send`), and returns its length, 0
-        if arrival lo is not such a SYN.  The answer holds until another
-        event runs."""
+        `ep`, arrival m due at base + m * US // per_rate, whose claimed
+        sources `sources(lo, hi)` gives as (addresses, ports); None if a
+        watcher wants `origin`, a device has `GHOST_ID`, a hook other than
+        `recorder`'s takes sent or presented packets, or the engine's SYN
+        rules are not `IdpsEngine.span_rules`.  `span(lo, hi)` takes the
+        longest prefix of arrivals lo..hi-1 that the device ingests under
+        capacity, the engine inspects as first hits of keys neither rate
+        table holds, and the full half-open table refuses, or the table
+        admits under new keys before the first SYN-ACK falls due; it
+        accounts them in bulk and returns how many.  The answer holds until
+        another event runs.  That is what the SYNs one at a time do:
+        `tests/test_transport.py::TestRefusals::test_a_segment_is_its_arrivals_one_at_a_time`."""
         recorder = self.recorder
         if (origin in self._watched or GHOST_ID in self.devices
                 or self.on_send not in (None, getattr(recorder, "on_send", None))):
@@ -550,33 +553,28 @@ class Transport:
             if n <= 0:
                 return 0
             if free or rules is not None:
-                sources = [source(m) for m in range(lo, lo + n)]
+                addresses, ports = sources(lo, lo + n)
                 if free:  # the table admits a key it holds without a new slot
-                    for k, (address, src_port) in enumerate(sources):
-                        if (address, src_port, port) in entries:
-                            del sources[k:]
-                            break
+                    n = first_held(entries, zip(addresses, ports, repeat(port)), n)
                 if rules is not None:
                     # check both tables first, so the engine and the oracle take the same arrivals
-                    del sources[engine.unseen(rules, sources):]
+                    n = engine.unseen(rules, addresses, ports, n)
                     if recorder is not None:
-                        del sources[recorder.oracle.unseen(rules, sources):]
-                n = len(sources)
+                        n = recorder.oracle.unseen(rules, addresses, ports, n)
                 if n == 0:
                     return 0
                 times = [base + m * US // per_rate for m in range(lo, lo + n)]
             device.ingest_span(base, per_rate, lo, lo + n)
             if rules is not None:
-                engine.pass_span(rules, sources, times)
+                engine.pass_span(rules, addresses, ports, times)
                 if recorder is not None:
-                    recorder.presented_span(origin, rules, sources, times)
+                    recorder.presented_span(origin, rules, addresses, ports, times)
             if free:
-                for (address, src_port), opened in zip(sources, times):
-                    entries[(address, src_port, port)] = opened
+                entries.update(zip(zip(addresses, ports, repeat(port)), times))
                 table._evict(times[-1])
                 device.syn_accepted += n
                 self._seq += 2 * n  # each arrival's, then its SYN-ACK's
-                tally([opened + latency for opened in times])
+                tally(map(latency.__add__, times))
             else:
                 device.syn_refused += n
                 self._seq += n

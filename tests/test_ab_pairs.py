@@ -90,3 +90,17 @@ def test_record_returns_the_workloads_rounds(tmp_path):
     assert ab_pairs.record(path, "seed_batch", first) == [first]
     assert ab_pairs.record(path, "syn_backlog", other) == [other]
     assert ab_pairs.record(path, "seed_batch", second) == [first, second]
+
+
+def test_src_lines_counts_newlines_of_python_files_under_src(tmp_path):
+    """As `find src -name '*.py' | xargs cat | wc -l` counts: every newline
+    of every .py file at any depth under src/, a last line without one not
+    counted, and nothing outside src/ or in other files."""
+    files = {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\ny = 2\n",
+             "src/pkg/sub/b.py": "z = 3\n\nw = 4", "src/pkg/data/rules.txt": "a\nb\n",
+             "tools/c.py": "v = 5\n"}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert ab_pairs.src_lines(str(tmp_path)) == 4

@@ -20,6 +20,8 @@ from fbsecsim.attacks import (
     flood_clock,
     flood_count,
     schedule_flood,
+    syn_source,
+    syn_sources,
 )
 from fbsecsim.config import AttackConfig, ScenarioConfig, validate
 from fbsecsim.csifb import make_subscriber
@@ -165,6 +167,31 @@ class TestCrafting:
             tr, "attacker1", Endpoint("plc1", 1, 2),
             GroupAddress(ip_to_int("239.192.0.2"), 61499), b"\x40")
         assert pkt.payload == b"\x40"
+
+
+@st.composite
+def syn_source_ranges(draw):
+    """(k, j, lo, hi): SYNs lo..hi-1 of attacker j of k, starting near where
+    the flood's SYN numbers wrap the claimed address (every 0xFFFE) or port
+    (every 60000), so the range often crosses that wrap point."""
+    k = draw(st.integers(1, 3))
+    j = draw(st.integers(0, k - 1))
+    wrap = draw(st.sampled_from([0xFFFE, 60_000])) * draw(st.integers(0, 3))
+    lo = max(0, (wrap + draw(st.integers(-300, 300))) // k)
+    return k, j, lo, lo + draw(st.integers(0, 400))
+
+
+class TestSynSources:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(syn_source_ranges())
+    @example((1, 0, 59_990, 65_600))  # across both wrap points
+    @example((3, 2, 21_800, 21_900))  # its SYN 21844 is the flood's 65534: the address wraps
+    def test_a_range_is_its_syns_one_at_a_time(self, case):
+        k, j, lo, hi = case
+        addresses, ports = syn_sources(0x0A000000, lo, hi, k, j)
+        assert list(zip(addresses, ports)) == [syn_source(0x0A000000, m, k, j)
+                                               for m in range(lo, hi)]
+        assert len(addresses) == len(ports) == hi - lo
 
 
 class TestFloodRuns:
@@ -331,10 +358,11 @@ class _LoggingTransport(Transport):
         return self.logged_span(super().count_only(device, ep, view, origin, base, per_rate),
                                 device, ep, origin, origin, base, per_rate, lambda m: view)
 
-    def fresh_syns(self, device, ep, origin, base, per_rate, source):
-        return self.logged_span(super().fresh_syns(device, ep, origin, base, per_rate, source),
+    def fresh_syns(self, device, ep, origin, base, per_rate, sources):
+        return self.logged_span(super().fresh_syns(device, ep, origin, base, per_rate, sources),
                                 device, ep, origin, GHOST_ID, base, per_rate,
-                                lambda m: (Proto.TCP_SYN, *source(m), ep.address, ep.port))
+                                lambda m: (Proto.TCP_SYN, *next(zip(*sources(m, m + 1))),
+                                           ep.address, ep.port))
 
     def logged_span(self, span, device, ep, origin, src_id, base, per_rate, view):
         """`span`, logging each arrival its device logs as ingested, as
@@ -610,11 +638,12 @@ class _ViewCheckingTransport(Transport):
         return self.checked_span(super().count_only(device, ep, view, origin, base, per_rate),
                                  ep, origin, lambda m: view)
 
-    def fresh_syns(self, device, ep, origin, base, per_rate, source):
-        payload = self.streams[origin].spec.payload
-        return self.checked_span(super().fresh_syns(device, ep, origin, base, per_rate, source),
-                                 ep, origin, lambda m: PacketView(Proto.TCP_SYN, *source(m),
-                                                                  ep.address, ep.port, payload))
+    def fresh_syns(self, device, ep, origin, base, per_rate, sources):
+        stream = self.streams[origin]
+        return self.checked_span(super().fresh_syns(device, ep, origin, base, per_rate, sources),
+                                 ep, origin, lambda m: PacketView(Proto.TCP_SYN, *stream.source(m),
+                                                                  ep.address, ep.port,
+                                                                  stream.spec.payload))
 
     def checked_span(self, span, ep, origin, view):
         """`span`, checking the view `view(m)` a segment stands for against

@@ -505,8 +505,10 @@ class TestAgreesWithFullScan:
 
 
 # Rules that test a SYN for nothing but protocol and rate, as `span_rules`
-# needs them, and one for UDP whose repeated hits fire.
+# needs them, two with a 1 s window and one with 3 s, and one for UDP whose
+# repeated hits fire.
 _SPAN_RULES = parse_rules('alert tcp any any -> any any rate 3/1 msg "syn"\n'
+                          'alert tcp any any -> any any rate 2/3 msg "syn3"\n'
                           'block any any any -> any any rate 2/1 msg "all"\n'
                           'alert udp any any -> any any rate 1/1 msg "udp"\n')
 
@@ -514,8 +516,18 @@ _SPAN_RULES = parse_rules('alert tcp any any -> any any rate 3/1 msg "syn"\n'
 def _span_state(eng, oracle):
     return (eng.presented, eng.inspected, eng.dropped_by_engine,
             [dataclasses.astuple(a) for a in eng.alerts], list(eng._inspected_times),
-            dict(eng.rate_counters), eng.rate_counters.sweep_at, dict(eng.rate_counters.window_us),
-            oracle.windows, oracle.sweep_at, oracle.true_matches, oracle.block_matches)
+            list(eng.rate_counters.items()), eng.rate_counters.sweep_at, eng.rate_counters.floor,
+            dict(eng.rate_counters.window_us), list(oracle.windows.items()), oracle.sweep_at,
+            oracle.floor, oracle.true_matches, oracle.block_matches)
+
+
+def _full_scan(table, window_us, now):
+    """What a sweep at `now` leaves, scanning every key: the keys whose
+    newest hit is inside their rule's window, in order, and the next sweep's
+    size (`_SWEEP_MIN` 0)."""
+    kept = [(k, w) for k, w in table.items()
+            if (w if type(w) is int else w[-1]) > now - window_us[k[0]]]
+    return kept, 2 * len(kept)
 
 
 class TestSpans:
@@ -528,11 +540,22 @@ class TestSpans:
     def test_a_span_is_its_arrivals_one_at_a_time(self, earlier, span, gaps, capacity, sweep_at):
         """`pass_span` and `observe_span` over the SYNs `room` and `unseen`
         allow leave the engine and the oracle as one `inspect` and one
-        `observe` per SYN do, each SYN inspected and passed; the SYN after
-        them meets a key either table holds or, if the engine had room for
-        no more, goes uninspected.  Earlier traffic from the same sources
-        may have left their keys, stale ones to sweep, or an engine near
-        saturation."""
+        `observe` per SYN do, in the same key order; the SYN after them
+        meets a key either table holds or, if the engine had room for no
+        more, goes uninspected.  Earlier traffic from the same sources may
+        have left their keys, stale ones to sweep, or an engine near
+        saturation.
+
+        Why they agree: each of the rules `span_rules` gives has a rate
+        clause and no other matcher, so a SYN meets every one of them.  A
+        SYN whose keys neither table holds is their first hit under each,
+        which exceeds no threshold (N >= 1): it passes every rule, and
+        `inspect` and `observe` store each key's bare timestamp, rule by
+        rule, sweeping before a new key once the table has reached
+        `sweep_at`.  The bulk fills store the same keys in the same order
+        and cut them where that sweep falls.  With `room` left, every SYN
+        is inspected, and the inspection times that leave the window are
+        those the last SYN's `inspect` would expire."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
             mp.setattr(metrics, "_SWEEP_MIN", 0)
@@ -551,31 +574,66 @@ class TestSpans:
                 pairs.append((eng, oracle))
             (eng, oracle), (ref_eng, ref_oracle) = pairs
             rules = eng.span_rules(Proto.TCP_SYN)
-            assert rules == _SPAN_RULES[:2]
-            sources = [(ip_to_int(f"10.0.0.{n}"), 1024 + n) for n in span]
-            times = [t + sum(gaps[:k + 1]) for k in range(len(sources))]
+            assert rules == _SPAN_RULES[:3]
+            addresses = [ip_to_int(f"10.0.0.{n}") for n in span]
+            ports = [1024 + n for n in span]
+            times = [t + sum(gaps[:k + 1]) for k in range(len(span))]
             room = eng.room(times[0])
-            taken = sources[:room]
-            del taken[eng.unseen(rules, taken):]
-            del taken[oracle.unseen(rules, taken):]
-            stopped_by_a_key = len(taken) < min(room, len(sources)) and any(
-                (r.id, *sources[len(taken)]) in table
+            n = eng.unseen(rules, addresses, ports, min(room, len(span)))
+            n = oracle.unseen(rules, addresses, ports, n)
+            stopped_by_a_key = n < min(room, len(span)) and any(
+                (r.id, addresses[n], ports[n]) in table
                 for r in rules for table in (eng.rate_counters, oracle.windows))
-            if taken:
-                eng.pass_span(rules, taken, times[:len(taken)])
-                oracle.observe_span(rules, taken, times[:len(taken)])
-            syns = [PacketView(Proto.TCP_SYN, address, port, 1, 61500, b"") for address, port in sources]
-            for v, now in zip(syns, times[:len(taken)]):
+            if n:
+                eng.pass_span(rules, addresses, ports, times[:n])
+                oracle.observe_span(rules, addresses, ports, times[:n])
+            syns = [PacketView(Proto.TCP_SYN, address, port, 1, 61500, b"")
+                    for address, port in zip(addresses, ports)]
+            for v, now in zip(syns, times[:n]):
                 assert ref_eng.inspect(v, now) == idps._PASS
                 assert not ref_oracle.observe(v, now)
-            assert len(taken) == min(room, len(sources)) or stopped_by_a_key
-            if len(taken) < len(sources):  # the SYN after them goes alone
-                v, now = syns[len(taken)], times[len(taken)]
+            assert n == min(room, len(span)) or stopped_by_a_key
+            if n < len(span):  # the SYN after them goes alone
+                v, now = syns[n], times[n]
                 verdict = eng.inspect(v, now)
                 assert verdict == ref_eng.inspect(v, now)
                 assert oracle.observe(v, now) == ref_oracle.observe(v, now)
-                assert verdict.inspected or len(taken) == room
+                assert verdict.inspected or n == room
             assert _span_state(eng, oracle) == _span_state(ref_eng, ref_oracle)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_gaps, st.sampled_from([Proto.TCP_SYN, Proto.UDP]),
+                              st.integers(0, 9), st.booleans()), max_size=40),
+           st.sampled_from([0, 4, math.inf]))
+    # a scan at 2.5 s keeps the 3 s key of 0 s: the floor stays at 0, so
+    # the sweep at 2.9 s must scan and drop the 1 s keys of 2.5 s
+    @example([(0, Proto.TCP_SYN, 0, False), (2_500_000, Proto.TCP_SYN, 1, True),
+              (400_000, Proto.UDP, 2, True), (1_000_000, Proto.UDP, 2, True)], math.inf)
+    def test_a_sweep_leaves_what_a_full_scan_leaves(self, steps, sweep_at):
+        """Each table, fed SYNs and UDP arrivals under rules of 1 s and 3 s
+        windows and swept at drawn times besides its own sweeps, holds after
+        each drawn sweep just the keys, in order, and the `sweep_at` that a
+        scan of every key leaves, whether its floor let it skip the scan or
+        not."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(idps, "_SWEEP_MIN", 0)
+            mp.setattr(metrics, "_SWEEP_MIN", 0)
+            eng = IdpsEngine(inspection_capacity=100)
+            eng.start(_SPAN_RULES, EngineMode.IDS)
+            oracle = TruthOracle(_SPAN_RULES)
+            eng.rate_counters.sweep_at = oracle.sweep_at = sweep_at
+            window_us = {r.id: r.rate.window_us for r in _SPAN_RULES}
+            t = 0
+            for gap, proto, n, sweep in steps:
+                t += gap
+                v = view(proto=proto, src=f"10.0.0.{n}", sport=1024 + n)
+                eng.inspect(v, t)
+                oracle.observe(v, t)
+                if sweep:
+                    for table, owner in ((eng.rate_counters, eng.rate_counters), (oracle.windows, oracle)):
+                        want = _full_scan(table, window_us, t)
+                        owner._sweep(t)
+                        assert (list(table.items()), owner.sweep_at) == want
 
     def test_rules_a_new_source_does_not_pass_alone(self):
         """A rule without a rate clause, or one `StaticMatches` must test,

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsecsim import idps
+from fbsecsim import idps, metrics
 from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import LANE_NET, FBNetwork, Scheduler
-from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
+from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD, TruthOracle
 from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
 from fbsecsim.transport import (
@@ -687,9 +687,28 @@ def run_with_tables(cfg, record_trace):
             with open(os.path.join(out, name), "rb") as f:
                 files[name] = f.read()
     engine, oracle = result.engine, result.recorder.oracle
-    tables = None if engine is None else (dict(engine.rate_counters), engine.rate_counters.sweep_at,
-                                          oracle.windows, oracle.sweep_at)
+    tables = None if engine is None else (list(engine.rate_counters.items()),
+                                          engine.rate_counters.sweep_at,
+                                          list(oracle.windows.items()), oracle.sweep_at)
     return files, tables
+
+
+def scan_every_key(table, window_us, now):
+    """A rate-table sweep without a floor: drop every key whose newest hit
+    has left its rule's window; return how many keys are left."""
+    for k in [k for k, w in table.items()
+              if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
+        del table[k]
+    return len(table)
+
+
+def _scan_counters(counters, now):
+    counters.sweep_at = max(idps._SWEEP_MIN, 2 * scan_every_key(counters, counters.window_us, now))
+
+
+def _scan_windows(oracle, now):
+    oracle.sweep_at = max(metrics._SWEEP_MIN, 2 * scan_every_key(oracle.windows,
+                                                                  oracle._window_us, now))
 
 
 _send = Transport.send
@@ -715,10 +734,11 @@ def send_with_heap_entries(tr, packet):
 
 def fresh_syns_change_nothing(cfg, record_trace):
     """Assert `cfg` writes what its reference run writes, where every SYN
-    takes the per-packet path (`Transport.fresh_syns` answers None) and
-    every SYN-ACK to a spoofed source takes a heap entry, and ends with the
-    same rate tables, or raises the same error; return how many SYNs the
-    run took in segments."""
+    takes the per-packet path (`Transport.fresh_syns` answers None), every
+    SYN-ACK to a spoofed source takes a heap entry and every rate-table
+    sweep scans every key, and ends with the same rate tables, in the same
+    order, or raises the same error; return how many SYNs the run took in
+    segments."""
     taken = 0
     fresh_syns = Transport.fresh_syns
 
@@ -736,7 +756,9 @@ def fresh_syns_change_nothing(cfg, record_trace):
     with mock.patch.object(Transport, "fresh_syns", counted):
         got = run_with_tables(cfg, record_trace)
     with mock.patch.object(Transport, "fresh_syns", lambda *args: None), \
-            mock.patch.object(Transport, "send", send_with_heap_entries):
+            mock.patch.object(Transport, "send", send_with_heap_entries), \
+            mock.patch.object(idps.RateCounters, "_sweep", _scan_counters), \
+            mock.patch.object(TruthOracle, "_sweep", _scan_windows):
         want = run_with_tables(cfg, record_trace)
     if isinstance(want, str):
         assert got == want
@@ -784,14 +806,13 @@ def syn_flood_cases(draw):
 
 
 def syn_backlog(**changes):
-    """The `syn_backlog` bench config, with `changes` to its run; with
-    `stop_s`, its flood stops then: at 0.22048 s, once its 1024 SYNs have
+    """The `syn_backlog` bench config, with `changes` to its run and to its
+    flood's `rate` and `stop_s`: at 0.22048 s, once its 1024 SYNs have
     filled the table, so only their SYN-ACKs remain."""
     cfg = parse_scenario_file(os.path.join(BENCH_SCENARIOS, "syn_backlog.scenario"))
-    if "stop_s" in changes:
-        cfg = dataclasses.replace(cfg, attacks=[
-            dataclasses.replace(cfg.attacks[0], stop_s=changes.pop("stop_s"))])
-    return dataclasses.replace(cfg, **changes)
+    flood = {k: changes.pop(k) for k in ("rate", "stop_s") if k in changes}
+    return dataclasses.replace(cfg, attacks=[dataclasses.replace(cfg.attacks[0], **flood)],
+                               **changes)
 
 
 class TestRefusedSyns:
@@ -837,6 +858,17 @@ class TestRefusedSyns:
         result = run_scenario(cfg, record_trace=record_trace)
         assert (result.report.devices["plc2"]["syn_accepted"], result.report.undeliverable,
                 len(result.networks["plc1"].scheduler.tallies)) == (482, 456, 25)
+
+    def test_a_flood_that_outlasts_the_rule_window_sweeps_keys_out(self):
+        """4600 SYNs at 4000/s from 0.2 s: the sweep at 4096 keys, about
+        1.22 s in, scans and drops the keys of the SYNs more than the
+        rule's 1 s window old, so the run ends with fewer keys than the
+        flood had sources."""
+        cfg = syn_backlog(rate=4_000, stop_s=1.35, duration_s=1.4)
+        assert fresh_syns_change_nothing(cfg, False) > 4_000
+        result = run_scenario(cfg)
+        assert len(result.engine.rate_counters) < 4_600
+        assert len(result.recorder.oracle.windows) < 4_600
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(syn_flood_cases(), st.booleans())

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbsecsim import idps, metrics
-from fbsecsim.attacks import GHOST_ID, syn_source
+from fbsecsim.attacks import GHOST_ID, syn_source, syn_sources
 from fbsecsim.fbnet import Scheduler
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.metrics import Recorder
@@ -484,7 +484,21 @@ class TestRefusals:
         the table full with entries about to expire or holding some of the
         stream's sources, the engine near saturation, the keys of some of
         the stream's sources in either rate table, and both tables due to
-        sweep."""
+        sweep.
+
+        Why they agree: a SYN the device ingests under capacity and short
+        of collapse costs no drop draw, so `ingest_span` is its `ingest`.
+        With room left, the engine inspects it, and as the first hit of
+        keys neither rate table holds it passes rules that test nothing
+        but protocol and rate (`TestSpans` in test_idps.py).  Its fate
+        past the engine is the half-open table's: a full table refuses
+        it until the front entry expires; a table with a free slot admits
+        a key it does not hold, in opening order, so the entries, and the
+        stale ones expired at the last SYN, end as one `syn` each leaves
+        them.  An admitted SYN's SYN-ACK goes to a spoofed source with no
+        device, so it is a tallied event that falls due after the
+        segment's last arrival, and it takes the sequence number after
+        its SYN's."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
             mp.setattr(metrics, "_SWEEP_MIN", 0)
@@ -498,7 +512,7 @@ class TestRefusals:
             return  # the pump accounts the flood's remainder in bulk
         ep = Endpoint("plc2", dev.address, 61500)
         source = partial(syn_source, 0x0A000000)
-        span = tr.fresh_syns(dev, ep, "attacker1", base, per_rate, source)
+        span = tr.fresh_syns(dev, ep, "attacker1", base, per_rate, partial(syn_sources, 0x0A000000))
         assert (span is None) is (
             p["watched"] or p["ghost_device"] or p["send_hook"] == "other" or (
                 engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))

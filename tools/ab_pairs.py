@@ -20,9 +20,12 @@ the parent's interquartile range, which is how a metric that must not move
 shows that it did.  The exit status is non-zero if any run was incorrect
 (its `correct` flag false or a failed run) or did not finish.
 
+Under the table it prints each side's `src/` line count, counted as
+`find src -name '*.py' | xargs cat | wc -l` counts it.
+
 --record PATH also appends that table as JSON to the list of rounds under
-`workloads` -> W: the revisions, their `src/` trees, the seeds and run
-length, and per metric each side's median, quartiles and per-pair values,
+`workloads` -> W: the revisions, their `src/` trees and line counts, the
+seeds and run length, and per metric each side's median, quartiles and per-pair values,
 the change's wins and the claim and worse verdicts.  An existing PATH keeps its other
 workloads and earlier rounds, so one file holds every round of every
 workload.  A revision may be a local commit that is later lost; the `src/`
@@ -63,6 +66,18 @@ def export(rev: str, dest: str) -> None:
     with tarfile.open(tar_path) as tar:
         tar.extractall(dest, filter="data")
     os.remove(tar_path)
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the .py files under `tree`/src, counted as
+    `find src -name '*.py' | xargs cat | wc -l` counts them: newlines."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float | None) -> dict:
@@ -157,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             declared = json.load(f)["end_to_end"]
         for i in range(args.pairs):
@@ -190,10 +206,12 @@ def main(argv: list[str] | None = None) -> int:
                        "delta": j["delta"], "claim": j["claim"], "worse": j["worse"],
                        **{side: {"median": j[side][0], "q1": j[side][1], "q3": j[side][2],
                                  "values": values[side]} for side in SIDES}}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     if args.record:
         src_trees = {side: git("rev-parse", f"{revs[side]}:src").stdout.strip() for side in SIDES}
         rounds = [r for r in record(args.record, args.workload, {
-            "revisions": revs, "src_trees": src_trees,
+            "revisions": revs, "src_trees": src_trees, "src_lines": lines,
             "pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
             "seconds": args.seconds, "incorrect": incorrect, "metrics": table})
                   if r.get("src_trees") == src_trees]
