@@ -11,7 +11,6 @@ else could observe it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -87,15 +86,16 @@ def syn_source(ghost_net: int, i: int, k: int = 1, j: int = 0) -> tuple[int, int
 
 
 def syn_sources(ghost_net: int, lo: int, hi: int, k: int = 1, j: int = 0
-                ) -> tuple[Sequence[int], Sequence[int]]:
-    """`syn_source` of SYNs lo..hi-1 (lo <= hi), as their addresses and
-    their ports: a range between wrap points, or a list if one wraps."""
+                ) -> tuple[list[int], list[int]]:
+    """`syn_source` of SYNs lo..hi-1 (lo <= hi), as a list of their
+    addresses and one of their ports, built from ranges between the points
+    where they wrap.  Lists, so the tables a segment fills share the ints."""
     n = lo * k + j
     return (_steps(ghost_net + 1, n % 0xFFFE, 0xFFFE, k, hi - lo),
             _steps(1024, n % 60000, 60000, k, hi - lo))
 
 
-def _steps(first: int, r: int, mod: int, k: int, count: int) -> Sequence[int]:
+def _steps(first: int, r: int, mod: int, k: int, count: int) -> list[int]:
     """first + (r + i * k) % mod for i in 0..count-1."""
     runs = []
     while count > 0:
@@ -103,7 +103,7 @@ def _steps(first: int, r: int, mod: int, k: int, count: int) -> Sequence[int]:
         runs.append(range(first + r, first + r + take * k, k))
         r = (r + take * k) % mod
         count -= take
-    return runs[0] if len(runs) == 1 else [*chain.from_iterable(runs)]
+    return [*chain.from_iterable(runs)]
 
 
 def attacker_device(transport: Transport, device_id: str, address: int) -> DeviceModel:
