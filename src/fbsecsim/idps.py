@@ -335,6 +335,8 @@ def first_hits(rules: list[Rule], addresses: Sequence[int], ports: Sequence[int]
                times: list[int]) -> Iterator[tuple[tuple, int]]:
     """(rate key, time) of source i's (addresses[i], ports[i]) hit under
     each of `rules` in turn at times[i], for each i of `times` in order."""
+    if len(rules) == 1:  # the general form's 1-tuples add about 14% to syn_backlog's wall_s
+        return zip(zip(repeat(rules[0].id), addresses, ports), times)
     return zip(chain.from_iterable(zip(*[zip(repeat(r.id), addresses, ports) for r in rules])),
                chain.from_iterable(zip(*[times] * len(rules))))
 
