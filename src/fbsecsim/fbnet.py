@@ -13,6 +13,7 @@ any heap entry already queued for that instant and lane (see `Scheduler`).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +100,7 @@ class Scheduler:
         self.processed = 0
         self.max_events = max_events  # fixed once made: `_limit` follows it
         self._until = -1  # horizon of the run_until in progress; -1 outside one
-        self.tallies: deque[int] = deque()  # due times of tallied events not yet counted
+        self.tallies: list[int] = []  # due times of tallied events not yet counted, in order
         self.tallied = 0  # tallied events counted so far
         self._limit = max_events  # max_events less the tallied events queued
 
@@ -161,15 +162,19 @@ class Scheduler:
         self._limit = self.max_events - len(self.tallies)
 
     def _count_tally(self, time: int) -> None:
-        """Count every tallied event due at or before `time`."""
+        """Count every tallied event due at or before `time`; if the budget
+        runs out on one, raise at that one's time."""
         tallies = self.tallies
-        while tallies and tallies[0] <= time:
-            due = tallies.popleft()
-            self.processed += 1
-            if self.processed > self.max_events:
-                self.now = due
-                raise EventBudgetExceeded(f"more than {self.max_events} events processed")
-            self.tallied += 1
+        n = bisect_right(tallies, time)
+        left = self.max_events - self.processed  # the index of the one that would trip
+        if left < n:
+            self.now = tallies[left]
+            n = left + 1
+        del tallies[:n]
+        self.processed += n
+        self.tallied += min(n, left)
+        if self.processed > self.max_events:
+            raise EventBudgetExceeded(f"more than {self.max_events} events processed")
         self._limit = self.max_events - len(tallies)
 
     def _over_limit(self) -> None:

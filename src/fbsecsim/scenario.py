@@ -26,7 +26,8 @@ import os
 from dataclasses import dataclass
 
 from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, schedule_spoof
-from .config import PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, validate
+from .config import (PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, parse_endpoint,
+                     parse_target, validate)
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
@@ -59,34 +60,29 @@ class RunResult:
     engine: IdpsEngine | None
 
 
-def _parse_group(group: str) -> GroupAddress:
-    addr, _, port = group.rpartition(":")
-    return GroupAddress(ip_to_int(addr), int(port))
-
-
-def _resolve_target(raw: str, transport: Transport,
-                    group: GroupAddress) -> Endpoint | GroupAddress:
-    if raw == "group":
+def _resolve_target(raw: str, devices: dict[str, DeviceModel], group: GroupAddress,
+                    path: str) -> Endpoint | GroupAddress:
+    target = parse_target(raw, devices, path)
+    if target is None:
         return group
-    dev_id, _, port = raw.partition(":")
-    return Endpoint(dev_id, transport.devices[dev_id].address, int(port))
+    dev_id, port = target
+    return Endpoint(dev_id, devices[dev_id].address, port)
 
 
 def _resolve_claimed(raw: str, transport: Transport,
-                     attacker_id: str, attacker_addr: int) -> Endpoint:
+                     attacker_id: str, attacker_addr: int, path: str) -> Endpoint:
     if not raw:
         return Endpoint(attacker_id, attacker_addr, 40000)
     if raw == "plc1":
         return Endpoint("plc1", transport.devices["plc1"].address, PUB_SRC_PORT)
-    addr, _, port = raw.rpartition(":")
-    return Endpoint("spoofed", ip_to_int(addr), int(port) if port else 40000)
+    addr, port = parse_endpoint(raw, path, port_required=False)
+    return Endpoint("spoofed", addr, 40000 if port is None else port)
 
 
-def target_device_id(attack: AttackConfig) -> str:
+def target_device_id(cfg: ScenarioConfig, attack: AttackConfig) -> str:
     """Device the attack lands on; group targets hit the subscriber PLC."""
-    if attack.target == "group":
-        return "plc2"
-    return attack.target.partition(":")[0]
+    target = parse_target(attack.target, cfg.devices, "target")
+    return "plc2" if target is None else target[0]
 
 
 def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
@@ -98,7 +94,7 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     scheduler = Scheduler(max_events=cfg.event_budget)
     trace = Trace() if record_trace else None
     duration = cfg.duration_us
-    group = _parse_group(cfg.group)
+    group = GroupAddress(*parse_endpoint(cfg.group, "net.group"))
 
     transport = Transport(scheduler, latency_us=cfg.latency_us)
     devices: dict[str, DeviceModel] = {}
@@ -227,10 +223,12 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     for i, a in enumerate(cfg.attacks):
         attacker_id = a.attacker or f"attacker{i + 1}"
         attacker_addr = ip_to_int(a.attacker_address) if a.attacker_address else ip_to_int(f"10.0.0.{66 + i}")
-        target = _resolve_target(a.target, transport, group)
+        path = f"attacks[{i}]"
         spec = AttackSpec(
-            name=a.name, kind=a.kind, attacker_id=attacker_id, target=target,
-            claimed_src=_resolve_claimed(a.claimed_src, transport, attacker_id, attacker_addr),
+            name=a.name, kind=a.kind, attacker_id=attacker_id,
+            target=_resolve_target(a.target, devices, group, f"{path}.target"),
+            claimed_src=_resolve_claimed(a.claimed_src, transport, attacker_id, attacker_addr,
+                                         f"{path}.claimed_src"),
             payload=a.payload, rate=a.rate,
             start=round(a.start_s * US), stop=round(a.stop_s * US),
             send_times=tuple(round(t * US) for t in a.at_s),
@@ -297,9 +295,9 @@ def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int]):
         raise ConfigError("rates", "sweep needs at least one rate")
     if sorted(rates) != list(rates) or len(set(rates)) != len(rates):
         raise ConfigError("rates", "rates must be strictly increasing")
-    target = target_device_id(cfg.attack(attack_name))
     configs = [cfg.with_attack_rate(attack_name, rate) for rate in rates]
     rules = [validate(c) for c in configs]  # refuse any bad config before the first run
+    target = target_device_id(cfg, cfg.attack(attack_name))
     rows = []
     results = []
     for rate, c, r in zip(rates, configs, rules):

@@ -15,7 +15,7 @@ import random
 from collections import OrderedDict, deque
 from collections.abc import Container, Iterable, Sequence
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice, repeat, takewhile
 from typing import Callable, NamedTuple
 
 from .fbnet import LANE_NET, US, Scheduler
@@ -150,8 +150,9 @@ class HalfOpenTable:
     `entries` is kept in opening order: a SYN for a key that is already live
     refreshes its time and moves it to the end.  Since the scheduler never
     moves `now` backwards, opening order is time order, so the expired
-    entries are always a prefix and `_evict` pops them from the front,
-    stopping at the first live one; a SYN costs the same at any capacity.
+    entries are always a prefix: `_expired` counts it, stopping at the
+    first live entry, and `_evict` pops that many from the front; a SYN
+    costs the same at any capacity.
     """
 
     def __init__(self, capacity: int, timeout_us: int):
@@ -160,11 +161,14 @@ class HalfOpenTable:
         # (src addr, src port, local port) -> opened_at, oldest first
         self.entries: OrderedDict[tuple[int, int, int], int] = OrderedDict()
 
+    def _expired(self, now: int) -> int:
+        """How many entries, from the front, are stale at `now`."""
+        return len(list(takewhile((now - self.timeout_us).__ge__, self.entries.values())))
+
     def _evict(self, now: int) -> None:
-        entries = self.entries
-        cutoff = now - self.timeout_us
-        while entries and next(iter(entries.values())) <= cutoff:
-            entries.popitem(last=False)
+        popitem = self.entries.popitem
+        for _ in range(self._expired(now)):
+            popitem(last=False)
 
     def syn(self, src_addr: int, src_port: int, local_port: int, now: int) -> bool:
         """Admit a SYN if a slot is free after expiring stale entries."""
@@ -181,13 +185,7 @@ class HalfOpenTable:
 
     def free(self, now: int) -> int:
         """Free slots at `now`, once the entries stale by then expire."""
-        cutoff = now - self.timeout_us
-        free = self.capacity - len(self.entries)
-        for opened in self.entries.values():
-            if opened > cutoff:
-                break
-            free += 1
-        return free
+        return self.capacity - len(self.entries) + self._expired(now)
 
 
 class DeviceModel:
@@ -256,6 +254,12 @@ class DeviceModel:
             self._maybe_recover(now)
         self.ingested += 1
         return True
+
+    def headroom(self) -> int:
+        """How many more arrivals the device ingests under capacity and short
+        of collapse, by its window's total as it stands: a bucket that
+        expires first only lowers the total."""
+        return min(self.capacity, self.critical_rate - 1) - self.window._total
 
     def ingest_span(self, base: int, per_rate: int, lo: int, hi: int) -> tuple[int, int]:
         """`ingest` arrivals lo..hi-1 (lo <= hi) of a periodic stream, arrival
@@ -546,8 +550,7 @@ class Transport:
             else:  # arrivals before the full table's front entry expires
                 until = next(iter(entries.values())) + table.timeout_us
             n = min(hi, -(-(until - base) * per_rate // US)) - lo
-            # ingested under capacity
-            n = min(n, min(device.capacity, device.critical_rate - 1) - device.window._total)
+            n = min(n, device.headroom())
             if rules is not None and n > 0:
                 n = min(n, engine.room(now))
             if n <= 0:

@@ -3,6 +3,7 @@
 import dataclasses
 import glob
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,14 @@ class TestRejectedBeforeRun:
         (MINIMAL + "device.plc2.halfopen_timeout_s = inf\n", "device.plc2.halfopen_timeout_s"),
         (MINIMAL + FLOOD + "rate = 10\nstart_s = nan\nstop_s = 1\n", "attacks[0].start_s"),
         (MINIMAL + FLOOD + "rate = 10\nstop_s = inf\n", "attacks[0].stop_s"),
+        # a domain holds whether or not its section or attack kind uses the field
+        (MINIMAL + "idps.poll_period_ms = 0\n", "idps.poll_period_ms"),
+        (MINIMAL + "idps.inspection_capacity = -1\n", "idps.inspection_capacity"),
+        (MINIMAL + "idps.hold_window_s = nan\n", "idps.hold_window_s"),
+        (MINIMAL + "tcp_probe.connect_at_s = -1\n", "tcp_probe.connect_at_s"),
+        (MINIMAL + SPOOF + "at_s = 5\nattacker_count = 0\n", "attacks[0].attacker_count"),
+        (MINIMAL + SPOOF + "at_s = 5\nstart_s = -1\n", "attacks[0].start_s"),
+        (MINIMAL + FLOOD + "rate = 10\nstop_s = 1\nat_s = inf\n", "attacks[0].at_s"),
         # an unknown section fails in parsing, before validate runs
         (MINIMAL + "heartbeat.enabled = true\n", "heartbeat.enabled"),
         # the plant always runs: it has no `enabled` key
@@ -378,3 +387,73 @@ class TestKeyTable:
         for cls, values in drawn.items():
             for name, value in values.items():
                 assert getattr(got[cls], name) == value, f"{cls.__name__}.{name}"
+
+
+# Every key line of every shipped and bench scenario file: (file, line index,
+# key path, class and field name).
+SCENARIO_FILES = [scenario_path(name) for name in list_scenarios()] + sorted(
+    glob.glob(os.path.join(BENCH_SCENARIOS, "*.scenario")))
+_FIELD_OF = {key: (cls, name) for cls in FIELD_VALUES for name, key in _keys(cls).items()}
+
+
+def _key_lines(path):
+    attacks = -1
+    for i, raw in enumerate(open(path).read().splitlines()):
+        line = raw.split("#", 1)[0].strip()
+        attacks += line == "[attacks]"
+        key = line.partition("=")[0].strip()
+        if "=" not in line:
+            continue
+        if attacks >= 0 and "." not in key:
+            yield path, i, f"attacks[{attacks}].{key}", AttackConfig, key
+        else:
+            yield (path, i, key, *_FIELD_OF[key.replace("device.plc1.", "device.plc2.")])
+
+
+KEY_LINES = [line for path in SCENARIO_FILES for line in _key_lines(path)]
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-7", "1e300"]
+# A value valid alone may break a rule across fields, which names another
+# key: keys with their attack index dropped.
+CROSS_FIELD = {
+    "run.event_budget": {"attacks[].rate"},
+    "idps.enabled": {"idps.ruleset"},
+    "idps.mode": {"idps.ruleset"},
+    "attacks[].name": {"attacks[].name"},
+    "attacks[].kind": {"attacks[].at_s", "attacks[].rate"},
+    "attacks[].start_s": {"attacks[].rate"},
+    "attacks[].stop_s": {"attacks[].start_s", "attacks[].rate"},
+    "attacks[].attacker_count": {"attacks[].rate"},
+}
+RUN_CAP_S = 60.0  # the longest shipped run; a drawn duration or box period may be huge
+
+
+def _unindexed(path):
+    return re.sub(r"\[\d+\]", "[]", path)
+
+
+class TestOneKeySubstituted:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_validate_names_the_key_or_the_run_completes(self, data):
+        """One key of a shipped or bench scenario set to an edge token or a
+        valid value: `validate` accepts it or fails at that key (or at a
+        key of a rule across fields it joins), and an accepted config runs
+        to its end or trips only the event budget."""
+        path, index, key_path, cls, name = data.draw(st.sampled_from(KEY_LINES), label="key")
+        token = data.draw(st.sampled_from(TOKENS) | FIELD_VALUES[cls][name].map(_render),
+                          label="value")
+        lines = open(path).read().splitlines()
+        key = lines[index].partition("=")[0].strip()
+        lines[index] = f"{key} = {token}"
+        try:
+            cfg = parse_scenario_text("\n".join(lines) + "\n", base_dir=os.path.dirname(path))
+            validate(cfg)
+        except ConfigError as e:
+            assert e.path == key_path or _unindexed(e.path) in CROSS_FIELD.get(
+                _unindexed(key_path), ()), (e.path, e.reason)
+            return
+        cfg = dataclasses.replace(cfg, duration_s=min(cfg.duration_s, RUN_CAP_S))
+        try:
+            run_scenario(cfg, record_trace=False)
+        except ConfigError as e:
+            assert e.path == "run.event_budget", (e.path, e.reason)
