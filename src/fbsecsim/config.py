@@ -164,11 +164,12 @@ def _parse_floats(value: str, path: str) -> tuple[float, ...]:
     return tuple(_parse_float(p.strip(), path) for p in value.split(",")) if value.strip() else ()
 
 
-def _us_at_least(least: int) -> Callable[[Any, str], Any]:
-    """The check of a time a run rounds to whole microseconds, alone or in
-    a tuple: each must be finite in us and round to at least `least` us."""
-    return _check(lambda value: all(math.isfinite(t * US) and round(t * US) >= least
-                                    for t in (value if isinstance(value, tuple) else (value,))),
+def _us_at_least(least: int, each: bool = False) -> Callable[[Any, str], Any]:
+    """The check of a time a run rounds to whole microseconds, or of each of
+    a tuple of them: finite in us, and at least `least` us once rounded."""
+    def ok(t: float) -> bool:
+        return math.isfinite(t * US) and round(t * US) >= least
+    return _check((lambda ts: all(map(ok, ts))) if each else ok,
                   f"must be finite and at least {least} us once rounded to whole us")
 
 
@@ -210,7 +211,7 @@ _DOMAINS = {
     "Port": (_parse_int, _port),
     "Period": (_parse_float, _us_at_least(1)),
     "Instant": (_parse_float, _us_at_least(0)),
-    "Instants": (_parse_floats, _us_at_least(0)),
+    "Instants": (_parse_floats, _us_at_least(0, each=True)),
     # the plant moves in whole milli-positions per tick
     "Fraction": (_parse_float, _check(lambda value: math.isfinite(value)
                                       and 0 < round(value * FULL) <= FULL,
@@ -246,6 +247,9 @@ _KEYS = {
     cls: {f.name: _DOMAINS[f.type] for f in fields(cls) if f.type in _DOMAINS}
     for cls in (ScenarioConfig, DeviceConfig, AttackConfig, *_SECTIONS.values())
 }
+# What `validate` walks: config class -> [(field name, check)].
+_CHECKS = {cls: [(name, check) for name, (_, check) in keys.items() if check]
+           for cls, keys in _KEYS.items()}
 
 _DEFAULT_ADDRESSES = {"plc1": "192.168.1.1", "plc2": "192.168.1.2"}
 PROBE_CLIENT_ID = "client1"  # device id of the TCP probe's client
@@ -313,9 +317,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
               *((getattr(cfg, s), s) for s in _SECTIONS),
               *((a, f"attacks[{i}]") for i, a in enumerate(cfg.attacks))]
     for obj, scope in scopes:
-        for name, (_, check) in _KEYS[type(obj)].items():
-            if check is not None:
-                check(getattr(obj, name), f"{scope}.{name}" if scope else _KEY_OF[name])
+        for name, check in _CHECKS[type(obj)]:
+            check(getattr(obj, name), f"{scope}.{name}" if scope else _KEY_OF[name])
 
     idps = cfg.idps
     rules: list[Rule] = []
