@@ -247,9 +247,10 @@ _KEYS = {
     cls: {f.name: _DOMAINS[f.type] for f in fields(cls) if f.type in _DOMAINS}
     for cls in (ScenarioConfig, DeviceConfig, AttackConfig, *_SECTIONS.values())
 }
-# What `validate` walks: config class -> [(field name, check)].
-_CHECKS = {cls: [(name, check) for name, (_, check) in keys.items() if check]
-           for cls, keys in _KEYS.items()}
+# What `validate` walks: config class -> [(field name, check, default)].
+# Every default is in its field's domain, so a value equal to it passes.
+_CHECKS = {cls: [(f.name, _DOMAINS[f.type][1], f.default) for f in fields(cls)
+                 if _DOMAINS.get(f.type, (None, None))[1]] for cls in _KEYS}
 
 _DEFAULT_ADDRESSES = {"plc1": "192.168.1.1", "plc2": "192.168.1.2"}
 PROBE_CLIENT_ID = "client1"  # device id of the TCP probe's client
@@ -317,8 +318,10 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
               *((getattr(cfg, s), s) for s in _SECTIONS),
               *((a, f"attacks[{i}]") for i, a in enumerate(cfg.attacks))]
     for obj, scope in scopes:
-        for name, check in _CHECKS[type(obj)]:
-            check(getattr(obj, name), f"{scope}.{name}" if scope else _KEY_OF[name])
+        for name, check, default in _CHECKS[type(obj)]:
+            value = getattr(obj, name)
+            if value != default:
+                check(value, f"{scope}.{name}" if scope else _KEY_OF[name])
 
     idps = cfg.idps
     rules: list[Rule] = []

@@ -69,12 +69,12 @@ def _resolve_target(raw: str, devices: dict[str, DeviceModel], group: GroupAddre
     return Endpoint(dev_id, devices[dev_id].address, port)
 
 
-def _resolve_claimed(raw: str, transport: Transport,
+def _resolve_claimed(raw: str, devices: dict[str, DeviceModel],
                      attacker_id: str, attacker_addr: int, path: str) -> Endpoint:
     if not raw:
         return Endpoint(attacker_id, attacker_addr, 40000)
     if raw == "plc1":
-        return Endpoint("plc1", transport.devices["plc1"].address, PUB_SRC_PORT)
+        return Endpoint("plc1", devices["plc1"].address, PUB_SRC_PORT)
     addr, port = parse_endpoint(raw, path, port_required=False)
     return Endpoint("spoofed", addr, 40000 if port is None else port)
 
@@ -223,12 +223,11 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     for i, a in enumerate(cfg.attacks):
         attacker_id = a.attacker or f"attacker{i + 1}"
         attacker_addr = ip_to_int(a.attacker_address) if a.attacker_address else ip_to_int(f"10.0.0.{66 + i}")
-        path = f"attacks[{i}]"
         spec = AttackSpec(
             name=a.name, kind=a.kind, attacker_id=attacker_id,
-            target=_resolve_target(a.target, devices, group, f"{path}.target"),
-            claimed_src=_resolve_claimed(a.claimed_src, transport, attacker_id, attacker_addr,
-                                         f"{path}.claimed_src"),
+            target=_resolve_target(a.target, devices, group, f"attacks[{i}].target"),
+            claimed_src=_resolve_claimed(a.claimed_src, devices, attacker_id, attacker_addr,
+                                         f"attacks[{i}].claimed_src"),
             payload=a.payload, rate=a.rate,
             start=round(a.start_s * US), stop=round(a.stop_s * US),
             send_times=tuple(round(t * US) for t in a.at_s),

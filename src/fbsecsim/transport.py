@@ -256,9 +256,8 @@ class DeviceModel:
         return True
 
     def headroom(self) -> int:
-        """How many more arrivals the device ingests under capacity and short
-        of collapse, by its window's total as it stands: a bucket that
-        expires first only lowers the total."""
+        """Arrivals the device can still ingest under capacity and short of
+        collapse, by its window's total now (expiry only lowers it)."""
         return min(self.capacity, self.critical_rate - 1) - self.window._total
 
     def ingest_span(self, base: int, per_rate: int, lo: int, hi: int) -> tuple[int, int]:

@@ -248,6 +248,13 @@ class TestRejectedBeforeRun:
             validate(parse_scenario_text(text))
         assert exc.value.path == path
 
+    def test_every_default_is_in_its_domain(self):
+        """`validate` passes a value equal to its field's default unchecked."""
+        for cls, checks in config._CHECKS.items():
+            for name, check, default in checks:
+                if default is not dataclasses.MISSING:
+                    check(default, f"{cls.__name__}.{name}")
+
     def test_one_microsecond_run_and_flood_are_valid(self):
         validate(parse_scenario_text(MINIMAL + "run.duration_s = 0.000001\n" + FLOOD
                                      + "rate = 1000000\nstart_s = 0\nstop_s = 0.000001\n"))
