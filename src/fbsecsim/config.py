@@ -322,6 +322,8 @@ def validate(cfg: ScenarioConfig) -> list[Rule]:
             value = getattr(obj, name)
             if value != default:
                 check(value, f"{scope}.{name}" if scope else _KEY_OF[name])
+    if cfg.duration_us // (cfg.plant.tick_ms * 1000) > cfg.event_budget:
+        raise ConfigError("run.duration_s", f"more plant ticks than the event budget of {cfg.event_budget}")
 
     idps = cfg.idps
     rules: list[Rule] = []

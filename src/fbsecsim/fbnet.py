@@ -31,7 +31,8 @@ from .errors import (
 from .values import DataValue, Variant, zero
 
 # An emission is (event_out_name | None, {data_out_name: value}).
-# event None latches data outputs without firing anything.
+# event None latches data outputs without firing anything.  A behavior never
+# mutates a list of them it returned: dispatch checks one list once.
 Emission = tuple[str | None, dict[str, DataValue]]
 Behavior = Callable[["Ctx", str, dict[str, DataValue], Any], tuple[Any, list[Emission]]]
 
@@ -297,7 +298,7 @@ class _Plan:
     output to one zero-argument dispatch per destination.
     """
 
-    __slots__ = ("inst", "sampled", "dout_variants", "fanout")
+    __slots__ = ("inst", "sampled", "dout_variants", "fanout", "checked")
 
     def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
         inst_id = inst.id
@@ -309,6 +310,7 @@ class _Plan:
         self.fanout = {ev: tuple(lambda d=d, p=p: net.dispatch(d, p)
                                  for d, p in net.event_conns.get((inst_id, ev), ()))
                        for ev in inst.by_kind[PortKind.EVENT_OUT]}
+        self.checked = None  # the emission list the last dispatch checked
 
 
 def _latch_error(inst: str, port: str, variant: Variant | None, kind: PortKind) -> Exception:
@@ -432,7 +434,10 @@ class FBNetwork:
             return []
         plan = self._plans.get((inst_id, event))
         if plan is None:
-            plan = self._plan(inst_id, event)
+            inst = self.instances.get(inst_id)
+            if inst is None:
+                raise UnknownPortError(f"{inst_id}.{event}")
+            plan = self._plans[(inst_id, event)] = _Plan(self, inst, inst.port(event, PortKind.EVENT_IN))
         inst = plan.inst
         now = self.scheduler.now
         trace = self.trace
@@ -451,16 +456,18 @@ class FBNetwork:
         new_state, emissions = inst.behavior(ctx, event, inputs, inst.state)
 
         fanout = plan.fanout
-        dout_variants = plan.dout_variants
-        for ev, assigns in emissions:
-            if ev is not None and ev not in fanout:
-                raise BehaviorFault(f"{inst_id} emitted undeclared event {ev}")
-            for name, value in assigns.items():
-                variant = dout_variants.get(name)
-                if variant is None:
-                    raise BehaviorFault(f"{inst_id} assigned undeclared data output {name}")
-                if variant is not value.variant:
-                    raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {variant.value} port")
+        if emissions is not plan.checked:
+            dout_variants = plan.dout_variants
+            for ev, assigns in emissions:
+                if ev is not None and ev not in fanout:
+                    raise BehaviorFault(f"{inst_id} emitted undeclared event {ev}")
+                for name, value in assigns.items():
+                    variant = dout_variants.get(name)
+                    if variant is None:
+                        raise BehaviorFault(f"{inst_id} assigned undeclared data output {name}")
+                    if variant is not value.variant:
+                        raise BehaviorFault(f"{inst_id}.{name}: {value.variant.value} on {variant.value} port")
+            plan.checked = emissions
 
         # Commit: sampled inputs, state, then every data latch before any event.
         if sampled:
@@ -480,13 +487,6 @@ class FBNetwork:
             for fire in fanout[ev]:
                 self.scheduler.at(now, fire)
         return emissions
-
-    def _plan(self, inst_id: str, event: str) -> _Plan:
-        inst = self.instances.get(inst_id)
-        if inst is None:
-            raise UnknownPortError(f"{inst_id}.{event}")
-        plan = self._plans[(inst_id, event)] = _Plan(self, inst, inst.port(event, PortKind.EVENT_IN))
-        return plan
 
 
 # -- standard blocks -------------------------------------------------------

@@ -115,9 +115,6 @@ class Rule:
                 or self.dst_addr is not None or self.dst_port is not None
                 or self.payload_sub is not None or bool(self.srcallow))
 
-    def has_matchers(self) -> bool:
-        return self.proto_name != "any" or self.rate is not None or self.has_static_matchers()
-
 
 def _parse_addr(token: str, line: int) -> AddrMatcher | None:
     if token == "any":
@@ -240,7 +237,8 @@ def parse_rules(text: str) -> list[Rule]:
             srcallow=srcallow,
             msg=msg,
         )
-        if rule.action is Action.BLOCK and not rule.has_matchers():
+        if (rule.action is Action.BLOCK and proto_tok == "any" and rate is None
+                and not rule.has_static_matchers()):
             raise RuleSyntaxError(lineno, "block rule with no matchers would blackhole everything")
         rules.append(rule)
     return rules
@@ -350,26 +348,12 @@ def unseen(table: dict, rules: list[Rule], addresses: Sequence[int], ports: Sequ
     return n
 
 
-def rate_hit(rule: Rule, view: PacketView, counters: RateCounters, now: int) -> bool:
-    """Count a static match of a rate rule; True when its window is exceeded."""
-    rate = rule.rate
-    key = (rule.id, view.src_address, view.src_port)
-    times = counters.get(key)
-    if times is None:
-        counters.add(key, rate, now)
-        return False  # one hit never exceeds a threshold
-    if type(times) is int:
-        times = counters[key] = deque((times,), rate.threshold + 1)
-    times.append(now)
-    return len(times) > rate.threshold and times[0] > now - rate.window_us
-
-
 class StaticMatches:
-    """The rules of a view's protocol that `static_match` it, in file order.
-    A protocol whose rules test only protocol and rate is not tested (so a
-    SYN from a rotating source costs nothing here); for the others, the two
-    views that last missed are remembered by identity with their matches,
-    since a flood sends one view object."""
+    """The rules of a view's protocol that `static_match` it, in file order,
+    as entries [rule, rate key, alert fields (None before its first alert)].
+    A protocol whose rules test only protocol and rate is not tested, and a
+    view of it gets new entries (so a rotating source leaves nothing here);
+    for the others, the two views that last missed keep theirs, by identity."""
 
     __slots__ = ("_by_proto", "rate_only", "_v0", "_m0", "_v1", "_m1")
 
@@ -384,17 +368,18 @@ class StaticMatches:
                 r.rate is None for r in mine) else mine
         self._v0 = self._m0 = self._v1 = self._m1 = None
 
-    def matching(self, view: PacketView) -> list[Rule]:
+    def matching(self, view: PacketView) -> list[list]:
         if view is self._v0:
             return self._m0
         if view is self._v1:
             return self._m1
         rules, tested = self._by_proto[view.proto]
         if not tested:
-            return rules
-        rules = [r for r in rules if r.static_match(view)]
-        self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, rules
-        return rules
+            return [[r, (r.id, view.src_address, view.src_port), None] for r in rules]
+        matches = [[r, (r.id, view.src_address, view.src_port), None]
+                   for r in rules if r.static_match(view)]
+        self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, matches
+        return matches
 
 
 class IdpsEngine:
@@ -434,10 +419,24 @@ class IdpsEngine:
             return _UNINSPECTED
         times.append(now)
         self.inspected += 1
-        for rule in self._static.matching(view):
-            if rule.rate is None or rate_hit(rule, view, self.rate_counters, now):
-                self._raise_alert(rule, view, now)
-                return self._verdicts[rule.id]
+        counters = self.rate_counters
+        for match in self._static.matching(view):
+            rule, key, fields = match
+            rate = rule.rate
+            if rate is not None:
+                hits = counters.get(key)
+                if hits is None:
+                    counters.add(key, rate, now)
+                    continue  # one hit never exceeds a threshold
+                if type(hits) is int:
+                    hits = counters[key] = deque((hits,), rate.threshold + 1)
+                hits.append(now)
+                if len(hits) <= rate.threshold or hits[0] <= now - rate.window_us:
+                    continue  # rate not exceeded: later rules still get the packet
+            if fields is None:
+                fields = match[2] = self._alert_fields(rule, view)
+            self.alerts.append(Alert(now, *fields))
+            return self._verdicts[rule.id]
         return _PASS
 
     # A segment of SYNs, each the first hit of new keys, is checked with
@@ -475,16 +474,15 @@ class IdpsEngine:
         self.room(times[-1])  # expire what the last arrival's inspect would
         self.rate_counters.fill(rules, addresses, ports, times)
 
-    def _raise_alert(self, rule: Rule, view: PacketView, now: int) -> None:
-        # One string per endpoint per run, shared by the alerts naming it.
+    def _alert_fields(self, rule: Rule, view: PacketView) -> tuple:
+        # An Alert's fields after its time; one string per endpoint per run.
         names = self._endpoints
         src = (view.src_address, view.src_port)
         dst = (view.dst_address, view.dst_port)
-        self.alerts.append(Alert(
-            now, rule.id, view.proto._value_,
-            names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
-            names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),
-            len(view.payload), rule.msg))
+        return (rule.id, view.proto._value_,
+                names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
+                names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),
+                len(view.payload), rule.msg)
 
 
 # -- function-block packaging ------------------------------------------------

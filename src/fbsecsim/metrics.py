@@ -68,18 +68,18 @@ class TruthOracle:
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
-        for rule in self._static.matching(view):
+        windows = self.windows
+        for rule, key, _ in self._static.matching(view):
             rate = rule.rate
             if rate is not None:
-                key = (rule.id, view.src_address, view.src_port)
-                win = self.windows.get(key)
+                win = windows.get(key)
                 if win is None:
-                    if len(self.windows) >= self.sweep_at:
+                    if len(windows) >= self.sweep_at:
                         self._sweep(now)
-                    self.windows[key] = now
+                    windows[key] = now
                     continue  # a first hit: later rules still get the packet
                 if type(win) is int:
-                    win = self.windows[key] = deque((win,), rate.threshold + 1)
+                    win = windows[key] = deque((win,), rate.threshold + 1)
                 win.append(now)
                 if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet

@@ -77,10 +77,10 @@ class TestValidate:
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
 
     def test_whole_run_budget_overflow_is_a_config_error(self, tmp_path, capsys):
-        """validate bounds each flood alone, so this passes it; the run then
-        stops at the budget and names it."""
+        """validate bounds each flood alone and the plant's 500 ticks, so
+        this passes it; the run then stops at the budget and names it."""
         scen = write(tmp_path, "long.scenario",
-                     "run.seed = 1\nrun.duration_s = 5\nrun.event_budget = 100\n\n"
+                     "run.seed = 1\nrun.duration_s = 5\nrun.event_budget = 500\n\n"
                      "[attacks]\nname = trickle\nkind = icmp_flood\ntarget = plc2:0\n"
                      "rate = 10\nstart_s = 1\nstop_s = 2\n")
         assert main(["validate", scen]) == 0

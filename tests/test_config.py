@@ -4,12 +4,13 @@ import dataclasses
 import glob
 import os
 import re
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsecsim import config
+from fbsecsim import cli, config
 from fbsecsim.attacks import AttackKind
 from fbsecsim.config import (
     AttackConfig,
@@ -192,6 +193,11 @@ class TestRejectedBeforeRun:
         (MINIMAL + "tcp_probe.enabled = true\ntcp_probe.connect_at_s = 1, inf\n",
          "tcp_probe.connect_at_s"),
         (MINIMAL + "run.event_budget = 0\n", "run.event_budget"),
+        # a run's plant ticks alone may not exceed its event budget
+        (MINIMAL + "run.duration_s = 1e300\nrun.event_budget = 1000\n", "run.duration_s"),
+        (MINIMAL + "run.duration_s = 1e300\n", "run.duration_s"),
+        (MINIMAL + "run.duration_s = 10\nplant.tick_ms = 1\nrun.event_budget = 9999\n",
+         "run.duration_s"),
         (MINIMAL + FLOOD.replace("plc2:61499", "plc2:99999") + "rate = 10\nstop_s = 1\n",
          "attacks[0].target"),
         (MINIMAL + FLOOD.replace("plc2:61499", "plc2:-1") + "rate = 10\nstop_s = 1\n",
@@ -254,6 +260,18 @@ class TestRejectedBeforeRun:
             for name, check, default in checks:
                 if default is not dataclasses.MISSING:
                     check(default, f"{cls.__name__}.{name}")
+
+    def test_plant_ticks_up_to_the_budget_are_valid(self):
+        """The budget bounds `duration_us // tick_us` plant ticks; the
+        reason names neither the duration nor the tick count in digits."""
+        text = MINIMAL + "run.duration_s = 10.009999\nrun.event_budget = 1000\n"
+        validate(parse_scenario_text(text))
+        with pytest.raises(ConfigError) as exc:
+            validate(parse_scenario_text(text.replace("10.009999", "10.01")))
+        assert exc.value.path == "run.duration_s"
+        with pytest.raises(ConfigError) as exc:
+            validate(parse_scenario_text(MINIMAL + "run.duration_s = 1e300\n"))
+        assert len(str(exc.value)) < 100
 
     def test_one_microsecond_run_and_flood_are_valid(self):
         validate(parse_scenario_text(MINIMAL + "run.duration_s = 0.000001\n" + FLOOD
@@ -378,9 +396,13 @@ class TestKeyTable:
                        for name, strategy in values.items()}
                  for cls, values in FIELD_VALUES.items()}
         atk = drawn[AttackConfig]
-        # A flood's rate splits evenly and its stop follows its start.
+        # A flood's rate splits evenly and its stop follows its start; the
+        # plant's ticks fit the event budget.
         atk["rate"] *= atk["attacker_count"]
         atk["stop_s"] += atk["start_s"]
+        run = drawn[ScenarioConfig]
+        ticks = round(run["duration_s"] * 1e6) // (drawn[PlantConfig]["tick_ms"] * 1000)
+        run["event_budget"] = max(run["event_budget"], ticks)
         lines = []
         for cls, values in drawn.items():
             keys = _keys(cls)
@@ -422,7 +444,8 @@ TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e-7", "1e300"]
 # A value valid alone may break a rule across fields, which names another
 # key: keys with their attack index dropped.
 CROSS_FIELD = {
-    "run.event_budget": {"attacks[].rate"},
+    "run.event_budget": {"attacks[].rate", "run.duration_s"},
+    "plant.tick_ms": {"run.duration_s"},
     "idps.enabled": {"idps.ruleset"},
     "idps.mode": {"idps.ruleset"},
     "attacks[].name": {"attacks[].name"},
@@ -438,6 +461,18 @@ def _unindexed(path):
     return re.sub(r"\[\d+\]", "[]", path)
 
 
+def _substituted(data):
+    """One key line of a shipped or bench scenario set to an edge token or a
+    valid value: (the file, the key path, the file's lines)."""
+    path, index, key_path, cls, name = data.draw(st.sampled_from(KEY_LINES), label="key")
+    token = data.draw(st.sampled_from(TOKENS) | FIELD_VALUES[cls][name].map(_render),
+                      label="value")
+    lines = open(path).read().splitlines()
+    key = lines[index].partition("=")[0].strip()
+    lines[index] = f"{key} = {token}"
+    return path, key_path, lines
+
+
 class TestOneKeySubstituted:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())
@@ -446,12 +481,7 @@ class TestOneKeySubstituted:
         valid value: `validate` accepts it or fails at that key (or at a
         key of a rule across fields it joins), and an accepted config runs
         to its end or trips only the event budget."""
-        path, index, key_path, cls, name = data.draw(st.sampled_from(KEY_LINES), label="key")
-        token = data.draw(st.sampled_from(TOKENS) | FIELD_VALUES[cls][name].map(_render),
-                          label="value")
-        lines = open(path).read().splitlines()
-        key = lines[index].partition("=")[0].strip()
-        lines[index] = f"{key} = {token}"
+        path, key_path, lines = _substituted(data)
         try:
             cfg = parse_scenario_text("\n".join(lines) + "\n", base_dir=os.path.dirname(path))
             validate(cfg)
@@ -464,3 +494,26 @@ class TestOneKeySubstituted:
             run_scenario(cfg, record_trace=False)
         except ConfigError as e:
             assert e.path == "run.event_budget", (e.path, e.reason)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_the_cli_exits_with_a_scenario_code(self, data, tmp_path_factory):
+        """The same substitutions, each written to a file beside a copy of
+        its ruleset: `fbsecsim validate` exits 0 or 2, and `fbsecsim run`,
+        of at most `RUN_CAP_S`, exits 0, 2, 10 or 11, never 1 (a simulation
+        error) and never with an exception."""
+        path, _, lines = _substituted(data)
+        folder = tmp_path_factory.mktemp("cli")
+        for i, line in enumerate(lines):
+            key, _, value = line.split("#", 1)[0].partition("=")
+            ruleset = os.path.join(os.path.dirname(path), value.strip())
+            if key.strip() == "idps.ruleset" and os.path.isfile(ruleset):
+                shutil.copy(ruleset, folder)
+                lines[i] = f"idps.ruleset = {os.path.basename(ruleset)}"
+        scenario = folder / "substituted.scenario"
+        scenario.write_text("\n".join(lines) + "\n")
+        code = cli.main(["validate", str(scenario)])
+        assert code in (0, 2)
+        if code == 0 and parse_scenario_file(str(scenario)).duration_s > RUN_CAP_S:
+            scenario.write_text("\n".join(lines) + f"\nrun.duration_s = {RUN_CAP_S}\n")
+        assert cli.main(["run", str(scenario), "--out", str(folder / "out")]) in (0, 2, 10, 11)

@@ -521,6 +521,56 @@ class TestPlanCache:
         assert net.data_in("X", "DI") == Bool(False)
         assert net.data_out("X", "DO") == Bool(False)
 
+    @pytest.mark.parametrize("fresh", [
+        [("GHOST", {})],
+        [("EO", {"NOPE": Bool(True)})],
+        [("EO", {"DO": Int(1)})],
+    ])
+    def test_a_fresh_list_after_a_reused_one_is_checked(self, fresh):
+        """A list returned again is checked once; a new list after it is
+        checked, and its fault commits nothing."""
+        net, _ = fresh_net()
+        reused = [("EO", {"DO": TRUE})]
+
+        def behavior(ctx, event, inputs, state):
+            return state + 1, reused if state < 2 else fresh
+
+        inst = FBInstance("X", [
+            PortSpec("EI", PortKind.EVENT_IN, associated_data=("DI",)),
+            PortSpec("DI", PortKind.DATA_IN, Variant.BOOL),
+            PortSpec("EO", PortKind.EVENT_OUT, associated_data=("DO",)),
+            PortSpec("DO", PortKind.DATA_OUT, Variant.BOOL),
+        ], behavior, state=0)
+        net.add(inst).add(make_block("SRC"))
+        net.connect("SRC.DO", "X.DI")
+        assert net.dispatch("X", "EI") is net.dispatch("X", "EI") is reused
+        net.set_data_out("SRC", "DO", Bool(True))
+        with pytest.raises(BehaviorFault):
+            net.dispatch("X", "EI")
+        assert inst.state == 2
+        assert net.data_in("X", "DI") == Bool(False)
+        assert net.data_out("X", "DO") == TRUE
+
+    def test_a_reused_list_traces_as_fresh_lists_do(self):
+        """The same list object, dispatched with the trace on and off in
+        turn, writes the entries that an equal new list each time writes."""
+        traces = []
+        for reuse in (True, False):
+            net, sched = fresh_net()
+            trace = net.trace
+            reused = [(None, {"DO": TRUE}), ("EO", {})]
+            net.add(FBInstance("X", [
+                PortSpec("EI", PortKind.EVENT_IN),
+                PortSpec("EO", PortKind.EVENT_OUT),
+                PortSpec("DO", PortKind.DATA_OUT, Variant.BOOL),
+            ], lambda ctx, ev, i, s: (s, reused if reuse else [(None, {"DO": TRUE}), ("EO", {})])))
+            for t, traced in enumerate([False, True, False, True, True]):
+                sched.run_until(t)
+                net.trace = trace if traced else None
+                net.dispatch("X", "EI")
+            traces.append(trace.entries)
+        assert traces[0] == traces[1] and len(traces[0]) == 9
+
     def test_latch_setters_check_port_and_variant(self):
         net, _ = fresh_net()
         net.add(make_block("A"))

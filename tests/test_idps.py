@@ -26,13 +26,28 @@ from fbsecsim.idps import (
     make_alertcheck,
     make_idps_sifb,
     parse_rules,
-    rate_hit,
 )
 from fbsecsim.metrics import TruthOracle
 from fbsecsim.transport import PacketView, Proto, int_to_ip, ip_to_int
 from fbsecsim.values import Int
 
 US = 1_000_000
+
+
+def rate_hit(rule, view, counters, now):
+    """Count a static match of a rate rule in `counters`, a `RateCounters`;
+    True when its window is exceeded.  The reference for the engine's and
+    the oracle's inline window updates."""
+    rate = rule.rate
+    key = (rule.id, view.src_address, view.src_port)
+    times = counters.get(key)
+    if times is None:
+        counters.add(key, rate, now)
+        return False  # one hit never exceeds a threshold
+    if type(times) is int:
+        times = counters[key] = deque((times,), rate.threshold + 1)
+    times.append(now)
+    return len(times) > rate.threshold and times[0] > now - rate.window_us
 
 
 def match_packet(rule, view, counters, now):
@@ -766,6 +781,23 @@ class TestStaticMatches:
             assert held - before < 1_000   # at most the two latest match lists
             assert _views_held(static) == kept
 
+    def test_a_restart_forgets_the_views_and_their_alerts(self):
+        """One view object inspected before and after `start` with other
+        rules gets each ruleset's verdict and alert fields."""
+        v = view()
+        eng = IdpsEngine()
+        for text, mode, blocked, rule_id, msg in [
+                ('alert udp any any -> any 61499 msg "first"', EngineMode.IPS, False, "r1", "first"),
+                ('alert udp any any -> any 1 msg "x"\n'
+                 'block udp 10.0.0.66 any -> any any msg "second"', EngineMode.IPS, True, "r2", "second"),
+                ('block udp 10.0.0.66 any -> any any msg "ids"', EngineMode.IDS, False, "r1", "ids")]:
+            eng.start(parse_rules(text), mode)
+            for t in (1, 2):
+                verdict = eng.inspect(v, t)
+                assert (verdict.blocked, verdict.rule_id) == (blocked, rule_id)
+            assert [dataclasses.astuple(a) for a in eng.alerts] == [
+                _alert_row(v, t, rule_id, msg) for t in (1, 2)]
+
     def test_static_free_protocol_is_not_tested(self, monkeypatch):
         """`tcp` and `icmp` in combined.rules test only protocol and rate."""
         with open(rules_path("combined")) as f:
@@ -775,8 +807,9 @@ class TestStaticMatches:
                             lambda rule, v: calls.append(rule.id) or True)
         static = StaticMatches(rules)
         for p in (Proto.TCP_SYN, Proto.ICMP_ECHO):
-            assert [r.id for r in static.matching(view(proto=p))] == [
-                r.id for r in rules if p in r.protos]
+            v = view(proto=p)
+            assert static.matching(v) == [[r, (r.id, v.src_address, v.src_port), None]
+                                          for r in rules if p in r.protos]
         assert calls == []
         static.matching(view())
         assert calls == ["r1", "r2"]
