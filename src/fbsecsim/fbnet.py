@@ -32,7 +32,7 @@ from .values import DataValue, Variant, zero
 
 # An emission is (event_out_name | None, {data_out_name: value}).
 # event None latches data outputs without firing anything.  A behavior never
-# mutates a list of them it returned: dispatch checks one list once.
+# mutates a list of them after returning it: dispatch checks a list once.
 Emission = tuple[str | None, dict[str, DataValue]]
 Behavior = Callable[["Ctx", str, dict[str, DataValue], Any], tuple[Any, list[Emission]]]
 
@@ -298,7 +298,7 @@ class _Plan:
     output to one zero-argument dispatch per destination.
     """
 
-    __slots__ = ("inst", "sampled", "dout_variants", "fanout", "checked")
+    __slots__ = ("inst", "sampled", "fanout", "checked")
 
     def __init__(self, net: "FBNetwork", inst: FBInstance, port: PortSpec):
         inst_id = inst.id
@@ -306,7 +306,6 @@ class _Plan:
         self.sampled = tuple((d, net.instances[src[0]].dout, src[1])
                              for d in port.associated_data
                              if (src := net.data_src.get((inst_id, d))) is not None)
-        self.dout_variants = inst.dout_variants
         self.fanout = {ev: tuple(lambda d=d, p=p: net.dispatch(d, p)
                                  for d, p in net.event_conns.get((inst_id, ev), ()))
                        for ev in inst.by_kind[PortKind.EVENT_OUT]}
@@ -457,7 +456,7 @@ class FBNetwork:
 
         fanout = plan.fanout
         if emissions is not plan.checked:
-            dout_variants = plan.dout_variants
+            dout_variants = inst.dout_variants
             for ev, assigns in emissions:
                 if ev is not None and ev not in fanout:
                     raise BehaviorFault(f"{inst_id} emitted undeclared event {ev}")

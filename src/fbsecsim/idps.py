@@ -115,6 +115,9 @@ class Rule:
                 or self.dst_addr is not None or self.dst_port is not None
                 or self.payload_sub is not None or bool(self.srcallow))
 
+    def has_matchers(self) -> bool:
+        return self.proto_name != "any" or self.rate is not None or self.has_static_matchers()
+
 
 def _parse_addr(token: str, line: int) -> AddrMatcher | None:
     if token == "any":
@@ -237,8 +240,7 @@ def parse_rules(text: str) -> list[Rule]:
             srcallow=srcallow,
             msg=msg,
         )
-        if (rule.action is Action.BLOCK and proto_tok == "any" and rate is None
-                and not rule.has_static_matchers()):
+        if rule.action is Action.BLOCK and not rule.has_matchers():
             raise RuleSyntaxError(lineno, "block rule with no matchers would blackhole everything")
         rules.append(rule)
     return rules
@@ -374,11 +376,10 @@ class StaticMatches:
         if view is self._v1:
             return self._m1
         rules, tested = self._by_proto[view.proto]
-        if not tested:
-            return [[r, (r.id, view.src_address, view.src_port), None] for r in rules]
         matches = [[r, (r.id, view.src_address, view.src_port), None]
-                   for r in rules if r.static_match(view)]
-        self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, matches
+                   for r in rules if not tested or r.static_match(view)]
+        if tested:
+            self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, matches
         return matches
 
 
