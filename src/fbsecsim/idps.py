@@ -115,9 +115,6 @@ class Rule:
                 or self.dst_addr is not None or self.dst_port is not None
                 or self.payload_sub is not None or bool(self.srcallow))
 
-    def has_matchers(self) -> bool:
-        return self.proto_name != "any" or self.rate is not None or self.has_static_matchers()
-
 
 def _parse_addr(token: str, line: int) -> AddrMatcher | None:
     if token == "any":
@@ -240,7 +237,8 @@ def parse_rules(text: str) -> list[Rule]:
             srcallow=srcallow,
             msg=msg,
         )
-        if rule.action is Action.BLOCK and not rule.has_matchers():
+        if rule.action is Action.BLOCK and not (
+                proto_tok != "any" or rate is not None or rule.has_static_matchers()):
             raise RuleSyntaxError(lineno, "block rule with no matchers would blackhole everything")
         rules.append(rule)
     return rules
@@ -351,35 +349,36 @@ def unseen(table: dict, rules: list[Rule], addresses: Sequence[int], ports: Sequ
 
 
 class StaticMatches:
-    """The rules of a view's protocol that `static_match` it, in file order,
-    as entries [rule, rate key, alert fields (None before its first alert)].
-    A protocol whose rules test only protocol and rate is not tested, and a
-    view of it gets new entries (so a rotating source leaves nothing here);
-    for the others, the two views that last missed keep theirs, by identity."""
+    """The rules of a view's protocol that `static_match` it, in file order, as
+    entries [rule, rate key, alert fields (None before its first alert)]; the
+    two views that last missed keep theirs, by identity.  A protocol whose
+    rules test only protocol and rate is not tested: its views share entries
+    (rule, None, None): the caller makes the key from the view and keeps no
+    alert fields, so a rotating source costs no entry and leaves nothing here."""
 
     __slots__ = ("_by_proto", "rate_only", "_v0", "_m0", "_v1", "_m1")
 
     def __init__(self, rules: list[Rule]):
-        self._by_proto = {}  # proto -> (its rules, whether any has a static matcher)
-        # proto -> its rules, if none has a static matcher and each a rate clause
-        self.rate_only = {}
+        self._by_proto = {}  # proto -> (its rules, their shared entries if it is not tested)
+        self.rate_only = {}  # proto -> its rules, if none has a static matcher and each a rate
         for p in Proto:
             mine = [r for r in rules if p in r.protos]
-            self._by_proto[p] = mine, any(r.has_static_matchers() for r in mine)
-            self.rate_only[p] = None if self._by_proto[p][1] or any(
-                r.rate is None for r in mine) else mine
+            tested = any(r.has_static_matchers() for r in mine)
+            self._by_proto[p] = mine, None if tested else [(r, None, None) for r in mine]
+            self.rate_only[p] = None if tested or any(r.rate is None for r in mine) else mine
         self._v0 = self._m0 = self._v1 = self._m1 = None
 
-    def matching(self, view: PacketView) -> list[list]:
+    def matching(self, view: PacketView) -> list:
         if view is self._v0:
             return self._m0
         if view is self._v1:
             return self._m1
-        rules, tested = self._by_proto[view.proto]
+        rules, shared = self._by_proto[view.proto]
+        if shared is not None:
+            return shared
         matches = [[r, (r.id, view.src_address, view.src_port), None]
-                   for r in rules if not tested or r.static_match(view)]
-        if tested:
-            self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, matches
+                   for r in rules if r.static_match(view)]
+        self._v1, self._m1, self._v0, self._m0 = self._v0, self._m0, view, matches
         return matches
 
 
@@ -425,6 +424,8 @@ class IdpsEngine:
             rule, key, fields = match
             rate = rule.rate
             if rate is not None:
+                if key is None:  # a shared entry
+                    key = (rule.id, view.src_address, view.src_port)
                 hits = counters.get(key)
                 if hits is None:
                     counters.add(key, rate, now)
@@ -435,7 +436,9 @@ class IdpsEngine:
                 if len(hits) <= rate.threshold or hits[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet
             if fields is None:
-                fields = match[2] = self._alert_fields(rule, view)
+                fields = self._alert_fields(rule, view)
+                if match[1] is not None:  # a view's own entry keeps them
+                    match[2] = fields
             self.alerts.append(Alert(now, *fields))
             return self._verdicts[rule.id]
         return _PASS
@@ -478,8 +481,7 @@ class IdpsEngine:
     def _alert_fields(self, rule: Rule, view: PacketView) -> tuple:
         # An Alert's fields after its time; one string per endpoint per run.
         names = self._endpoints
-        src = (view.src_address, view.src_port)
-        dst = (view.dst_address, view.dst_port)
+        src, dst = (view.src_address, view.src_port), (view.dst_address, view.dst_port)
         return (rule.id, view.proto._value_,
                 names.get(src) or names.setdefault(src, f"{int_to_ip(src[0])}:{src[1]}"),
                 names.get(dst) or names.setdefault(dst, f"{int_to_ip(dst[0])}:{dst[1]}"),

@@ -55,7 +55,6 @@ class TruthOracle:
         self.floor = 0
         self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
         self.true_matches = 0
-        self.block_matches = 0
 
     def _sweep(self, now: int) -> None:
         window_us, windows = self._window_us, self.windows
@@ -68,24 +67,23 @@ class TruthOracle:
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
-        windows = self.windows
         for rule, key, _ in self._static.matching(view):
             rate = rule.rate
             if rate is not None:
-                win = windows.get(key)
+                if key is None:  # a shared entry
+                    key = (rule.id, view.src_address, view.src_port)
+                win = self.windows.get(key)
                 if win is None:
-                    if len(windows) >= self.sweep_at:
+                    if len(self.windows) >= self.sweep_at:
                         self._sweep(now)
-                    windows[key] = now
+                    self.windows[key] = now
                     continue  # a first hit: later rules still get the packet
                 if type(win) is int:
-                    win = windows[key] = deque((win,), rate.threshold + 1)
+                    win = self.windows[key] = deque((win,), rate.threshold + 1)
                 win.append(now)
                 if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet
             self.true_matches += 1
-            if rule.action is BLOCK:
-                self.block_matches += 1
             return True
         return False
 

@@ -533,7 +533,7 @@ def _span_state(eng, oracle):
             [dataclasses.astuple(a) for a in eng.alerts], list(eng._inspected_times),
             list(eng.rate_counters.items()), eng.rate_counters.sweep_at, eng.rate_counters.floor,
             dict(eng.rate_counters.window_us), list(oracle.windows.items()), oracle.sweep_at,
-            oracle.floor, oracle.true_matches, oracle.block_matches)
+            oracle.floor, oracle.true_matches)
 
 
 def _full_scan(table, window_us, now):
@@ -807,9 +807,8 @@ class TestStaticMatches:
                             lambda rule, v: calls.append(rule.id) or True)
         static = StaticMatches(rules)
         for p in (Proto.TCP_SYN, Proto.ICMP_ECHO):
-            v = view(proto=p)
-            assert static.matching(v) == [[r, (r.id, v.src_address, v.src_port), None]
-                                          for r in rules if p in r.protos]
+            assert static.matching(view(proto=p)) == [(r, None, None)
+                                                      for r in rules if p in r.protos]
         assert calls == []
         static.matching(view())
         assert calls == ["r1", "r2"]
