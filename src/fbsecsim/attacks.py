@@ -141,19 +141,18 @@ class _Stream:
         self.count = flood_count(spec)
         self.first, self.per_rate = flood_clock(spec, attacker_index)
         self.i = 0
-        self.counting = False  # parked while counting: ask when it runs next
-        self.armed = False     # its next arrival has the pump's heap entry
-        self.syn_rotate = spec.kind is AttackKind.SYN_FLOOD
+        self.armed = False  # its next arrival has the pump's heap entry
+        syn_rotate = spec.kind is AttackKind.SYN_FLOOD
         # SYN i's claimed (address, port), from the attackers' /16 (`syn_source`),
         # and those of SYNs lo..hi-1 (`syn_sources`)
         self.source = self.sources = None
-        if self.syn_rotate:
+        if syn_rotate:
             ghost_net, k = src.address & 0xFFFF0000, spec.attacker_count
             self.source = partial(syn_source, ghost_net, k=k, j=attacker_index)
             self.sources = partial(syn_sources, ghost_net, k=k, j=attacker_index)
         # Views carry only the header and payload, which a non-rotating flood
         # never changes, so one view serves every packet and receiver.
-        self.view = None if self.syn_rotate else Packet(
+        self.view = None if syn_rotate else Packet(
             self.proto, src, spec.target, spec.payload, 0, self.origin, 0).view()
         target = spec.target
         if isinstance(target, GroupAddress):
@@ -163,7 +162,7 @@ class _Stream:
         self.base = self.first + transport.latency_us  # packet 0's arrival
         # what `_FloodPump._pump` reads, in one tuple
         self.fixed = (target, spec.payload, self.proto, self.origin, src, self.source,
-                      self.view, GHOST_ID if self.syn_rotate else src.device_id,
+                      self.sources, self.view, GHOST_ID if syn_rotate else src.device_id,
                       target.address, target.port,
                       self.target_device, self.group, self.base, self.per_rate, self.count)
 
@@ -182,18 +181,14 @@ class _FloodPump:
     a `Packet`; group floods and targets with no device build one for
     `Transport.deliver`.
 
-    Arrivals whose whole fate is a counter update run as segments: the
-    pump hands a segment function an index range of a stream, and the
-    function takes a prefix of it in one call.  `Transport.count_only`
-    gives one for junk UDP and ICMP arrivals, asked the first time a
-    stream goes on inline, after its first routed arrival if that found
-    no counter, and as soon as a stream parked while counting
-    (`counting`) runs again.  `Transport.fresh_syns` gives one for SYNs
-    from new sources, asked whenever a unicast SYN stream starts to run;
-    an arrival it does not take goes alone.  Every arrival is still
-    ingested and counted as an event, in the order one heap entry per
-    arrival gives (`tests/test_attacks.py::TestCoalescing`,
-    `TestMergedStreams`).
+    Arrivals whose fate every layer can account in bulk run as segments
+    (`Transport.segment`): a unicast stream asks for a segment function
+    when it starts a run that may go on inline and, with no answer, again
+    after each lone arrival until an ingested one has been routed.  The function takes a
+    prefix of an index range of the stream in one call; an arrival it does
+    not take goes alone.  Every arrival is still ingested and counted as an
+    event, in the order one heap entry per arrival gives
+    (`tests/test_attacks.py::TestCoalescing`, `TestMergedStreams`).
     """
 
     def __init__(self, transport: Transport, scheduler: Scheduler):
@@ -227,22 +222,21 @@ class _FloodPump:
         stream = heappop(parked)[4]
         stream.armed = False
         while True:
-            (target, payload, proto, origin, base_src, source, view, src_id,
+            (target, payload, proto, origin, base_src, source, sources, view, src_id,
              dst_address, dst_port, dev, group, base, per_rate, count) = stream.fixed
-            syn_rotate = source is not None
             i = stream.i
             cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
-            if syn_rotate:
-                span = None if dev is None else transport.fresh_syns(
-                    dev, target, origin, base, per_rate, stream.sources)
-            elif stream.counting:
-                span = transport.count_only(dev, target, view, origin, base, per_rate)
-            else:
-                span = None
+            # a unicast stream asks for a segment function as it starts a run
+            # that may go on inline (its next arrival is due before any other
+            # stream's) and, with no answer, after each lone arrival until one
+            # is routed
+            span = None
+            if dev is not None and base + (i + 1) * US // per_rate < cap:
+                span = transport.segment(dev, target, origin, base, per_rate, view, sources)
+            unrouted = span is None and dev is not None
             if span is not None:
                 last, left = scheduler.inline_bound()
                 left += 1  # the popped arrival has run as an event already
-            ask = span is None and dev is not None and not syn_rotate
             while True:
                 if dev is not None and dev.down:
                     dev.bulk_unresponsive_drop(count - i)
@@ -260,14 +254,14 @@ class _FloodPump:
                     now = scheduler.now
                     routed = dev is None or dev.ingest(now)
                     if routed:
-                        if syn_rotate:
+                        if source is not None:
                             view = PacketView(proto, *source(i), dst_address, dst_port, payload)
                         if dev is not None:
                             transport.next_seq()  # the arrival's, read by `arrive` if watched
                             transport.arrive(dev, origin, src_id, view, target, now)
                         else:
                             src = Endpoint(GHOST_ID, view.src_address, view.src_port) \
-                                if syn_rotate else base_src
+                                if source is not None else base_src
                             # a packet arrives exactly one latency after its send instant
                             pkt = Packet(proto, src, target, payload, now - latency, origin,
                                          transport.next_seq())
@@ -280,7 +274,7 @@ class _FloodPump:
                 when = base + i * US // per_rate
                 last, left = scheduler.inline_bound()
                 if when > last or left < 1 or when >= cap:
-                    stream.i, stream.counting = i, span is not None
+                    stream.i = i
                     if when < cap and not scheduler.ready:
                         # still the head, and no fan-out is left to run: arm it
                         stream.armed = True
@@ -291,9 +285,9 @@ class _FloodPump:
                     break
                 scheduler.now = when
                 scheduler.processed += 1
-                if ask:
-                    span = transport.count_only(dev, target, view, origin, base, per_rate)
-                    ask = span is None and not routed
+                if unrouted:
+                    span = transport.segment(dev, target, origin, base, per_rate, view, sources)
+                    unrouted = span is None and not routed
             if not parked:
                 return
             if last is None or scheduler.ready:

@@ -137,7 +137,7 @@ def make_subscriber(id: str, network: FBNetwork, transport: Transport,
             return partial(count_malformed, entry[0])
         return None
 
-    handler.count_only = count_only  # read by Transport.count_only
+    handler.count_only = count_only  # read by Transport.segment
 
     def behavior(ctx, event, inputs, state: SubState):
         if event == "INIT":

@@ -115,35 +115,6 @@ class PacketView(NamedTuple):
     payload: bytes
 
 
-class SlidingWindow:
-    """Arrival counter over the trailing second, bucketed at 1 ms.
-
-    The current bucket plus the previous 1000 are kept, so the span never
-    falls short of a full second: a sustained packet-per-microsecond flood
-    reaches a count of 10^6 exactly 999999 us after its first arrival.
-    """
-
-    __slots__ = ("_buckets", "_total")
-
-    def __init__(self):
-        self._buckets: deque[list] = deque()
-        self._total = 0
-
-    def add(self, now: int) -> int:
-        """Count an arrival; returns the window total including it."""
-        b = now // BUCKET_US
-        buckets = self._buckets
-        self._total += 1
-        if buckets and buckets[-1][0] == b:  # its first arrival expired the old buckets
-            buckets[-1][1] += 1
-            return self._total
-        low = b - _N_BUCKETS
-        while buckets and buckets[0][0] < low:
-            self._total -= buckets.popleft()[1]
-        buckets.append([b, 1])
-        return self._total
-
-
 class HalfOpenTable:
     """Pending TCP handshakes awaiting their final ACK.
 
@@ -187,6 +158,23 @@ class HalfOpenTable:
         """Free slots at `now`, once the entries stale by then expire."""
         return self.capacity - len(self.entries) + self._expired(now)
 
+    # A stretch of SYNs is refused before `expiry`, or admitted under keys
+    # the table does not hold (`held`) in as many slots as are `free`.
+
+    def expiry(self) -> int:
+        """When the front entry expires."""
+        return next(iter(self.entries.values())) + self.timeout_us
+
+    def held(self, keys: list[tuple[int, int, int]], n: int) -> int:
+        """The index of the first of the first n `keys` the table holds, or n."""
+        return first_held(self.entries, keys, n)
+
+    def admit(self, keys: list[tuple[int, int, int]], times: list[int]) -> None:
+        """`syn` of keys[i] at times[i], for each i of `times`, where `free`
+        and `held` allow them all."""
+        self.entries.update(zip(keys, times))
+        self._evict(times[-1])
+
 
 class DeviceModel:
     """One simulated PLC (or attacker host): capacity, state, counters."""
@@ -200,7 +188,13 @@ class DeviceModel:
         self.critical_rate = critical_rate
         self.state = RESPONSIVE
         self.down = False  # state is UNRESPONSIVE; kept by _transition
-        self.window = SlidingWindow()
+        # Arrivals over the trailing second, as [1 ms bucket, count] pairs
+        # and their total: the current bucket plus the previous 1000 are
+        # kept, so the span never falls short of a full second, and a
+        # packet-per-microsecond flood reaches 10^6 exactly 999999 us after
+        # its first arrival.
+        self._buckets: deque[list] = deque()
+        self._total = 0
         self.halfopen = HalfOpenTable(halfopen_capacity, halfopen_timeout_us)
         self.established: set[tuple[int, int, int]] = set()
         self._rng = random.Random(f"{seed}:{device_id}:drop")
@@ -238,7 +232,16 @@ class DeviceModel:
         if self.down:
             self.dropped_unresponsive += 1
             return False
-        rate = self.window.add(now)
+        buckets = self._buckets
+        b = now // BUCKET_US
+        if buckets and buckets[-1][0] == b:  # its first arrival expired the old buckets
+            buckets[-1][1] += 1
+        else:
+            low = b - _N_BUCKETS
+            while buckets and buckets[0][0] < low:
+                self._total -= buckets.popleft()[1]
+            buckets.append([b, 1])
+        rate = self._total = self._total + 1
         if rate >= self.critical_rate:
             self._transition(UNRESPONSIVE, now)
             self.dropped_unresponsive += 1
@@ -258,7 +261,7 @@ class DeviceModel:
     def headroom(self) -> int:
         """Arrivals the device can still ingest under capacity and short of
         collapse, by its window's total now (expiry only lowers it)."""
-        return min(self.capacity, self.critical_rate - 1) - self.window._total
+        return min(self.capacity, self.critical_rate - 1) - self._total
 
     def ingest_span(self, base: int, per_rate: int, lo: int, hi: int) -> tuple[int, int]:
         """`ingest` arrivals lo..hi-1 (lo <= hi) of a periodic stream, arrival
@@ -273,7 +276,7 @@ class DeviceModel:
             self.offered += taken
             self.dropped_unresponsive += taken
             return taken, 0
-        buckets, total = self.window._buckets, self.window._total
+        buckets, total = self._buckets, self._total
         capacity, critical_rate = self.capacity, self.critical_rate
         draw = self._rng.random
         dropped = 0
@@ -282,7 +285,7 @@ class DeviceModel:
             b = (base + m * US // per_rate) // BUCKET_US
             if buckets and buckets[-1][0] == b:
                 tail = buckets[-1]
-            else:  # SlidingWindow.add
+            else:  # as in `ingest`
                 low = b - _N_BUCKETS
                 while buckets and buckets[0][0] < low:
                     total -= buckets.popleft()[1]
@@ -316,7 +319,7 @@ class DeviceModel:
                 self._transition(UNRESPONSIVE, base + crit * US // per_rate)
                 self.dropped_unresponsive += 1
                 break
-        self.window._total = total
+        self._total = total
         taken = m - lo
         ingested = taken - dropped - self.down
         self.offered += taken
@@ -366,11 +369,11 @@ class Transport:
         # on_presented(device, origin, view, verdict, now): an arrival past the engine tap
         self.on_presented: Callable | None = None
         # the metrics.Recorder whose `on_send` and `on_presented` those are, if
-        # they are its; it also takes the SYNs of a segment (`fresh_syns`)
+        # they are its; it also takes the SYNs of a segment (`segment`)
         self.recorder = None
         # true origin -> fn(packet, now), called once an arrival from that
         # origin clears device and tap (`watch_delivery`); a flood from an
-        # unwatched origin may be counted without its packets (`count_only`)
+        # unwatched origin may run in segments, without its packets (`segment`)
         self._watched: dict[str, Callable[[Packet, int], None]] = {}
         self.flood_pump = None  # the run's attacks._FloodPump, made by its first flood
 
@@ -476,22 +479,44 @@ class Transport:
             watch(packet, now)
         self._route(device, src_id, view, ep, now)
 
-    def count_only(self, device: DeviceModel, ep: Endpoint, view: PacketView, origin: str,
-                   base: int, per_rate: int) -> Callable[[int, int], int] | None:
-        """A segment function for a periodic stream of `view` from `origin`
-        at `ep`, arrival m due at base + m * US // per_rate, if the whole
-        fate of an ingested arrival is a counter update, else None: no
-        engine runs on `device`, nobody watches `origin`, and the view is
-        ICMP (`icmp_received`, which writes no trace) or UDP whose socket's
-        handler names the counter through its `count_only(view)`.
-        `span(lo, hi)` takes arrivals lo..hi-1 (lo < hi) to the device
-        (`DeviceModel.ingest_span`), accounts the ingested ones, sequence
-        numbers included, and returns how many it took.  The answer holds
-        until another event runs."""
-        engine = device.engine
-        if (engine is not None and engine.running) or origin in self._watched:
+    def segment(self, device: DeviceModel, ep: Endpoint, origin: str, base: int,
+                per_rate: int, view: PacketView | None,
+                sources: Callable[[int, int], tuple[Sequence[int], Sequence[int]]] | None = None
+                ) -> Callable[[int, int], int] | None:
+        """A segment function for a periodic stream from `origin` at `ep`,
+        arrival m due at base + m * US // per_rate: of `view`, or of SYNs
+        whose claimed sources `sources(lo, hi)` gives as (addresses, ports).
+        None unless nobody watches `origin`; no engine runs on `device`, or
+        the arrivals are SYNs whose rules are `IdpsEngine.span_rules` and
+        whose hook is `recorder`'s; and the fate past the engine is a
+        counter: `icmp_received`, a UDP handler's `count_only(view)`, or a
+        SYN's refusal or admission by the half-open table, with no device
+        `GHOST_ID` and no send hook but `recorder`'s.  `span(lo, hi)` (lo <
+        hi) takes the longest prefix of arrivals lo..hi-1 that each layer
+        can take in bulk as the arrivals one at a time would, and returns
+        how many (`tests/test_transport.py::TestRefusals`,
+        `TestCountedSegments`).  The answer holds until another event runs."""
+        if origin in self._watched:
             return None
-        if view.proto is ICMP_ECHO:
+        engine, recorder, rules = device.engine, self.recorder, None
+        if engine is not None and engine.running:
+            rules = engine.span_rules(TCP_SYN) if sources is not None else None
+            hook = self.on_presented
+            if rules is None or hook not in (None, getattr(recorder, "on_presented", None)):
+                return None
+            if hook is None:
+                recorder = None  # nobody observes what the engine passes
+        table = None
+        if sources is not None:  # SYNs: every one is ingested, and its SYN-ACK tallied
+            if GHOST_ID in self.devices or self.on_send not in (
+                    None, getattr(self.recorder, "on_send", None)):
+                return None
+            table, port = device.halfopen, ep.port
+            latency, tally = self.latency_us, self.scheduler.tally
+
+            def count(k: int) -> None:
+                device.syn_refused += k
+        elif view.proto is ICMP_ECHO:
             def count(k: int) -> None:
                 device.icmp_received += k
         else:
@@ -502,62 +527,24 @@ class Transport:
                 return None
 
         def span(lo: int, hi: int) -> int:
-            taken, ingested = device.ingest_span(base, per_rate, lo, hi)
-            self._seq += ingested
-            count(ingested)
-            return taken
-
-        return span
-
-    def fresh_syns(self, device: DeviceModel, ep: Endpoint, origin: str, base: int,
-                   per_rate: int,
-                   sources: Callable[[int, int], tuple[Sequence[int], Sequence[int]]]
-                   ) -> Callable[[int, int], int] | None:
-        """A segment function for a periodic stream of SYNs from `origin` at
-        `ep`, arrival m due at base + m * US // per_rate, whose claimed
-        sources `sources(lo, hi)` gives as (addresses, ports); None if a
-        watcher wants `origin`, a device has `GHOST_ID`, a hook other than
-        `recorder`'s takes sent or presented packets, or the engine's SYN
-        rules are not `IdpsEngine.span_rules`.  `span(lo, hi)` takes the
-        longest prefix of arrivals lo..hi-1 that the device ingests under
-        capacity, the engine inspects as first hits of keys neither rate
-        table holds, and the full half-open table refuses, or the table
-        admits under new keys before the first SYN-ACK falls due; it
-        accounts them in bulk and returns how many.  The answer holds until
-        another event runs.  That is what the SYNs one at a time do:
-        `tests/test_transport.py::TestRefusals::test_a_segment_is_its_arrivals_one_at_a_time`."""
-        recorder = self.recorder
-        if (origin in self._watched or GHOST_ID in self.devices
-                or self.on_send not in (None, getattr(recorder, "on_send", None))):
-            return None
-        engine = device.engine
-        rules = None
-        if engine is not None and engine.running:
-            rules, hook = engine.span_rules(TCP_SYN), self.on_presented
-            if rules is None or hook not in (None, getattr(recorder, "on_presented", None)):
-                return None
-            if hook is None:
-                recorder = None
-        table, port, latency = device.halfopen, ep.port, self.latency_us
-        entries, tally = table.entries, self.scheduler.tally
-
-        def span(lo: int, hi: int) -> int:
             now = base + lo * US // per_rate
-            free = table.free(now)
-            if free:  # arrivals that find a slot, before the first one's SYN-ACK falls due
-                until, hi = now + latency, min(hi, lo + free)
-            else:  # arrivals before the full table's front entry expires
-                until = next(iter(entries.values())) + table.timeout_us
-            n = min(hi, -(-(until - base) * per_rate // US)) - lo
-            n = min(n, device.headroom())
+            n, free = hi - lo, 0
+            if table is not None:
+                free = table.free(now)
+                if free:  # arrivals that find a slot, before the first one's SYN-ACK falls due
+                    until, n = now + latency, min(n, free)
+                else:  # arrivals before the full table's front entry expires
+                    until = table.expiry()
+                n = min(n, -(-(until - base) * per_rate // US) - lo, device.headroom())
             if rules is not None and n > 0:
                 n = min(n, engine.room(now))
             if n <= 0:
                 return 0
             if free or rules is not None:
                 addresses, ports = sources(lo, lo + n)
-                if free:  # the table admits a key it holds without a new slot
-                    n = first_held(entries, zip(addresses, ports, repeat(port)), n)
+                if free:
+                    keys = [*zip(addresses, ports, repeat(port))]
+                    n = table.held(keys, n)
                 if rules is not None:
                     # check both tables first, so the engine and the oracle take the same arrivals
                     n = engine.unseen(rules, addresses, ports, n)
@@ -566,21 +553,20 @@ class Transport:
                 if n == 0:
                     return 0
                 times = [base + m * US // per_rate for m in range(lo, lo + n)]
-            device.ingest_span(base, per_rate, lo, lo + n)
+            taken, ingested = device.ingest_span(base, per_rate, lo, lo + n)
+            self._seq += ingested
             if rules is not None:
                 engine.pass_span(rules, addresses, ports, times)
                 if recorder is not None:
                     recorder.presented_span(origin, rules, addresses, ports, times)
             if free:
-                entries.update(zip(zip(addresses, ports, repeat(port)), times))
-                table._evict(times[-1])
+                table.admit(keys, times)
                 device.syn_accepted += n
-                self._seq += 2 * n  # each arrival's, then its SYN-ACK's
+                self._seq += n  # each SYN-ACK's, after its SYN's
                 tally(map(latency.__add__, times))
             else:
-                device.syn_refused += n
-                self._seq += n
-            return n
+                count(ingested)
+            return taken
 
         return span
 

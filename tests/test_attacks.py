@@ -332,7 +332,7 @@ class _LoggingTransport(Transport):
     """Logs every ingested arrival as `arrive` gets it: origin, claimed
     source, view and sequence number; with its devices' ingest log, every
     arrival crosses the log whatever path it took.  An arrival a segment
-    takes (`count_only`, `fresh_syns`) is logged as if it had reached
+    takes (`segment`) is logged as if it had reached
     `arrive`, right after its device log entry.  A SYN's view is logged
     without its payload, which a segment does not carry and nothing past
     the device reads."""
@@ -354,15 +354,14 @@ class _LoggingTransport(Transport):
     def logged(self, now, ep, origin, src_id, view, seq):
         self.log.append((now, ep.device_id, origin, src_id, view, seq if self.seqs else None))
 
-    def count_only(self, device, ep, view, origin, base, per_rate):
-        return self.logged_span(super().count_only(device, ep, view, origin, base, per_rate),
-                                device, ep, origin, origin, base, per_rate, lambda m: view)
-
-    def fresh_syns(self, device, ep, origin, base, per_rate, sources):
-        return self.logged_span(super().fresh_syns(device, ep, origin, base, per_rate, sources),
-                                device, ep, origin, GHOST_ID, base, per_rate,
-                                lambda m: (Proto.TCP_SYN, *next(zip(*sources(m, m + 1))),
-                                           ep.address, ep.port))
+    def segment(self, device, ep, origin, base, per_rate, view, sources=None):
+        if sources is None:
+            src_id, arrival = origin, lambda m: view
+        else:
+            src_id, arrival = GHOST_ID, lambda m: (Proto.TCP_SYN, *next(zip(*sources(m, m + 1))),
+                                                   ep.address, ep.port)
+        return self.logged_span(super().segment(device, ep, origin, base, per_rate, view, sources),
+                                device, ep, origin, src_id, base, per_rate, arrival)
 
     def logged_span(self, span, device, ep, origin, src_id, base, per_rate, view):
         """`span`, logging each arrival its device logs as ingested, as
@@ -461,11 +460,12 @@ _LONE = (spec(rate=10_000, stop=5_000), 1, 10**6, False)
 
 
 class _HeapDeliveryTransport(Transport):
-    """Reference transport: every SYN takes the per-packet path, and a
-    unicast packet to a device id with no device takes a heap entry, which
-    `deliver` counts undeliverable when it pops; no event is tallied."""
+    """Reference transport: every flood arrival takes the per-packet path,
+    and a unicast packet to a device id with no device takes a heap entry,
+    which `deliver` counts undeliverable when it pops; no event is
+    tallied."""
 
-    def fresh_syns(self, *args):
+    def segment(self, *args):
         return None
 
     def send(self, packet):
@@ -634,16 +634,13 @@ class _ViewCheckingTransport(Transport):
         self.packet = packet
         super().arrive(device, origin, src_id, view, ep, now, packet)
 
-    def count_only(self, device, ep, view, origin, base, per_rate):
-        return self.checked_span(super().count_only(device, ep, view, origin, base, per_rate),
-                                 ep, origin, lambda m: view)
-
-    def fresh_syns(self, device, ep, origin, base, per_rate, sources):
+    def segment(self, device, ep, origin, base, per_rate, view, sources=None):
         stream = self.streams[origin]
-        return self.checked_span(super().fresh_syns(device, ep, origin, base, per_rate, sources),
-                                 ep, origin, lambda m: PacketView(Proto.TCP_SYN, *stream.source(m),
-                                                                  ep.address, ep.port,
-                                                                  stream.spec.payload))
+        arrival = (lambda m: view) if sources is None else (
+            lambda m: PacketView(Proto.TCP_SYN, *stream.source(m), ep.address, ep.port,
+                                 stream.spec.payload))
+        return self.checked_span(super().segment(device, ep, origin, base, per_rate, view, sources),
+                                 ep, origin, arrival)
 
     def checked_span(self, span, ep, origin, view):
         """`span`, checking the view `view(m)` a segment stands for against
@@ -730,7 +727,7 @@ class TestSharedViews:
 def flood_packet(stream, i, seq):
     """Packet `i` of a flood stream, numbered `seq`, built the per-packet way."""
     src = stream.src
-    if stream.syn_rotate:
+    if stream.source is not None:
         # attacker j of k sends the flood's SYNs j, k + j, 2k + j, ...
         n = i * stream.spec.attacker_count + src.port - 40000
         src = Endpoint(GHOST_ID, (src.address & 0xFFFF0000) | (n % 0xFFFE + 1),
@@ -1023,7 +1020,7 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
     sub = net.instances["SUB"]
     stats = (engine.presented, engine.inspected, engine.dropped_by_engine,
              [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
-    return (log, victim.counters(), victim.transitions, victim.window._buckets,
+    return (log, victim.counters(), victim.transitions, victim._buckets,
             sender.counters(), tr.undeliverable,
             ending, sched.now, stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
             net.trace.entries if traced else None, net.suppressed, tr._seq, sched.processed)
@@ -1095,7 +1092,7 @@ class TestCountOnly:
             tr = Transport(sched, 500)
             victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
             for t in range(US, 2 * US, BUCKET_US):
-                victim.window.add(t)
+                victim.ingest(t)
             subscriber_net(sched, tr, victim, None)
             stop = 2 * US + int(seconds * US)
             schedule_flood(spec(rate=10**6, start=2 * US, stop=stop), tr, sched,
@@ -1118,7 +1115,7 @@ class TestCountOnly:
     @staticmethod
     def matches_the_per_packet_path(case, plain):
         got = run_count_case(*case, plain=plain)
-        with mock.patch.object(Transport, "count_only", lambda *args: None):
+        with mock.patch.object(Transport, "segment", lambda *args: None):
             want = run_count_case(*case, plain=plain)
         assert got == want
 
@@ -1153,11 +1150,11 @@ class TestCountOnly:
                                                       routed):
         """An untraced engine-off junk flood at a subscriber counts every
         ingested arrival as malformed but routes only its first: the pump
-        asks `count_only` once that arrival has taught the subscriber's memo
-        the payload, and a stream parked while counting asks again when it
-        pops and counts from there.  If that answer is no, the stream asks
-        again after its first arrival and, if that one was dropped, after
-        its first routed one."""
+        asks `segment` as the stream starts to run and, with no answer,
+        after each lone arrival until one has been routed; that arrival
+        teaches the subscriber's memo the payload, so the next ask is
+        answered.  A parked stream asks again when it pops and counts from
+        there."""
         got = Counter()
         arrive = Transport.arrive
         pump = attacks._FloodPump._pump
@@ -1186,3 +1183,28 @@ class TestCountOnly:
         assert processed == 1_000 + 2 * len(sends) + len(horizons)
         assert pumped == calls
         assert got == routed
+
+    def test_a_stream_asks_until_an_arrival_is_routed(self):
+        """A junk flood starts at an engine-off subscriber whose plc2 is far
+        over capacity, so its first arrivals are dropped, and the first
+        answer is no: the subscriber has not seen the payload.  The stream
+        asks again after each lone arrival, so the one after the first
+        routed arrival is answered and that arrival is the only one routed."""
+        sched = Scheduler()
+        tr = Transport(sched, 500)
+        victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=10, seed=2))
+        for _ in range(100):
+            victim.ingest(0)
+        subscriber_net(sched, tr, victim, None)
+        schedule_flood(spec(rate=10_000, start=1_000, stop=US // 10), tr, sched,
+                       ip_to_int("10.0.0.66"))
+        arrive, routed = Transport.arrive, []
+
+        def counted(tr, device, origin, *args):
+            routed.append(device.offered)
+            arrive(tr, device, origin, *args)
+
+        with mock.patch.object(Transport, "arrive", counted):
+            sched.run_until(US)
+        assert routed == [105]  # the flood's first four arrivals were dropped
+        assert victim.offered == 100 + 990

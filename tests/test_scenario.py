@@ -529,8 +529,7 @@ def packets_change_nothing(cfg, record_trace):
 
     got = run_files(cfg, record_trace)[0]
     with mock.patch.object(Transport, "arrive", with_packet), \
-            mock.patch.object(Transport, "count_only", lambda *args: None), \
-            mock.patch.object(Transport, "fresh_syns", lambda *args: None):
+            mock.patch.object(Transport, "segment", lambda *args: None):
         want = run_files(cfg, record_trace)[0]
     assert_same_files(got, want)
     return built
@@ -612,8 +611,7 @@ def merged_floods_change_nothing(cfg):
     traced = run_files(cfg, True)[0]
     with mock.patch.object(Scheduler, "inline_bound", lambda sched: (-1, 0)), \
             mock.patch.object(Scheduler, "run_ready", lambda sched: None), \
-            mock.patch.object(Transport, "count_only", lambda *args: None), \
-            mock.patch.object(Transport, "fresh_syns", lambda *args: None):
+            mock.patch.object(Transport, "segment", lambda *args: None):
         want = run_files(cfg, True)[0]
     assert_same_files(traced, want)
     del want["trace.txt"]
@@ -733,17 +731,17 @@ def send_with_heap_entries(tr, packet):
 
 
 def fresh_syns_change_nothing(cfg, record_trace):
-    """Assert `cfg` writes what its reference run writes, where every SYN
-    takes the per-packet path (`Transport.fresh_syns` answers None), every
-    SYN-ACK to a spoofed source takes a heap entry and every rate-table
-    sweep scans every key, and ends with the same rate tables, in the same
-    order, or raises the same error; return how many SYNs the run took in
-    segments."""
+    """Assert `cfg` writes what its reference run writes, where every flood
+    arrival takes the per-packet path (`Transport.segment` answers None),
+    every SYN-ACK to a spoofed source takes a heap entry and every
+    rate-table sweep scans every key, and ends with the same rate tables,
+    in the same order, or raises the same error; return how many SYNs the
+    run took in segments."""
     taken = 0
-    fresh_syns = Transport.fresh_syns
+    segment = Transport.segment
 
-    def counted(tr, *args):
-        span = fresh_syns(tr, *args)
+    def counted(tr, device, ep, origin, base, per_rate, view, sources=None):
+        span = segment(tr, device, ep, origin, base, per_rate, view, sources)
 
         def counted_span(lo, hi):
             nonlocal taken
@@ -751,11 +749,12 @@ def fresh_syns_change_nothing(cfg, record_trace):
             taken += n
             return n
 
-        return None if span is None else counted_span
+        # only SYN streams have `sources`: junk UDP and ICMP segments are not counted
+        return counted_span if span is not None and sources is not None else span
 
-    with mock.patch.object(Transport, "fresh_syns", counted):
+    with mock.patch.object(Transport, "segment", counted):
         got = run_with_tables(cfg, record_trace)
-    with mock.patch.object(Transport, "fresh_syns", lambda *args: None), \
+    with mock.patch.object(Transport, "segment", lambda *args: None), \
             mock.patch.object(Transport, "send", send_with_heap_entries), \
             mock.patch.object(idps.RateCounters, "_sweep", _scan_counters), \
             mock.patch.object(TruthOracle, "_sweep", _scan_windows):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fbsecsim import idps, metrics
 from fbsecsim.attacks import GHOST_ID, syn_source, syn_sources
-from fbsecsim.fbnet import Scheduler
+from fbsecsim.csifb import make_subscriber
+from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
 from fbsecsim.metrics import Recorder
 from fbsecsim.transport import (
@@ -23,11 +24,11 @@ from fbsecsim.transport import (
     Packet,
     PacketView,
     Proto,
-    SlidingWindow,
     Transport,
     int_to_ip,
     ip_to_int,
 )
+from fbsecsim.values import Bool, Str
 
 US = 1_000_000
 
@@ -254,7 +255,7 @@ class TestIngest:
 
 def _device_state(dev):
     return (dev.counters(), dev.transitions, dev.state, dev.down, dev._overloaded_at,
-            [list(bucket) for bucket in dev.window._buckets], dev.window._total)
+            [list(bucket) for bucket in dev._buckets], dev._total)
 
 
 class TestIngestSpan:
@@ -288,7 +289,7 @@ class TestIngestSpan:
                 t += spacing
         if critical_rate < 10**6 and draw(st.booleans()):
             # fill the window to one arrival short of critical_rate
-            while ref.window._total < critical_rate - 1 and not ref.down:
+            while ref._total < critical_rate - 1 and not ref.down:
                 both(t)
         per_rate = draw(st.one_of(st.sampled_from([3, 7, 333_333, 10**6]),
                                   st.integers(1, 10**6)))
@@ -392,12 +393,41 @@ class _TallyLoggingScheduler(Scheduler):
         super().tally(times)
 
 
+@st.composite
+def counted_cases(draw):
+    """A `refusal_cases` case whose stream is ICMP, or UDP at plc2's
+    subscriber, which may be traced and may have been handed the stream's
+    payload once before: junk, or a BOOL that it accepts."""
+    p, base, per_rate, lo, hi = draw(refusal_cases())
+    p.update(proto=draw(st.sampled_from([Proto.UDP, Proto.UDP, Proto.ICMP_ECHO])),
+             rules=draw(st.sampled_from([None, None, None, _SYN_RULESETS[0]])),
+             traced=draw(st.sampled_from([False, False, True])),
+             taught=draw(st.sampled_from([True, True, False])),
+             payload=draw(st.sampled_from([b"\x00", b"\xff\x01", b"\x41"])))
+    return p, base, per_rate, lo, hi
+
+
+def _stream_view(dev, p):
+    """The one view of a counted case's stream from attacker1."""
+    return PacketView(p["proto"], ip_to_int("10.0.0.66"), 40000, dev.address, 61499, p["payload"])
+
+
 def _refusal_transport(p):
     sched = _TallyLoggingScheduler()
     tr = Transport(sched, latency_us=p["latency"])
     dev = tr.add_device(plain_device(capacity=p["capacity"], critical_rate=p["critical_rate"],
                                      halfopen_capacity=p["halfopen"],
                                      halfopen_timeout_us=p["timeout"]))
+    net = None
+    if p.get("proto") is Proto.UDP:
+        net = FBNetwork(sched, Trace() if p["traced"] else None, services={"transport": tr})
+        net.host = dev
+        net.add(make_subscriber("SUB", net, tr, "plc2"))
+        net.set_data_in("SUB", "QI", Bool(True))
+        net.set_data_in("SUB", "ID", Str("239.192.0.2:61499"))
+        net.dispatch("SUB", "INIT")
+        if p["taught"]:
+            tr.sockets[("plc2", 61499)](_stream_view(dev, p))
     for t in p["window"]:
         dev.ingest(t)
     held = [syn_source(0x0A000000, m) for m in p["held"]]
@@ -435,12 +465,16 @@ def _refusal_transport(p):
         tr.watch_delivery("attacker1", lambda packet, now: None)
     if p["ghost_device"]:
         tr.add_device(plain_device(GHOST_ID, "10.0.0.1"))
-    return tr, sched, dev, engine, recorder
+    return tr, dev, engine, recorder, net
 
 
-def _refusal_state(tr, dev, engine, recorder):
+def _refusal_state(tr, dev, engine, recorder, net):
     state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq,
              tr.scheduler.tally_log]
+    if net is not None:
+        sub = net.instances["SUB"]
+        state += [sub.state.accepted, sub.state.malformed, dict(sub.din), dict(sub.dout),
+                  net.trace and net.trace.entries]
     if engine is not None:
         state += [engine.presented, engine.inspected, engine.dropped_by_engine, engine.alerts,
                   list(engine._inspected_times), dict(engine.rate_counters),
@@ -474,8 +508,8 @@ class TestRefusals:
     # the table holds arrival 4's source: it stops a segment of admitted SYNs
     @example(_keys_seen_case([], halfopen=20, held=[4]))
     def test_a_segment_is_its_arrivals_one_at_a_time(self, case):
-        """The SYNs `Transport.fresh_syns` takes in one call leave the
-        device, the half-open table, the sequence numbers, the tallied
+        """The SYNs a `Transport.segment` function takes in one call leave
+        the device, the half-open table, the sequence numbers, the tallied
         SYN-ACKs, the engine, the recorder and the oracle as the per-packet
         path leaves them, and that path ingests each under capacity,
         inspects and passes it, and either refuses all of them or admits
@@ -502,49 +536,82 @@ class TestRefusals:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
             mp.setattr(metrics, "_SWEEP_MIN", 0)
-            self.check(*case)
+            check_segment(*case)
 
-    @staticmethod
-    def check(p, base, per_rate, lo, hi):
-        tr, sched, dev, engine, recorder = _refusal_transport(p)
-        ref_tr, ref_sched, ref_dev, ref_engine, ref_recorder = _refusal_transport(p)
-        if dev.down:
-            return  # the pump accounts the flood's remainder in bulk
-        ep = Endpoint("plc2", dev.address, 61500)
-        source = partial(syn_source, 0x0A000000)
-        span = tr.fresh_syns(dev, ep, "attacker1", base, per_rate, partial(syn_sources, 0x0A000000))
+
+class TestCountedSegments:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counted_cases())
+    def test_a_segment_is_its_arrivals_one_at_a_time(self, case):
+        """The ICMP or junk UDP arrivals a `Transport.segment` function takes
+        in one call leave the device, the sequence numbers and the
+        subscriber, its trace included, as the per-packet path leaves
+        them.  The answer is None when an engine runs, a watcher wants the
+        origin, or the subscriber is traced or has not been handed the
+        payload, or the payload is one it accepts.
+
+        Why they agree: the fate of an arrival the device ingests is a
+        counter, `icmp_received` or the subscriber's malformed count, so
+        `ingest_span` over the stretch and one counter update for the
+        ingested ones are the arrivals one at a time."""
+        check_segment(*case)
+
+
+def check_segment(p, base, per_rate, lo, hi):
+    """Take arrivals lo..hi-1 of case `p`'s stream from attacker1 with one
+    `Transport.segment` function, and the same arrivals and the next one
+    one at a time on a second copy of the case; both must end the same."""
+    tr, dev, engine, recorder, net = _refusal_transport(p)
+    ref_tr, ref_dev, ref_engine, ref_recorder, ref_net = _refusal_transport(p)
+    if dev.down:
+        return  # the pump accounts the flood's remainder in bulk
+    syn = p.get("proto", Proto.TCP_SYN) is Proto.TCP_SYN
+    ep = Endpoint("plc2", dev.address, 61500 if syn else 61499)
+    source = partial(syn_source, 0x0A000000)
+    if syn:
+        span = tr.segment(dev, ep, "attacker1", base, per_rate, None,
+                          partial(syn_sources, 0x0A000000))
         assert (span is None) is (
             p["watched"] or p["ghost_device"] or p["send_hook"] == "other" or (
                 engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))
-        taken = 0 if span is None else span(lo, hi)
-        assert 0 <= taken <= hi - lo
-        admitted = dev.syn_accepted
+    else:
+        span = tr.segment(dev, ep, "attacker1", base, per_rate, _stream_view(dev, p))
+        assert (span is None) is (p["watched"] or engine is not None or (
+            p["proto"] is Proto.UDP and (p["traced"] or not p["taught"]
+                                         or p["payload"] == b"\x41")))
+    taken = 0 if span is None else span(lo, hi)
+    assert 0 <= taken <= hi - lo
+    admitted = dev.syn_accepted
 
-        def per_packet(tr, dev, m):
-            now = tr.scheduler.now = base + m * US // per_rate
-            if dev.ingest(now):
-                tr.next_seq()
+    def per_packet(tr, dev, m):
+        now = tr.scheduler.now = base + m * US // per_rate
+        if dev.ingest(now):
+            tr.next_seq()
+            if syn:
                 tr.arrive(dev, "attacker1", GHOST_ID,
                           PacketView(Proto.TCP_SYN, *source(m), ep.address, ep.port, b""), ep, now)
+            else:
+                tr.arrive(dev, "attacker1", "attacker1", _stream_view(dev, p), ep, now)
 
-        for m in range(lo, lo + taken):
-            fates = ref_dev.syn_accepted, ref_dev.syn_refused
-            inspected, alerts = (ref_engine.inspected, len(ref_engine.alerts)) if ref_engine else (0, 0)
-            per_packet(ref_tr, ref_dev, m)
+    for m in range(lo, lo + taken):
+        fates = ref_dev.syn_accepted, ref_dev.syn_refused
+        inspected, alerts = (ref_engine.inspected, len(ref_engine.alerts)) if ref_engine else (0, 0)
+        per_packet(ref_tr, ref_dev, m)
+        if syn:
             assert ref_dev.ingested == dev.ingested - (lo + taken - 1 - m)
-            assert ref_dev.window._total <= ref_dev.capacity
+            assert ref_dev._total <= ref_dev.capacity
             assert (ref_dev.syn_accepted, ref_dev.syn_refused) == (
                 (fates[0] + 1, fates[1]) if admitted else (fates[0], fates[1] + 1))
             if ref_engine is not None:
                 assert ref_engine.inspected == inspected + 1 and len(ref_engine.alerts) == alerts
-        if taken and admitted:
-            # no SYN-ACK of the segment falls due before its last arrival has run
-            assert sched.tally_log[-taken] > base + (lo + taken - 1) * US // per_rate
-        if lo + taken < hi:  # the arrival the segment left takes the per-packet path
-            per_packet(tr, dev, lo + taken)
-            per_packet(ref_tr, ref_dev, lo + taken)
-        assert _refusal_state(tr, dev, engine, recorder) == _refusal_state(
-            ref_tr, ref_dev, ref_engine, ref_recorder)
+    if taken and admitted:
+        # no SYN-ACK of the segment falls due before its last arrival has run
+        assert tr.scheduler.tally_log[-taken] > base + (lo + taken - 1) * US // per_rate
+    if lo + taken < hi:  # the arrival the segment left takes the per-packet path
+        per_packet(tr, dev, lo + taken)
+        per_packet(ref_tr, ref_dev, lo + taken)
+    assert _refusal_state(tr, dev, engine, recorder, net) == _refusal_state(
+        ref_tr, ref_dev, ref_engine, ref_recorder, ref_net)
 
 
 class _FullScanTable:
@@ -584,18 +651,20 @@ class TestSlidingWindow:
         st.integers(WINDOW_US + BUCKET_US, 3 * WINDOW_US),  # past the window: it empties
     ), max_size=200))
     def test_totals_match_a_brute_force_count(self, t, steps):
-        """Each `add` returns the number of arrivals so far whose bucket is in
-        [b - 1000, b], b the new arrival's bucket; the deque keeps exactly the
-        non-empty buckets of that span."""
+        """After each `ingest`, a device's window total is the number of
+        arrivals so far whose bucket is in [b - 1000, b], b the new
+        arrival's bucket; the deque keeps exactly the non-empty buckets of
+        that span."""
         n_buckets = WINDOW_US // BUCKET_US
-        window, seen = SlidingWindow(), []
+        dev, seen = plain_device(capacity=10**9, critical_rate=10**9), []
         for step in [0] + steps:
             t += step
             b = t // BUCKET_US
             seen.append(b)
             live = [a for a in seen if b - n_buckets <= a <= b]
-            assert window.add(t) == len(live)
-            assert [bucket for bucket, _ in window._buckets] == sorted(set(live))
+            assert dev.ingest(t)
+            assert dev._total == len(live)
+            assert [bucket for bucket, _ in dev._buckets] == sorted(set(live))
 
 
 def live(table, now):
