@@ -542,7 +542,7 @@ class Transport:
                 return 0
             if free or rules is not None:
                 addresses, ports = sources(lo, lo + n)
-                if free:
+                if free:  # the table admits a key it holds without a new slot
                     keys = [*zip(addresses, ports, repeat(port))]
                     n = table.held(keys, n)
                 if rules is not None:
