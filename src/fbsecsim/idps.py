@@ -328,6 +328,14 @@ class RateCounters(dict):
                 self[key] = now
                 left -= 1
 
+    def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
+               n: int) -> int:
+        """How many of the first n sources (addresses[i], ports[i]) come
+        before the first with a key under one of `rules` here."""
+        for rule in rules:
+            n = first_held(self, zip(repeat(rule.id), addresses, ports), n)
+        return n
+
 
 def first_hits(rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
                times: list[int]) -> Iterator[tuple[tuple, int]]:
@@ -337,15 +345,6 @@ def first_hits(rules: list[Rule], addresses: Sequence[int], ports: Sequence[int]
         return zip(zip(repeat(rules[0].id), addresses, ports), times)
     return zip(chain.from_iterable(zip(*[zip(repeat(r.id), addresses, ports) for r in rules])),
                chain.from_iterable(zip(*[times] * len(rules))))
-
-
-def unseen(table: dict, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
-           n: int) -> int:
-    """How many of the first n sources (addresses[i], ports[i]) come before
-    the first with a key under one of `rules` in the rate table `table`."""
-    for rule in rules:
-        n = first_held(table, zip(repeat(rule.id), addresses, ports), n)
-    return n
 
 
 class StaticMatches:
@@ -444,7 +443,7 @@ class IdpsEngine:
         return _PASS
 
     # A segment of SYNs, each the first hit of new keys, is checked with
-    # `span_rules`, `room` and `unseen`, then taken by `pass_span`.
+    # `span_rules`, `room` and `RateCounters.unseen`, then taken by `pass_span`.
 
     def span_rules(self, proto: Proto) -> list[Rule] | None:
         """The rules an arrival of `proto` meets, if it passes them all when
@@ -461,17 +460,13 @@ class IdpsEngine:
             times.popleft()
         return self.inspection_capacity - len(times)
 
-    def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
-               n: int) -> int:
-        return unseen(self.rate_counters, rules, addresses, ports, n)
-
     def pass_span(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
                   times: list[int]) -> None:
         """Count an arrival from each source (addresses[i], ports[i]) at
         times[i], for each i of `times`, presented and inspected, and fill
         the rate table with their first hits under `rules`.  Where
-        `span_rules`, `room` and `unseen` allow them, that is what one
-        `inspect` each does (`tests/test_idps.py::TestSpans`)."""
+        `span_rules`, `room` and `rate_counters.unseen` allow them, that is
+        what one `inspect` each does (`tests/test_idps.py::TestSpans`)."""
         self.presented += len(times)
         self.inspected += len(times)
         self._inspected_times.extend(times)

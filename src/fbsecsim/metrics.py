@@ -2,8 +2,9 @@
 
 This is the only layer allowed to read a packet's true origin.  The truth
 oracle re-evaluates the ruleset over every packet presented to the engine
-with no inspection-capacity limit and its own window bookkeeping, so the
-engine's saturation undercount is measured against an independent count.
+with no inspection-capacity limit, in a rate table of the engine's type
+but its own instance, so the engine's saturation undercount is measured
+against a count that never fails open.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import os
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import islice
 
 from .errors import SimError
-from .idps import BLOCK, IPS, IdpsEngine, Rule, StaticMatches, first_hits, unseen
+from .idps import BLOCK, IPS, IdpsEngine, RateCounters, Rule, StaticMatches
 from .plant import Command, Plant, completed_cycles
 from .transport import DeviceModel, DeviceState, Packet, Transport
 from .values import TRUE
@@ -32,86 +32,40 @@ class ConservationError(SimError):
     """A packet-accounting identity failed; the run is not trustworthy."""
 
 
-_SWEEP_MIN = 1024  # the window table never sweeps below this many windows
-
-
 class TruthOracle:
     """First-match rule evaluation with unlimited inspection capacity.
 
-    The static matcher is the engine's; the windows are re-implemented
-    here on purpose, so the engine's undercount is checked against
-    bookkeeping it does not share.  They follow the engine's rules: a
-    first hit is a bare timestamp, a sweep drops the windows whose newest
-    hit has left them once the table has doubled, and `floor`, a bound
-    under every newest hit, lets a sweep that can drop nothing skip the
-    scan (`idps.RateCounters`).
+    The static matcher and the rate-table type are the engine's; the
+    oracle's windows are its own `RateCounters`, fed every presented
+    arrival, so its count does not depend on the engine's saturation.
     """
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
         self._static = StaticMatches(rules)
-        self.windows: dict = {}
-        self.sweep_at = _SWEEP_MIN
-        self.floor = 0
-        self._window_us = {r.id: r.rate.window_us for r in rules if r.rate is not None}
+        self.windows = RateCounters()
         self.true_matches = 0
-
-    def _sweep(self, now: int) -> None:
-        window_us, windows = self._window_us, self.windows
-        if self.floor <= now - min(window_us.values()):
-            for key in [k for k, w in windows.items()
-                        if (w if type(w) is int else w[-1]) <= now - window_us[k[0]]]:
-                del windows[key]
-            self.floor = min([now, *(w if type(w) is int else w[-1] for w in windows.values())])
-        self.sweep_at = max(_SWEEP_MIN, 2 * len(windows))
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
+        windows = self.windows
         for rule, key, _ in self._static.matching(view):
             rate = rule.rate
             if rate is not None:
                 if key is None:  # a shared entry
                     key = (rule.id, view.src_address, view.src_port)
-                win = self.windows.get(key)
+                win = windows.get(key)
                 if win is None:
-                    if len(self.windows) >= self.sweep_at:
-                        self._sweep(now)
-                    self.windows[key] = now
+                    windows.add(key, rate, now)
                     continue  # a first hit: later rules still get the packet
                 if type(win) is int:
-                    win = self.windows[key] = deque((win,), rate.threshold + 1)
+                    win = windows[key] = deque((win,), rate.threshold + 1)
                 win.append(now)
                 if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
                     continue  # rate not exceeded: later rules still get the packet
             self.true_matches += 1
             return True
         return False
-
-    def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
-               n: int) -> int:
-        return unseen(self.windows, rules, addresses, ports, n)
-
-    def observe_span(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
-                     times: list[int]) -> None:
-        """Store the first hits of new windows: source i's (addresses[i],
-        ports[i]) under each of `rules` at times[i], for each i of `times`,
-        a stretch at a time between the windows that sweep.  Where `rules`
-        are `IdpsEngine.span_rules` and `unseen` allows the sources, that is
-        what one `observe` each does, none matching
-        (`tests/test_idps.py::TestSpans`)."""
-        windows = self.windows
-        hits = first_hits(rules, addresses, ports, times)
-        left = len(rules) * len(times)
-        while left:
-            take = min(left, self.sweep_at - len(windows))  # windows before the one that sweeps
-            if take > 0:
-                windows.update(islice(hits, take))
-                left -= take
-            else:
-                key, now = next(hits)
-                self._sweep(now)
-                windows[key] = now
-                left -= 1
 
 
 @dataclass
@@ -192,11 +146,11 @@ class Recorder:
     def presented_span(self, origin: str, rules: list[Rule], addresses: Sequence[int],
                        ports: Sequence[int], times: list[int]) -> None:
         """Count the arrivals from `origin` that the engine passed in bulk
-        (`IdpsEngine.pass_span`) and have the oracle observe them
-        (`TruthOracle.observe_span`): what `on_presented` does for each."""
+        (`IdpsEngine.pass_span`) and fill the oracle's windows with their
+        first hits: what `on_presented` does for each."""
         if origin in self.attacker_ids:
             self.attack_presented += len(times)
-        self.oracle.observe_span(rules, addresses, ports, times)
+        self.oracle.windows.fill(rules, addresses, ports, times)
 
     def on_delivered(self, packet: Packet, now: int) -> None:
         """Watches the publisher's deliveries (`Transport.watch_delivery`)."""

@@ -547,9 +547,9 @@ class Transport:
                     n = table.held(keys, n)
                 if rules is not None:
                     # check both tables first, so the engine and the oracle take the same arrivals
-                    n = engine.unseen(rules, addresses, ports, n)
+                    n = engine.rate_counters.unseen(rules, addresses, ports, n)
                     if recorder is not None:
-                        n = recorder.oracle.unseen(rules, addresses, ports, n)
+                        n = recorder.oracle.windows.unseen(rules, addresses, ports, n)
                 if n == 0:
                     return 0
                 times = [base + m * US // per_rate for m in range(lo, lo + n)]

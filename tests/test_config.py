@@ -427,7 +427,7 @@ _FIELD_OF = {key: (cls, name) for cls in FIELD_VALUES for name, key in _keys(cls
 
 def _key_lines(path):
     attacks = -1
-    for i, raw in enumerate(open(path).read().splitlines()):
+    for i, raw in enumerate(config.read_text(path).splitlines()):
         line = raw.split("#", 1)[0].strip()
         attacks += line == "[attacks]"
         key = line.partition("=")[0].strip()
@@ -467,7 +467,7 @@ def _substituted(data):
     path, index, key_path, cls, name = data.draw(st.sampled_from(KEY_LINES), label="key")
     token = data.draw(st.sampled_from(TOKENS) | FIELD_VALUES[cls][name].map(_render),
                       label="value")
-    lines = open(path).read().splitlines()
+    lines = config.read_text(path).splitlines()
     key = lines[index].partition("=")[0].strip()
     lines[index] = f"{key} = {token}"
     return path, key_path, lines

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fbsecsim import idps, metrics
+from fbsecsim import idps
 from fbsecsim.data import rules_path
 from fbsecsim.errors import RuleSyntaxError
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
@@ -344,14 +344,13 @@ class TestEngineAgreesWithOracle:
             # sweep_at 0 with no floor: each table sweeps whenever it has
             # doubled since its last sweep, from its first key on
             mp.setattr(idps, "_SWEEP_MIN", 0)
-            mp.setattr(metrics, "_SWEEP_MIN", 0)
             engines, oracles = [], []
             for sweep_at in (0, math.inf):
                 eng = IdpsEngine(inspection_capacity=len(packets) + 1)
                 eng.start(parse_rules(text), EngineMode.IDS)
                 eng.rate_counters.sweep_at = sweep_at
                 oracle = TruthOracle(parse_rules(text))
-                oracle.sweep_at = sweep_at
+                oracle.windows.sweep_at = sweep_at
                 engines.append(eng)
                 oracles.append(oracle)
             t = 0
@@ -498,12 +497,11 @@ class TestAgreesWithFullScan:
             assume(False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
-            mp.setattr(metrics, "_SWEEP_MIN", 0)
             eng = IdpsEngine(inspection_capacity=capacity)
             eng.start(rules, mode)
             eng.rate_counters.sweep_at = sweep_at
             oracle = TruthOracle(rules)
-            oracle.sweep_at = sweep_at
+            oracle.windows.sweep_at = sweep_at
             ref_eng = _FullScanEngine(rules, mode, capacity, sweep_at)
             ref_oracle = _FullScanOracle(rules, sweep_at)
             t = 0
@@ -528,12 +526,14 @@ _SPAN_RULES = parse_rules('alert tcp any any -> any any rate 3/1 msg "syn"\n'
                           'alert udp any any -> any any rate 1/1 msg "udp"\n')
 
 
+def _table_state(table):
+    return list(table.items()), table.sweep_at, table.floor, dict(table.window_us)
+
+
 def _span_state(eng, oracle):
     return (eng.presented, eng.inspected, eng.dropped_by_engine,
             [dataclasses.astuple(a) for a in eng.alerts], list(eng._inspected_times),
-            list(eng.rate_counters.items()), eng.rate_counters.sweep_at, eng.rate_counters.floor,
-            dict(eng.rate_counters.window_us), list(oracle.windows.items()), oracle.sweep_at,
-            oracle.floor, oracle.true_matches)
+            _table_state(eng.rate_counters), _table_state(oracle.windows), oracle.true_matches)
 
 
 def _full_scan(table, window_us, now):
@@ -553,8 +553,8 @@ class TestSpans:
            st.lists(st.sampled_from([0, 0, 1, 400, 300_000]), min_size=10, max_size=10),
            st.integers(1, 30), st.sampled_from([0, 4, math.inf]))
     def test_a_span_is_its_arrivals_one_at_a_time(self, earlier, span, gaps, capacity, sweep_at):
-        """`pass_span` and `observe_span` over the SYNs `room` and `unseen`
-        allow leave the engine and the oracle as one `inspect` and one
+        """`pass_span` and the oracle's `windows.fill` over the SYNs `room`
+        and `unseen` allow leave the engine and the oracle as one `inspect` and one
         `observe` per SYN do, in the same key order; the SYN after them
         meets a key either table holds or, if the engine had room for no
         more, goes uninspected.  Earlier traffic from the same sources may
@@ -573,13 +573,12 @@ class TestSpans:
         those the last SYN's `inspect` would expire."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
-            mp.setattr(metrics, "_SWEEP_MIN", 0)
             pairs = []
             for _ in "sr":
                 eng = IdpsEngine(inspection_capacity=capacity)
                 eng.start(_SPAN_RULES, EngineMode.IPS)
                 oracle = TruthOracle(_SPAN_RULES)
-                eng.rate_counters.sweep_at = oracle.sweep_at = sweep_at
+                eng.rate_counters.sweep_at = oracle.windows.sweep_at = sweep_at
                 t = 0
                 for gap, proto, n in earlier:
                     t += gap
@@ -594,14 +593,14 @@ class TestSpans:
             ports = [1024 + n for n in span]
             times = [t + sum(gaps[:k + 1]) for k in range(len(span))]
             room = eng.room(times[0])
-            n = eng.unseen(rules, addresses, ports, min(room, len(span)))
-            n = oracle.unseen(rules, addresses, ports, n)
+            n = eng.rate_counters.unseen(rules, addresses, ports, min(room, len(span)))
+            n = oracle.windows.unseen(rules, addresses, ports, n)
             stopped_by_a_key = n < min(room, len(span)) and any(
                 (r.id, addresses[n], ports[n]) in table
                 for r in rules for table in (eng.rate_counters, oracle.windows))
             if n:
                 eng.pass_span(rules, addresses, ports, times[:n])
-                oracle.observe_span(rules, addresses, ports, times[:n])
+                oracle.windows.fill(rules, addresses, ports, times[:n])
             syns = [PacketView(Proto.TCP_SYN, address, port, 1, 61500, b"")
                     for address, port in zip(addresses, ports)]
             for v, now in zip(syns, times[:n]):
@@ -632,11 +631,10 @@ class TestSpans:
         not."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
-            mp.setattr(metrics, "_SWEEP_MIN", 0)
             eng = IdpsEngine(inspection_capacity=100)
             eng.start(_SPAN_RULES, EngineMode.IDS)
             oracle = TruthOracle(_SPAN_RULES)
-            eng.rate_counters.sweep_at = oracle.sweep_at = sweep_at
+            eng.rate_counters.sweep_at = oracle.windows.sweep_at = sweep_at
             window_us = {r.id: r.rate.window_us for r in _SPAN_RULES}
             t = 0
             for gap, proto, n, sweep in steps:
@@ -645,10 +643,10 @@ class TestSpans:
                 eng.inspect(v, t)
                 oracle.observe(v, t)
                 if sweep:
-                    for table, owner in ((eng.rate_counters, eng.rate_counters), (oracle.windows, oracle)):
+                    for table in (eng.rate_counters, oracle.windows):
                         want = _full_scan(table, window_us, t)
-                        owner._sweep(t)
-                        assert (list(table.items()), owner.sweep_at) == want
+                        table._sweep(t)
+                        assert (list(table.items()), table.sweep_at) == want
 
     def test_rules_a_new_source_does_not_pass_alone(self):
         """A rule without a rate clause, or one `StaticMatches` must test,

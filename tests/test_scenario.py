@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbsecsim import idps, metrics
+from fbsecsim import idps
 from fbsecsim.config import AttackConfig, parse_scenario_file
 from fbsecsim.attacks import AttackKind
 from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import LANE_NET, FBNetwork, Scheduler
-from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD, TruthOracle
+from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.plant import Plant
 from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
 from fbsecsim.transport import (
@@ -435,12 +435,22 @@ def run_files(cfg, record_trace, settle=True):
 
     with mock.patch.object(Plant, "step", counted), tempfile.TemporaryDirectory() as out:
         result = run_scenario(cfg, record_trace=record_trace)
+        assert_oracle_agrees(result)
         write_outputs(result, out)
         files = {}
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as f:
                 files[name] = f.read()
     return files, steps, len(result.plant.samples) - 1  # the sample at 0 is no tick
+
+
+def assert_oracle_agrees(result):
+    """An engine that never failed open saw the oracle's arrivals in the
+    same order, on the same rules and the same table type: it alerted on
+    exactly the arrivals the oracle matched."""
+    engine = result.engine
+    if engine is not None and engine.dropped_by_engine == 0:
+        assert len(engine.alerts) == result.recorder.oracle.true_matches
 
 
 def assert_same_files(got, want):
@@ -678,6 +688,7 @@ def run_with_tables(cfg, record_trace):
         result = run_scenario(cfg, record_trace=record_trace)
     except ConfigError as e:
         return f"{e.path}: {e}"
+    assert_oracle_agrees(result)
     with tempfile.TemporaryDirectory() as out:
         write_outputs(result, out)
         files = {}
@@ -687,7 +698,7 @@ def run_with_tables(cfg, record_trace):
     engine, oracle = result.engine, result.recorder.oracle
     tables = None if engine is None else (list(engine.rate_counters.items()),
                                           engine.rate_counters.sweep_at,
-                                          list(oracle.windows.items()), oracle.sweep_at)
+                                          list(oracle.windows.items()), oracle.windows.sweep_at)
     return files, tables
 
 
@@ -702,11 +713,6 @@ def scan_every_key(table, window_us, now):
 
 def _scan_counters(counters, now):
     counters.sweep_at = max(idps._SWEEP_MIN, 2 * scan_every_key(counters, counters.window_us, now))
-
-
-def _scan_windows(oracle, now):
-    oracle.sweep_at = max(metrics._SWEEP_MIN, 2 * scan_every_key(oracle.windows,
-                                                                  oracle._window_us, now))
 
 
 _send = Transport.send
@@ -756,8 +762,7 @@ def fresh_syns_change_nothing(cfg, record_trace):
         got = run_with_tables(cfg, record_trace)
     with mock.patch.object(Transport, "segment", lambda *args: None), \
             mock.patch.object(Transport, "send", send_with_heap_entries), \
-            mock.patch.object(idps.RateCounters, "_sweep", _scan_counters), \
-            mock.patch.object(TruthOracle, "_sweep", _scan_windows):
+            mock.patch.object(idps.RateCounters, "_sweep", _scan_counters):
         want = run_with_tables(cfg, record_trace)
     if isinstance(want, str):
         assert got == want

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbsecsim import idps, metrics
+from fbsecsim import idps
 from fbsecsim.attacks import GHOST_ID, syn_source, syn_sources
 from fbsecsim.csifb import make_subscriber
 from fbsecsim.fbnet import FBNetwork, Scheduler, Trace
@@ -444,7 +444,7 @@ def _refusal_transport(p):
         for t in p["inspected"]:
             engine.inspect(PacketView(Proto.UDP, 1, 2, dev.address, 61499, b"\x41"), t)
         if p["sweep_at"] is not None:
-            engine.rate_counters.sweep_at = recorder.oracle.sweep_at = p["sweep_at"]
+            engine.rate_counters.sweep_at = recorder.oracle.windows.sweep_at = p["sweep_at"]
         for m, tables, t in p["seen"]:
             address, port = syn_source(0x0A000000, m)
             for rule in rules:
@@ -452,7 +452,7 @@ def _refusal_transport(p):
                     if "e" in tables:
                         engine.rate_counters.add((rule.id, address, port), rule.rate, t)
                     if "o" in tables:
-                        recorder.oracle.windows[(rule.id, address, port)] = t
+                        recorder.oracle.windows.add((rule.id, address, port), rule.rate, t)
         if p["hook"] == "recorder":
             tr.on_presented, tr.recorder = recorder.on_presented, recorder
         elif p["hook"] == "other":
@@ -479,7 +479,8 @@ def _refusal_state(tr, dev, engine, recorder, net):
         state += [engine.presented, engine.inspected, engine.dropped_by_engine, engine.alerts,
                   list(engine._inspected_times), dict(engine.rate_counters),
                   engine.rate_counters.sweep_at, recorder.attack_presented, recorder.blocked,
-                  recorder.oracle.windows, recorder.oracle.sweep_at, recorder.oracle.true_matches]
+                  recorder.oracle.windows, recorder.oracle.windows.sweep_at,
+                  recorder.oracle.true_matches]
     return state
 
 
@@ -535,7 +536,6 @@ class TestRefusals:
         its SYN's."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(idps, "_SWEEP_MIN", 0)
-            mp.setattr(metrics, "_SWEEP_MIN", 0)
             check_segment(*case)
 
 
