@@ -554,8 +554,8 @@ class TestSpans:
            st.integers(1, 30), st.sampled_from([0, 4, math.inf]))
     def test_a_span_is_its_arrivals_one_at_a_time(self, earlier, span, gaps, capacity, sweep_at):
         """`pass_span` and the oracle's `windows.fill` over the SYNs `room`
-        and `unseen` allow leave the engine and the oracle as one `inspect` and one
-        `observe` per SYN do, in the same key order; the SYN after them
+        and `unseen` allow leave the engine and the oracle as one `inspect`
+        and one `observe` per SYN do, in the same key order; the SYN after them
         meets a key either table holds or, if the engine had room for no
         more, goes uninspected.  Earlier traffic from the same sources may
         have left their keys, stale ones to sweep, or an engine near
