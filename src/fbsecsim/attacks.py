@@ -257,7 +257,8 @@ class _FloodPump:
                         if source is not None:
                             view = PacketView(proto, *source(i), dst_address, dst_port, payload)
                         if dev is not None:
-                            transport.next_seq()  # the arrival's, read by `arrive` if watched
+                            # as `send` would: later (origin, seq) heap keys order by it
+                            transport.next_seq()
                             transport.arrive(dev, origin, src_id, view, target, now)
                         else:
                             src = Endpoint(GHOST_ID, view.src_address, view.src_port) \

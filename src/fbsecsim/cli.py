@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes are scriptable: 0 clean, 2 configuration error, 10 hazard
-latched, 11 a controller device collapsed.
+Exit codes are scriptable: 0 clean, 2 configuration or output-path error,
+10 hazard latched, 11 a controller device collapsed.
 """
 
 from __future__ import annotations
@@ -115,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ConfigError, RuleSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:  # `config.read_text` reports an unreadable input, so this is an output
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except SimError as e:
         print(f"simulation error: {e}", file=sys.stderr)

@@ -328,6 +328,28 @@ class RateCounters(dict):
                 self[key] = now
                 left -= 1
 
+    def first_match(self, matches: list, view: PacketView, now: int):
+        """The first of `matches` (`StaticMatches.matching(view)`) that has
+        no rate clause or whose rate this hit at `now` exceeds, or None;
+        each rate clause met on the way counts the hit."""
+        for match in matches:
+            rule, key, _ = match
+            rate = rule.rate
+            if rate is not None:
+                if key is None:  # a shared entry
+                    key = (rule.id, view.src_address, view.src_port)
+                hits = self.get(key)
+                if hits is None:
+                    self.add(key, rate, now)
+                    continue  # one hit never exceeds a threshold
+                if type(hits) is int:
+                    hits = self[key] = deque((hits,), rate.threshold + 1)
+                hits.append(now)
+                if len(hits) <= rate.threshold or hits[0] <= now - rate.window_us:
+                    continue  # rate not exceeded: later rules still get the packet
+            return match
+        return None
+
     def unseen(self, rules: list[Rule], addresses: Sequence[int], ports: Sequence[int],
                n: int) -> int:
         """How many of the first n sources (addresses[i], ports[i]) come
@@ -418,29 +440,16 @@ class IdpsEngine:
             return _UNINSPECTED
         times.append(now)
         self.inspected += 1
-        counters = self.rate_counters
-        for match in self._static.matching(view):
-            rule, key, fields = match
-            rate = rule.rate
-            if rate is not None:
-                if key is None:  # a shared entry
-                    key = (rule.id, view.src_address, view.src_port)
-                hits = counters.get(key)
-                if hits is None:
-                    counters.add(key, rate, now)
-                    continue  # one hit never exceeds a threshold
-                if type(hits) is int:
-                    hits = counters[key] = deque((hits,), rate.threshold + 1)
-                hits.append(now)
-                if len(hits) <= rate.threshold or hits[0] <= now - rate.window_us:
-                    continue  # rate not exceeded: later rules still get the packet
-            if fields is None:
-                fields = self._alert_fields(rule, view)
-                if match[1] is not None:  # a view's own entry keeps them
-                    match[2] = fields
-            self.alerts.append(Alert(now, *fields))
-            return self._verdicts[rule.id]
-        return _PASS
+        match = self.rate_counters.first_match(self._static.matching(view), view, now)
+        if match is None:
+            return _PASS
+        rule, key, fields = match
+        if fields is None:
+            fields = self._alert_fields(rule, view)
+            if key is not None:  # a view's own entry keeps them
+                match[2] = fields
+        self.alerts.append(Alert(now, *fields))
+        return self._verdicts[rule.id]
 
     # A segment of SYNs, each the first hit of new keys, is checked with
     # `span_rules`, `room` and `RateCounters.unseen`, then taken by `pass_span`.

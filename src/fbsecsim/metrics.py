@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -48,24 +47,10 @@ class TruthOracle:
 
     def observe(self, view, now: int) -> bool:
         """Returns True when an unsaturated engine would have alerted."""
-        windows = self.windows
-        for rule, key, _ in self._static.matching(view):
-            rate = rule.rate
-            if rate is not None:
-                if key is None:  # a shared entry
-                    key = (rule.id, view.src_address, view.src_port)
-                win = windows.get(key)
-                if win is None:
-                    windows.add(key, rate, now)
-                    continue  # a first hit: later rules still get the packet
-                if type(win) is int:
-                    win = windows[key] = deque((win,), rate.threshold + 1)
-                win.append(now)
-                if len(win) <= rate.threshold or win[0] <= now - rate.window_us:
-                    continue  # rate not exceeded: later rules still get the packet
-            self.true_matches += 1
-            return True
-        return False
+        if self.windows.first_match(self._static.matching(view), view, now) is None:
+            return False
+        self.true_matches += 1
+        return True
 
 
 @dataclass
@@ -96,11 +81,12 @@ class EngineStats:
 
 
 class Recorder:
-    """Streaming observer of one run: the transport hooks feed it packets and
-    arrivals, the run reports the attack flag and LiftCtl dispatches.  The
-    truth oracle exists whenever the engine does, on the engine's rules; the
-    recorder's own five counts classify the engine's verdicts by each
-    arrival's true origin and the matched rule's action."""
+    """Streaming observer of one run: the transport (`Transport.recorder`)
+    feeds it packets and arrivals, the run reports the attack flag and
+    LiftCtl dispatches.  The truth oracle exists whenever the engine does,
+    on the engine's rules; the recorder's own five counts classify the
+    engine's verdicts by each arrival's true origin and the matched rule's
+    action."""
 
     def __init__(self, plc_ids: list[str], publisher_id: str,
                  engine: IdpsEngine | None, rules: list[Rule]):
@@ -118,15 +104,15 @@ class Recorder:
         self.flag_timeline: list[tuple[int, bool]] = [(0, False)]  # attack-flag transitions
         self.liftctl_dispatches: list[int] = []
         self._rule_actions = {r.id: r.action for r in rules}
-        self._publisher_id = publisher_id
+        self.publisher_id = publisher_id
         self._shared_payload = encode([TRUE])
 
     def on_send(self, packet: Packet) -> None:
-        if (packet.true_origin == self._publisher_id
+        if (packet.true_origin == self.publisher_id
                 and packet.payload == self._shared_payload):
             self.legit_sends.append((packet.send_time, packet.seq))
 
-    def on_presented(self, device: DeviceModel, origin: str, view, verdict, now: int) -> None:
+    def on_presented(self, origin: str, view, verdict, now: int) -> None:
         is_attack = origin in self.attacker_ids
         if is_attack:
             self.attack_presented += 1
@@ -153,7 +139,7 @@ class Recorder:
         self.oracle.windows.fill(rules, addresses, ports, times)
 
     def on_delivered(self, packet: Packet, now: int) -> None:
-        """Watches the publisher's deliveries (`Transport.watch_delivery`)."""
+        """Takes each of the publisher's arrivals past the engine tap."""
         if packet.payload == self._shared_payload:
             self.legit_deliveries.append((now, packet.seq))
 
@@ -352,7 +338,7 @@ def metrics_rows(report: RunReport) -> list[tuple[str, str]]:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in rows:

@@ -121,11 +121,7 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
         poll_idps = add_idps(net2, engine, rules, EngineMode(cfg.idps.mode),
                              round(cfg.idps.hold_window_s * US))
 
-    recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
-    transport.on_send = recorder.on_send
-    transport.on_presented = recorder.on_presented
-    transport.recorder = recorder
-    transport.watch_delivery("plc1", recorder.on_delivered)
+    recorder = transport.recorder = Recorder(list(PLC_IDS), "plc1", engine, rules)
 
     # -- PLC1: sensors, ThrustCtl, actuator, publisher -----------------------
     net1.add(make_ix("IX_BoxTop")).add(make_ix("IX_Cyl1End"))
@@ -283,7 +279,7 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
 def write_outputs(result: RunResult, out_dir: str) -> None:
     write_report_files(result.report, result.plant, out_dir)
     if result.trace is not None:
-        with open(os.path.join(out_dir, "trace.txt"), "w") as f:
+        with open(os.path.join(out_dir, "trace.txt"), "w", encoding="utf-8") as f:
             for line in result.trace.lines():
                 f.write(line + "\n")
 

@@ -365,16 +365,9 @@ class Transport:
         self.sockets: dict[tuple[str, int], Callable[[PacketView], None]] = {}
         self._undelivered = 0  # arrivals `deliver` finds no device for
         self._seq = 0
-        self.on_send: Callable[[Packet], None] | None = None
-        # on_presented(device, origin, view, verdict, now): an arrival past the engine tap
-        self.on_presented: Callable | None = None
-        # the metrics.Recorder whose `on_send` and `on_presented` those are, if
-        # they are its; it also takes the SYNs of a segment (`segment`)
+        # the run's one observer, a metrics.Recorder: `send`, `arrive` and
+        # `segment` report to it
         self.recorder = None
-        # true origin -> fn(packet, now), called once an arrival from that
-        # origin clears device and tap (`watch_delivery`); a flood from an
-        # unwatched origin may run in segments, without its packets (`segment`)
-        self._watched: dict[str, Callable[[Packet, int], None]] = {}
         self.flood_pump = None  # the run's attacks._FloodPump, made by its first flood
 
     # -- topology ----------------------------------------------------------
@@ -399,11 +392,6 @@ class Transport:
     def bind(self, device_id: str, port: int, handler: Callable[[PacketView], None]) -> None:
         self.sockets[(device_id, port)] = handler
 
-    def watch_delivery(self, origin: str, fn: Callable[[Packet, int], None]) -> None:
-        """Call fn(packet, now) for each packet from `origin` that clears
-        device and tap; a later watch of the same origin replaces it."""
-        self._watched[origin] = fn
-
     # -- sending -----------------------------------------------------------
 
     def next_seq(self) -> int:
@@ -424,8 +412,8 @@ class Transport:
         if sender is not None and sender.state is UNRESPONSIVE:
             sender.sender_down += 1
             return False
-        if self.on_send is not None:
-            self.on_send(packet)
+        if self.recorder is not None:
+            self.recorder.on_send(packet)
         when = self.scheduler.now + self.latency_us
         key = (packet.true_origin, packet.seq)
         dst = packet.dst
@@ -460,23 +448,20 @@ class Transport:
 
     def arrive(self, device: DeviceModel, origin: str, src_id: str, view: PacketView,
                ep: Endpoint, now: int, packet: Packet | None = None) -> None:
-        """Engine tap, observers and routing of an arrival `device` ingested at
+        """Engine tap, recorder and routing of an arrival `device` ingested at
         `now`: its true origin, claimed source device id and view, and the
         `Packet` that `send` made, if any.  A unicast flood arrival has none;
-        it takes its sequence number just before, and a watcher's gets it."""
-        engine = device.engine
+        no flood comes from the recorder's publisher (`config.validate`
+        names no attacker after a device), so each arrival it gets has one."""
+        engine, recorder = device.engine, self.recorder
         if engine is not None and engine.running:
             verdict = engine.inspect(view, now)
-            if self.on_presented is not None:
-                self.on_presented(device, origin, view, verdict, now)
+            if recorder is not None:
+                recorder.on_presented(origin, view, verdict, now)
             if verdict.blocked:
                 return
-        watch = self._watched.get(origin)
-        if watch is not None:
-            if packet is None:
-                packet = Packet(view.proto, Endpoint(src_id, view.src_address, view.src_port),
-                                ep, view.payload, now - self.latency_us, origin, self._seq)
-            watch(packet, now)
+        if recorder is not None and origin == recorder.publisher_id:
+            recorder.on_delivered(packet, now)
         self._route(device, src_id, view, ep, now)
 
     def segment(self, device: DeviceModel, ep: Endpoint, origin: str, base: int,
@@ -486,30 +471,27 @@ class Transport:
         """A segment function for a periodic stream from `origin` at `ep`,
         arrival m due at base + m * US // per_rate: of `view`, or of SYNs
         whose claimed sources `sources(lo, hi)` gives as (addresses, ports).
-        None unless nobody watches `origin`; no engine runs on `device`, or
-        the arrivals are SYNs whose rules are `IdpsEngine.span_rules` and
-        whose hook is `recorder`'s; and the fate past the engine is a
-        counter: `icmp_received`, a UDP handler's `count_only(view)`, or a
-        SYN's refusal or admission by the half-open table, with no device
-        `GHOST_ID` and no send hook but `recorder`'s.  `span(lo, hi)` (lo <
-        hi) takes the longest prefix of arrivals lo..hi-1 that each layer
-        can take in bulk as the arrivals one at a time would, and returns
-        how many (`tests/test_transport.py::TestRefusals`,
-        `TestCountedSegments`).  The answer holds until another event runs."""
-        if origin in self._watched:
-            return None
+        None unless no engine runs on `device`, or the arrivals are SYNs
+        whose rules are `IdpsEngine.span_rules`; and the fate past the
+        engine is a counter: `icmp_received`, a UDP handler's
+        `count_only(view)`, or a SYN's refusal or admission by the half-open
+        table, with no device `GHOST_ID`.  The recorder misses nothing a
+        segment skips: it takes the segment's SYNs (`presented_span`), its
+        `on_send` records only the publisher's shared-true publishes, never
+        a tallied SYN-ACK, and no flood comes from the publisher.
+        `span(lo, hi)` (lo < hi) takes the longest prefix of arrivals
+        lo..hi-1 that each layer can take in bulk as the arrivals one at a
+        time would, and returns how many (`tests/test_transport.py::
+        TestRefusals`, `TestCountedSegments`).  The answer holds until
+        another event runs."""
         engine, recorder, rules = device.engine, self.recorder, None
         if engine is not None and engine.running:
             rules = engine.span_rules(TCP_SYN) if sources is not None else None
-            hook = self.on_presented
-            if rules is None or hook not in (None, getattr(recorder, "on_presented", None)):
+            if rules is None:
                 return None
-            if hook is None:
-                recorder = None  # nobody observes what the engine passes
         table = None
         if sources is not None:  # SYNs: every one is ingested, and its SYN-ACK tallied
-            if GHOST_ID in self.devices or self.on_send not in (
-                    None, getattr(self.recorder, "on_send", None)):
+            if GHOST_ID in self.devices:
                 return None
             table, port = device.halfopen, ep.port
             latency, tally = self.latency_us, self.scheduler.tally

@@ -38,6 +38,7 @@ from fbsecsim.fbnet import (
     Trace,
 )
 from fbsecsim.idps import EngineMode, IdpsEngine, parse_rules
+from fbsecsim.metrics import Recorder
 from fbsecsim.transport import (
     BUCKET_US,
     DeviceModel,
@@ -130,14 +131,26 @@ class TestArmingMemory:
         tr = Transport(sched, latency_us=500)
         tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
         tr.bind("plc2", 61499, lambda v: None)
-        sent = []
-        for j in range(3):
-            tr.watch_delivery(f"attacker1.{j}",
-                              lambda pkt, now: sent.append((pkt.true_origin, pkt.send_time)))
+        arrivals = spy_arrivals(tr)
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
         for j in range(3):
-            assert [t for o, t in sent if o == f"attacker1.{j}"] == list(iter_flood_times(s, j))
+            assert ([t for o, t, _ in arrivals if o == f"attacker1.{j}"]
+                    == list(iter_flood_times(s, j)))
+
+
+def spy_arrivals(tr):
+    """Log (origin, send time, sequence number) of each arrival `tr.arrive`
+    takes: it arrives one latency after its send instant, and takes the
+    sequence number `tr._seq` reads as it arrives."""
+    log, arrive = [], tr.arrive
+
+    def spy(device, origin, src_id, view, ep, now, packet=None):
+        log.append((origin, now - tr.latency_us, tr._seq))
+        arrive(device, origin, src_id, view, ep, now, packet)
+
+    tr.arrive = spy
+    return log
 
 
 class TestValidation:
@@ -261,13 +274,12 @@ class TestFloodRuns:
         sched = Scheduler()
         tr = Transport(sched, latency_us=500)
         victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
-        origins = []
         tr.bind("plc2", 61499, lambda v: None)
-        for j in range(2):
-            tr.watch_delivery(f"attacker1.{j}", lambda pkt, now: origins.append(pkt.true_origin))
+        arrivals = spy_arrivals(tr)
         s = spec(rate=100, stop=US, count=2)
         schedule_flood(s, tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
+        origins = [o for o, _, _ in arrivals]
         assert set(origins) == {"attacker1.0", "attacker1.1"}
         assert len(origins) == 100
 
@@ -476,8 +488,8 @@ class _HeapDeliveryTransport(Transport):
         if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
             sender.sender_down += 1
             return False
-        if self.on_send is not None:
-            self.on_send(packet)
+        if self.recorder is not None:
+            self.recorder.on_send(packet)
         self.scheduler.at(self.scheduler.now + self.latency_us, self._delivery(packet, dst),
                           lane=LANE_NET, key=(packet.true_origin, packet.seq))
         return True
@@ -861,13 +873,12 @@ class TestIngestFirst:
         sched = Scheduler()
         tr = Transport(sched, latency_us=500)
         victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=1_000))
-        seqs = []
-        tr.watch_delivery("attacker1", lambda pkt, now: seqs.append(pkt.seq))
+        arrivals = spy_arrivals(tr)
         schedule_flood(spec(rate=5_000, stop=US), tr, sched, ip_to_int("10.0.0.66"))
         sched.run_until(2 * US)
         assert victim.offered == 5_000
         assert 0 < victim.ingested < victim.offered and victim.dropped_capacity > 0
-        assert seqs == list(range(1, victim.ingested + 1))
+        assert [seq for _, _, seq in arrivals] == list(range(1, victim.ingested + 1))
         assert tr._seq == victim.ingested
 
 
@@ -971,8 +982,28 @@ def subscriber_net(sched, tr, victim, trace):
     return net
 
 
-def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-                   suspend, sends, max_events=10**8, horizons=(), plain=False):
+class LogRecorder:
+    """Stands in for the run's `metrics.Recorder`: logs what the transport
+    reports to it, with the time, and for an arrival past the engine tap
+    the sequence counter."""
+
+    publisher_id = "plc1"
+
+    def __init__(self, tr):
+        self.tr, self.log = tr, []
+
+    def on_send(self, packet):
+        self.log.append(("send", self.tr.scheduler.now, packet))
+
+    def on_presented(self, origin, view, verdict, now):
+        self.log.append(("presented", now, origin, view, self.tr._seq, verdict))
+
+    def on_delivered(self, packet, now):
+        self.log.append(("plc1", now, packet))
+
+
+def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, suspend, sends,
+                   max_events=10**8, horizons=(), plain=False):
     """Floods `floods` against a subscriber PLC (plc2) that may be suspended
     and resumed, with legitimate publishes from plc1, run up to each horizon
     in turn and then past the floods' end, or until the event budget runs
@@ -991,13 +1022,7 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
         mode, inspection_capacity = engine_cfg
         engine = victim.engine = IdpsEngine(inspection_capacity)
         engine.start(_CASE_RULES, mode)
-    seen = []
-    tr.on_send = lambda pkt: seen.append(("send", sched.now, pkt))
-    tr.on_presented = lambda dev, origin, view, verdict, now: seen.append(
-        ("presented", now, dev.device_id, origin, view, tr._seq, verdict))
-    tr.watch_delivery("plc1", lambda pkt, now: seen.append(("plc1", now, pkt)))
-    if watch_attacker:
-        tr.watch_delivery("attacker1", lambda pkt, now: seen.append(("attacker1", now, pkt)))
+    tr.recorder = LogRecorder(tr)
     net = subscriber_net(sched, tr, victim, Trace() if traced else None)
     for t, action in zip(suspend, (net.suspended.add, net.suspended.discard)):
         sched.at(t, lambda action=action: action("SUB"))
@@ -1022,7 +1047,8 @@ def run_count_case(floods, capacity, critical_rate, engine_cfg, traced, watch_at
              [dataclasses.astuple(a) for a in engine.alerts]) if engine else None
     return (log, victim.counters(), victim.transitions, victim._buckets,
             sender.counters(), tr.undeliverable,
-            ending, sched.now, stats, seen, (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
+            ending, sched.now, stats, tr.recorder.log,
+            (sub.state.accepted, sub.state.malformed), sub.din, sub.dout,
             net.trace.entries if traced else None, net.suppressed, tr._seq, sched.processed)
 
 
@@ -1061,12 +1087,12 @@ def count_cases(draw):
     sends = draw(st.lists(st.tuples(instant, st.booleans(),
                                     st.sampled_from([b"\x40", b"\x41", b"\x00"])),
                           max_size=6))
-    traced, watch_attacker = (draw(st.sampled_from([False, False, True])) for _ in "tw")
+    traced = draw(st.sampled_from([False, False, True]))
     # a segment ends at the event budget or at a run_until horizon
     max_events = draw(st.one_of(st.just(10**8), st.integers(1, packets + 20)))
     horizons = sorted(draw(st.lists(instant, max_size=3)))
-    return (floods, capacity, critical_rate, engine_cfg, traced, watch_attacker,
-            suspend, sends, max_events, horizons)
+    return (floods, capacity, critical_rate, engine_cfg, traced, suspend, sends, max_events,
+            horizons)
 
 
 class TestCountOnly:
@@ -1174,7 +1200,7 @@ class TestCountOnly:
             (log, victim, *_, (accepted, malformed), _din, _dout, _trace, _supp,
              seq, processed) = run_count_case(
                 [spec(rate=10_000, stop=US // 10, payload=b"\x00")], capacity, 10**6,
-                None, False, False, [], sends, horizons=horizons)
+                None, False, [], sends, horizons=horizons)
         assert victim["offered"] == 1_000 + len(sends)
         assert victim["ingested"] == malformed + accepted == seq
         assert victim["dropped_capacity"] == (0 if capacity == 10**6 else 331)
@@ -1208,3 +1234,73 @@ class TestCountOnly:
             sched.run_until(US)
         assert routed == [105]  # the flood's first four arrivals were dropped
         assert victim.offered == 100 + 990
+
+
+@st.composite
+def observed_flood_cases(draw):
+    """A SYN or junk UDP flood into plc2, which holds a subscriber, from one
+    or two attackers, with publishes from plc1, plc2's capacity, critical
+    rate and half-open table drawn, and the engine off or on."""
+    kind = draw(st.sampled_from([AttackKind.SYN_FLOOD, AttackKind.UDP_FLOOD]))
+    count = draw(st.sampled_from([1, 1, 2]))
+    start = draw(st.integers(0, 2_000))
+    s = spec(kind=kind, rate=count * draw(st.sampled_from([2_000, 10_000, 40_000])),
+             start=start, stop=start + draw(st.integers(2_000, 30_000)), count=count,
+             target=Endpoint("plc2", ip_to_int("192.168.1.2"),
+                             61500 if kind is AttackKind.SYN_FLOOD else 61499),
+             payload=b"\x00")
+    packets = flood_count(s) * count
+    capacity = draw(st.integers(1, packets + 50))
+    critical_rate = draw(st.one_of(st.just(10**6), st.integers(capacity + 1, capacity + packets)))
+    engine_cfg = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([EngineMode.IDS, EngineMode.IPS]), st.integers(5, 2_000))))
+    sends = draw(st.lists(st.tuples(st.integers(0, s.stop), st.sampled_from([b"\x40", b"\x41"])),
+                          max_size=4))
+    return s, capacity, critical_rate, engine_cfg, sends, draw(_HALFOPEN)
+
+
+def run_observed_flood(observed, s, capacity, critical_rate, engine_cfg, sends, halfopen):
+    """Run flood `s` into plc2 with the transport's recorder set or None;
+    return what the device, engine, subscriber, transport and scheduler end
+    with."""
+    sched = Scheduler()
+    tr = Transport(sched, 500)
+    victim = tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2"), capacity=capacity,
+                                       critical_rate=critical_rate,
+                                       halfopen_capacity=halfopen[0],
+                                       halfopen_timeout_us=halfopen[1]))
+    sender = tr.add_device(DeviceModel("plc1", ip_to_int("192.168.1.1")))
+    engine = None
+    if engine_cfg is not None:
+        engine = victim.engine = IdpsEngine(engine_cfg[1])
+        engine.start(_CASE_RULES, engine_cfg[0])
+    if observed:
+        tr.recorder = Recorder(["plc1", "plc2"], "plc1", engine, _CASE_RULES)
+    sub = subscriber_net(sched, tr, victim, None).instances["SUB"].state
+    group, src = GroupAddress(ip_to_int("239.192.0.2"), 61499), Endpoint("plc1", sender.address,
+                                                                       40001)
+    for t, payload in sends:
+        sched.at(t, lambda payload=payload:
+                 tr.send(tr.make_packet(Proto.UDP, src, group, payload, "plc1")))
+    for dev in schedule_flood(s, tr, sched, ip_to_int("10.0.0.66")):
+        if observed:
+            tr.recorder.attacker_ids.add(dev.device_id)
+    sched.run_until(s.stop + US)
+    stats = None
+    if engine is not None:
+        stats = (engine.presented, engine.inspected, engine.dropped_by_engine,
+                 [dataclasses.astuple(a) for a in engine.alerts],
+                 list(engine.rate_counters.items()))
+    return (victim.counters(), victim.transitions, stats, (sub.accepted, sub.malformed),
+            tr._seq, sched.processed)
+
+
+class TestObserver:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(observed_flood_cases())
+    def test_the_recorder_never_steers_a_run(self, case):
+        """A flood with the run's recorder on the transport ends as it does
+        with none: the recorder only counts what it is handed, and where its
+        oracle's rate table cuts a segment of SYNs short, the arrivals cut
+        off take the per-packet path to the same end."""
+        assert run_observed_flood(True, *case) == run_observed_flood(False, *case)

@@ -2,9 +2,12 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fbsecsim
 from fbsecsim import config
 from fbsecsim.cli import main
 from fbsecsim.data import scenario_path
@@ -204,3 +207,43 @@ stop_s = 2
         assert main(["sweep", scen, "--attack", "f", "--rates", "0,100", "--out", out]) == 2
         assert "attacks[0].rate" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestUnwritableOutput:
+    """An `--out` that cannot be made a directory is reported as one line
+    naming it, with the exit status of a configuration error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{scen}", "--out", "{out}"],
+        ["sweep", "{scen}", "--attack", "f", "--rates", "100", "--out", "{out}"],
+    ])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, argv):
+        scen = write(tmp_path, "s.scenario", TestSweep.MINI_SWEEP)
+        out = write(tmp_path, "taken", "")
+        assert main([a.format(scen=scen, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1, err
+
+
+class TestOutputEncoding:
+    def test_output_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        """Output files are UTF-8 whatever the locale: `spoof_blocked` with a
+        rule message that is not ASCII writes the same bytes under the C
+        locale with UTF-8 mode off as in a run with the default locale."""
+        rules = tmp_path / "cafe.rules"
+        rules.write_text('block udp any any -> 239.192.0.2 61499 srcallow 192.168.1.1 '
+                         'msg "caf\u00e9 \u2026"\n', encoding="utf-8")
+        with open(scenario_path("spoof_blocked"), encoding="utf-8") as f:
+            text = f.read().replace("../rules/spoof.rules", str(rules))
+        scen = write(tmp_path, "cafe.scenario", text)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fbsecsim.__file__)))
+        written = []
+        for name, flags, env in [("c", ["-X", "utf8=0"], {"LC_ALL": "C"}), ("default", [], {})]:
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "fbsecsim.cli", "run", scen, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+        assert "caf\u00e9 \u2026".encode("utf-8") in written[1]["alerts.csv"]
+        assert written[0] == written[1]

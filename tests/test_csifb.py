@@ -26,6 +26,24 @@ US = 1_000_000
 GROUP = "239.192.0.2:61499"
 
 
+class SendLog:
+    """Stands in for the run's `metrics.Recorder`: keeps each sent packet."""
+
+    publisher_id = "plc1"
+
+    def __init__(self):
+        self.sent = []
+
+    def on_send(self, packet):
+        self.sent.append(packet)
+
+    def on_presented(self, origin, view, verdict, now):
+        pass
+
+    def on_delivered(self, packet, now):
+        pass
+
+
 class Harness:
     def __init__(self):
         self.sched = Scheduler()
@@ -34,8 +52,8 @@ class Harness:
         self.plc2 = self.tr.add_device(DeviceModel("plc2", ip_to_int("192.168.1.2")))
         self.net1 = FBNetwork(self.sched, Trace(), services={"transport": self.tr})
         self.net2 = FBNetwork(self.sched, Trace(), services={"transport": self.tr})
-        self.sent = []
-        self.tr.on_send = self.sent.append
+        self.tr.recorder = SendLog()
+        self.sent = self.tr.recorder.sent
 
     def with_publisher(self):
         self.net1.add(make_publisher("PUB", self.tr, "plc1", self.plc1.address, 40001))

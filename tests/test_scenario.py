@@ -520,10 +520,9 @@ class TestIdleTicks:
 def packets_change_nothing(cfg, record_trace):
     """Assert a run writes what its reference run writes: there every
     ingested arrival reaches `arrive` with a `Packet`, one a pump that builds
-    a packet per arrival would have built, and each origin's arrivals are
-    handed to a no-op delivery watcher, and no segment answer is asked, so
-    no flood is counted without its packets.  Returns how many packets the
-    reference built for arrivals that had none."""
+    a packet per arrival would have built, and no segment answer is asked,
+    so no flood is counted without its packets.  Returns how many packets
+    the reference built for arrivals that had none."""
     arrive = Transport.arrive
     built = 0
 
@@ -533,8 +532,6 @@ def packets_change_nothing(cfg, record_trace):
             built += 1
             packet = Packet(view.proto, Endpoint(src_id, view.src_address, view.src_port), ep,
                             view.payload, now - tr.latency_us, origin, tr._seq)
-        if origin not in tr._watched:
-            tr.watch_delivery(origin, lambda packet, now: None)
         arrive(tr, device, origin, src_id, view, ep, now, packet)
 
     got = run_files(cfg, record_trace)[0]
@@ -589,8 +586,8 @@ def engine_on_cases(draw):
 class TestPacketlessArrivals:
     """A unicast flood arrival reaches the engine, the recorder and its route
     as its origin, claimed source and view, with no `Packet`; the reference
-    run builds one for every arrival and reads it.  Both write the same
-    bytes."""
+    run builds one for every arrival and hands it to `arrive`.  Both write
+    the same bytes."""
 
     @pytest.mark.parametrize("record_trace", [True, False])
     @pytest.mark.parametrize("name", list_scenarios())
@@ -729,8 +726,8 @@ def send_with_heap_entries(tr, packet):
     if sender is not None and sender.state is DeviceState.UNRESPONSIVE:
         sender.sender_down += 1
         return False
-    if tr.on_send is not None:
-        tr.on_send(packet)
+    if tr.recorder is not None:
+        tr.recorder.on_send(packet)
     tr.scheduler.at(tr.scheduler.now + tr.latency_us, lambda: tr.deliver(packet, dst),
                     lane=LANE_NET, key=(packet.true_origin, packet.seq))
     return True

@@ -344,7 +344,7 @@ _SYN_RULESETS = [
 @st.composite
 def refusal_cases(draw):
     """A transport whose plc2 faces a periodic SYN stream from attacker1,
-    with its device window, half-open table, engine, rate tables and hooks
+    with its device window, half-open table, engine, rate tables and recorder
     drawn as earlier traffic could have left them; every earlier time is at
     or before arrival `lo`.  Returns the drawn parameters, to build the same
     case twice, and the stream's clock and index range."""
@@ -373,9 +373,7 @@ def refusal_cases(draw):
         # (arrival, engine's and/or oracle's table, first hit): keys counted before
         seen=draw(st.lists(st.tuples(st.integers(lo, hi), st.sampled_from(["e", "o", "eo"]),
                                      earlier), max_size=6)),
-        hook=draw(st.sampled_from(["recorder", "recorder", None, "other"])),
-        send_hook=draw(st.sampled_from(["recorder", None, None, "other"])),
-        watched=draw(st.sampled_from([False] * 5 + [True])),
+        recorder=draw(st.sampled_from([True, True, False])),
         ghost_device=draw(st.sampled_from([False] * 9 + [True])))
     return params, base, per_rate, lo, hi
 
@@ -434,12 +432,13 @@ def _refusal_transport(p):
     for k, t in enumerate(p["entries"]):
         address, port = held[k] if k < len(held) else (ip_to_int("192.168.1.30"), 50_000 + k)
         dev.halfopen.syn(address, port, 61500, t)
-    engine = recorder = None
+    engine, rules = None, []
     if p["rules"] is not None:
         rules = parse_rules(p["rules"])
         engine = dev.engine = IdpsEngine(p["inspection_capacity"])
         engine.start(rules, EngineMode.IPS)
-        recorder = Recorder(["plc2"], "plc1", engine, rules)
+    recorder = Recorder(["plc2"], "plc1", engine, rules)
+    if engine is not None:
         recorder.attacker_ids.add("attacker1")
         for t in p["inspected"]:
             engine.inspect(PacketView(Proto.UDP, 1, 2, dev.address, 61499, b"\x41"), t)
@@ -453,16 +452,8 @@ def _refusal_transport(p):
                         engine.rate_counters.add((rule.id, address, port), rule.rate, t)
                     if "o" in tables:
                         recorder.oracle.windows.add((rule.id, address, port), rule.rate, t)
-        if p["hook"] == "recorder":
-            tr.on_presented, tr.recorder = recorder.on_presented, recorder
-        elif p["hook"] == "other":
-            tr.on_presented = lambda *args: None
-    if p["send_hook"] == "recorder" and recorder is not None:
-        tr.on_send, tr.recorder = recorder.on_send, recorder
-    elif p["send_hook"] == "other":
-        tr.on_send = lambda packet: None
-    if p["watched"]:
-        tr.watch_delivery("attacker1", lambda packet, now: None)
+    if p["recorder"]:
+        tr.recorder = recorder
     if p["ghost_device"]:
         tr.add_device(plain_device(GHOST_ID, "10.0.0.1"))
     return tr, dev, engine, recorder, net
@@ -470,7 +461,7 @@ def _refusal_transport(p):
 
 def _refusal_state(tr, dev, engine, recorder, net):
     state = [_device_state(dev), list(dev.halfopen.entries.items()), tr._seq,
-             tr.scheduler.tally_log]
+             tr.scheduler.tally_log, recorder.legit_sends]
     if net is not None:
         sub = net.instances["SUB"]
         state += [sub.state.accepted, sub.state.malformed, dict(sub.din), dict(sub.dout),
@@ -492,7 +483,7 @@ def _keys_seen_case(seen, halfopen=1, held=()):
     return (dict(capacity=100, critical_rate=150, window=[], halfopen=halfopen, timeout=3 * US,
                  latency=20_000, entries=[US], held=list(held), rules=_SYN_RULESETS[0],
                  inspection_capacity=60, inspected=[], sweep_at=None, seen=seen,
-                 hook="recorder", send_hook="recorder", watched=False, ghost_device=False),
+                 recorder=True, ghost_device=False),
             1_200_000, 1_000, 0, 10)
 
 
@@ -546,9 +537,9 @@ class TestCountedSegments:
         """The ICMP or junk UDP arrivals a `Transport.segment` function takes
         in one call leave the device, the sequence numbers and the
         subscriber, its trace included, as the per-packet path leaves
-        them.  The answer is None when an engine runs, a watcher wants the
-        origin, or the subscriber is traced or has not been handed the
-        payload, or the payload is one it accepts.
+        them.  The answer is None when an engine runs, or the subscriber is
+        traced or has not been handed the payload, or the payload is one it
+        accepts.
 
         Why they agree: the fate of an arrival the device ingests is a
         counter, `icmp_received` or the subscriber's malformed count, so
@@ -571,12 +562,10 @@ def check_segment(p, base, per_rate, lo, hi):
     if syn:
         span = tr.segment(dev, ep, "attacker1", base, per_rate, None,
                           partial(syn_sources, 0x0A000000))
-        assert (span is None) is (
-            p["watched"] or p["ghost_device"] or p["send_hook"] == "other" or (
-                engine is not None and (p["hook"] == "other" or p["rules"] == _SYN_RULESETS[2])))
+        assert (span is None) is (p["ghost_device"] or p["rules"] == _SYN_RULESETS[2])
     else:
         span = tr.segment(dev, ep, "attacker1", base, per_rate, _stream_view(dev, p))
-        assert (span is None) is (p["watched"] or engine is not None or (
+        assert (span is None) is (engine is not None or (
             p["proto"] is Proto.UDP and (p["traced"] or not p["taught"]
                                          or p["payload"] == b"\x41")))
     taken = 0 if span is None else span(lo, hi)
