@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .config import parse_scenario_file, read_text, validate
 from .errors import ConfigError, RuleSyntaxError, SimError
@@ -23,7 +24,10 @@ SWEEP_HEADER = ["rate", "offered", "ingested", "dropped_capacity", "dropped_by_e
 
 def _cmd_run(args) -> int:
     cfg = parse_scenario_file(args.scenario)
-    result = run_scenario(cfg, record_trace=True)
+    # --out is made once the config is valid, before the run: an --out that
+    # cannot be written fails at once, and a bad config leaves none behind
+    result = run_scenario(cfg, record_trace=True,
+                          on_valid=partial(os.makedirs, args.out, exist_ok=True))
     write_outputs(result, args.out)
     r = result.report
     print(f"run finished: t={r.duration}us exit={r.exit_code}")
@@ -50,8 +54,9 @@ def _cmd_sweep(args) -> int:
         rates = [int(r) for r in args.rates.split(",") if r.strip()]
     except ValueError:
         raise ConfigError("rates", f"bad rate list {args.rates!r}") from None
-    rows, _results = run_sweep(cfg, args.attack, rates)
-    os.makedirs(args.out, exist_ok=True)
+    # --out is made as in `_cmd_run`, before the first run
+    rows, _results = run_sweep(cfg, args.attack, rates,
+                               on_valid=partial(os.makedirs, args.out, exist_ok=True))
     out_path = os.path.join(args.out, "sweep.csv")
     write_csv(out_path, SWEEP_HEADER, rows)
     for row in rows:

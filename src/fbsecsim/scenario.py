@@ -23,6 +23,7 @@ the annotation:
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, schedule_spoof
@@ -85,8 +86,13 @@ def target_device_id(cfg: ScenarioConfig, attack: AttackConfig) -> str:
     return "plc2" if target is None else target[0]
 
 
-def run_scenario(cfg: ScenarioConfig, record_trace: bool = True) -> RunResult:
-    return _run(cfg, validate(cfg), record_trace)
+def run_scenario(cfg: ScenarioConfig, record_trace: bool = True,
+                 on_valid: Callable[[], object] | None = None) -> RunResult:
+    """Validate and run `cfg`; `on_valid()`, if given, is called in between."""
+    rules = validate(cfg)
+    if on_valid is not None:
+        on_valid()
+    return _run(cfg, rules, record_trace)
 
 
 def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResult:
@@ -284,14 +290,19 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
                 f.write(line + "\n")
 
 
-def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int]):
-    """One sealed run per rate, same seed, rate substituted into the attack."""
+def run_sweep(cfg: ScenarioConfig, attack_name: str, rates: list[int],
+              on_valid: Callable[[], object] | None = None):
+    """One sealed run per rate, same seed, rate substituted into the attack;
+    `on_valid()`, if given, is called once every config is valid, before
+    the first run."""
     if not rates:
         raise ConfigError("rates", "sweep needs at least one rate")
     if sorted(rates) != list(rates) or len(set(rates)) != len(rates):
         raise ConfigError("rates", "rates must be strictly increasing")
     configs = [cfg.with_attack_rate(attack_name, rate) for rate in rates]
     rules = [validate(c) for c in configs]  # refuse any bad config before the first run
+    if on_valid is not None:
+        on_valid()
     target = target_device_id(cfg, cfg.attack(attack_name))
     rows = []
     results = []

@@ -270,7 +270,14 @@ class DeviceModel:
         (arrivals taken, arrivals ingested).  Within one 1 ms bucket the
         window total rises by one per arrival, so the arrivals at or under
         capacity, those over it and a collapse are index ranges: only an
-        over-capacity arrival costs a step, its drop draw."""
+        over-capacity arrival costs a step, its drop draw.  Once a bucket
+        leaves the total over capacity, a steady stretch takes each next
+        bucket in one step, while the total after its expiry is at least
+        capacity and its last arrival stays short of critical_rate: it
+        draws, appends the bucket and sets `_overloaded_at` once, at the
+        stretch's last arrival.  Any other bucket (the span's first, one
+        whose expiry brings the total under capacity, a collapse or a
+        recovery) takes the general step."""
         if self.down:
             taken = min(hi - lo, 1)  # the first arrival, if any, finds it down
             self.offered += taken
@@ -319,6 +326,32 @@ class DeviceModel:
                 self._transition(UNRESPONSIVE, base + crit * US // per_rate)
                 self.dropped_unresponsive += 1
                 break
+            if total <= capacity:
+                continue
+            # steady stretch: this bucket's last arrival was over capacity, so
+            # the device is degraded; while a next bucket's first arrival is
+            # over capacity too and its last short of collapse, it needs no
+            # recovery or state check, only its drop draws
+            first = m
+            while m < hi:
+                b = (base + m * US // per_rate) // BUCKET_US
+                low = b - _N_BUCKETS
+                while buckets and buckets[0][0] < low:
+                    total -= buckets.popleft()[1]
+                end = -(-((b + 1) * BUCKET_US - base) * per_rate // US)
+                if end > hi:
+                    end = hi
+                n = end - m
+                if total < capacity or total + n >= critical_rate:
+                    break  # the general step above takes this bucket
+                for rate in range(total + 1, total + n + 1):
+                    if draw() < 1.0 - capacity / rate:
+                        dropped += 1
+                buckets.append([b, n])
+                total += n
+                m = end
+            if m > first:
+                self._overloaded_at = base + (m - 1) * US // per_rate
         self._total = total
         taken = m - lo
         ingested = taken - dropped - self.down

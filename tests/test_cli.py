@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import fbsecsim
-from fbsecsim import config
+from fbsecsim import config, scenario
 from fbsecsim.cli import main
 from fbsecsim.data import scenario_path
 from fbsecsim.idps import parse_rules
@@ -211,13 +211,18 @@ stop_s = 2
 
 class TestUnwritableOutput:
     """An `--out` that cannot be made a directory is reported as one line
-    naming it, with the exit status of a configuration error."""
+    naming it, with the exit status of a configuration error, before any
+    run starts."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "{scen}", "--out", "{out}"],
         ["sweep", "{scen}", "--attack", "f", "--rates", "100", "--out", "{out}"],
     ])
-    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, argv):
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(*args):
+            raise AssertionError("a run started before --out was made")
+
+        monkeypatch.setattr(scenario, "_run", no_run)
         scen = write(tmp_path, "s.scenario", TestSweep.MINI_SWEEP)
         out = write(tmp_path, "taken", "")
         assert main([a.format(scen=scen, out=out) for a in argv]) == 2

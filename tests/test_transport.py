@@ -254,8 +254,28 @@ class TestIngest:
 
 
 def _device_state(dev):
+    """Everything `ingest` and `ingest_span` move, the drop draws made
+    included (as the generator's state)."""
     return (dev.counters(), dev.transitions, dev.state, dev.down, dev._overloaded_at,
-            [list(bucket) for bucket in dev._buckets], dev._total)
+            [list(bucket) for bucket in dev._buckets], dev._total, dev._rng.getstate())
+
+
+def _span_matches_ingest(span, ref, base, per_rate, cuts):
+    """Feed arrivals cuts[0]..cuts[-1]-1 of a periodic stream to `span` by
+    one `ingest_span` call between consecutive cuts, and to `ref` by one
+    `ingest` per arrival, each call stopping after the arrival that takes
+    the device down; both devices must agree at every cut, and make the
+    same next draw at the end."""
+    for a, b in zip(cuts, cuts[1:]):
+        taken = ingested = 0
+        for m in range(a, b):
+            taken += 1
+            ingested += ref.ingest(base + m * US // per_rate)
+            if ref.down:
+                break
+        assert span.ingest_span(base, per_rate, a, b) == (taken, ingested)
+        assert _device_state(span) == _device_state(ref)
+    assert span._rng.random() == ref._rng.random()
 
 
 class TestIngestSpan:
@@ -302,16 +322,33 @@ class TestIngestSpan:
                     - draw(st.integers(0, (hi - lo) * US // per_rate)))
         base = t - lo * US // per_rate  # arrival lo is due at t
         cuts = sorted(draw(st.lists(st.integers(lo, hi), max_size=3)))
-        for a, b in zip([lo, *cuts], [*cuts, hi]):
-            taken = ingested = 0
-            for m in range(a, b):
-                taken += 1
-                ingested += ref.ingest(base + m * US // per_rate)
-                if ref.down:
-                    break
-            assert span.ingest_span(base, per_rate, a, b) == (taken, ingested)
-            assert _device_state(span) == _device_state(ref)
-        assert span._rng.random() == ref._rng.random()
+        _span_matches_ingest(span, ref, base, per_rate, [lo, *cuts, hi])
+
+    @pytest.mark.parametrize("capacity,critical_rate,per_rate,base,n,piece,burst", [
+        # the bench's seed_batch flood: 5x capacity for 1.2 s, so steady
+        # stretches cross the point where the first buckets expire
+        pytest.param(2_000, 10**6, 10_000, 4_150_000, 12_000, 100, 0, id="seed_batch"),
+        # one arrival every 3.3 buckets, three times capacity
+        pytest.param(100, 10**6, 300, 20_000, 900, 50, 0, id="slower_than_buckets"),
+        pytest.param(50, 205, 10_000, 0, 400, 37, 0, id="collapse_mid_bucket"),
+        # a stream at twice capacity after a burst of 50 at time 0: the burst
+        # expires at arrival 100 (bucket 1005), leaving the total at
+        # capacity, or at arrival 99 (bucket 1001), leaving it one under
+        pytest.param(100, 10**6, 200, 505_000, 300, 7, 50, id="expiry_to_capacity"),
+        pytest.param(100, 10**6, 200, 506_000, 300, 7, 50, id="expiry_under_capacity"),
+    ])
+    def test_steady_stretches_match_repeated_ingest(self, capacity, critical_rate, per_rate,
+                                                     base, n, piece, burst):
+        """Floods held over capacity, fed to `ingest_span` in pieces, leave
+        the device where one `ingest` per arrival does."""
+        span, ref = (plain_device(capacity=capacity, critical_rate=critical_rate, seed=3)
+                     for _ in "sr")
+        for dev in (span, ref):
+            for _ in range(burst):
+                dev.ingest(0)
+        _span_matches_ingest(span, ref, base, per_rate, [*range(0, n, piece), n])
+        assert ref.state is (DeviceState.UNRESPONSIVE if critical_rate < 10**6
+                             else DeviceState.DEGRADED)
 
     def test_recovers_on_the_last_under_capacity_arrival_of_a_bucket(self):
         """The clean window ends between the first and the last arrival of
