@@ -17,7 +17,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import chain
 
-from .fbnet import LANE_NET, US, Scheduler
+from .fbnet import LANE_NET, NEVER, US, Scheduler
 from .transport import (
     GHOST_ID,
     DeviceModel,
@@ -123,9 +123,6 @@ def schedule_spoof(spec: AttackSpec, transport: Transport, scheduler: Scheduler)
         scheduler.at(t, fire)
 
 
-_NEVER = 1 << 62  # later than any arrival
-
-
 class _Stream:
     """One attacker's packet stream: what `_FloodPump` needs to deliver its
     packets, and the index `i` of the next one.  Send instants are computed
@@ -216,16 +213,18 @@ class _FloodPump:
         delivered starts a segment of those, and one the function does not
         take goes alone.  A segment may start at packet `i` itself; the pop
         has counted it in `processed` already, so the budget allows it and
-        `left` more."""
+        `left` more.  A segment stopped by the entry of `Scheduler.clock`
+        may run on past the idle ticks its `reach` allows; the clock then
+        takes the ticks due by the segment's last arrival (`advance`)."""
         transport, scheduler, parked = self.transport, self.scheduler, self.parked
-        latency = transport.latency_us
+        latency, clock = transport.latency_us, scheduler.clock
         stream = heappop(parked)[4]
         stream.armed = False
         while True:
             (target, payload, proto, origin, base_src, source, sources, view, src_id,
              dst_address, dst_port, dev, group, base, per_rate, count) = stream.fixed
             i = stream.i
-            cap = parked[0][0] if parked else _NEVER  # the next parked arrival's time
+            cap = parked[0][0] if parked else NEVER  # the next parked arrival's time
             # a unicast stream asks for a segment function as it starts a run
             # that may go on inline (its next arrival is due before any other
             # stream's) and, with no answer, after each lone arrival until one
@@ -243,13 +242,20 @@ class _FloodPump:
                     last = None  # done: ask the scheduler afresh below
                     break
                 # a segment of packet i (due now; a popped one may tie with the
-                # heap head) and its successors due at or before `last` and
-                # before `cap` (base + n * US // per_rate <= last), at most `left`
-                if span is not None and (taken := span(i, min(count, i + left, max(
-                        ((min(last, cap - 1) - base + 1) * per_rate - 1) // US + 1, i + 1)))):
+                # heap head) and its successors due at or before `end` and
+                # before `cap` (base + n * US // per_rate <= end), at most `room`;
+                # one the plant's next tick stops may run past idle ticks
+                if span is not None:
+                    end, room = min(last, cap - 1), left
+                    if clock is not None and end == clock.next - 1:
+                        end, room = clock.reach(cap - 1, left)
+                if span is not None and (taken := span(i, min(count, i + room, max(
+                        ((end - base + 1) * per_rate - 1) // US + 1, i + 1)))):
                     i += taken
-                    scheduler.now = base + (i - 1) * US // per_rate
+                    scheduler.now = now = base + (i - 1) * US // per_rate
                     scheduler.processed += taken - 1  # its first packet ran as an event already
+                    if clock is not None and now >= clock.next:
+                        clock.advance(now)
                 else:
                     now = scheduler.now
                     routed = dev is None or dev.ingest(now)

@@ -37,6 +37,7 @@ Emission = tuple[str | None, dict[str, DataValue]]
 Behavior = Callable[["Ctx", str, dict[str, DataValue], Any], tuple[Any, list[Emission]]]
 
 US = 1_000_000  # virtual microseconds per second
+NEVER = 1 << 62  # later than any event
 
 LANE_FB = 0
 LANE_NET = 1
@@ -91,6 +92,10 @@ class Scheduler:
     entry: `tallies` queues the due times, and the budget check compares
     `processed` with `max_events` less the tallied events queued, so it
     costs nothing more until the budget is nearly spent.
+
+    `clock`, if set, is the entry that runs a periodic tick chain with a
+    heap entry (itself) at its next tick, which a flood segment may run
+    past (`scenario.PlantClock`).
     """
 
     def __init__(self, max_events: int = 100_000_000):
@@ -104,6 +109,7 @@ class Scheduler:
         self.tallies: list[int] = []  # due times of tallied events not yet counted, in order
         self.tallied = 0  # tallied events counted so far
         self._limit = max_events  # max_events less the tallied events queued
+        self.clock = None
 
     def at(self, time: int, fn: Callable[[], None], lane: int = LANE_FB, key: Any = "") -> None:
         if time <= self.now:

@@ -40,7 +40,7 @@ class Plant:
     the push-off predicate is false.  `step` sets it; a command write that
     changes something and a box that lands clear it.  A tick that finds the
     plant settled and no box due has nothing to move or scan
-    (`scenario._run`'s tick).
+    (`scenario.PlantClock`).
     """
 
     def __init__(self, rate_per_tick: float = 0.1):

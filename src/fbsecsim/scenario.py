@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from heapq import heappop
 
 from .attacks import AttackKind, AttackSpec, attacker_device, schedule_flood, schedule_spoof
 from .config import (PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, parse_endpoint,
@@ -32,7 +33,7 @@ from .config import (PROBE_CLIENT_ID, AttackConfig, ScenarioConfig, parse_endpoi
 from .control import make_ix, make_liftctl, make_qx, make_thrustctl
 from .csifb import make_client, make_publisher, make_server, make_subscriber
 from .errors import ConfigError, EventBudgetExceeded
-from .fbnet import US, FBNetwork, Scheduler, Trace, secure
+from .fbnet import LANE_FB, NEVER, US, FBNetwork, Scheduler, Trace, secure
 from .idps import FLAG, EngineMode, IdpsEngine, Rule, add_idps
 from .metrics import Recorder, RunReport, build_report, sweep_row, write_report_files
 from .plant import Plant
@@ -59,6 +60,98 @@ class RunResult:
     config: ScenarioConfig
     networks: dict[str, FBNetwork]
     engine: IdpsEngine | None
+
+
+class PlantClock:
+    """The plant's tick chain: a tick every `period` up to `duration`, run
+    from one heap entry at a time, for `next`, the first tick not yet
+    taken; the entry's callable is the clock itself.
+
+    A tick steps the plant, lands each box due, samples the plant and scans
+    its sensors (`sense`); a tick that finds the plant settled and no box
+    due is idle: it only samples.  The clock takes a run of idle ticks in
+    one step (`_take`), with no heap entry each:
+      after a tick that leaves the plant settled, those before the next
+        box and before anything else runs (`Scheduler.inline_bound`: the
+        FIFO, the heap's next entry, the horizon and the budget, so the
+        event that spends it still pops);
+      for a flood segment that the clock's entry stops: its arrivals never
+        touch the plant, so `reach` lets it run past the idle ticks before
+        the next other entry, and `advance` then takes those due by its
+        last arrival.
+    Between a tick and the idle ticks taken after it nothing runs that
+    pushes an entry but the pump, on its own lane, so every order at a
+    shared instant is the one a heap entry per tick gives
+    (`tests/test_scenario.py::TestIdleTicks`, `TestSegmentsPastIdleTicks`).
+    """
+
+    def __init__(self, scheduler: Scheduler, plant: Plant, period: int, duration: int,
+                 sense: Callable[[], None], boxes: range):
+        self.scheduler, self.plant, self.sense = scheduler, plant, sense
+        self.period, self.duration, self.next = period, duration, period
+        self.dues = (-(-box // period) * period for box in boxes)  # the tick each box is due at
+        self.due = next(self.dues, NEVER)
+        scheduler.at(period, self)
+
+    def __call__(self) -> None:
+        """Run the tick at `now`: step the plant, land each box due, sample
+        it and scan its sensors, or only sample a settled plant with no box
+        due.  Then take the idle ticks after it that fall before anything
+        else runs, and arm the first tick not taken.  A taken tick still
+        counts as an event."""
+        scheduler, plant = self.scheduler, self.plant
+        now = scheduler.now
+        if plant.settled and self.due > now:
+            plant.sample(now)
+        else:
+            plant.step(now)
+            while self.due <= now:
+                plant.try_box_arrival(now)
+                self.due = next(self.dues, NEVER)
+            plant.sample(now)
+            self.sense()
+        self.next = now + self.period
+        if plant.settled:  # idle ticks before anything else runs, the FIFO included
+            last, left = scheduler.inline_bound()
+            self._take(min(last, self.due - 1), left)
+        if self.next <= self.duration:
+            scheduler.at(self.next, self)
+
+    def _take(self, last: int, most: int) -> None:
+        """Take at most `most` ticks from `next` through `last`, all idle, in
+        one step: their samples, their count in `processed`, and the seq
+        each one's push of the next tick takes."""
+        first, period = self.next, self.period
+        n = min((min(last, self.duration) - first) // period + 1, most)
+        if n > 0:
+            p, scheduler = self.plant, self.scheduler
+            state = p.cyl1, p.cyl2, p.box_present, p.box_pushed_off, p.hazard
+            p.samples += [(t, *state) for t in range(first, first + n * period, period)]
+            scheduler.processed += n
+            scheduler._seq += n
+            self.next = first + n * period
+
+    def reach(self, bound: int, left: int) -> tuple[int, int]:
+        """(last, left) for a flood segment that the clock's entry stops, as
+        `Scheduler.inline_bound` gives them: past the idle ticks before
+        `bound`, the next other entry and the run_until horizon, with `left`
+        less those ticks; unchanged if they would spend it."""
+        scheduler, first = self.scheduler, self.next
+        heap = scheduler._heap
+        if not self.plant.settled or not heap or heap[0][4] is not self:
+            return first - 1, left
+        # the head is the clock's entry, so the next other one is a child of it
+        last = min(bound, scheduler._until, self.due - 1, *[e[0] - 1 for e in heap[1:3]])
+        n = (min(last, self.duration) - first) // self.period + 1
+        return (last, left - n) if n < left else (first - 1, left)
+
+    def advance(self, now: int) -> None:
+        """Take the ticks due by `now`, which a segment has run past, and
+        move the clock's entry to the first tick after them."""
+        self._take(now, NEVER)
+        heappop(self.scheduler._heap)
+        if self.next <= self.duration:
+            self.scheduler.at_seq(self.next, self, LANE_FB, "", self.scheduler._seq)
 
 
 def _resolve_target(raw: str, devices: dict[str, DeviceModel], group: GroupAddress,
@@ -165,18 +258,10 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
     net2.post("SUB", "INIT")
 
     # -- lifecycle and periodic events ----------------------------------------
-    def every(period_us: int, fn) -> None:
-        """Call fn at each multiple of period_us up to the end of the run."""
-        def task():
-            fn()
-            if scheduler.now + period_us <= duration:
-                scheduler.at(scheduler.now + period_us, task)
-
-        scheduler.at(period_us, task)
-
     if engine is not None:
         net2.post("IDPS.SIFB", "INIT")
         shutdown_policy = cfg.safemode == "shutdown"
+        poll_period = cfg.idps.poll_period_ms * 1000
 
         def poll():
             # A changes only on POLL and feeds no event, so reading it here
@@ -185,11 +270,11 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
             recorder.on_flag(scheduler.now, flag)
             if shutdown_policy and flag:
                 net2.suspended.update(SHUTDOWN)
+            if scheduler.now + poll_period <= duration:
+                scheduler.at(scheduler.now + poll_period, poll)
 
-        every(cfg.idps.poll_period_ms * 1000, poll)
+        scheduler.at(poll_period, poll)
 
-    next_arrival = round(cfg.plant.first_box_s * US)  # the next box; none lands at `duration`
-    box_period = round(cfg.plant.box_period_s * US)
     sensor_state = {"IX_BoxTop": False, "IX_Cyl1End": False, "IX_Box": False}
 
     def scan(net: FBNetwork, inst: str, bit: bool) -> None:
@@ -198,28 +283,14 @@ def _run(cfg: ScenarioConfig, rules: list[Rule], record_trace: bool) -> RunResul
             net.set_data_in(inst, "NEWQ", Bool(bit))
             net.dispatch(inst, "SCAN")
 
-    def tick():
-        """Step the plant, land a box that is due, sample, and scan the
-        sensors.  A settled plant with no box due has nothing to move or
-        scan, so only its sample is taken.  Every tick stays an event: a
-        tick chain re-armed later would order differently against polls at
-        a shared instant, and the event budget counts ticks."""
-        nonlocal next_arrival
-        now = scheduler.now
-        if plant.settled and not (next_arrival <= now and next_arrival < duration):
-            plant.sample(now)
-            return
-        plant.step(now)
-        while next_arrival <= now and next_arrival < duration:
-            plant.try_box_arrival(now)
-            next_arrival += box_period
-        plant.sample(now)
+    def sense() -> None:
         scan(net1, "IX_BoxTop", plant.sensor_box_top())
         scan(net1, "IX_Cyl1End", plant.sensor_cyl1_end())
         scan(net2, "IX_Box", plant.sensor_box())
 
     plant.sample(0)
-    every(cfg.plant.tick_ms * 1000, tick)
+    boxes = range(round(cfg.plant.first_box_s * US), duration, round(cfg.plant.box_period_s * US))
+    scheduler.clock = PlantClock(scheduler, plant, cfg.plant.tick_ms * 1000, duration, sense, boxes)
 
     # -- attacks ---------------------------------------------------------------
     for i, a in enumerate(cfg.attacks):

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from fbsecsim import idps
 from fbsecsim.config import AttackConfig, parse_scenario_file
-from fbsecsim.attacks import AttackKind
+from fbsecsim.attacks import AttackKind, _FloodPump
 from fbsecsim.data import list_scenarios, rules_path, scenario_path
 from fbsecsim.errors import ConfigError
 from fbsecsim.fbnet import LANE_NET, FBNetwork, Scheduler
 from fbsecsim.metrics import EXIT_CLEAN, EXIT_COLLAPSE, EXIT_HAZARD
 from fbsecsim.plant import Plant
-from fbsecsim.scenario import run_scenario, run_sweep, write_outputs
+from fbsecsim.scenario import PlantClock, run_scenario, run_sweep, write_outputs
 from fbsecsim.transport import (
     DeviceModel,
     DeviceState,
@@ -433,15 +433,21 @@ def run_files(cfg, record_trace, settle=True):
         step(plant, now)
         plant.settled = plant.settled and settle
 
-    with mock.patch.object(Plant, "step", counted), tempfile.TemporaryDirectory() as out:
+    with mock.patch.object(Plant, "step", counted):
         result = run_scenario(cfg, record_trace=record_trace)
-        assert_oracle_agrees(result)
+    assert_oracle_agrees(result)
+    return output_files(result), steps, len(result.plant.samples) - 1  # the sample at 0 is no tick
+
+
+def output_files(result):
+    """The bytes of every file `write_outputs` writes for `result`, by name."""
+    with tempfile.TemporaryDirectory() as out:
         write_outputs(result, out)
         files = {}
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as f:
                 files[name] = f.read()
-    return files, steps, len(result.plant.samples) - 1  # the sample at 0 is no tick
+    return files
 
 
 def assert_oracle_agrees(result):
@@ -460,9 +466,16 @@ def assert_same_files(got, want):
 
 
 def idle_ticks_change_nothing(cfg, record_trace):
-    """Assert a run writes what its reference run writes; return how many
-    ticks it did not step."""
-    got, steps, ticks = run_files(cfg, record_trace)
+    """Assert a run writes what its reference run writes, or raises the
+    same error, `t=` included; return how many ticks it did not step (0 if
+    it raised)."""
+    try:
+        got, steps, ticks = run_files(cfg, record_trace)
+    except ConfigError as e:
+        with pytest.raises(ConfigError) as ref:
+            run_files(cfg, record_trace, settle=False)
+        assert str(ref.value) == str(e)
+        return 0
     want, ref_steps, ref_ticks = run_files(cfg, record_trace, settle=False)
     assert_same_files(got, want)
     assert ref_steps == ref_ticks == ticks
@@ -472,9 +485,12 @@ def idle_ticks_change_nothing(cfg, record_trace):
 @st.composite
 def idle_tick_cases(draw):
     """A short run of `spoof_blocked`'s plant and spoof with the plant's
-    timing, the latency and the policy drawn; the engine may be off, the
-    spoof's send instants fall on the tick grid or off it, and a junk flood
-    into plc2 may run."""
+    timing, the latency and the policy drawn; the engine may be off, polling
+    at a drawn period, the spoof's send instants fall on the tick grid or
+    off it, and a junk flood into plc2 may run.  The event budget may be
+    drawn too, from the least `validate` accepts to a tenth over the run's
+    event count, so it often runs out while the plant idles, with or
+    without anything else queued."""
     tick_ms = draw(st.sampled_from([1, 3, 10, 20]))
     cfg = load("spoof_blocked")
     policy = draw(st.sampled_from([None, "gate_and_hold", "log_only", "shutdown"]))
@@ -482,6 +498,8 @@ def idle_tick_cases(draw):
         cfg = dataclasses.replace(cfg, idps=dataclasses.replace(cfg.idps, enabled=False))
     else:
         cfg = with_idps(cfg, "ips", "combined.rules", policy)
+        cfg = dataclasses.replace(cfg, idps=dataclasses.replace(
+            cfg.idps, poll_period_ms=draw(st.sampled_from([1, tick_ms, 30, 100]))))
     at_us = draw(st.lists(st.one_of(st.integers(1, 199).map(lambda n: n * tick_ms * 1000),
                                     st.integers(1, 1_999_999)), min_size=1, max_size=3))
     attacks = [AttackConfig(name="spoof", kind=AttackKind.SPOOF_PUBLISH, target="group",
@@ -497,14 +515,22 @@ def idle_tick_cases(draw):
         rate_per_tick=draw(st.sampled_from([0.05, 0.1, 0.25, 1.0])),
         box_period_s=draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
         first_box_s=draw(st.integers(0, 1_500_000)) / 1e6)
-    return dataclasses.replace(cfg, duration_s=2.0, plant=plant, attacks=attacks,
-                               latency_us=draw(st.sampled_from([1, 500, 3_000])))
+    cfg = dataclasses.replace(cfg, duration_s=2.0, plant=plant, attacks=attacks,
+                              latency_us=draw(st.sampled_from([1, 500, 3_000])))
+    if draw(st.booleans()):
+        events = run_scenario(cfg, record_trace=False).networks["plc1"].scheduler.processed
+        least = max([cfg.duration_us // (tick_ms * 1000)] + [
+            a.rate * (round(a.stop_s * 1e6) - round(a.start_s * 1e6)) // 10**6 for a in attacks])
+        cfg = dataclasses.replace(cfg, event_budget=draw(st.integers(least, events + events // 10)))
+    return cfg
 
 
 class TestIdleTicks:
-    """A tick that finds the plant settled and no box due only samples it.
-    The reference run steps and scans on every tick; both write the same
-    bytes."""
+    """A tick that finds the plant settled and no box due only samples it,
+    and the plant's clock takes a run of such ticks in one step, after a
+    tick or under a flood segment.  The reference run steps and scans on
+    every tick, each from its own heap entry; both write the same bytes,
+    or raise the same budget error at the same instant."""
 
     @pytest.mark.parametrize("record_trace", [True, False])
     @pytest.mark.parametrize("name", list_scenarios())
@@ -515,6 +541,89 @@ class TestIdleTicks:
     @given(idle_tick_cases(), st.booleans())
     def test_drawn_runs_match_the_reference(self, cfg, record_trace):
         idle_ticks_change_nothing(cfg, record_trace)
+
+
+def segments_stop_at_ticks():
+    """Switch a flood segment's run past idle ticks off: `PlantClock.reach`
+    keeps the bound the clock's entry sets, so a segment ends before each
+    tick and the clock takes every tick from its own heap entry or after
+    a tick, never under a segment."""
+    return mock.patch.object(PlantClock, "reach", lambda clock, bound, left: (clock.next - 1, left))
+
+
+def counted_run(cfg):
+    """Run `cfg` untraced; return its files, `processed`, samples taken, and
+    how many `_FloodPump._pump` and `DeviceModel.ingest_span` calls it made."""
+    calls = {"pump": 0, "ingest_span": 0}
+    pump, ingest_span = _FloodPump._pump, DeviceModel.ingest_span
+
+    def counted_pump(self):
+        calls["pump"] += 1
+        pump(self)
+
+    def counted_span(self, *args):
+        calls["ingest_span"] += 1
+        return ingest_span(self, *args)
+
+    with mock.patch.object(_FloodPump, "_pump", counted_pump), \
+            mock.patch.object(DeviceModel, "ingest_span", counted_span):
+        result = run_scenario(cfg, record_trace=False)
+    processed = result.networks["plc1"].scheduler.processed
+    return output_files(result), processed, len(result.plant.samples), calls
+
+
+class TestSegmentsPastIdleTicks:
+    """A flood segment the plant's next tick stops runs on past the idle
+    ticks before anything else is due (`PlantClock.reach`), and the clock
+    takes them after it (`advance`).  `segments_stop_at_ticks` switches
+    that off."""
+
+    SEED_BATCH = os.path.join(BENCH_SCENARIOS, "seed_batch.scenario")
+
+    def test_seed_batch_flood_runs_past_its_ticks(self):
+        cfg = parse_scenario_file(self.SEED_BATCH).with_seed(1)
+        files, processed, samples, calls = counted_run(cfg)
+        with segments_stop_at_ticks():
+            ref_files, ref_processed, ref_samples, ref_calls = counted_run(cfg)
+        assert calls["pump"] <= 40 and calls["ingest_span"] <= 40, calls
+        assert ref_calls["pump"] > 100 and ref_calls["ingest_span"] > 100, ref_calls
+        assert (processed, samples) == (ref_processed, ref_samples)
+        assert_same_files(files, ref_files)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(415, 535).map(lambda n: n * 10_000),
+                              st.integers(4_150_000, 5_350_000)), min_size=1, max_size=4),
+           st.sampled_from([b"\x00", b"\x41"]), st.sampled_from([1, 500, 3_000]))
+    def test_other_entries_stop_a_segment(self, at_us, payload, latency_us):
+        """Spoofed publishes, junk or valid, sent on the tick grid or off it
+        while `seed_batch`'s flood runs and its plant idles or moves: the
+        run writes what it writes with the switch off."""
+        cfg = parse_scenario_file(self.SEED_BATCH).with_seed(1)
+        spoof = AttackConfig(name="spoof", kind=AttackKind.SPOOF_PUBLISH, target="group",
+                             at_s=tuple(t / 1e6 for t in at_us), payload=payload)
+        cfg = dataclasses.replace(cfg, attacks=[*cfg.attacks, spoof], latency_us=latency_us)
+        files, processed, samples, _ = counted_run(cfg)
+        with segments_stop_at_ticks():
+            ref_files, ref_processed, ref_samples, _ = counted_run(cfg)
+        assert (processed, samples) == (ref_processed, ref_samples)
+        assert_same_files(files, ref_files)
+
+    def test_budget_trips_where_it_trips_with_segments_stopped(self):
+        """`validate` lets the budget of `seed_batch` run out only in the
+        flood's last few hundred events or after it, where segments run
+        past ticks: every such budget trips at the same event and instant
+        with the switch off."""
+        cfg = parse_scenario_file(self.SEED_BATCH).with_seed(1)
+        events = counted_run(cfg)[1]
+        flood = cfg.attacks[0]
+        least = flood.rate * (round(flood.stop_s * 1e6) - round(flood.start_s * 1e6)) // 10**6
+        for budget in range(least, events, 9):
+            budgeted = dataclasses.replace(cfg, event_budget=budget)
+            with pytest.raises(ConfigError) as got:
+                run_scenario(budgeted, record_trace=False)
+            with segments_stop_at_ticks(), pytest.raises(ConfigError) as want:
+                run_scenario(budgeted, record_trace=False)
+            assert str(got.value) == str(want.value)
 
 
 def packets_change_nothing(cfg, record_trace):
@@ -686,12 +795,7 @@ def run_with_tables(cfg, record_trace):
     except ConfigError as e:
         return f"{e.path}: {e}"
     assert_oracle_agrees(result)
-    with tempfile.TemporaryDirectory() as out:
-        write_outputs(result, out)
-        files = {}
-        for name in sorted(os.listdir(out)):
-            with open(os.path.join(out, name), "rb") as f:
-                files[name] = f.read()
+    files = output_files(result)
     engine, oracle = result.engine, result.recorder.oracle
     tables = None if engine is None else (list(engine.rate_counters.items()),
                                           engine.rate_counters.sweep_at,
